@@ -52,7 +52,7 @@ class QuantumChannel:
         return self.d_in == self.d_out
 
     def apply_to_density(self, rho: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,jl,kml->im", self.kraus, rho, self.kraus.conj())
+        return (self.kraus @ rho @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
     def choi(self) -> np.ndarray:
         """Unnormalized Choi matrix sum_k vec(K_k) vec(K_k)^dag (row-major vec)."""
@@ -142,7 +142,9 @@ def twirl_channel(c: QuantumChannel, r: UnitaryRep) -> QuantumChannel:
     if c.d_in != r.dim:
         raise DimensionMismatchError("channel and representation dimensions differ")
     n = r.group.order
-    out = np.einsum("gji,kjl,glm->gkim", r.mats.conj(), c.kraus, r.mats) / np.sqrt(n)
+    # Kraus operators U(g)^dag K_k U(g), ordered by g then k.
+    u = r.mats[:, None]
+    out = u.conj().swapaxes(-1, -2) @ c.kraus[None] @ u / np.sqrt(n)
     return QuantumChannel(out.reshape(n * c.kraus.shape[0], r.dim, r.dim))
 
 

@@ -323,3 +323,91 @@ class TestDecomposeCompositeReps:
         dec = ak.decompose(scrambled, seed=0)
         assert sorted(dec.multiset()) == [(1, 1), (1, 1), (2, 2)]
         assert dec.reconstruction_residual() <= 1e-8
+
+
+class TestBatchedMatchesPerElementLoops:
+    """The batched group sums and checks against explicit per-element Python sums.
+
+    The rep is S3reg (x) S3reg (d = 36), which is not regular and carries
+    multiplicity.  Only the summation order differs from the loops, so every
+    comparison uses a 1e-12 relative tolerance set from complex128.
+    """
+
+    @pytest.fixture(scope="class")
+    def s3_square(self, regular_reps):
+        return ak.tensor_rep(regular_reps["s3"], regular_reps["s3"])
+
+    @pytest.fixture(scope="class")
+    def s3_square_dec(self, s3_square):
+        return ak.decompose(s3_square, seed=0)
+
+    @staticmethod
+    def close(got, want):
+        return frob(got - want) <= 1e-12 * max(1.0, frob(want))
+
+    def test_rep_has_multiplicity(self, s3_square_dec):
+        assert sorted(s3_square_dec.multiset()) == [(1, 6), (1, 6), (2, 12)]
+
+    def test_frob_each(self, s3_square):
+        from asymkit.reps import _frob_each
+
+        stack = s3_square.mats.transpose(0, 2, 1)[:, :30, :] - np.eye(30, 36)  # not contiguous
+        want = np.array([frob(m) for m in stack])
+        assert np.allclose(_frob_each(stack), want, rtol=1e-12, atol=0)
+
+    def test_twirl_operator(self, s3_square, rng):
+        x = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))  # not Hermitian
+        want = sum(u @ x @ u.conj().T for u in s3_square.mats) / s3_square.group.order
+        assert self.close(ak.twirl_operator(s3_square, x), want)
+
+    def test_block_matrix_is_kron_per_block(self, s3_square_dec):
+        dec = s3_square_dec
+        for g in dec.rep.group.elements():
+            want = np.zeros((dec.rep.dim, dec.rep.dim), dtype=complex)
+            for i, blk in enumerate(dec.blocks):
+                sl = dec.sector_slice(i)
+                want[sl, sl] = np.kron(blk.mats[g], np.eye(blk.mult))
+            assert np.array_equal(dec.block_matrix(g), want)
+
+    def test_reconstruction_residual(self, s3_square_dec, rng):
+        from asymkit.linalg import haar_unitary
+
+        dec = s3_square_dec
+        # the true decomposition, and one with a scrambled basis whose residual is O(1)
+        scrambled = ak.IrrepDecomposition(dec.rep, haar_unitary(36, rng) @ dec.basis, dec.blocks)
+        for d in (dec, scrambled):
+            w = d.basis
+            want = max(
+                frob(w @ d.rep.mats[g] @ w.conj().T - d.block_matrix(g))
+                for g in d.rep.group.elements()
+            )
+            assert abs(d.reconstruction_residual() - want) <= 1e-12 * max(1.0, want)
+        assert scrambled.reconstruction_residual() > 1e-2
+
+    def test_twirl_channel_same_kraus_list(self, regular_reps, rng):
+        r = regular_reps["s3"]
+        c = ak.random_channel(6, 3, rng)
+        n = r.group.order
+        want = [u.conj().T @ k @ u / np.sqrt(n) for u in r.mats for k in c.kraus]
+        got = ak.twirl_channel(c, r).kraus
+        assert got.shape == (len(want), 6, 6)
+        for a, b in zip(got, want):
+            assert self.close(a, b)
+
+    def test_apply_to_density(self, rng):
+        c = ak.random_channel(5, 4, rng)
+        rho = ak.random_mixed_state(5, rng).rho
+        want = sum(k @ rho @ k.conj().T for k in c.kraus)
+        assert self.close(c.apply_to_density(rho), want)
+
+
+class TestDecomposeOrder60:
+    """Regular rep of D30 (|G| = 60), past the size where the per-element loops dominated."""
+
+    def test_regular_d30(self):
+        g = ak.make_dihedral(30)
+        dec = ak.decompose(ak.regular_rep(g), seed=0)
+        assert all(blk.mult == blk.dim for blk in dec.blocks)
+        assert sum(blk.dim**2 for blk in dec.blocks) == 60
+        assert len(dec.blocks) == len(g.conjugacy_classes())
+        assert dec.reconstruction_residual() <= 1e-8
