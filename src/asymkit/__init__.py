@@ -14,7 +14,6 @@ from .approx import (
     fidelity,
     irrep_component,
     max_overlap,
-    trace_distance_fidelity_check,
 )
 from .bochner import BochnerReport, GnsResult, gns_construct, is_positive_definite
 from .channels import (
@@ -33,7 +32,6 @@ from .channels import (
 from .equivalence import (
     EquivalenceStatus,
     EquivalenceVerdict,
-    covariant_map_from_plain_map,
     decide_g_equivalence,
     decide_unitary_g_equivalence,
     extend_isometry_to_ginv_unitary,
@@ -60,7 +58,6 @@ from .groups import (
     GROUP_ORDER_CAP,
     GroupTable,
     SubgroupRef,
-    conjugacy_classes,
     direct_product,
     group_from_json,
     group_to_json,

@@ -7,10 +7,9 @@ Uhlmann fidelities of the two reductions,
     max_V |<phi|V|psi>|  =  sum_mu Fid(F_psi_mu, F_phi_mu),
     Fid(A, B)            =  || sqrt(A) sqrt(B) ||_1 ,
 
-and the maximizer is constructed explicitly: per sector, the multiplicity
-space unitary is read off the singular value decomposition of the cross
-matrix between the two sector coefficient matrices (which simultaneously
-makes every sector overlap real nonnegative, i.e. aligns all sector phases).
+and both the maximizer and the per-sector fidelities come from the shared
+sector-alignment primitive :meth:`IrrepDecomposition.align` (one SVD of the
+cross matrix of the two sector coefficient matrices per sector).
 
 Two cheaper lower bounds on the optimum are provided, one from the trace
 distance of the reductions and one from the distance of the characteristic
@@ -58,34 +57,29 @@ def fidelity(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> float:
     return trace_norm(psd_sqrt(a, tol) @ psd_sqrt(b, tol))
 
 
-def _sector_data(psi: QuantumState, phi: QuantumState, dec: IrrepDecomposition):
+def _check_pair(psi: QuantumState, phi: QuantumState, dec: IrrepDecomposition) -> None:
     if not (psi.is_pure and phi.is_pure):
         raise PureStateRequiredError("approximate interconversion is defined for pure states")
     if psi.dim != phi.dim or psi.dim != dec.rep.dim:
         raise DimensionMismatchError("states and decomposition must share one dimension")
+
+
+def _sector_data(psi: QuantumState, phi: QuantumState, dec: IrrepDecomposition):
+    _check_pair(psi, phi, dec)
     return dec.vector_sectors(psi.vec), dec.vector_sectors(phi.vec)
 
 
 def max_overlap(psi1: QuantumState, psi2: QuantumState, dec: IrrepDecomposition) -> OverlapReport:
     """Best overlap achievable by an invariant unitary, with its achiever.
 
-    Per sector, the overlap contributed by a multiplicity rotation Q is
-    tr(B^dag A Q); choosing Q as the unitary polar-like factor from the SVD of
-    B^dag A makes that trace the trace norm ||B^dag A||_1, which equals the
-    Uhlmann fidelity of the two sector reductions and is real nonnegative,
-    so no extra sector phases are needed.
+    The witness and the per-sector fidelities both come from one
+    :meth:`IrrepDecomposition.align` of psi1 onto psi2; the optimum is the
+    sum of the sector fidelities.
     """
-    sect1, sect2 = _sector_data(psi1, psi2, dec)
-    fidelities: dict[int, float] = {}
-    mult_blocks = []
-    for blk, a, b in zip(dec.blocks, sect1, sect2):
-        m = b.conj().T @ a
-        u, s, vh = np.linalg.svd(m)
-        q = vh.conj().T @ u.conj().T
-        mult_blocks.append(q.T)
-        fidelities[blk.label] = fidelity(a @ a.conj().T, b @ b.conj().T)
-    v = dec.invariant_unitary(mult_blocks)
-    optimal = float(sum(fidelities.values()))
+    _check_pair(psi1, psi2, dec)
+    v, shares = dec.align(psi1.vec, psi2.vec)
+    fidelities = {blk.label: share for blk, share in zip(dec.blocks, shares)}
+    optimal = float(sum(shares))
     bound_global, bound_per_mu = bound_from_charfunc(psi1, psi2, dec)
     return OverlapReport(
         optimal=optimal,
@@ -153,19 +147,3 @@ def bound_from_charfunc(
         c2 = irrep_component(chi2, dec, i)
         per_total += dec.blocks[i].dim ** 2 * float(np.mean(np.abs(c1.values - c2.values)))
     return bound_global, 1.0 - 0.5 * per_total
-
-
-def trace_distance_fidelity_check(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ||A - B||_1 >= tr A + tr B - 2 Fid(A, B) holds (it always does).
-
-    Kept as an executable sanity check: the characteristic-function and
-    trace-distance bounds above lean on this inequality.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    tol = scaled_tol(a, b, base=1e-8)
-    assert_psd(a, tol, what="inequality argument")
-    assert_psd(b, tol, what="inequality argument")
-    lhs = trace_norm(a - b)
-    rhs = float(np.trace(a).real + np.trace(b).real) - 2.0 * fidelity(a, b, tol)
-    return lhs >= rhs - 10 * tol

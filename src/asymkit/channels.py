@@ -132,7 +132,9 @@ def twirl_channel(c: QuantumChannel, r: UnitaryRep) -> QuantumChannel:
     """Group average (1/|G|) sum_g U(g)^dag o E o U(g); always covariant.
 
     A channel that was already covariant is reproduced exactly (as a
-    superoperator; the Kraus list is expanded but equivalent).
+    superoperator; the Kraus list is expanded but equivalent).  If E maps the
+    whole orbit of rho onto the orbit of sigma pointwise, the average still
+    maps rho to sigma.
     """
     if not c.is_endomorphic:
         raise DimensionMismatchError(

@@ -45,14 +45,20 @@ _MAKERS = {
 }
 
 
-def _load_json(path: str):
+def _load_file(path: str, parse, *extra):
+    """Read one JSON input file and build an object from it as ``parse(obj, *extra)``.
+
+    A missing file, malformed JSON, or a structure the parser cannot read (a
+    missing key, a value of the wrong type) raises ValidationError naming the file.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
+        return parse(obj, *extra)
     except FileNotFoundError:
         raise ValidationError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"malformed input in {path}: {exc!r}") from exc
 
 
 def _load_group(args) -> "GroupTable":
@@ -60,7 +66,7 @@ def _load_group(args) -> "GroupTable":
         return _make_group(args.make)
     if args.group is None:
         raise ValidationError("this command needs --group FILE (or --make NAME:N)")
-    return group_from_json(_load_json(args.group))
+    return _load_file(args.group, group_from_json)
 
 
 def _make_group(spec: str):
@@ -81,34 +87,29 @@ def _make_group(spec: str):
 
 def _load_rep(args):
     if args.rep is not None:
-        obj = _load_json(args.rep)
-        group = None
-        if "group" not in obj and (args.group or getattr(args, "make", None)):
-            group = _load_group(args)
-        return jsonio.rep_from_json(obj, group)
+        def parse(obj):
+            group = None
+            if "group" not in obj and (args.group or getattr(args, "make", None)):
+                group = _load_group(args)
+            return jsonio.rep_from_json(obj, group)
+
+        return _load_file(args.rep, parse)
     if args.group is not None or getattr(args, "make", None):
         return regular_rep(_load_group(args))
     raise ValidationError("this command needs --rep FILE, or --group FILE for the regular action")
 
 
-def _load_states(args, count: int):
+def _load_states(args, count: int, parse):
     paths = args.state or []
     if len(paths) != count:
         raise ValidationError(f"this command needs exactly {count} --state file(s)")
-    return [jsonio.state_from_json(_load_json(p)) for p in paths]
-
-
-def _load_weight_states(args, count: int):
-    paths = args.state or []
-    if len(paths) != count:
-        raise ValidationError(f"this command needs exactly {count} --state file(s)")
-    return [jsonio.weight_state_from_json(_load_json(p)) for p in paths]
+    return [_load_file(p, parse) for p in paths]
 
 
 def _load_channel(args):
     if args.channel is None:
         raise ValidationError("this command needs --channel FILE")
-    return jsonio.channel_from_json(_load_json(args.channel))
+    return _load_file(args.channel, jsonio.channel_from_json)
 
 
 # -- command handlers: each returns the result payload ------------------------
@@ -136,13 +137,13 @@ def _cmd_decompose(args):
 
 def _cmd_charfunc(args):
     rep = _load_rep(args)
-    (state,) = _load_states(args, 1)
+    (state,) = _load_states(args, 1, jsonio.state_from_json)
     return {"charfunc": jsonio.func_to_json(charfunc(state, rep))}
 
 
 def _cmd_reduce(args):
     rep = _load_rep(args)
-    (state,) = _load_states(args, 1)
+    (state,) = _load_states(args, 1, jsonio.state_from_json)
     dec = decompose(rep, seed=args.seed)
     red = reduction_onto_irreps(state, dec)
     return {"reduction": jsonio.reduction_to_json(red)}
@@ -153,35 +154,36 @@ def _cmd_fourier(args):
     if args.func is None:
         raise ValidationError("fourier needs --func FILE")
     dec = decompose(rep, seed=args.seed)
-    f = jsonio.func_from_json(_load_json(args.func), rep.group)
+    f = _load_file(args.func, jsonio.func_from_json, rep.group)
     red = fourier_inverse(f, dec)
     return {"reduction": jsonio.reduction_to_json(red)}
 
 
 def _cmd_uequiv(args):
     rep = _load_rep(args)
-    psi, phi = _load_states(args, 2)
+    psi, phi = _load_states(args, 2, jsonio.state_from_json)
     dec = decompose(rep, seed=args.seed)
-    verdict = decide_unitary_g_equivalence(psi, phi, dec, tol=args.tol or 1e-8)
+    tol = 1e-8 if args.tol is None else args.tol
+    verdict = decide_unitary_g_equivalence(psi, phi, dec, tol=tol)
     return {"verdict": jsonio.verdict_to_json(verdict)}
 
 
 def _cmd_equiv(args):
     rep = _load_rep(args)
-    psi, phi = _load_states(args, 2)
+    psi, phi = _load_states(args, 2, jsonio.state_from_json)
     verdict = decide_g_equivalence(psi, phi, rep)
     return {"verdict": jsonio.verdict_to_json(verdict)}
 
 
 def _cmd_u1shift(args):
-    w1, w2 = _load_weight_states(args, 2)
+    w1, w2 = _load_states(args, 2, jsonio.weight_state_from_json)
     delta = u1_shift_equivalence(w1, w2)
     return {"shift": delta, "equivalent": delta is not None}
 
 
 def _cmd_overlap(args):
     rep = _load_rep(args)
-    psi, phi = _load_states(args, 2)
+    psi, phi = _load_states(args, 2, jsonio.state_from_json)
     dec = decompose(rep, seed=args.seed)
     report = max_overlap(psi, phi, dec)
     return {"overlap": jsonio.overlap_report_to_json(report)}
@@ -191,7 +193,7 @@ def _cmd_bochner(args):
     g = _load_group(args)
     if args.func is None:
         raise ValidationError("bochner needs --func FILE")
-    f = jsonio.func_from_json(_load_json(args.func), g)
+    f = _load_file(args.func, jsonio.func_from_json, g)
     dec = decompose(regular_rep(g), seed=args.seed)
     report = is_positive_definite(f, dec, tol=args.tol)
     return {"bochner": jsonio.bochner_report_to_json(report)}
@@ -201,22 +203,25 @@ def _cmd_gns(args):
     g = _load_group(args)
     if args.func is None:
         raise ValidationError("gns needs --func FILE")
-    f = jsonio.func_from_json(_load_json(args.func), g)
+    f = _load_file(args.func, jsonio.func_from_json, g)
     return {"gns": jsonio.gns_result_to_json(gns_construct(f))}
 
 
 def _cmd_covcheck(args):
     c = _load_channel(args)
     r_in = _load_rep(args)
-    r_out = jsonio.rep_from_json(_load_json(args.rep_out), r_in.group) if args.rep_out else r_in
-    check = is_g_covariant(c, r_in, r_out, tol=args.tol or 1e-8)
+    r_out = _load_file(args.rep_out, jsonio.rep_from_json, r_in.group) if args.rep_out else r_in
+    check = is_g_covariant(c, r_in, r_out, tol=1e-8 if args.tol is None else args.tol)
     return {"covariant": check.covariant, "residual": check.residual}
 
 
 def _cmd_twirl(args):
     rep = _load_rep(args)
     if args.subgroup is not None:
-        elements = [int(x) for x in args.subgroup.split(",") if x.strip() != ""]
+        try:
+            elements = [int(x) for x in args.subgroup.split(",") if x.strip() != ""]
+        except ValueError:
+            raise ValidationError(f"--subgroup needs comma-separated indices: {args.subgroup!r}")
         out = uniform_twirl_over_subgroup(rep, elements)
     else:
         out = twirl_channel(_load_channel(args), rep)
@@ -228,7 +233,7 @@ def _cmd_embed(args):
     r_in = _load_rep(args)
     if args.rep_out is None:
         raise ValidationError("embed needs --rep-out FILE for the output-space action")
-    r_out = jsonio.rep_from_json(_load_json(args.rep_out), r_in.group)
+    r_out = _load_file(args.rep_out, jsonio.rep_from_json, r_in.group)
     out = embed_channel(c, r_in, r_out)
     return {"channel": jsonio.channel_to_json(out)}
 

@@ -135,19 +135,6 @@ def _complement_basis(e: np.ndarray) -> np.ndarray:
     return u[:, r:]
 
 
-def _solve_multiplicity_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unitary Q with A Q = B, given A A^dag = B B^dag.
-
-    Singular-value alignment: from the SVD of the cross matrix B^dag A the
-    unitary Q = V U^dag maximizes Re tr(B^dag A Q); with equal reductions the
-    maximum saturates the Cauchy-Schwarz bound, which forces A Q = B.  Zero
-    singular values leave Q free on the kernel and the SVD's completion is
-    kept.
-    """
-    u, _, vh = np.linalg.svd(b.conj().T @ a)
-    return vh.conj().T @ u.conj().T
-
-
 def decide_unitary_g_equivalence(
     psi: QuantumState,
     phi: QuantumState,
@@ -157,10 +144,9 @@ def decide_unitary_g_equivalence(
     """Decide whether an invariant unitary maps psi to phi, and build one.
 
     Equivalent iff every sector satisfies ||F_psi_mu - F_phi_mu||_1 <= tol.
-    On success the witness acts as the identity across irrep rows and aligns
-    the two states' multiplicity-space coefficient matrices sector by sector;
-    its global phase is fixed by making the largest component of V psi real
-    positive relative to phi.
+    On success the witness is :meth:`IrrepDecomposition.align` of psi onto
+    phi: with equal reductions every sector's alignment saturates the
+    Cauchy-Schwarz bound, which forces V psi = phi with no phase left over.
     """
     _require_pure(psi, phi)
     if psi.dim != phi.dim or psi.dim != dec.rep.dim:
@@ -176,14 +162,7 @@ def decide_unitary_g_equivalence(
             charfunc(psi, dec.rep).values, charfunc(phi, dec.rep).values, tol
         )
         return EquivalenceVerdict(EquivalenceStatus.NOT_EQUIVALENT, certificate=cert)
-    mult_blocks = [
-        _solve_multiplicity_unitary(a, b).T for a, b in zip(sect_psi, sect_phi)
-    ]
-    v = dec.invariant_unitary(mult_blocks)
-    mapped = v @ psi.vec
-    j = int(np.argmax(np.abs(phi.vec)))
-    ratio = phi.vec[j] / mapped[j]
-    v = v * (ratio / abs(ratio))
+    v, _ = dec.align(psi.vec, phi.vec)
     return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, witness=v)
 
 
@@ -253,18 +232,6 @@ def u1_shift_equivalence(
     return delta
 
 
-def covariant_map_from_plain_map(e, r: UnitaryRep):
-    """Symmetrize an arbitrary endomorphic channel by group averaging.
-
-    Produces (1/|G|) sum_g U(g)^dag o E o U(g), always covariant.  If E maps
-    the whole orbit of rho onto the orbit of sigma pointwise, the average
-    still maps rho to sigma, so nothing is lost for orbit-to-orbit maps.
-    """
-    from .channels import twirl_channel
-
-    return twirl_channel(e, r)
-
-
 def extend_isometry_to_ginv_unitary(
     w: np.ndarray,
     proj: np.ndarray,
@@ -305,16 +272,14 @@ def extend_isometry_to_ginv_unitary(
         sl = dec.sector_slice(i)
         p_mu = _multiplicity_factor(pj[sl, sl], blk.dim, blk.mult)
         t_mu = _multiplicity_factor(xj[sl, sl], blk.dim, blk.mult)
-        u, _, vh = np.linalg.svd(t_mu)
-        full = u @ vh
+        full = polar_unitary(t_mu)
         # On the kernel of p_mu the completion is free; keep the SVD's choice.
         if frob(full @ p_mu - t_mu) > 1e-6:
             raise NotInvariantIsometryError(
                 f"sector {blk.label}: completion failed; input is not an invariant isometry"
             )
         mult_blocks.append(full)
-    v = dec.invariant_unitary(mult_blocks)
-    return v
+    return dec.invariant_unitary(mult_blocks)
 
 
 def _multiplicity_factor(block: np.ndarray, d_mu: int, n_mu: int) -> np.ndarray:

@@ -229,11 +229,6 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     return GroupTable(mul, labels=labels)
 
 
-def conjugacy_classes(g: GroupTable) -> list[list[int]]:
-    """Partition of the elements into orbits under h -> g h g^-1."""
-    return g.conjugacy_classes()
-
-
 def same_group(a: GroupTable, b: GroupTable) -> bool:
     """Structural equality: identical multiplication tables."""
     return a is b or (a.order == b.order and np.array_equal(a.mul, b.mul))
@@ -242,25 +237,24 @@ def same_group(a: GroupTable, b: GroupTable) -> bool:
 def subgroup(g: GroupTable, elements) -> SubgroupRef:
     """Validate an element set as a subgroup and wrap it.
 
-    The set must contain the identity and be closed under multiplication and
-    inversion; otherwise InvalidSubgroupError is raised.
+    The set must contain the identity and be closed under multiplication,
+    which in a finite group implies closure under inversion; otherwise
+    InvalidSubgroupError is raised.
     """
     elems = sorted(set(int(x) for x in elements))
     if any(x < 0 or x >= g.order for x in elems):
         raise InvalidSubgroupError("subgroup elements must be valid element indices")
     if 0 not in elems:
         raise InvalidSubgroupError("subgroup must contain the identity (index 0)")
-    member = set(elems)
-    for a in elems:
-        if int(g.inv[a]) not in member:
-            raise InvalidSubgroupError(
-                f"non-closed element set: inverse of {a} is missing"
-            )
-        for b in elems:
-            if int(g.mul[a, b]) not in member:
-                raise InvalidSubgroupError(
-                    f"non-closed element set: product of {a} and {b} is missing"
-                )
+    k = np.array(elems)
+    member = np.zeros(g.order, dtype=bool)
+    member[k] = True
+    missing = ~member[g.mul[np.ix_(k, k)]]
+    if missing.any():
+        a, b = k[np.argwhere(missing)[0]]
+        raise InvalidSubgroupError(
+            f"non-closed element set: product of {a} and {b} is missing"
+        )
     return SubgroupRef(tuple(elems))
 
 
@@ -268,13 +262,11 @@ def is_normal(g: GroupTable, k: SubgroupRef | object) -> bool:
     """True iff x k x^-1 stays in the subgroup for all x in G, k in K."""
     if not isinstance(k, SubgroupRef):
         k = subgroup(g, k)
-    member = set(k.elements)
-    for x in g.elements():
-        xi = int(g.inv[x])
-        for h in k.elements:
-            if int(g.mul[g.mul[x, h], xi]) not in member:
-                return False
-    return True
+    elems = np.array(k.elements)
+    member = np.zeros(g.order, dtype=bool)
+    member[elems] = True
+    # conj[x, j] = x k_j x^-1
+    return bool(member[g.mul[g.mul[:, elems], g.inv[:, None]]].all())
 
 
 def group_to_json(g: GroupTable) -> dict:

@@ -232,12 +232,11 @@ class IrrepDecomposition:
         start = self.offsets[index]
         return slice(start, start + blk.dim * blk.mult)
 
-    def block_matrix(self, g: int) -> np.ndarray:
-        """directsum_mu U_mu(g) kron I_{n_mu} in the decomposed basis."""
-        return self._block_diagonal(g)
+    def block_matrix(self, g) -> np.ndarray:
+        """directsum_mu U_mu(g) kron I_{n_mu} in the decomposed basis.
 
-    def _block_diagonal(self, g) -> np.ndarray:
-        """block_matrix for one element index, or a stack of them for a slice."""
+        An index array or slice for ``g`` gives a stack, one matrix per element.
+        """
         lead = self.rep.mats[g].shape[:-2]
         out = np.zeros(lead + (self.rep.dim, self.rep.dim), dtype=complex)
         for i, blk in enumerate(self.blocks):
@@ -274,10 +273,27 @@ class IrrepDecomposition:
             out[sl, sl] = np.kron(np.eye(blk.dim), v)
         return self.basis.conj().T @ out @ self.basis
 
+    def align(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """Invariant unitary V maximizing Re <b|V|a>, and each sector's share of it.
+
+        Sector mu, with coefficient matrices A and B, contributes tr(B^dag A V_mu^T).
+        From the SVD B^dag A = u s vh, V_mu = conj(u vh) makes it ||B^dag A||_1 =
+        sum(s), the maximum, which is the Uhlmann fidelity of A A^dag and B B^dag
+        (on zero singular values the SVD's completion is kept).  The shares, in
+        block order, sum to <b|V|a>, which is therefore real and nonnegative.
+        """
+        mult_unitaries = []
+        shares = []
+        for x, y in zip(self.vector_sectors(a), self.vector_sectors(b)):
+            u, s, vh = np.linalg.svd(y.conj().T @ x)
+            mult_unitaries.append(np.conj(u @ vh))
+            shares.append(float(s.sum()))
+        return self.invariant_unitary(mult_unitaries), shares
+
     def reconstruction_residual(self) -> float:
         """max_g || W U(g) W^dag - blocks(g) ||_F."""
         w = self.basis
-        diff = w @ self.rep.mats @ w.conj().T - self._block_diagonal(slice(None))
+        diff = w @ self.rep.mats @ w.conj().T - self.block_matrix(slice(None))
         return float(_frob_each(diff).max())
 
 

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     GroupMismatchError,
     InvalidParameterError,
+    InvalidSubgroupError,
     ToleranceError,
     ValidationError,
 )
@@ -271,19 +272,12 @@ def symmetry_subgroup(s: QuantumState, r: UnitaryRep, tol: float = 1e-8) -> Subg
         for g in r.group.elements()
         if frob(r.mats[g] @ rho @ r.mats[g].conj().T - rho) <= tol
     ]
-    member_set = set(members)
-    for a in members:
-        if int(r.group.inv[a]) not in member_set:
-            raise ToleranceError(
-                f"symmetry set not closed under inversion at element {a}; tolerance misconfigured"
-            )
-        for b in members:
-            if int(r.group.mul[a, b]) not in member_set:
-                raise ToleranceError(
-                    f"symmetry set not closed under multiplication at ({a},{b}); "
-                    "tolerance misconfigured"
-                )
-    return subgroup(r.group, members)
+    try:
+        return subgroup(r.group, members)
+    except InvalidSubgroupError as exc:
+        raise ToleranceError(
+            f"symmetry set is not a subgroup ({exc}); tolerance misconfigured"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

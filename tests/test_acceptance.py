@@ -9,6 +9,7 @@ import pytest
 
 import asymkit as ak
 from asymkit.linalg import frob, trace_norm
+from helpers import trace_distance_fidelity_check
 
 ACCEPTANCE_GROUPS = ("z2", "z3", "z6", "klein", "s3", "s4", "d4")
 
@@ -160,7 +161,7 @@ def test_criterion_06_lower_bounds(overlap_pairs):
         dim = int(rng.integers(1, 7))
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        assert ak.trace_distance_fidelity_check(a @ a.conj().T, b @ b.conj().T)
+        assert trace_distance_fidelity_check(a @ a.conj().T, b @ b.conj().T)
     print("[criterion 6] PASS - 100 pairs bounded, 1000 trace-fidelity inequalities hold")
 
 

@@ -208,6 +208,68 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
+class TestMalformedInputFiles:
+    """A file that is valid JSON but not a valid object exits 2 with a message."""
+
+    @pytest.mark.parametrize(
+        "make_argv",
+        [
+            # a pure state without its data
+            lambda d: ["charfunc", "--rep", d("rep16.json"), "--state", d({"kind": "pure"})],
+            # a representation without its matrices
+            lambda d: [
+                "charfunc",
+                "--rep", d({"group": ak.group_to_json(ak.make_cyclic(16)), "dim": 16}),
+                "--state", d("psi.json"),
+            ],
+            # a weight state whose key is not an integer
+            lambda d: ["u1shift", "--state", d({"weights": {"x": 1.0}}), "--state", d("w2.json")],
+            # a state that is a list, not an object
+            lambda d: ["charfunc", "--rep", d("rep16.json"), "--state", d([[1.0, 0.0]])],
+            # subgroup indices that are not integers
+            lambda d: ["twirl", "--make", "cyclic:4", "--subgroup", "a,b"],
+        ],
+        ids=["state-without-data", "rep-without-mats", "weight-key-x", "state-list", "subgroup-ab"],
+    )
+    def test_exit_2(self, workdir, capsys, make_argv):
+        def d(content):
+            if isinstance(content, str):
+                return str(workdir / content)
+            path = workdir / "malformed.json"
+            path.write_text(json.dumps(content))
+            return str(path)
+
+        code = main(make_argv(d))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "validation error:" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["uequiv", "covcheck"])
+def test_tol_zero_reaches_library(workdir, capsys, monkeypatch, command):
+    import asymkit.cli as cli_mod
+
+    seen = []
+
+    def spy(real):
+        def call(*args, tol):
+            seen.append(tol)
+            return real(*args, tol=tol)
+
+        return call
+
+    name = {"uequiv": "decide_unitary_g_equivalence", "covcheck": "is_g_covariant"}[command]
+    monkeypatch.setattr(cli_mod, name, spy(getattr(cli_mod, name)))
+    files = {
+        "uequiv": ["--state", str(workdir / "psi.json"), "--state", str(workdir / "psi.json")],
+        "covcheck": ["--channel", str(workdir / "chan.json")],
+    }[command]
+    code = main([command, "--rep", str(workdir / "rep16.json"), *files, "--tol", "0"])
+    assert code == 0
+    assert seen == [0.0]
+
+
 class TestDegeneracyExitCode:
     def test_exit_3_on_numerical_degeneracy(self, capsys, monkeypatch):
         import asymkit.cli as cli_mod

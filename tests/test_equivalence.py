@@ -234,15 +234,17 @@ class TestU1Shift:
 
 
 class TestCovariantFromPlain:
+    """Symmetrizing an arbitrary channel by group averaging (``twirl_channel``)."""
+
     def test_already_covariant_unchanged(self, regular_reps, rng):
         r = regular_reps["z3"]
         c = ak.twirl_channel(ak.random_channel(3, 2, rng), r)
-        again = ak.covariant_map_from_plain_map(c, r)
+        again = ak.twirl_channel(c, r)
         assert frob(c.choi() - again.choi()) < 1e-10
 
     def test_identity_fixed(self, regular_reps):
         r = regular_reps["z2"]
-        out = ak.covariant_map_from_plain_map(ak.identity_channel(2), r)
+        out = ak.twirl_channel(ak.identity_channel(2), r)
         assert frob(out.choi() - ak.identity_channel(2).choi()) < 1e-12
 
     def test_twirl_of_conjugation_is_covariant(self, groups, rng):
@@ -250,7 +252,7 @@ class TestCovariantFromPlain:
         r = ak.number_rep(z2, [0, 1])
         u = haar_unitary(2, rng)
         c = ak.channel_from_unitary(u)
-        out = ak.covariant_map_from_plain_map(c, r)
+        out = ak.twirl_channel(c, r)
         assert ak.is_g_covariant(out, r, r).covariant
 
     def test_orbit_map_average_preserves_target(self, z16_number_rep):
@@ -259,7 +261,7 @@ class TestCovariantFromPlain:
         psi = plus_state(16, 0, 1)
         phi = plus_state(16, 2, 3)
         c = ak.shift_channel(16, 2)
-        avg = ak.covariant_map_from_plain_map(c, z16_number_rep)
+        avg = ak.twirl_channel(c, z16_number_rep)
         out = ak.apply(avg, psi)
         assert frob(out.density() - phi.density()) < 1e-10
 

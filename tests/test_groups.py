@@ -151,6 +151,38 @@ class TestSubgroups:
         with pytest.raises(ak.InvalidSubgroupError):
             ak.subgroup(groups["s3"], [1, 2])  # no identity
 
+    def test_inverse_closed_but_not_product_closed_rejected(self, groups):
+        s3 = groups["s3"]
+        t1, t2 = 1, 2  # the transpositions (0,2,1) and (1,0,2)
+        assert s3.multiply(t1, t1) == 0 and s3.multiply(t2, t2) == 0
+        with pytest.raises(ak.InvalidSubgroupError, match="product"):
+            ak.subgroup(s3, [0, t1, t2])
+
+    def test_is_normal_matches_brute_force_on_s4(self, groups):
+        s4 = groups["s4"]
+
+        def generated(gens):
+            elems = {0}
+            frontier = [0]
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = s4.multiply(x, s)
+                    if y not in elems:
+                        elems.add(y)
+                        frontier.append(y)
+            return frozenset(elems)
+
+        def normal(h):
+            inv = {x: next(y for y in range(24) if s4.multiply(x, y) == 0) for x in range(24)}
+            return all(s4.multiply(s4.multiply(x, k), inv[x]) in h for x in range(24) for k in h)
+
+        subgroups = {generated((a, b)) for a in range(24) for b in range(a, 24)}
+        verdicts = [ak.is_normal(s4, sorted(h)) for h in subgroups]
+        assert verdicts == [normal(h) for h in subgroups]
+        # S4 has 30 subgroups, 4 of them normal: 1, V4, A4, S4
+        assert len(subgroups) == 30 and sum(verdicts) == 4
+
 
 class TestValidation:
     def test_corrupted_table_rejected(self):

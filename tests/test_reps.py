@@ -325,6 +325,51 @@ class TestDecomposeCompositeReps:
         assert dec.reconstruction_residual() <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def s3_square(regular_reps):
+    """S3reg (x) S3reg (d = 36): not regular, multiset (1,6),(1,6),(2,12)."""
+    return ak.tensor_rep(regular_reps["s3"], regular_reps["s3"])
+
+
+@pytest.fixture(scope="module")
+def s3_square_dec(s3_square):
+    return ak.decompose(s3_square, seed=0)
+
+
+class TestAlign:
+    """The sector alignment against ``fidelity`` as an independent reference.
+
+    S3reg (x) S3reg has 1 x 6 sectors, so there the cross matrices B^dag A are
+    6 x 6 of rank one and most of each multiplicity unitary is the SVD's
+    completion.
+    """
+
+    @staticmethod
+    def pairs(decompositions, s3_square_dec, rng):
+        for dec in [*decompositions.values(), s3_square_dec]:
+            for _ in range(3):
+                a = ak.random_pure_state(dec.rep.dim, rng).vec
+                b = ak.random_pure_state(dec.rep.dim, rng).vec
+                yield dec, a, b
+
+    def test_shares_are_sector_fidelities(self, decompositions, s3_square_dec, rng):
+        for dec, a, b in self.pairs(decompositions, s3_square_dec, rng):
+            _, shares = dec.align(a, b)
+            assert len(shares) == len(dec.blocks)
+            for x, y, share in zip(dec.vector_sectors(a), dec.vector_sectors(b), shares):
+                want = ak.fidelity(x @ x.conj().T, y @ y.conj().T)
+                assert abs(share - want) <= 1e-10
+
+    def test_witness_invariant_and_achieves_shares(self, decompositions, s3_square_dec, rng):
+        for dec, a, b in self.pairs(decompositions, s3_square_dec, rng):
+            v, shares = dec.align(a, b)
+            assert frob(v @ v.conj().T - np.eye(dec.rep.dim)) < 1e-10
+            assert frob(v @ dec.rep.mats - dec.rep.mats @ v) < 1e-10
+            overlap = np.vdot(b, v @ a)
+            assert abs(overlap.imag) <= 1e-10
+            assert abs(overlap.real - sum(shares)) <= 1e-10
+
+
 class TestBatchedMatchesPerElementLoops:
     """The batched group sums and checks against explicit per-element Python sums.
 
@@ -332,14 +377,6 @@ class TestBatchedMatchesPerElementLoops:
     multiplicity.  Only the summation order differs from the loops, so every
     comparison uses a 1e-12 relative tolerance set from complex128.
     """
-
-    @pytest.fixture(scope="class")
-    def s3_square(self, regular_reps):
-        return ak.tensor_rep(regular_reps["s3"], regular_reps["s3"])
-
-    @pytest.fixture(scope="class")
-    def s3_square_dec(self, s3_square):
-        return ak.decompose(s3_square, seed=0)
 
     @staticmethod
     def close(got, want):
