@@ -13,7 +13,8 @@ cross matrix of the two sector coefficient matrices per sector).
 
 Two cheaper lower bounds on the optimum are provided, one from the trace
 distance of the reductions and one from the distance of the characteristic
-functions (global and per-component variants).
+functions (global and per-component variants).  Both start from the sector
+reductions, which the inverse Fourier transform turns into irrep components.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PureStateRequiredError
+from .errors import DimensionMismatchError, GroupMismatchError, PureStateRequiredError
+from .groups import same_group
 from .linalg import assert_psd, psd_sqrt, scaled_tol, trace_norm
 from .reps import IrrepDecomposition
-from .states import CharFunction, QuantumState, charfunc, convolve
+from .states import CharFunction, QuantumState, _forward_block, _inverse_block
 
 #: Sectors with less weight than this in both states are left out of the
 #: characteristic-function bounds.
@@ -64,9 +66,10 @@ def _check_pair(psi: QuantumState, phi: QuantumState, dec: IrrepDecomposition) -
         raise DimensionMismatchError("states and decomposition must share one dimension")
 
 
-def _sector_data(psi: QuantumState, phi: QuantumState, dec: IrrepDecomposition):
+def _sector_reductions(psi: QuantumState, phi: QuantumState, dec: IrrepDecomposition):
+    """Both states' sector reductions F_mu = A A^dag, in block order."""
     _check_pair(psi, phi, dec)
-    return dec.vector_sectors(psi.vec), dec.vector_sectors(phi.vec)
+    return [[a @ a.conj().T for a in dec.vector_sectors(s.vec)] for s in (psi, phi)]
 
 
 def max_overlap(psi1: QuantumState, psi2: QuantumState, dec: IrrepDecomposition) -> OverlapReport:
@@ -95,25 +98,25 @@ def bound_from_trace_distance(
     psi1: QuantumState, psi2: QuantumState, dec: IrrepDecomposition
 ) -> float:
     """Lower bound 1 - (1/2) sum_mu ||F1_mu - F2_mu||_1 on the optimal overlap."""
-    sect1, sect2 = _sector_data(psi1, psi2, dec)
-    total = sum(
-        trace_norm(a @ a.conj().T - b @ b.conj().T) for a, b in zip(sect1, sect2)
-    )
+    red1, red2 = _sector_reductions(psi1, psi2, dec)
+    total = sum(trace_norm(f1 - f2) for f1, f2 in zip(red1, red2))
     return 1.0 - 0.5 * float(total)
 
 
 def irrep_component(f: CharFunction, dec: IrrepDecomposition, index: int) -> CharFunction:
     """Component of a group function living on one irreducible block.
 
-    chi_mu = d_mu * (phi_mu conv chi) with phi_mu the block's character; the
-    components of a state's characteristic function sum back to it and
-    vanish on every block the state does not occupy.
+    chi_mu = d_mu * (phi_mu conv f) with phi_mu the block's character.  As phi_mu
+    is a class function, this is the inverse row of f's forward block B_mu,
+    tr(B_mu U_mu(g)): O(|G| d_mu^2).  The components of a state's
+    characteristic function sum back to it and vanish on every block the state
+    does not occupy.
     """
+    if not same_group(f.group, dec.rep.group):
+        raise GroupMismatchError("function and decomposition must share the group")
     blk = dec.blocks[index]
-    character = CharFunction(dec.rep.group, blk.character_per_element())
-    out = convolve(character, f)
-    out.values = blk.dim * out.values
-    return out
+    forward = _forward_block(f.values, dec.rep.group, blk)
+    return CharFunction(dec.rep.group, _inverse_block(forward, blk))
 
 
 def bound_from_charfunc(
@@ -128,22 +131,17 @@ def bound_from_charfunc(
 
     The sums run over blocks where either state has nonzero weight; adding
     the union's extra blocks only subtracts more, so the bound stays valid.
+    chi1_mu - chi2_mu is the inverse row of F1_mu - F2_mu, and chi1 - chi2 the
+    sum of those rows: O(|G| sum_mu d_mu^2).
     """
-    sect1, sect2 = _sector_data(psi1, psi2, dec)
-    chi1 = charfunc(psi1, dec.rep)
-    chi2 = charfunc(psi2, dec.rep)
+    red1, red2 = _sector_reductions(psi1, psi2, dec)
+    rows = [_inverse_block(f1 - f2, blk) for blk, f1, f2 in zip(dec.blocks, red1, red2)]
     active = [
         i
-        for i, (a, b) in enumerate(zip(sect1, sect2))
-        if np.linalg.norm(a) ** 2 > _SECTOR_WEIGHT_CUTOFF
-        or np.linalg.norm(b) ** 2 > _SECTOR_WEIGHT_CUTOFF
+        for i, (f1, f2) in enumerate(zip(red1, red2))
+        if max(np.trace(f1).real, np.trace(f2).real) > _SECTOR_WEIGHT_CUTOFF
     ]
     d2 = sum(dec.blocks[i].dim ** 2 for i in active)
-    avg = float(np.mean(np.abs(chi1.values - chi2.values)))
-    bound_global = 1.0 - 0.5 * d2 * avg
-    per_total = 0.0
-    for i in active:
-        c1 = irrep_component(chi1, dec, i)
-        c2 = irrep_component(chi2, dec, i)
-        per_total += dec.blocks[i].dim ** 2 * float(np.mean(np.abs(c1.values - c2.values)))
+    bound_global = 1.0 - 0.5 * d2 * float(np.mean(np.abs(sum(rows))))
+    per_total = sum(dec.blocks[i].dim ** 2 * float(np.mean(np.abs(rows[i]))) for i in active)
     return bound_global, 1.0 - 0.5 * per_total

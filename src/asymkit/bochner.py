@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCharacteristicFunctionError
-from .linalg import frob, polar_unitary, scaled_tol
+from .errors import InvalidCharacteristicFunctionError, InvalidParameterError
+from .linalg import frob, min_eigenvalue, polar_unitary, scaled_tol
 from .reps import IrrepDecomposition, UnitaryRep
 from .states import CharFunction, QuantumState, fourier_blocks
 
@@ -55,16 +55,16 @@ def is_positive_definite(
     irrep is present.  The verdict is true iff all Fourier blocks are
     Hermitian PSD within tolerance; the report carries the most negative
     block eigenvalue and where it occurred.  Normalization f(e) = 1 is
-    reported separately and does not affect positive definiteness.
+    reported separately and does not affect positive definiteness.  A
+    negative tol raises InvalidParameterError.
     """
     if tol is None:
         tol = scaled_tol(f.values)
+    if not tol >= 0:
+        raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
     blocks = fourier_blocks(f.values, dec_of_regular)
-    herm_residual = 0.0
-    minima: dict[int, float] = {}
-    for blk, b in zip(dec_of_regular.blocks, blocks):
-        herm_residual = max(herm_residual, frob(b - b.conj().T))
-        minima[blk.label] = float(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0])
+    herm_residual = max(frob(b - b.conj().T) for b in blocks)
+    minima = {blk.label: min_eigenvalue(b) for blk, b in zip(dec_of_regular.blocks, blocks)}
     worst = min(minima, key=minima.get)
     scale = max(1.0, max(frob(b) for b in blocks))
     ok = minima[worst] >= -tol * scale and herm_residual <= tol * scale

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, InvalidParameterError, ValidationError
 from .groups import SubgroupRef, subgroup
 from .linalg import frob, scaled_tol
 from .reps import UnitaryRep, direct_sum_rep
@@ -116,8 +116,10 @@ def is_g_covariant(
     """Choi-level covariance test of E against the in/out group actions.
 
     Measures max_g || Choi(U_out(g) o E o U_in(g)^dag) - Choi(E) ||_F; the
-    channel is covariant iff the residual vanishes.
+    channel is covariant iff the residual vanishes; a negative tol is invalid.
     """
+    if not tol >= 0:
+        raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
     if c.d_in != r_in.dim or c.d_out != r_out.dim:
         raise DimensionMismatchError("channel dimensions must match the representations")
     j = c.choi()

@@ -27,12 +27,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     NotInvariantIsometryError,
     PureStateRequiredError,
     ValidationError,
 )
 from .linalg import assert_psd, frob, polar_unitary, scaled_tol, trace_norm
-from .reps import IrrepDecomposition, UnitaryRep, decompose, one_dim_reps, regular_rep
+from .reps import IrrepDecomposition, UnitaryRep, _frob_each, decompose, one_dim_reps, regular_rep
 from .states import QuantumState, WeightState, charfunc
 
 #: Per-element absolute tolerance for characteristic-function equality.
@@ -147,19 +148,19 @@ def decide_unitary_g_equivalence(
     On success the witness is :meth:`IrrepDecomposition.align` of psi onto
     phi: with equal reductions every sector's alignment saturates the
     Cauchy-Schwarz bound, which forces V psi = phi with no phase left over.
+    A negative tol raises InvalidParameterError.
     """
+    if not tol >= 0:
+        raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
     _require_pure(psi, phi)
     if psi.dim != phi.dim or psi.dim != dec.rep.dim:
         raise DimensionMismatchError("states and decomposition must share one dimension")
-    sect_psi = dec.vector_sectors(psi.vec)
-    sect_phi = dec.vector_sectors(phi.vec)
-    equal = all(
-        trace_norm(a @ a.conj().T - b @ b.conj().T) <= tol
-        for a, b in zip(sect_psi, sect_phi)
-    )
+    sectors = zip(dec.vector_sectors(psi.vec), dec.vector_sectors(phi.vec))
+    equal = all(trace_norm(a @ a.conj().T - b @ b.conj().T) <= tol for a, b in sectors)
     if not equal:
+        # A |chi| gap below CHI_MATCH_TOL is rounding, whatever the sector tol.
         cert = _modulus_certificate(
-            charfunc(psi, dec.rep).values, charfunc(phi, dec.rep).values, tol
+            charfunc(psi, dec.rep).values, charfunc(phi, dec.rep).values, max(tol, CHI_MATCH_TOL)
         )
         return EquivalenceVerdict(EquivalenceStatus.NOT_EQUIVALENT, certificate=cert)
     v, _ = dec.align(psi.vec, phi.vec)
@@ -258,7 +259,7 @@ def extend_isometry_to_ginv_unitary(
         raise NotInvariantIsometryError(
             "precondition violated: proj W^dag W proj = proj (W is not isometric on the support)"
         )
-    worst = max(frob(wp @ r.mats[g] - r.mats[g] @ wp) for g in r.group.elements())
+    worst = float(_frob_each(wp @ r.mats - r.mats @ wp).max())
     if worst > max(tol, scaled_tol(wp)):
         raise NotInvariantIsometryError(
             f"precondition violated: [W proj, U(g)] = 0 fails with residual {worst:.3e}"

@@ -382,7 +382,14 @@ def _decompose_once(r: UnitaryRep, rng: np.random.Generator) -> IrrepDecompositi
         else:
             classes.append([i])
 
-    class_order = sorted(range(len(classes)), key=lambda ci: _block_sort_key(group, copies[classes[ci][0]]))
+    # Canonical order: ascending dimension, then the character at the class
+    # representatives, real part descending so the trivial block leads its peers.
+    class_chars = [copies[cls[0]][2][group.class_representatives()] for cls in classes]
+    keys = [
+        (copies[cls[0]][0].shape[1], [(-round(c.real, 9), round(c.imag, 9)) for c in ch.tolist()])
+        for cls, ch in zip(classes, class_chars)
+    ]
+    class_order = sorted(range(len(classes)), key=keys.__getitem__)
     basis_cols = []
     blocks = []
     for label, ci in enumerate(class_order):
@@ -396,11 +403,8 @@ def _decompose_once(r: UnitaryRep, rng: np.random.Generator) -> IrrepDecompositi
         for m in range(d_mu):
             for q in aligned:
                 basis_cols.append(q[:, m])
-        char_by_class = np.array(
-            [np.trace(ref_mats[rep_el]) for rep_el in group.class_representatives()]
-        )
         blocks.append(
-            IrrepBlock(label=label, dim=d_mu, mult=n_mu, mats=ref_mats, character=char_by_class)
+            IrrepBlock(label=label, dim=d_mu, mult=n_mu, mats=ref_mats, character=class_chars[ci])
         )
 
     w = np.array(basis_cols).conj()  # rows are conj of new basis vectors: W = B^dag
@@ -415,13 +419,6 @@ def _cluster_indices(evals: np.ndarray, gap: float) -> list[list[int]]:
         else:
             clusters[-1].append(i)
     return clusters
-
-
-def _block_sort_key(group: GroupTable, copy) -> tuple:
-    _, mats, _ = copy
-    char = [complex(np.trace(mats[rep_el])) for rep_el in group.class_representatives()]
-    # Descending real part first, so the trivial block sorts ahead of its peers.
-    return (mats.shape[1], tuple((-round(c.real, 9), round(c.imag, 9)) for c in char))
 
 
 def _align_copy(r: UnitaryRep, ref_mats: np.ndarray, copy, rng: np.random.Generator) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 A state's characteristic function chi(g) = tr(rho U(g)) and its reduction
 onto irreps {F_mu} carry the same information; they are linked by the group
-Fourier transform implemented here:
+Fourier transform, implemented here once per direction and block (O(|G| d_mu^2)
+each) and used by every conversion in the package:
 
-    chi(g)  =  sum_mu tr(F_mu U_mu(g))
-    F_mu    =  d_mu * (1/|G|) sum_g chi(g^-1) U_mu(g)
+    forward  F_mu    =  d_mu * (1/|G|) sum_g chi(g^-1) U_mu(g)    (fourier_blocks)
+    inverse  chi(g)  =  sum_mu tr(F_mu U_mu(g))                   (charfunc_from_reduction)
 
 Characteristic functions are stored densely per group element.  They are a
 class function only for states commuting with the representation, which is
@@ -27,8 +28,8 @@ from .errors import (
     ValidationError,
 )
 from .groups import GroupTable, SubgroupRef, same_group, subgroup
-from .linalg import assert_psd, frob, scaled_tol
-from .reps import IrrepDecomposition, UnitaryRep
+from .linalg import assert_psd, scaled_tol
+from .reps import IrrepBlock, IrrepDecomposition, UnitaryRep, _dagger, _frob_each
 
 
 class QuantumState:
@@ -206,21 +207,17 @@ def reduction_onto_irreps(s: QuantumState, dec: IrrepDecomposition) -> IrrepRedu
 
 
 def charfunc_from_reduction(red: IrrepReduction, dec: IrrepDecomposition) -> CharFunction:
-    """chi(g) = sum_mu tr(F_mu U_mu(g))."""
+    """chi(g) = sum_mu tr(F_mu U_mu(g)): the sum of the inverse-transform rows."""
     if red.labels != [b.label for b in dec.blocks]:
         raise ValidationError("reduction labels do not match the decomposition blocks")
-    values = np.zeros(dec.rep.group.order, dtype=complex)
-    for blk, f in zip(dec.blocks, red.blocks):
-        values += np.einsum("ij,gji->g", f, blk.mats)
+    values = sum(_inverse_block(f, blk) for blk, f in zip(dec.blocks, red.blocks))
     return CharFunction(dec.rep.group, values)
 
 
 def fourier_inverse(f: CharFunction, dec: IrrepDecomposition) -> IrrepReduction:
-    """Recover the reduction from a characteristic function.
+    """The reduction of a characteristic function: :func:`fourier_blocks`, validated.
 
-    F_mu = d_mu * (1/|G|) sum_g f(g^-1) U_mu(g).  Inverse to
-    :func:`charfunc_from_reduction` by the orthogonality of irrep matrix
-    elements.
+    Undoes :func:`charfunc_from_reduction` (orthogonality of irrep matrix elements).
     """
     if not same_group(f.group, dec.rep.group):
         raise GroupMismatchError("function and decomposition must share the group")
@@ -230,12 +227,19 @@ def fourier_inverse(f: CharFunction, dec: IrrepDecomposition) -> IrrepReduction:
 
 
 def fourier_blocks(values: np.ndarray, dec: IrrepDecomposition) -> list[np.ndarray]:
-    """Raw Fourier coefficients d_mu * avg_g values(g^-1) U_mu(g), unvalidated."""
-    inv_vals = np.asarray(values, dtype=complex)[dec.rep.group.inv]
-    out = []
-    for blk in dec.blocks:
-        out.append(blk.dim * np.einsum("g,gij->ij", inv_vals, blk.mats) / dec.rep.group.order)
-    return out
+    """Forward transform: raw blocks d_mu * avg_g values(g^-1) U_mu(g), unvalidated."""
+    return [_forward_block(values, dec.rep.group, blk) for blk in dec.blocks]
+
+
+def _forward_block(values: np.ndarray, group: GroupTable, blk: IrrepBlock) -> np.ndarray:
+    """One block of the forward transform, O(|G| d_mu^2)."""
+    inv_vals = np.asarray(values, dtype=complex)[group.inv]
+    return blk.dim * np.einsum("g,gij->ij", inv_vals, blk.mats) / group.order
+
+
+def _inverse_block(f: np.ndarray, blk: IrrepBlock) -> np.ndarray:
+    """One block of the inverse transform: the row g -> tr(f U_mu(g)), O(|G| d_mu^2)."""
+    return np.einsum("ij,gji->g", f, blk.mats)
 
 
 def convolve(f1: CharFunction, f2: CharFunction) -> CharFunction:
@@ -267,11 +271,8 @@ def symmetry_subgroup(s: QuantumState, r: UnitaryRep, tol: float = 1e-8) -> Subg
             f"state dimension {s.dim} does not match representation dimension {r.dim}"
         )
     rho = s.density()
-    members = [
-        g
-        for g in r.group.elements()
-        if frob(r.mats[g] @ rho @ r.mats[g].conj().T - rho) <= tol
-    ]
+    moved = _frob_each(r.mats @ rho @ _dagger(r.mats) - rho)
+    members = np.flatnonzero(moved <= tol)
     try:
         return subgroup(r.group, members)
     except InvalidSubgroupError as exc:

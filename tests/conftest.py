@@ -52,6 +52,23 @@ def z16_number_dec(z16_number_rep):
     return ak.decompose(z16_number_rep, seed=0)
 
 
+@pytest.fixture(scope="session")
+def s3_square(regular_reps):
+    """S3reg (x) S3reg (d = 36): not regular, multiset (1,6),(1,6),(2,12)."""
+    return ak.tensor_rep(regular_reps["s3"], regular_reps["s3"])
+
+
+@pytest.fixture(scope="session")
+def s3_square_dec(s3_square):
+    return ak.decompose(s3_square, seed=0)
+
+
+@pytest.fixture(scope="session")
+def z16_number_x3_dec(groups):
+    """Z16 number rep with every weight 0..15 three times (d = 48, sixteen (1,3) blocks)."""
+    return ak.decompose(ak.number_rep(groups["z16"], [w for w in range(16) for _ in range(3)]))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)

@@ -5,7 +5,7 @@ import pytest
 
 import asymkit as ak
 from asymkit.linalg import frob
-from helpers import trace_distance_fidelity_check
+from helpers import charfunc_bound_by_convolution, trace_distance_fidelity_check
 
 
 def random_psd(dim, rng, rank=None):
@@ -179,6 +179,40 @@ class TestIrrepComponents:
         chi = ak.charfunc(psi, dec.rep)
         total = sum(ak.irrep_component(chi, dec, i).values for i in range(len(dec.blocks)))
         assert np.max(np.abs(total - chi.values)) < 1e-10
+
+
+class TestComponentsAgainstConvolution:
+    """Components and bounds against the |G| x |G| convolution they replace."""
+
+    @pytest.mark.parametrize("name", ["s3", "d4", "s4", "s3_square_dec"])
+    def test_component_is_scaled_character_convolution(self, name, decompositions, request, rng):
+        dec = decompositions.get(name) or request.getfixturevalue(name)
+        n = dec.rep.group.order
+        # a complex group function that is not a characteristic function
+        f = ak.CharFunction(dec.rep.group, rng.normal(size=n) + 1j * rng.normal(size=n))
+        for i, blk in enumerate(dec.blocks):
+            character = ak.CharFunction(dec.rep.group, blk.character_per_element())
+            expected = blk.dim * ak.convolve(character, f).values
+            assert np.max(np.abs(ak.irrep_component(f, dec, i).values - expected)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["s4", "z16_number_x3_dec", "s3_square_dec"])
+    def test_bound_matches_convolution_formula(self, name, decompositions, request, rng):
+        dec = decompositions.get(name) or request.getfixturevalue(name)
+        d = dec.rep.dim
+        pairs = [
+            (ak.random_pure_state(d, rng), ak.random_pure_state(d, rng)) for _ in range(10)
+        ]
+        # no weight on the first sector: in both states it drops out of the
+        # sums, in one state only it stays in
+        coords = [ak.random_pure_state(d, rng).vec for _ in range(2)]
+        for x in coords:
+            x[dec.sector_slice(0)] = 0.0
+        both = [ak.QuantumState.pure(dec.basis.conj().T @ x / np.linalg.norm(x)) for x in coords]
+        pairs += [tuple(both), (both[0], ak.random_pure_state(d, rng))]
+        for psi, phi in pairs:
+            got = ak.bound_from_charfunc(psi, phi, dec)
+            expected = charfunc_bound_by_convolution(psi, phi, dec)
+            assert np.max(np.abs(np.subtract(got, expected))) < 1e-10
 
 
 class TestTraceDistanceFidelityInequality:

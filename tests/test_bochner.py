@@ -36,6 +36,11 @@ class TestPositiveDefinite:
         )
         assert np.allclose(blk.mats[:, 0, 0], 1.0)
 
+    def test_negative_tol_rejected(self, groups, decompositions):
+        f = ak.CharFunction(groups["z2"], np.array([1.0, 0.5], dtype=complex))
+        with pytest.raises(ak.InvalidParameterError):
+            ak.is_positive_definite(f, decompositions["z2"], tol=-1.0)
+
     def test_delta_function_accepted(self, groups, decompositions):
         for name in ("z3", "s3"):
             g = groups[name]

@@ -66,6 +66,10 @@ class TestCovariance:
         assert not check.covariant
         assert check.residual > 1e-3
 
+    def test_negative_tol_rejected(self, z16_number_rep):
+        with pytest.raises(ak.InvalidParameterError):
+            ak.is_g_covariant(ak.identity_channel(16), z16_number_rep, z16_number_rep, tol=-1.0)
+
     def test_twirl_outputs_always_pass(self, regular_reps, rng):
         for name in ("z3", "s3"):
             r = regular_reps[name]

@@ -270,6 +270,24 @@ def test_tol_zero_reaches_library(workdir, capsys, monkeypatch, command):
     assert seen == [0.0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uequiv", "--rep", "rep16.json", "--state", "psi.json", "--state", "psi.json"],
+        ["covcheck", "--rep", "rep16.json", "--channel", "chan.json"],
+        ["bochner", "--make", "cyclic:2", "--func", "badfunc.json"],
+    ],
+    ids=["uequiv", "covcheck", "bochner"],
+)
+def test_negative_tol_exit_2(workdir, capsys, argv):
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    code = main([*argv, "--tol", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "validation error:" in captured.err
+    assert captured.out == ""
+
+
 class TestDegeneracyExitCode:
     def test_exit_3_on_numerical_degeneracy(self, capsys, monkeypatch):
         import asymkit.cli as cli_mod

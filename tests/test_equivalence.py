@@ -98,6 +98,18 @@ class TestUnitaryGEquivalence:
         )
         assert verdict.status is ak.EquivalenceStatus.NOT_EQUIVALENT
 
+    def test_negative_tol_rejected(self, decompositions, rng):
+        psi = ak.random_pure_state(6, rng)
+        with pytest.raises(ak.InvalidParameterError):
+            ak.decide_unitary_g_equivalence(psi, psi, decompositions["s3"], tol=-1.0)
+
+    def test_certificate_ignores_rounding_gap_at_zero_tol(self, z16_number_dec):
+        # |chi| of the two states agree exactly in theory: no modulus certificate
+        psi, phi = plus_state(16, 0, 1), plus_state(16, 2, 3)
+        verdict = ak.decide_unitary_g_equivalence(psi, phi, z16_number_dec, tol=0.0)
+        assert verdict.status is ak.EquivalenceStatus.NOT_EQUIVALENT
+        assert verdict.certificate is None
+
     def test_self_equivalence_identity_witness(self, decompositions, rng):
         dec = decompositions["d4"]
         psi = ak.random_pure_state(8, rng)

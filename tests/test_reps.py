@@ -178,6 +178,13 @@ class TestDecompose:
             grammat = chars @ chars.conj().T / dec.rep.group.order
             assert np.max(np.abs(grammat - np.eye(len(dec.blocks)))) <= 1e-8
 
+    def test_class_character_is_trace_at_class_representatives(self, decompositions):
+        for dec in decompositions.values():
+            reps_ = dec.rep.group.class_representatives()
+            for b in dec.blocks:
+                expected = [np.trace(b.mats[g]) for g in reps_]
+                assert np.max(np.abs(b.character - expected)) <= 1e-12
+
     def test_block_character_norm_one(self, decompositions):
         for dec in decompositions.values():
             for b in dec.blocks:
@@ -323,17 +330,6 @@ class TestDecomposeCompositeReps:
         dec = ak.decompose(scrambled, seed=0)
         assert sorted(dec.multiset()) == [(1, 1), (1, 1), (2, 2)]
         assert dec.reconstruction_residual() <= 1e-8
-
-
-@pytest.fixture(scope="module")
-def s3_square(regular_reps):
-    """S3reg (x) S3reg (d = 36): not regular, multiset (1,6),(1,6),(2,12)."""
-    return ak.tensor_rep(regular_reps["s3"], regular_reps["s3"])
-
-
-@pytest.fixture(scope="module")
-def s3_square_dec(s3_square):
-    return ak.decompose(s3_square, seed=0)
 
 
 class TestAlign:
