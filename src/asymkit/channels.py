@@ -23,9 +23,9 @@ from .states import QuantumState
 class QuantumChannel:
     """Completely positive trace-preserving map, stored as Kraus operators.
 
-    ``kraus`` has shape (k, d_out, d_in).  Trace preservation
-    sum_k K^dag K = I is verified on construction; complete positivity is
-    automatic from the Kraus form.
+    ``kraus`` has shape (k, d_out, d_in).  Non-finite entries are rejected and
+    trace preservation sum_k K^dag K = I is verified on construction; complete
+    positivity is automatic from the Kraus form.
     """
 
     __slots__ = ("kraus", "d_in", "d_out")
@@ -34,16 +34,19 @@ class QuantumChannel:
         kraus = np.asarray(kraus, dtype=complex)
         if kraus.ndim != 3:
             raise DimensionMismatchError("kraus must have shape (k, d_out, d_in)")
+        if not np.isfinite(kraus).all():
+            raise ValidationError("Kraus operators have non-finite entries")
         self.kraus = kraus
         self.d_out = int(kraus.shape[1])
         self.d_in = int(kraus.shape[2])
         if tol is None:
             tol = scaled_tol(kraus, base=1e-8)
         total = np.einsum("kij,kil->jl", kraus.conj(), kraus)
-        if frob(total - np.eye(self.d_in)) > tol:
+        residual = frob(total - np.eye(self.d_in))
+        if not residual <= tol:
             raise ValidationError(
                 "trace preservation invariant violated: sum K^dag K != I "
-                f"(residual {frob(total - np.eye(self.d_in)):.3e})"
+                f"(residual {residual:.3e})"
             )
         self.kraus.setflags(write=False)
 

@@ -1,8 +1,8 @@
 """JSON interchange for every object the CLI reads or writes.
 
-Conventions: complex scalars are [re, im] pairs, matrices are row-major
-nested lists of pairs, and all floats are rounded to 12 significant digits on
-output so identical inputs produce byte-identical reports.
+Complex scalars are [re, im] pairs, matrices row-major nested lists of pairs.
+Writers keep full float precision (a round trip is bit-identical); reports
+from :func:`canonical_dumps` round to 12 significant digits for byte-identity.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def round12(x: float) -> float:
 
 def complex_to_pair(z: complex) -> list[float]:
     z = complex(z)
-    return [round12(z.real), round12(z.imag)]
+    return [z.real, z.imag]
 
 
 def pair_to_complex(p) -> complex:
@@ -108,7 +108,7 @@ def weight_state_from_json(obj: dict) -> WeightState:
 
 
 def weight_state_to_json(w: WeightState) -> dict:
-    out: dict[str, Any] = {"weights": {str(n): round12(p) for n, p in w.weights.items()}}
+    out: dict[str, Any] = {"weights": {str(n): float(p) for n, p in w.weights.items()}}
     if w.amplitudes is not None:
         out["amplitudes"] = {str(n): complex_to_pair(a) for n, a in w.amplitudes.items()}
     return out
@@ -168,7 +168,7 @@ def reduction_to_json(red: IrrepReduction) -> dict:
     return {
         "labels": list(red.labels),
         "blocks": [matrix_to_json(b) for b in red.blocks],
-        "traces": [round12(t) for t in red.traces()],
+        "traces": [float(t) for t in red.traces()],
     }
 
 
@@ -183,12 +183,12 @@ def verdict_to_json(v: EquivalenceVerdict) -> dict:
 
 def overlap_report_to_json(rep: OverlapReport) -> dict:
     return {
-        "optimal": round12(rep.optimal),
-        "per_mu_fidelity": {str(k): round12(v) for k, v in rep.per_mu_fidelity.items()},
+        "optimal": float(rep.optimal),
+        "per_mu_fidelity": {str(k): float(v) for k, v in rep.per_mu_fidelity.items()},
         "witness": matrix_to_json(rep.witness),
-        "bound_trace": round12(rep.bound_trace),
-        "bound_charfunc_global": round12(rep.bound_charfunc_global),
-        "bound_charfunc_per_mu": round12(rep.bound_charfunc_per_mu),
+        "bound_trace": float(rep.bound_trace),
+        "bound_charfunc_global": float(rep.bound_charfunc_global),
+        "bound_charfunc_per_mu": float(rep.bound_charfunc_per_mu),
     }
 
 
@@ -196,12 +196,12 @@ def bochner_report_to_json(rep: BochnerReport) -> dict:
     return {
         "positive_definite": rep.positive_definite,
         "normalized": rep.normalized,
-        "min_eigenvalue": round12(rep.min_eigenvalue),
+        "min_eigenvalue": float(rep.min_eigenvalue),
         "worst_block": rep.worst_block,
         "block_min_eigenvalues": {
-            str(k): round12(v) for k, v in rep.block_min_eigenvalues.items()
+            str(k): float(v) for k, v in rep.block_min_eigenvalues.items()
         },
-        "hermiticity_residual": round12(rep.hermiticity_residual),
+        "hermiticity_residual": float(rep.hermiticity_residual),
     }
 
 

@@ -48,12 +48,15 @@ _CHARACTER_MATCH = 1e-6
 class UnitaryRep:
     """Per-element unitary matrices forming a homomorphism of the group.
 
-    Construction verifies mats[0] = I, unitarity of every matrix, and the
-    homomorphism property mats[a] @ mats[b] = mats[a*b] for all pairs, each
-    within a tolerance relative to the matrix norms.  Instances are immutable.
+    Construction rejects non-finite entries, then verifies mats[0] = I,
+    unitarity, and mats[a] @ mats[b] = mats[a*b] for all pairs, each within a
+    tolerance relative to the matrix norms.  Instances are immutable.  A
+    monomial rep (one nonzero per row and column, exact zeros elsewhere:
+    permutation and number reps, their sums and products) is also kept as
+    index and phase arrays; validation then costs O(|G|^2 d), not O(|G|^2 d^3).
     """
 
-    __slots__ = ("group", "dim", "mats")
+    __slots__ = ("group", "dim", "mats", "_monomial")
 
     def __init__(self, group: GroupTable, mats, *, tol: float | None = None):
         mats = np.asarray(mats, dtype=complex)
@@ -61,12 +64,15 @@ class UnitaryRep:
             raise DimensionMismatchError(
                 "mats must have shape (|G|, d, d) matching the group order"
             )
+        if not np.isfinite(mats).all():
+            raise ValidationError("representation matrices have non-finite entries")
         self.group = group
         self.dim = int(mats.shape[1])
         self.mats = mats
+        self._monomial = _monomial_form(mats)
         if tol is None:
             tol = scaled_tol(mats)
-        _validate_rep(group, mats, tol)
+        _validate_rep(group, mats, tol, self._monomial)
         self.mats.setflags(write=False)
 
     def matrix(self, g: int) -> np.ndarray:
@@ -80,24 +86,57 @@ class UnitaryRep:
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
 
 
-def _validate_rep(group: GroupTable, mats: np.ndarray, tol: float) -> None:
-    n, d = mats.shape[0], mats.shape[1]
-    eye = np.eye(d)
-    if frob(mats[0] - eye) > tol:
+def _monomial_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(src, phase), shape (|G|, d), with mats[g, i, src[g, i]] = phase[g, i] the
+    only nonzero of each row and column of every matrix; otherwise, or if d = 0, None."""
+    nonzero = mats != 0
+    if not (mats.size and (nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=2) == 1).all()):
+        return None
+    src = nonzero.argmax(axis=2)
+    return src, np.take_along_axis(mats, src[..., None], axis=2)[..., 0]
+
+
+def _validate_rep(group: GroupTable, mats: np.ndarray, tol: float, monomial) -> None:
+    """Raise ValidationError unless ||mats[0] - I||, every ||U U^dag - I|| and
+    every ||U(a) U(b) - U(ab)|| are <= tol (a NaN residual fails).  Dense mats
+    cost O(|G|^2 d^3); given their :func:`_monomial_form`, O(|G|^2 d)."""
+    if not frob(mats[0] - np.eye(mats.shape[1])) <= tol:
         raise ValidationError("representation invariant violated: mats[0] must be the identity")
-    worst = float(_frob_each(mats @ _dagger(mats) - eye).max())
-    if worst > tol:
+    worst = float(_unitarity_residuals(mats, monomial).max())
+    if not worst <= tol:
         raise ValidationError(
             f"unitarity invariant violated: max ||U U^dag - I|| = {worst:.3e} > {tol:.3e}"
         )
-    # Homomorphism check, one batched row of products per element.
-    for a in range(n):
-        diff = mats[a] @ mats - mats[group.mul[a]]
-        worst = np.linalg.norm(diff.reshape(n, -1), axis=1).max()
-        if worst > tol:
+    for a, row in enumerate(_homomorphism_residuals(mats, group.mul, monomial)):
+        worst = float(row.max())
+        if not worst <= tol:
             raise ValidationError(
                 f"homomorphism invariant violated at element {a}: residual {worst:.3e} > {tol:.3e}"
             )
+
+
+def _unitarity_residuals(mats: np.ndarray, monomial) -> np.ndarray:
+    """||U(g) U(g)^dag - I|| for every g; a monomial U U^dag is diag |phase|^2."""
+    if monomial is None:
+        return _frob_each(mats @ _dagger(mats) - np.eye(mats.shape[1]))
+    return np.sqrt(((abs(monomial[1]) ** 2 - 1.0) ** 2).sum(axis=1))
+
+
+def _homomorphism_residuals(mats: np.ndarray, mul: np.ndarray, monomial):
+    """Yield ||U(a) U(b) - U(ab)|| over b for each a in turn.  Row i of a monomial
+    U(a) U(b) holds phase[a, i] * phase[b, src[a, i]] at column src[b, src[a, i]]."""
+    n = len(mats)
+    for a in range(n):
+        ab = mul[a]
+        if monomial is None:
+            diff = mats[a] @ mats - mats[ab]
+            yield np.linalg.norm(diff.reshape(n, -1), axis=1)
+        else:
+            src, phase = monomial
+            prod, want = phase[a] * phase[:, src[a]], phase[ab]
+            same = src[:, src[a]] == src[ab]
+            sq = np.where(same, abs(prod - want) ** 2, abs(prod) ** 2 + abs(want) ** 2)
+            yield np.sqrt(sq.sum(axis=1))
 
 
 def _dagger(mats: np.ndarray) -> np.ndarray:
@@ -125,8 +164,7 @@ def regular_rep(group: GroupTable) -> UnitaryRep:
     """Left-regular representation: permutation matrix of left multiplication."""
     n = group.order
     mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        mats[g, group.mul[g], np.arange(n)] = 1.0
+    mats[np.arange(n)[:, None], group.mul, np.arange(n)] = 1.0
     return UnitaryRep(group, mats)
 
 
@@ -172,15 +210,21 @@ def twirl_operator(r: UnitaryRep, x: np.ndarray) -> np.ndarray:
     """Group average (1/|G|) sum_g U(g) x U(g)^dag.
 
     The result commutes with every U(g); averaging a Hermitian input yields a
-    Hermitian output with the same trace.  Costs O(|G| d^3): one batched
-    matrix product over the group.
+    Hermitian output with the same trace.  Costs O(|G| d^3), one batched matrix
+    product over the group; on a monomial rep (see :class:`UnitaryRep`) each
+    term is a gather, (U x U^dag)_ik = phase_i x[src_i, src_k] conj(phase_k),
+    and the twirl costs O(|G| d^2).
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (r.dim, r.dim):
         raise DimensionMismatchError(
             f"twirl_operator needs a {r.dim}x{r.dim} matrix, got {x.shape}"
         )
-    return (r.mats @ x @ _dagger(r.mats)).sum(axis=0) / r.group.order
+    if r._monomial is None:
+        return (r.mats @ x @ _dagger(r.mats)).sum(axis=0) / r.group.order
+    src, phase = r._monomial
+    terms = phase[:, :, None] * x[src[:, :, None], src[:, None, :]] * phase.conj()[:, None, :]
+    return terms.sum(axis=0) / r.group.order
 
 
 @dataclass(eq=False)

@@ -50,3 +50,20 @@ def charfunc_bound_by_convolution(psi1, psi2, dec) -> tuple[float, float]:
         c2 = ak.convolve(character, chi2).values
         per_total += blk.dim**2 * float(np.mean(np.abs(blk.dim * (c1 - c2))))
     return bound_global, 1.0 - 0.5 * per_total
+
+
+def dense_rep_residuals(mul: np.ndarray, mats: np.ndarray):
+    """The three residuals a UnitaryRep is checked on, from one dense product per pair.
+
+    Returns ||mats[0] - I||, the vector ||U(g) U(g)^dag - I|| over g, and the
+    (|G|, |G|) array ||U(a) U(b) - U(ab)||, all Frobenius norms: an oracle that
+    shares no code with the library's batched or monomial paths.
+    """
+    n, d = mats.shape[0], mats.shape[1]
+    eye = np.eye(d)
+    identity = float(np.linalg.norm(mats[0] - eye))
+    unitarity = np.array([np.linalg.norm(u @ u.conj().T - eye) for u in mats])
+    homomorphism = np.array(
+        [[np.linalg.norm(mats[a] @ mats[b] - mats[mul[a, b]]) for b in range(n)] for a in range(n)]
+    )
+    return identity, unitarity, homomorphism

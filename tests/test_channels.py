@@ -14,6 +14,13 @@ def plus_state(dim, a, b):
 
 
 class TestChannelBasics:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_rejected(self, bad):
+        kraus = np.eye(2, dtype=complex)[None].copy()
+        kraus[0, 0, 1] = bad
+        with pytest.raises(ak.ValidationError, match="non-finite"):
+            ak.QuantumChannel(kraus)
+
     def test_trace_preservation_enforced(self):
         with pytest.raises(ak.ValidationError):
             ak.QuantumChannel(np.array([0.5 * np.eye(2)]))

@@ -208,6 +208,12 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
+def nan_rep_json():
+    obj = jsonio.rep_to_json(ak.number_rep(ak.make_cyclic(4), [0, 1]))
+    obj["mats"][1][0][0] = [float("nan"), 0.0]
+    return obj
+
+
 class TestMalformedInputFiles:
     """A file that is valid JSON but not a valid object exits 2 with a message."""
 
@@ -228,8 +234,17 @@ class TestMalformedInputFiles:
             lambda d: ["charfunc", "--rep", d("rep16.json"), "--state", d([[1.0, 0.0]])],
             # subgroup indices that are not integers
             lambda d: ["twirl", "--make", "cyclic:4", "--subgroup", "a,b"],
+            # a representation with a NaN matrix entry (json writes it as NaN)
+            lambda d: ["decompose", "--rep", d(nan_rep_json())],
         ],
-        ids=["state-without-data", "rep-without-mats", "weight-key-x", "state-list", "subgroup-ab"],
+        ids=[
+            "state-without-data",
+            "rep-without-mats",
+            "weight-key-x",
+            "state-list",
+            "subgroup-ab",
+            "rep-nan",
+        ],
     )
     def test_exit_2(self, workdir, capsys, make_argv):
         def d(content):

@@ -1,5 +1,7 @@
 """Serialization round trips for every interchange format."""
 
+import json
+
 import numpy as np
 
 import asymkit as ak
@@ -13,6 +15,13 @@ def test_rep_round_trip(rng):
     assert back.dim == r.dim
     assert np.max(np.abs(back.mats - r.mats)) < 1e-12
     assert np.array_equal(back.group.mul, z4.mul)
+
+
+def test_rep_round_trip_is_bit_identical(z16_number_x3_dec):
+    r = z16_number_x3_dec.rep
+    back = jsonio.rep_from_json(json.loads(json.dumps(jsonio.rep_to_json(r))))
+    assert np.array_equal(back.mats, r.mats)
+    assert ak.decompose(back, seed=0).reconstruction_residual() <= 1e-12
 
 
 def test_state_round_trips(rng):

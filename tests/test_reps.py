@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import asymkit as ak
-from asymkit.linalg import frob, random_hermitian
+from asymkit import reps
+from asymkit.linalg import frob, haar_unitary, random_complex, random_hermitian, scaled_tol
+from helpers import dense_rep_residuals
 
 
 def irrep_dims_oracle(order: int, num_classes: int) -> list[int] | None:
@@ -263,6 +265,22 @@ class TestRepValidation:
         with pytest.raises(ak.ValidationError):
             ak.UnitaryRep(groups["z2"], np.array([u, np.eye(2)]))
 
+    @pytest.mark.parametrize("where", ["nan-stack", "inf-entry"])
+    def test_non_finite_rejected(self, groups, where):
+        group = groups["z4"]
+        if where == "nan-stack":
+            mats = np.full((4, 2, 2), np.nan)
+        else:
+            mats = ak.regular_rep(group).mats.copy()
+            mats[2, 0, 1] = np.inf
+        with pytest.raises(ak.ValidationError, match="non-finite"):
+            ak.UnitaryRep(group, mats)
+
+    def test_nan_tolerance_fails_closed(self, regular_reps):
+        r = regular_reps["z4"]
+        with pytest.raises(ak.ValidationError):
+            ak.UnitaryRep(r.group, r.mats, tol=float("nan"))
+
 
 class TestDegeneracyPath:
     def test_retries_then_raises(self, regular_reps, monkeypatch):
@@ -444,3 +462,143 @@ class TestDecomposeOrder60:
         assert sum(blk.dim**2 for blk in dec.blocks) == 60
         assert len(dec.blocks) == len(g.conjugacy_classes())
         assert dec.reconstruction_residual() <= 1e-8
+
+
+class TestDecomposeOrder120:
+    """Regular rep of S5 (|G| = 120), validated and twirled by index gathers."""
+
+    def test_regular_s5(self):
+        dec = ak.decompose(ak.regular_rep(ak.make_symmetric(5)), seed=0)
+        assert sorted(blk.dim for blk in dec.blocks) == [1, 1, 4, 4, 5, 5, 6]
+        assert all(blk.mult == blk.dim for blk in dec.blocks)
+        assert sum(blk.dim**2 for blk in dec.blocks) == 120
+        assert dec.reconstruction_residual() <= 1e-8
+
+
+MONOMIAL_REPS = [
+    *(f"{name} regular" for name in ("z2", "z3", "z4", "z6", "z16", "klein", "s3", "s4", "d3", "d4")),
+    "z16 number",
+    "s3reg x s3reg",
+    "s4 perm x s4 perm",
+    "z16 number x3",
+    "d4 regular, diagonal-conjugated",
+]
+
+
+@pytest.fixture(scope="module")
+def monomial_reps(regular_reps, z16_number_rep, s3_square, z16_number_x3_dec):
+    s4 = ak.make_symmetric(4)
+    perm = np.zeros((24, 4, 4), dtype=complex)
+    for g, label in enumerate(s4.labels):
+        perm[g, [int(c) for c in label], np.arange(4)] = 1.0
+    perm_rep = ak.UnitaryRep(s4, perm)
+    out = {f"{name} regular": r for name, r in regular_reps.items()}
+    out["z16 number"] = z16_number_rep
+    out["s3reg x s3reg"] = s3_square
+    out["s4 perm x s4 perm"] = ak.tensor_rep(perm_rep, perm_rep)
+    out["z16 number x3"] = z16_number_x3_dec.rep
+    # D U(g) D^dag for a random diagonal unitary D: phase d_i conj(d_src(i)) moves with src
+    d = np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=8))
+    d4 = regular_reps["d4"]
+    out["d4 regular, diagonal-conjugated"] = ak.UnitaryRep(
+        d4.group, d[:, None] * d4.mats * d.conj()
+    )
+    return out
+
+
+def malformed_monomial(kind):
+    """A monomial stack that is not a unitary rep, and the check it must fail."""
+    s3, z4 = ak.make_symmetric(3), ak.make_cyclic(4)
+    if kind == "identity-slot":
+        mats = ak.regular_rep(s3).mats.copy()
+        mats[0] = mats[1]
+        return s3, mats, "must be the identity"
+    if kind == "phase-modulus":
+        mats = ak.number_rep(z4, [0, 1, 3]).mats.copy()
+        mats[1, 0, 0] *= 1 + 1e-6
+        return z4, mats, "unitarity"
+    if kind == "swapped":
+        mats = ak.regular_rep(s3).mats.copy()
+        mats[[1, 2]] = mats[[2, 1]]
+        return s3, mats, "homomorphism"
+    # weight 0.5 on Z4: U(3) U(1) = -1, not U(0) = 1
+    phases = np.exp(2j * np.pi * np.outer(np.arange(4), [0.0, 0.5]) / 4)
+    return z4, phases[:, :, None] * np.eye(2), "homomorphism"
+
+
+class TestMonomialPath:
+    """The index-and-phase path for monomial reps against dense products."""
+
+    @staticmethod
+    def residuals(group, mats, form):
+        rows = list(reps._homomorphism_residuals(mats, group.mul, form))
+        return reps._unitarity_residuals(mats, form), np.array(rows)
+
+    @pytest.mark.parametrize("conjugate", [False, True], ids=["monomial", "haar-conjugated"])
+    @pytest.mark.parametrize("name", MONOMIAL_REPS)
+    def test_residuals_match_dense_reference(self, monomial_reps, name, conjugate, rng):
+        r = monomial_reps[name]
+        mats = r.mats
+        if conjugate:
+            v = haar_unitary(r.dim, rng)
+            mats = v @ mats @ v.conj().T
+        form = reps._monomial_form(mats)
+        assert (form is None) == conjugate
+        _, unitarity, homomorphism = dense_rep_residuals(r.group.mul, mats)
+        got_unitarity, got_homomorphism = self.residuals(r.group, mats, form)
+        tol = 1e-14 * max(1.0, frob(mats))
+        assert np.max(np.abs(got_unitarity - unitarity)) <= tol
+        assert np.max(np.abs(got_homomorphism - homomorphism)) <= tol
+
+    @pytest.mark.parametrize("kind", ["identity-slot", "phase-modulus", "swapped", "half-weight"])
+    def test_malformed_rejected_alike(self, kind):
+        group, mats, fragment = malformed_monomial(kind)
+        form = reps._monomial_form(mats)
+        assert form is not None
+        with pytest.raises(ak.ValidationError, match=fragment) as monomial:
+            ak.UnitaryRep(group, mats)
+        with pytest.raises(ak.ValidationError) as dense:
+            reps._validate_rep(group, mats, scaled_tol(mats), None)
+        assert str(monomial.value) == str(dense.value)
+        _, unitarity, homomorphism = dense_rep_residuals(group.mul, mats)
+        got_unitarity, got_homomorphism = self.residuals(group, mats, form)
+        tol = 1e-14 * max(1.0, frob(mats))
+        assert np.max(np.abs(got_unitarity - unitarity)) <= tol
+        assert np.max(np.abs(got_homomorphism - homomorphism)) <= tol
+        assert got_homomorphism.max() >= 1.0 or kind == "phase-modulus"
+
+    @pytest.mark.parametrize("name", MONOMIAL_REPS)
+    def test_twirl_matches_dense_sum(self, monomial_reps, name, rng):
+        r = monomial_reps[name]
+        assert r._monomial is not None
+        x = random_complex((r.dim, r.dim), rng)  # not Hermitian
+        want = (r.mats @ x @ r.mats.conj().transpose(0, 2, 1)).sum(axis=0) / r.group.order
+        assert frob(ak.twirl_operator(r, x) - want) <= 1e-13 * max(1.0, frob(want))
+
+    def test_sources_and_phases(self, regular_reps, z16_number_rep):
+        src, phase = z16_number_rep._monomial
+        assert np.array_equal(src, np.tile(np.arange(16), (16, 1)))
+        assert np.array_equal(phase, np.einsum("gii->gi", z16_number_rep.mats))
+        r = regular_reps["s3"]
+        src, phase = r._monomial
+        for g in r.group.elements():  # U(g) e_h = e_gh: row gh reads column h
+            assert np.array_equal(src[g, r.group.mul[g]], np.arange(6))
+        assert np.all(phase == 1)
+
+    def test_zero_dimensional_rep_takes_dense_path(self, groups):
+        r = ak.UnitaryRep(groups["z4"], np.zeros((4, 0, 0)))
+        assert r._monomial is None
+        assert ak.twirl_operator(r, np.zeros((0, 0))).shape == (0, 0)
+
+    def test_gns_rep_is_dense(self, regular_reps, rng):
+        res = ak.gns_construct(ak.charfunc(ak.random_pure_state(6, rng), regular_reps["s3"]))
+        assert res.dim > 1
+        assert res.rep._monomial is None
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[1, 0], [1, 0]], [[0, 0, 0], [0, 1, 1], [0, 0, 1]], [[1, 1e-300], [0, 1]]],
+        ids=["two-in-one-column", "empty-row", "tiny-off-diagonal"],
+    )
+    def test_detection_rejects(self, m):
+        assert reps._monomial_form(np.array([np.eye(len(m)), m], dtype=complex)) is None
