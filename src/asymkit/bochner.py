@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidCharacteristicFunctionError, InvalidParameterError
 from .linalg import frob, min_eigenvalue, polar_unitary, scaled_tol
-from .reps import IrrepDecomposition, UnitaryRep
+from .reps import IrrepDecomposition, UnitaryRep, _require_every_irrep
 from .states import CharFunction, QuantumState, fourier_blocks
 
 _DEFAULT_RANK_TOL = 1e-10
@@ -51,17 +51,19 @@ def is_positive_definite(
 ) -> BochnerReport:
     """Test a candidate function blockwise over all irreps of the group.
 
-    The decomposition must come from the regular representation so that every
-    irrep is present.  The verdict is true iff all Fourier blocks are
-    Hermitian PSD within tolerance; the report carries the most negative
-    block eigenvalue and where it occurred.  Normalization f(e) = 1 is
-    reported separately and does not affect positive definiteness.  A
-    negative tol raises InvalidParameterError.
+    The decomposition must hold every irrep of f's group, as the regular
+    representation's does: one over another group raises GroupMismatchError,
+    one missing an irrep InvalidParameterError.  The verdict is true iff all
+    Fourier blocks are Hermitian PSD within tolerance; the report carries the
+    most negative block eigenvalue and where it occurred.  Normalization
+    f(e) = 1 is reported separately and does not affect positive
+    definiteness.  A negative tol raises InvalidParameterError.
     """
     if tol is None:
         tol = scaled_tol(f.values)
     if not tol >= 0:
         raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
+    _require_every_irrep(f.group, dec_of_regular)
     blocks = fourier_blocks(f.values, dec_of_regular)
     herm_residual = max(frob(b - b.conj().T) for b in blocks)
     minima = {blk.label: min_eigenvalue(b) for blk, b in zip(dec_of_regular.blocks, blocks)}
@@ -88,13 +90,15 @@ def gns_construct(f: CharFunction, rank_tol: float = _DEFAULT_RANK_TOL) -> GnsRe
     X with eigenvalues below rank_tol * (largest eigenvalue) truncated.
 
     Raises InvalidCharacteristicFunctionError if f is not normalized positive
-    definite.
+    definite, and InvalidParameterError unless 0 <= rank_tol < 1.
     """
+    if not 0 <= rank_tol < 1:
+        raise InvalidParameterError(f"rank_tol must lie in [0, 1), got {rank_tol}")
     group = f.group
     n = group.order
     x = f.values[group.mul[group.inv]]  # x[g,h] = f(g^-1 h)
     tol = scaled_tol(x)
-    if frob(x - x.conj().T) > tol:
+    if not frob(x - x.conj().T) <= tol:
         raise InvalidCharacteristicFunctionError(
             "candidate function is not Hermitian-symmetric: f(g^-1) != conj(f(g))"
         )

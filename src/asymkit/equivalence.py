@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import assert_psd, frob, polar_unitary, scaled_tol, trace_norm
-from .reps import IrrepDecomposition, UnitaryRep, _frob_each, decompose, one_dim_reps, regular_rep
+from .reps import IrrepDecomposition, UnitaryRep, _frob_each, decompose, one_dim_reps
 from .states import QuantumState, WeightState, charfunc
 
 #: Per-element absolute tolerance for characteristic-function equality.
@@ -193,12 +193,11 @@ def decide_g_equivalence(
     omega matches and both characteristic functions vanish nowhere, the
     states are provably inequivalent; if either vanishes somewhere, the
     inequivalence argument does not apply and the verdict is Inconclusive.
+    dec_regular defaults to the group's regular decomposition, made once per group.
     """
     _require_pure(psi, phi)
     chi_psi = charfunc(psi, r).values
     chi_phi = charfunc(phi, r).values
-    if dec_regular is None:
-        dec_regular = decompose(regular_rep(r.group), seed=0)
     omegas = one_dim_reps(r.group, dec_regular)
     for om in omegas:
         if _chi_matches(chi_phi, chi_psi, om):

@@ -3,8 +3,9 @@
 Conventions shared by the whole package:
 
 * elements are integers 0..|G|-1 and index 0 is always the identity;
-* tables are immutable after construction and derived data (inverses,
-  conjugacy classes) is computed eagerly, so concurrent reads are safe;
+* tables are immutable after construction; derived data is computed eagerly,
+  except the irreps of the regular decomposition, cached on first use (a race
+  is harmless: it is deterministic), so concurrent reads are safe;
 * the desk-scale cap is |G| <= 720 so that |G|-indexed dense data and
   O(|G| d^3) averaging loops stay comfortable in memory and time.
 """
@@ -39,7 +40,7 @@ class GroupTable:
     verified eagerly; a table that fails any of them raises ValidationError.
     """
 
-    __slots__ = ("order", "mul", "inv", "labels", "_classes", "_abelian")
+    __slots__ = ("order", "mul", "inv", "labels", "_classes", "_abelian", "_regular_blocks")
 
     def __init__(self, mul, labels=None):
         mul = np.asarray(mul, dtype=np.int64)
@@ -65,6 +66,7 @@ class GroupTable:
         self.labels = labels or [str(i) for i in range(n)]
         self._classes = _conjugacy_classes(mul, self.inv)
         self._abelian = bool(np.array_equal(mul, mul.T))
+        self._regular_blocks = None
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     GroupMismatchError,
+    InvalidParameterError,
     NumericalDegeneracyError,
     ValidationError,
 )
@@ -490,17 +491,34 @@ def _align_copy(r: UnitaryRep, ref_mats: np.ndarray, copy, rng: np.random.Genera
     return aligned_q
 
 
+def _require_every_irrep(group: GroupTable, dec: IrrepDecomposition) -> None:
+    """Raise unless dec is over group and holds every irrep of it: its blocks
+    are pairwise inequivalent, so that holds iff sum of d_mu^2 = |G|."""
+    if not same_group(group, dec.rep.group):
+        raise GroupMismatchError("decomposition is over a different group")
+    total = sum(blk.dim**2 for blk in dec.blocks)
+    if total != group.order:
+        raise InvalidParameterError(
+            f"decomposition misses irreps: sum of d_mu^2 = {total}, group order {group.order}"
+        )
+
+
 def one_dim_reps(group: GroupTable, dec: IrrepDecomposition | None = None) -> np.ndarray:
     """All one-dimensional representations, as unit-modulus vectors over G.
 
     Row k of the result is one homomorphism omega: G -> U(1) with omega(e)=1.
-    Extracted from the regular representation, which contains every irrep;
-    the list always includes the all-ones (trivial) row.
+    Extracted from a decomposition holding every irrep, by default the group's
+    regular one; the list always includes the all-ones (trivial) row.  A dec
+    over another group raises GroupMismatchError, one missing an irrep
+    InvalidParameterError.
     """
-    if dec is None:
-        dec = decompose(regular_rep(group), seed=0)
-    rows = [blk.mats[:, 0, 0] for blk in dec.blocks if blk.dim == 1]
-    return np.array(rows)
+    if dec is not None:
+        _require_every_irrep(group, dec)
+    elif group._regular_blocks is None:
+        # Kept on the group from first use: every irrep once, O(|G|^2) numbers.
+        group._regular_blocks = decompose(regular_rep(group), seed=0).blocks
+    blocks = group._regular_blocks if dec is None else dec.blocks
+    return np.array([blk.mats[:, 0, 0] for blk in blocks if blk.dim == 1])
 
 
 def random_invariant_unitary(dec: IrrepDecomposition, rng) -> np.ndarray:

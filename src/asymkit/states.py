@@ -45,7 +45,7 @@ class QuantumState:
             if tol is None:
                 tol = 1e-8
             nrm = np.linalg.norm(data)
-            if abs(nrm - 1.0) > tol:
+            if not abs(nrm - 1.0) <= tol:
                 raise ValidationError(
                     f"pure state invariant violated: ||vec|| = {nrm:.12f}, must be 1"
                 )
@@ -161,12 +161,12 @@ class IrrepReduction:
 
 
 def _state_chi_check(values: np.ndarray, tol: float = 1e-8) -> None:
-    if abs(values[0] - 1.0) > tol:
+    if not abs(values[0] - 1.0) <= tol:
         raise ValidationError(
             f"characteristic function invariant violated: chi(e) = {values[0]:.6f}, must be 1"
         )
     worst = float(np.abs(values).max())
-    if worst > 1.0 + tol:
+    if not worst <= 1.0 + tol:
         raise ValidationError(
             f"characteristic function invariant violated: max |chi| = {worst:.12f} > 1"
         )

@@ -53,6 +53,32 @@ class TestPositiveDefinite:
             for blk, b in zip(dec.blocks, ak.states.fourier_blocks(vals, dec)):
                 assert np.allclose(b, blk.dim / g.order * np.eye(blk.dim), atol=1e-12)
 
+    def test_incomplete_decomposition_rejected(self, groups, decompositions):
+        # Over the trivial irrep alone, f = [1, 3] has the PSD block [2].
+        z2 = groups["z2"]
+        f = ak.CharFunction(z2, np.array([1.0, 3.0], dtype=complex))
+        assert not ak.is_positive_definite(f, decompositions["z2"]).positive_definite
+        with pytest.raises(ak.InvalidParameterError):
+            ak.is_positive_definite(f, ak.decompose(ak.trivial_rep(z2)))
+        with pytest.raises(ak.GroupMismatchError):
+            ak.is_positive_definite(f, decompositions["z3"])
+
+    def test_gram_spectrum_is_block_spectrum(self, rng):
+        # spec X = union over mu of (|G|/d_mu) spec Herm B_mu, each d_mu times,
+        # and ||X||_F = sqrt(|G|) ||f||: the Gram test written in Fourier blocks.
+        for g in (ak.make_symmetric(4), ak.make_dihedral(5), ak.make_cyclic(12)):
+            dec = ak.decompose(ak.regular_rep(g), seed=0)
+            vals = rng.normal(size=g.order) + 1j * rng.normal(size=g.order)
+            x = translation_gram(ak.CharFunction(g, vals))
+            blocks = ak.states.fourier_blocks(vals, dec)
+            gammas = [
+                np.repeat(g.order / blk.dim * np.linalg.eigvalsh(0.5 * (b + b.conj().T)), blk.dim)
+                for blk, b in zip(dec.blocks, blocks)
+            ]
+            spec = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
+            assert np.max(np.abs(np.sort(np.concatenate(gammas)) - spec)) < 1e-12 * g.order
+            assert abs(np.linalg.norm(x) - np.sqrt(g.order) * np.linalg.norm(vals)) < 1e-12 * g.order
+
     def test_agrees_with_gram_oracle(self, groups, decompositions, rng):
         g = groups["s3"]
         dec = decompositions["s3"]
@@ -124,6 +150,17 @@ class TestGns:
     def test_unnormalized_rejected(self, groups):
         f = ak.CharFunction(groups["z2"], np.array([0.9, 0.0], dtype=complex))
         with pytest.raises(ak.InvalidCharacteristicFunctionError):
+            ak.gns_construct(f)
+
+    @pytest.mark.parametrize("rank_tol", [-1.0, np.nan, 1.0])
+    def test_rank_tol_checked(self, groups, decompositions, rank_tol):
+        om = ak.one_dim_reps(groups["z6"], decompositions["z6"])[1]
+        with pytest.raises(ak.InvalidParameterError, match="rank_tol"):
+            ak.gns_construct(ak.CharFunction(groups["z6"], om), rank_tol=rank_tol)
+
+    def test_nan_rejected(self, groups):
+        f = ak.CharFunction(groups["z2"], np.array([1.0, np.nan], dtype=complex))
+        with pytest.raises(ak.InvalidCharacteristicFunctionError, match="Hermitian"):
             ak.gns_construct(f)
 
 

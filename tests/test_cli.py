@@ -202,6 +202,15 @@ class TestErrorPaths:
         assert code == 2
         assert "invariant" in captured.err
 
+    def test_nan_state_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "nan_state.json"
+        p.write_text('{"kind": "pure", "data": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')
+        code = main(["charfunc", "--make", "cyclic:4", "--state", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "validation error:" in captured.err
+        assert "NaN" not in captured.out
+
     def test_unknown_command_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -188,6 +188,39 @@ class TestGEquivalence:
         assert verdict.status is ak.EquivalenceStatus.EQUIVALENT
         assert np.allclose(verdict.one_dim_rep, 1.0, atol=1e-8)
 
+    def test_incomplete_decomposition_rejected(self, groups, decompositions):
+        # psi and phi differ by a weight shift: equivalent through a 1-dim rep,
+        # which a decomposition of the trivial rep alone does not list.
+        z4 = groups["z4"]
+        r = ak.number_rep(z4, [0, 1, 2])
+        psi = ak.QuantumState.pure([np.sqrt(0.7), np.sqrt(0.3), 0.0])
+        phi = ak.QuantumState.pure([0.0, np.sqrt(0.7), np.sqrt(0.3)])
+        assert ak.decide_g_equivalence(psi, phi, r).status is ak.EquivalenceStatus.EQUIVALENT
+        with pytest.raises(ak.InvalidParameterError):
+            ak.decide_g_equivalence(psi, phi, r, ak.decompose(ak.trivial_rep(z4)))
+        with pytest.raises(ak.GroupMismatchError):
+            ak.decide_g_equivalence(psi, phi, r, decompositions["klein"])
+
+    def test_regular_blocks_computed_once(self, monkeypatch):
+        z6 = ak.make_cyclic(6)
+        r = ak.number_rep(z6, [0, 1])
+        calls = []
+        decompose = ak.reps.decompose
+
+        def counting_decompose(*args, **kwargs):
+            calls.append(args)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(ak.reps, "decompose", counting_decompose)
+        psi = ak.QuantumState.pure([0.6, 0.8])
+        for _ in range(2):
+            assert ak.decide_g_equivalence(psi, psi, r).status is ak.EquivalenceStatus.EQUIVALENT
+        assert len(calls) == 1
+        blocks = z6._regular_blocks
+        assert blocks is not None and sum(blk.dim**2 for blk in blocks) == 6
+        ak.one_dim_reps(z6)
+        assert z6._regular_blocks is blocks and len(calls) == 1
+
     def test_mixed_rejected(self, z16_number_rep, rng):
         with pytest.raises(ak.PureStateRequiredError):
             ak.decide_g_equivalence(

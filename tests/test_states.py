@@ -20,6 +20,14 @@ class TestStateValidation:
         with pytest.raises(ak.ValidationError):
             ak.QuantumState.pure([1.0, 1.0])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ak.ValidationError):
+            ak.QuantumState.pure([np.nan, 0.0])
+        with pytest.raises(ak.ValidationError, match="max"):
+            ak.states._state_chi_check(np.array([1.0, np.nan]))
+        with pytest.raises(ak.ValidationError, match="chi"):
+            ak.states._state_chi_check(np.array([np.nan, 0.0]))
+
     def test_mixed_trace_enforced(self):
         with pytest.raises(ak.ValidationError):
             ak.QuantumState.mixed(np.eye(2))
