@@ -57,8 +57,11 @@ def is_positive_definite(
     Fourier blocks are Hermitian PSD within tolerance; the report carries the
     most negative block eigenvalue and where it occurred.  Normalization
     f(e) = 1 is reported separately and does not affect positive
-    definiteness.  A negative tol raises InvalidParameterError.
+    definiteness.  A negative tol raises InvalidParameterError, a NaN or
+    infinite value of f InvalidCharacteristicFunctionError.
     """
+    if not np.isfinite(f.values).all():
+        raise InvalidCharacteristicFunctionError("candidate function has a NaN or infinite value")
     if tol is None:
         tol = scaled_tol(f.values)
     if not tol >= 0:

@@ -9,6 +9,7 @@ degeneracy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,8 +49,8 @@ _MAKERS = {
 def _load_file(path: str, parse, *extra):
     """Read one JSON input file and build an object from it as ``parse(obj, *extra)``.
 
-    A missing file, malformed JSON, or a structure the parser cannot read (a
-    missing key, a value of the wrong type) raises ValidationError naming the file.
+    A missing file, malformed JSON, or content the parser rejects (a missing key, a
+    value of the wrong type, a broken invariant) raises ValidationError naming the file.
     """
     try:
         with open(path) as fh:
@@ -57,7 +58,7 @@ def _load_file(path: str, parse, *extra):
         return parse(obj, *extra)
     except FileNotFoundError:
         raise ValidationError(f"input file not found: {path}")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
         raise ValidationError(f"malformed input in {path}: {exc!r}") from exc
 
 
@@ -256,7 +257,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="asymkit",
         description="Symmetry analysis for finite groups: decompositions, "
@@ -312,8 +315,7 @@ def _fmt(v) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result = _HANDLERS[args.command](args)
     except ValidationError as exc:

@@ -1,13 +1,15 @@
 """JSON interchange for every object the CLI reads or writes.
 
-Complex scalars are [re, im] pairs, matrices row-major nested lists of pairs.
-Writers keep full float precision (a round trip is bit-identical); reports
-from :func:`canonical_dumps` round to 12 significant digits for byte-identity.
+Complex scalars are [re, im] pairs, matrices row-major nested lists of pairs,
+converted a whole array at a time.  Writers keep full float precision (a round
+trip is bit-identical); :func:`canonical_dumps` reports round to 12 significant
+digits, in text byte for byte what ``json.dumps`` of the rounded payload gives.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 import numpy as np
@@ -22,46 +24,49 @@ from .reps import IrrepDecomposition, UnitaryRep
 from .states import CharFunction, IrrepReduction, QuantumState, WeightState
 
 
-def round12(x: float) -> float:
-    return float(f"{float(x):.12g}")
+def _from_pairs(obj, ndim: int) -> np.ndarray:
+    """The complex array with ``ndim`` axes held in nested [re, im] pairs.
+
+    Leaves are read as ``float()`` reads them.  A ragged nesting, a pair of the
+    wrong length, the wrong depth or a null leaf raises ValidationError.
+    """
+    try:
+        a = np.array(obj, dtype=float, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"expected nested [re, im] pairs: {exc}") from None
+    # numpy reads a null as NaN, so only a NaN leaf can hide one
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or np.isnan(a).any() and _has_null(obj):
+        raise ValidationError(f"expected [re, im] pairs nested {ndim} deep and no null")
+    return a.view(complex)[..., 0]
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def pair_to_complex(p) -> complex:
-    if not isinstance(p, (list, tuple)) or len(p) != 2:
-        raise ValidationError(f"expected an [re, im] pair, got {p!r}")
-    return complex(float(p[0]), float(p[1]))
+def _has_null(obj) -> bool:
+    return obj is None or isinstance(obj, (list, tuple)) and any(map(_has_null, obj))
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    return [complex_to_pair(z) for z in np.asarray(v).ravel()]
+    return matrix_to_json(np.ravel(v))
 
 
 def vector_from_json(obj) -> np.ndarray:
-    return np.array([pair_to_complex(p) for p in obj], dtype=complex)
+    return _from_pairs(obj, 1)
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m)
-    return [[complex_to_pair(z) for z in row] for row in m]
+    """Nested [re, im] lists of a complex array of any shape, in one ``tolist`` call."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    return np.array([[pair_to_complex(p) for p in row] for row in obj], dtype=complex)
+    return _from_pairs(obj, 2)
 
 
 # -- representations ---------------------------------------------------------
 
 
 def rep_to_json(r: UnitaryRep, inline_group: bool = True) -> dict:
-    out: dict[str, Any] = {
-        "dim": r.dim,
-        "mats": [matrix_to_json(r.mats[g]) for g in r.group.elements()],
-    }
+    out: dict[str, Any] = {"dim": r.dim, "mats": matrix_to_json(r.mats)}
     if inline_group:
         out["group"] = group_to_json(r.group)
     return out
@@ -72,8 +77,7 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
         if "group" not in obj:
             raise ValidationError("representation JSON carries no group; pass one explicitly")
         group = group_from_json(obj["group"])
-    mats = np.array([matrix_from_json(m) for m in obj["mats"]], dtype=complex)
-    rep = UnitaryRep(group, mats)
+    rep = UnitaryRep(group, _from_pairs(obj["mats"], 3))
     if "dim" in obj and int(obj["dim"]) != rep.dim:
         raise ValidationError("representation JSON 'dim' does not match its matrices")
     return rep
@@ -103,14 +107,14 @@ def weight_state_from_json(obj: dict) -> WeightState:
     weights = {int(k): float(v) for k, v in obj["weights"].items()}
     amps = obj.get("amplitudes")
     if amps is not None:
-        amps = {int(k): pair_to_complex(v) for k, v in amps.items()}
+        amps = {int(k): complex(_from_pairs(v, 0)) for k, v in amps.items()}
     return WeightState(weights, amps)
 
 
 def weight_state_to_json(w: WeightState) -> dict:
     out: dict[str, Any] = {"weights": {str(n): float(p) for n, p in w.weights.items()}}
     if w.amplitudes is not None:
-        out["amplitudes"] = {str(n): complex_to_pair(a) for n, a in w.amplitudes.items()}
+        out["amplitudes"] = {str(n): matrix_to_json(a) for n, a in w.amplitudes.items()}
     return out
 
 
@@ -127,16 +131,11 @@ def func_from_json(obj, group: GroupTable) -> CharFunction:
 
 
 def channel_to_json(c: QuantumChannel) -> dict:
-    return {
-        "d_in": c.d_in,
-        "d_out": c.d_out,
-        "kraus": [matrix_to_json(k) for k in c.kraus],
-    }
+    return {"d_in": c.d_in, "d_out": c.d_out, "kraus": matrix_to_json(c.kraus)}
 
 
 def channel_from_json(obj: dict) -> QuantumChannel:
-    kraus = np.array([matrix_from_json(k) for k in obj["kraus"]], dtype=complex)
-    c = QuantumChannel(kraus)
+    c = QuantumChannel(_from_pairs(obj["kraus"], 3))
     if "d_in" in obj and int(obj["d_in"]) != c.d_in:
         raise ValidationError("channel JSON 'd_in' does not match its Kraus operators")
     if "d_out" in obj and int(obj["d_out"]) != c.d_out:
@@ -157,7 +156,7 @@ def decomposition_to_json(dec: IrrepDecomposition) -> dict:
                 "dim": blk.dim,
                 "mult": blk.mult,
                 "character": vector_to_json(blk.character),
-                "mats": [matrix_to_json(m) for m in blk.mats],
+                "mats": matrix_to_json(blk.mats),
             }
             for blk in dec.blocks
         ],
@@ -214,19 +213,55 @@ def gns_result_to_json(res: GnsResult) -> dict:
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, rounded floats, stable separators."""
-    return json.dumps(_round_floats(obj), sort_keys=True, separators=(",", ": "), indent=1)
+    """Deterministic JSON text: sorted keys, floats rounded to 12 significant digits.
+
+    The text of ``json.dumps(..., sort_keys=True, separators=(",", ": "), indent=1)``,
+    with each rectangular nested list of floats, or of ints, printed by one ``format`` call.
+    """
+    return "".join(_chunks(obj, 0))
 
 
-def _round_floats(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return round12(obj)
-    if isinstance(obj, (np.floating,)):
-        return round12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _chunks(obj: Any, level: int):
+    pad = "\n" + " " * (level + 1)
+    if isinstance(obj, dict) and obj:
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            # json.dumps of a one-key dict converts the key as json does
+            yield ("," if i else "{") + pad + json.dumps({k: 0})[1:-4] + ": "
+            yield from _chunks(v, level + 1)
+        yield pad[:-1] + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        text = _number_array(obj, level)
+        if text is not None:
+            yield text
+            return
+        for i, v in enumerate(obj):
+            yield ("," if i else "[") + pad
+            yield from _chunks(v, level + 1)
+        yield pad[:-1] + "]"
+    elif isinstance(obj, (float, np.floating)):
+        yield json.dumps(float(f"{float(obj):.12g}"))
+    else:
+        yield json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+
+
+def _number_array(obj: list, level: int) -> str | None:
+    """The text of a rectangular nested list of floats or of ints; None for any other list.
+
+    ``{:.12}`` prints a double as ``repr`` prints it rounded to 12 digits, except for
+    exponents 11 to 15 and subnormals; those arrays are rounded and ``repr``-printed.
+    """
+    shape, flat = [len(obj)], obj
+    while (kinds := set(map(type, flat))) not in ({float}, {int}):
+        lengths = set(map(len, flat)) if kinds <= {list, tuple} else ()
+        if len(lengths) != 1:  # ragged rows, or mixed leaves
+            return None
+        shape.append(lengths.pop())
+        flat = [x for row in flat for x in row]
+    template = "{}" if kinds == {int} else "{:.12}"  # json's indent=1 layout, one per leaf
+    for depth in reversed(range(len(shape))):
+        pad = "\n" + " " * (level + depth + 1)
+        template = "[" + pad + ("," + pad).join([template] * shape[depth]) + pad[:-1] + "]"
+    text = template.format(*flat)
+    if re.search(r"e\+1[1-5]\b|e-30[89]|e-3[12]\d", text):
+        text = template.replace("{:.12}", "{!r}").format(*[float(f"{x:.12g}") for x in flat])
+    return text.replace("nan", "NaN").replace("inf", "Infinity")

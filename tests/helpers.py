@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import json
+from typing import Any
+
 import numpy as np
 
 import asymkit as ak
+from asymkit import jsonio
 from asymkit.linalg import assert_psd, scaled_tol, trace_norm
 
 
@@ -67,3 +72,96 @@ def dense_rep_residuals(mul: np.ndarray, mats: np.ndarray):
         [[np.linalg.norm(mats[a] @ mats[b] - mats[mul[a, b]]) for b in range(n)] for a in range(n)]
     )
     return identity, unitarity, homomorphism
+
+
+def reference_canonical_dumps(obj: Any) -> str:
+    """The report text as the encoder-based ``canonical_dumps`` wrote it.
+
+    Rounds every float to 12 significant digits, then lets ``json.dumps``
+    print the payload: the oracle for the library's whole-array emitter.
+    """
+    return json.dumps(_round_floats(obj), sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def _round12(x: float) -> float:
+    return float(f"{float(x):.12g}")
+
+
+def _round_floats(obj: Any) -> Any:
+    if isinstance(obj, float):
+        return _round12(obj)
+    if isinstance(obj, (np.floating,)):
+        return _round12(float(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def pair_payloads():
+    """A valid JSON payload of each kind that holds [re, im] pairs.
+
+    Each entry is (payload, the key of its pair array, reader); all live on
+    the Z4 number rep with weights 0 and 1 (d = 2).
+    """
+    z4 = ak.make_cyclic(4)
+    rep = ak.number_rep(z4, [0, 1])
+    psi = ak.QuantumState.pure(np.array([1.0, 1.0j]) / np.sqrt(2))
+    return {
+        "rep": (jsonio.rep_to_json(rep), "mats", jsonio.rep_from_json),
+        "state": (jsonio.state_to_json(psi), "data", jsonio.state_from_json),
+        "func": (
+            jsonio.func_to_json(ak.charfunc(psi, rep)),
+            "values",
+            lambda obj: jsonio.func_from_json(obj, z4),
+        ),
+        "channel": (
+            jsonio.channel_to_json(ak.QuantumChannel(np.eye(2)[None])),
+            "kraus",
+            jsonio.channel_from_json,
+        ),
+    }
+
+
+def _first_row(pairs):
+    """The innermost list of pairs that holds the first pair."""
+    while isinstance(pairs[0][0], list):
+        pairs = pairs[0]
+    return pairs
+
+
+def _null(pairs):
+    _first_row(pairs)[0][0] = None
+    return pairs
+
+
+def _ragged(pairs):
+    row = _first_row(pairs)
+    if row is pairs:  # a vector has one row: nest its first pair instead
+        row[0] = [row[0]]
+    else:
+        row.pop()
+    return pairs
+
+
+def _triple(pairs):
+    _first_row(pairs)[0].append(0.0)
+    return pairs
+
+
+MALFORMED = {
+    "null": _null,
+    "ragged": _ragged,
+    "triple": _triple,
+    "depth": lambda pairs: [pairs],
+}
+
+
+def malformed_payload(kind, case):
+    payload, key, _ = pair_payloads()[kind]
+    payload = copy.deepcopy(payload)
+    payload[key] = MALFORMED[case](payload[key])
+    return payload

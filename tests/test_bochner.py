@@ -41,6 +41,12 @@ class TestPositiveDefinite:
         with pytest.raises(ak.InvalidParameterError):
             ak.is_positive_definite(f, decompositions["z2"], tol=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, groups, decompositions, bad):
+        f = ak.CharFunction(groups["z4"], np.array([1.0, bad, 0.0, 0.0], dtype=complex))
+        with pytest.raises(ak.InvalidCharacteristicFunctionError, match="NaN or infinite"):
+            ak.is_positive_definite(f, decompositions["z4"])
+
     def test_delta_function_accepted(self, groups, decompositions):
         for name in ("z3", "s3"):
             g = groups[name]

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from helpers import MALFORMED, malformed_payload, pair_payloads, reference_canonical_dumps
 
 import asymkit as ak
 from asymkit import jsonio
@@ -323,3 +324,100 @@ class TestDegeneracyExitCode:
         code = cli_mod.main(["decompose", "--make", "cyclic:3"])
         assert code == 3
         assert "degeneracy" in capsys.readouterr().err
+
+
+class TestMalformedPairArrays:
+    """A pair array with a null, a ragged row, a triple or the wrong depth exits 2."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("kind", ["rep", "state", "func", "channel"])
+    def test_exit_2(self, tmp_path, capsys, kind, case):
+        files = {name: tmp_path / f"{name}.json" for name in ("rep", "state", "func", "channel")}
+        for name, (payload, _, _) in pair_payloads().items():
+            files[name].write_text(json.dumps(payload))
+        files[kind].write_text(json.dumps(malformed_payload(kind, case)))
+        f = {name: str(path) for name, path in files.items()}
+        argv = {
+            "rep": ["decompose", "--rep", f["rep"]],
+            "state": ["charfunc", "--rep", f["rep"], "--state", f["state"]],
+            "func": ["bochner", "--make", "cyclic:4", "--func", f["func"]],
+            "channel": ["covcheck", "--channel", f["channel"], "--rep", f["rep"]],
+        }[kind]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "validation error:" in captured.err and f[kind] in captured.err
+        assert captured.out == ""
+
+
+def test_bochner_non_finite_func_exit_2(tmp_path, capsys):
+    p = tmp_path / "nan_func.json"
+    p.write_text('{"values": [[1, 0], [NaN, 0], [0, 0], [0, 0]]}')
+    code = main(["bochner", "--make", "cyclic:4", "--func", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "validation error:" in captured.err
+    assert captured.out == ""
+
+
+def test_parser_built_once_per_process(workdir, capsys):
+    from asymkit.cli import build_parser
+
+    build_parser.cache_clear()
+    states = ["--state", str(workdir / "w1.json"), "--state", str(workdir / "w2.json")]
+    for seed in (1, 2):
+        # a second parse must not see the first one's --state list
+        assert main(["u1shift", *states, "--seed", str(seed)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == seed
+    assert build_parser.cache_info().misses == 1
+
+
+@pytest.fixture()
+def small_files(workdir):
+    """A Z4 number rep with its shift channel, and a valid function over Z16."""
+    rep4 = ak.number_rep(ak.make_cyclic(4), range(4))
+    (workdir / "rep4.json").write_text(json.dumps(jsonio.rep_to_json(rep4)))
+    (workdir / "chan4.json").write_text(
+        json.dumps(jsonio.channel_to_json(ak.shift_channel(4, 1)))
+    )
+    vals = 0.5 * (1 + np.exp(2j * np.pi * np.arange(16) / 16))
+    (workdir / "goodfunc.json").write_text(
+        json.dumps({"values": [[z.real, z.imag] for z in vals]})
+    )
+    return workdir
+
+
+REPORT_ARGVS = {
+    "group": ["--make", "dihedral:4"],
+    "decompose": ["--make", "symmetric:3"],
+    "charfunc": ["--rep", "rep16.json", "--state", "psi.json"],
+    "reduce": ["--rep", "rep16.json", "--state", "psi.json"],
+    "fourier": ["--rep", "rep16.json", "--func", "goodfunc.json"],
+    "uequiv": ["--rep", "rep16.json", "--state", "psi.json", "--state", "phi.json"],
+    "equiv": ["--rep", "rep16.json", "--state", "psi.json", "--state", "phi.json"],
+    "u1shift": ["--state", "w1.json", "--state", "w2.json"],
+    "overlap": ["--rep", "rep16.json", "--state", "psi.json", "--state", "phi.json"],
+    "bochner": ["--make", "cyclic:2", "--func", "badfunc.json"],
+    "gns": ["--make", "cyclic:16", "--func", "goodfunc.json"],
+    "covcheck": ["--channel", "chan.json", "--rep", "rep16.json"],
+    "twirl": ["--make", "cyclic:4", "--subgroup", "0,2"],
+    "embed": ["--channel", "chan4.json", "--rep", "rep4.json", "--rep-out", "rep4.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_ARGVS))
+def test_report_text_matches_encoder(small_files, capsys, monkeypatch, command):
+    reports = []
+    real = jsonio.canonical_dumps
+
+    def spy(obj):
+        reports.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(jsonio, "canonical_dumps", spy)
+    argv = [str(small_files / a) if a.endswith(".json") else a for a in REPORT_ARGVS[command]]
+    code, out = run_cli(capsys, command, *argv)
+    assert code == 0
+    (report,) = reports
+    assert report["command"] == command
+    assert out == reference_canonical_dumps(report) + "\n"

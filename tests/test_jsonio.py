@@ -3,6 +3,11 @@
 import json
 
 import numpy as np
+import pytest
+from helpers import MALFORMED, malformed_payload, pair_payloads, reference_canonical_dumps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import asymkit as ak
 from asymkit import jsonio
@@ -80,3 +85,87 @@ def test_reloaded_group_interoperates(regular_reps, rng):
     f2 = ak.CharFunction(reloaded.group, f1.values.copy())
     out = ak.convolve(f1, f2)
     assert out.values.shape == (6,)
+
+
+@pytest.mark.parametrize("kind", ["rep", "state", "func", "channel"])
+def test_valid_pair_payloads_parse(kind):
+    payload, _, read = pair_payloads()[kind]
+    read(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("kind", ["rep", "state", "func", "channel"])
+def test_malformed_pairs_rejected_by_reader(kind, case):
+    _, _, read = pair_payloads()[kind]
+    with pytest.raises(ak.ValidationError, match="pairs"):
+        read(json.loads(json.dumps(malformed_payload(kind, case))))
+
+
+def test_reader_takes_what_float_takes():
+    obj = [["1.5", True], ["-2e0", False], [1, "nan"], [0, "-inf"]]
+    expected = np.array([complex(float(re), float(im)) for re, im in obj])
+    got = jsonio.vector_from_json(obj)
+    assert got.dtype == complex
+    np.testing.assert_array_equal(got, expected)
+    assert jsonio.weight_state_from_json(
+        {"weights": {"0": 1.0}, "amplitudes": {"0": ["1", False]}}
+    ).amplitudes == {0: 1.0}
+
+
+@pytest.mark.parametrize("obj", [[["x", 0.0]], [[{}, 0.0]], [[10**400, 0.0]], 5, "ab", {"a": 1}])
+def test_reader_rejects_what_float_rejects(obj):
+    with pytest.raises(ak.ValidationError):
+        jsonio.vector_from_json(obj)
+
+
+def test_signed_zero_and_subnormal_round_trip():
+    v = np.array([complex(-0.0, -0.0), complex(5e-324, -1e308), complex(np.nan, np.inf)])
+    back = jsonio.vector_from_json(json.loads(json.dumps(jsonio.vector_to_json(v))))
+    np.testing.assert_array_equal(back.view(float), v.view(float))
+    assert np.signbit(back.view(float)[:2]).all()
+
+
+SPECIAL_FLOATS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 123456789012345.0]
+floats = st.one_of(
+    st.floats(), st.sampled_from(SPECIAL_FLOATS), st.floats(min_value=-1e3, max_value=1e3)
+)
+shapes = array_shapes(min_dims=1, max_dims=4, max_side=3)
+number_arrays = st.one_of(
+    arrays(np.float64, shapes, elements=floats), arrays(np.int64, shapes)
+).map(lambda a: a.tolist())
+scalars = st.one_of(
+    floats,
+    floats.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=5),
+)
+payloads = st.recursive(
+    st.one_of(scalars, number_arrays),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(payloads)
+@settings(max_examples=300, deadline=None)
+def test_canonical_dumps_matches_encoder(payload):
+    assert jsonio.canonical_dumps(payload) == reference_canonical_dumps(payload)
+
+
+def test_canonical_dumps_matches_encoder_on_large_arrays():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 5, 4, 2)) * 10.0 ** rng.integers(-320, 309, (6, 5, 4, 2))
+    payload = {
+        "stack": a.tolist(),
+        "matrix": a[0].tolist(),
+        "pairs": a[0, 0].tolist(),
+        "table": rng.integers(-(2**62), 2**62, (7, 9)).tolist(),
+    }
+    assert jsonio.canonical_dumps(payload) == reference_canonical_dumps(payload)
