@@ -1,10 +1,9 @@
 """Quantum channels in Kraus form, covariance checks, twirls, and embeddings.
 
-Covariance of a channel with respect to a group action is decided on the
-Choi matrix: conjugating the channel by the group action permutes nothing if
-and only if the Choi matrix is fixed by the corresponding rotations, which is
-an exact finite check (no state sampling).  Vectorization is row-major
-throughout: vec(A B C) = (A kron C^T) vec(B).
+Covariance with respect to a group action is decided on the Choi matrix, an
+exact finite check (no state sampling), with no d^2 x d^2 Kronecker product:
+a gather of it on monomial reps, batched Kraus products otherwise.
+Vectorization is row-major throughout: vec(A B C) = (A kron C^T) vec(B).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidParameterError, ValidationError
 from .groups import SubgroupRef, subgroup
 from .linalg import frob, scaled_tol
-from .reps import UnitaryRep, direct_sum_rep
+from .reps import UnitaryRep, _chunk_slices, _conjugations, _dagger, _frob_each, direct_sum_rep
 from .states import QuantumState
 
 
@@ -60,7 +59,7 @@ class QuantumChannel:
     def choi(self) -> np.ndarray:
         """Unnormalized Choi matrix sum_k vec(K_k) vec(K_k)^dag (row-major vec)."""
         flat = self.kraus.reshape(self.kraus.shape[0], -1)
-        return np.einsum("ki,kj->ij", flat, flat.conj())
+        return flat.T @ flat.conj()
 
     def __repr__(self):
         return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out}, kraus={self.kraus.shape[0]})"
@@ -118,18 +117,36 @@ def is_g_covariant(
 ) -> CovarianceCheck:
     """Choi-level covariance test of E against the in/out group actions.
 
-    Measures max_g || Choi(U_out(g) o E o U_in(g)^dag) - Choi(E) ||_F; the
-    channel is covariant iff the residual vanishes; a negative tol is invalid.
+    Measures max_g || Choi(U_out(g) o E o U_in(g)^dag) - Choi(E) ||_F, covariant iff
+    <= tol * max(1, ||Choi(E)||_F) (tol >= 0).  With D = d_in d_out, each g costs a
+    gather, O(D^2), when both reps are monomial, else O(D^2 r) from the r <= D Kraus
+    operators U_out(g) K U_in(g)^dag (after a thin QR); g goes in budgeted chunks.
     """
     if not tol >= 0:
         raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
     if c.d_in != r_in.dim or c.d_out != r_out.dim:
         raise DimensionMismatchError("channel dimensions must match the representations")
     j = c.choi()
+    n = r_in.group.order
+    monomial = r_in._monomial is not None and r_out._monomial is not None
+    if monomial:  # U_out kron conj U_in is monomial too
+        (src_out, ph_out), (src_in, ph_in) = r_out._monomial, r_in._monomial
+        src = (src_out[:, :, None] * c.d_in + src_in[:, None, :]).reshape(n, -1)
+        phase = (ph_out[:, :, None] * ph_in.conj()[:, None, :]).reshape(n, -1)
+    else:
+        flat = c.kraus.reshape(len(c.kraus), -1)
+        if len(flat) > flat.shape[1]:  # J = R^dag R for the thin QR conj(flat) = Q R
+            flat = np.linalg.qr(flat.conj(), mode="r").conj()
+        kraus = flat.reshape(len(flat), c.d_out, c.d_in)
     worst = 0.0
-    for g in r_in.group.elements():
-        m = np.kron(r_out.mats[g], r_in.mats[g].conj())
-        worst = max(worst, frob(m @ j @ m.conj().T - j))
+    for g in _chunk_slices(n, j.nbytes):
+        if monomial:
+            choi_g = _conjugations(src[g], phase[g], j)
+        else:
+            a = r_out.mats[g, None] @ kraus @ _dagger(r_in.mats[g])[:, None]
+            a = a.reshape(len(a), *flat.shape)
+            choi_g = a.transpose(0, 2, 1) @ a.conj()
+        worst = max(worst, float(_frob_each(choi_g - j).max()))
     return CovarianceCheck(covariant=bool(worst <= tol * max(1.0, frob(j))), residual=worst)
 
 
@@ -150,8 +167,7 @@ def twirl_channel(c: QuantumChannel, r: UnitaryRep) -> QuantumChannel:
         raise DimensionMismatchError("channel and representation dimensions differ")
     n = r.group.order
     # Kraus operators U(g)^dag K_k U(g), ordered by g then k.
-    u = r.mats[:, None]
-    out = u.conj().swapaxes(-1, -2) @ c.kraus[None] @ u / np.sqrt(n)
+    out = _dagger(r.mats)[:, None] @ c.kraus @ r.mats[:, None] / np.sqrt(n)
     return QuantumChannel(out.reshape(n * c.kraus.shape[0], r.dim, r.dim))
 
 
@@ -180,20 +196,13 @@ def embed_channel(c: QuantumChannel, r_in: UnitaryRep, r_out: UnitaryRep) -> Qua
     was_covariant = bool(is_g_covariant(c, r_in, r_out))
     d_in, d_out = c.d_in, c.d_out
     d = d_in + d_out
-    inject = np.zeros((d, d_out), dtype=complex)
-    inject[d_in:, :] = np.eye(d_out)
-    restrict = np.zeros((d_in, d), dtype=complex)
-    restrict[:, :d_in] = np.eye(d_in)
-    kraus = [inject @ k @ restrict for k in c.kraus]
+    r = len(c.kraus)
+    kraus = np.zeros((r + d_out * d, d, d), dtype=complex)
+    kraus[:r, d_in:, :d_in] = c.kraus
     # Junk branch: measure the out sector, emit the maximally mixed state.
-    for j in range(d_out):
-        bra = np.zeros((1, d), dtype=complex)
-        bra[0, d_in + j] = 1.0
-        for i in range(d):
-            ket = np.zeros((d, 1), dtype=complex)
-            ket[i, 0] = 1.0 / np.sqrt(d)
-            kraus.append(ket @ bra)
-    embedded = QuantumChannel(np.array(kraus))
+    junk = np.arange(d_out * d)  # operator r + j d + i is |i><d_in + j| / sqrt(d)
+    kraus[r + junk, junk % d, d_in + junk // d] = 1.0 / np.sqrt(d)
+    embedded = QuantumChannel(kraus)
     if was_covariant:
         combined = direct_sum_rep(r_in, r_out)
         check = is_g_covariant(embedded, combined, combined)

@@ -45,6 +45,8 @@ _MAX_DECOMPOSE_RETRIES = 5
 _CLUSTER_GAP = 1e-6
 _CHARACTER_MATCH = 1e-6
 
+_STACK_BYTES = 1 << 18  # bytes per stack in a chunked pass over the group
+
 
 class UnitaryRep:
     """Per-element unitary matrices forming a homomorphism of the group.
@@ -75,9 +77,6 @@ class UnitaryRep:
             tol = scaled_tol(mats)
         _validate_rep(group, mats, tol, self._monomial)
         self.mats.setflags(write=False)
-
-    def matrix(self, g: int) -> np.ndarray:
-        return self.mats[g]
 
     def character(self) -> np.ndarray:
         """Per-element trace vector tr U(g)."""
@@ -124,20 +123,36 @@ def _unitarity_residuals(mats: np.ndarray, monomial) -> np.ndarray:
 
 
 def _homomorphism_residuals(mats: np.ndarray, mul: np.ndarray, monomial):
-    """Yield ||U(a) U(b) - U(ab)|| over b for each a in turn.  Row i of a monomial
-    U(a) U(b) holds phase[a, i] * phase[b, src[a, i]] at column src[b, src[a, i]]."""
+    """Yield ||U(a) U(b) - U(ab)|| over b for each a in turn, monomial rows computed in
+    chunks.  Row i of a monomial U(a) U(b) holds phase[a, i] * phase[b, src[a, i]] at
+    column src[b, src[a, i]]."""
     n = len(mats)
-    for a in range(n):
-        ab = mul[a]
-        if monomial is None:
-            diff = mats[a] @ mats - mats[ab]
+    if monomial is None:
+        for a in range(n):
+            # diff stays bound while the row is read; freeing it at once slowed Z32 gns ~25%
+            diff = mats[a] @ mats - mats[mul[a]]
             yield np.linalg.norm(diff.reshape(n, -1), axis=1)
-        else:
-            src, phase = monomial
-            prod, want = phase[a] * phase[:, src[a]], phase[ab]
-            same = src[:, src[a]] == src[ab]
-            sq = np.where(same, abs(prod - want) ** 2, abs(prod) ** 2 + abs(want) ** 2)
-            yield np.sqrt(sq.sum(axis=1))
+        return
+    src, phase = monomial
+    row_start = (np.arange(n) * src.shape[1])[:, None]
+    for rows in _chunk_slices(n, src.size * 16):
+        at = row_start + src[rows][:, None, :]  # flat index of [b, src[a, i]]
+        prod, want = phase[rows][:, None, :] * np.take(phase, at), phase[mul[rows]]
+        same = np.take(src, at) == src[mul[rows]]
+        sq = np.where(same, abs(prod - want) ** 2, abs(prod) ** 2 + abs(want) ** 2)
+        yield from np.sqrt(sq.sum(axis=2))
+
+
+def _chunk_slices(n: int, bytes_each: int) -> list[slice]:
+    """Slices covering range(n), each of as many bytes_each-byte items as fit _STACK_BYTES, >= 1."""
+    step = max(1, _STACK_BYTES // max(1, bytes_each))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _conjugations(src: np.ndarray, phase: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """U(g) x U(g)^dag per monomial row (src, phase): phase_i x[src_i, src_k] conj(phase_k)."""
+    at = src[:, :, None] * len(x) + src[:, None, :]  # flat index of [src_i, src_k]
+    return phase[:, :, None] * np.take(x, at) * phase.conj()[:, None, :]
 
 
 def _dagger(mats: np.ndarray) -> np.ndarray:
@@ -213,18 +228,14 @@ def twirl_operator(r: UnitaryRep, x: np.ndarray) -> np.ndarray:
     The result commutes with every U(g); averaging a Hermitian input yields a
     Hermitian output with the same trace.  Costs O(|G| d^3), one batched matrix
     product over the group; on a monomial rep (see :class:`UnitaryRep`) each
-    term is a gather, (U x U^dag)_ik = phase_i x[src_i, src_k] conj(phase_k),
-    and the twirl costs O(|G| d^2).
+    term is a gather (:func:`_conjugations`) and the twirl costs O(|G| d^2).
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (r.dim, r.dim):
         raise DimensionMismatchError(
             f"twirl_operator needs a {r.dim}x{r.dim} matrix, got {x.shape}"
         )
-    if r._monomial is None:
-        return (r.mats @ x @ _dagger(r.mats)).sum(axis=0) / r.group.order
-    src, phase = r._monomial
-    terms = phase[:, :, None] * x[src[:, :, None], src[:, None, :]] * phase.conj()[:, None, :]
+    terms = r.mats @ x @ _dagger(r.mats) if r._monomial is None else _conjugations(*r._monomial, x)
     return terms.sum(axis=0) / r.group.order
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 import asymkit as ak
 from asymkit import jsonio
-from asymkit.linalg import assert_psd, scaled_tol, trace_norm
+from asymkit.linalg import assert_psd, frob, scaled_tol, trace_norm
 
 
 def trace_distance_fidelity_check(a: np.ndarray, b: np.ndarray) -> bool:
@@ -72,6 +72,31 @@ def dense_rep_residuals(mul: np.ndarray, mats: np.ndarray):
         [[np.linalg.norm(mats[a] @ mats[b] - mats[mul[a, b]]) for b in range(n)] for a in range(n)]
     )
     return identity, unitarity, homomorphism
+
+
+def perm_rep(group) -> ak.UnitaryRep:
+    """Defining permutation rep of S_n, read off the element labels."""
+    perms = [[int(c) for c in label] for label in group.labels]
+    n = len(perms[0])
+    mats = np.zeros((group.order, n, n), dtype=complex)
+    for g, p in enumerate(perms):
+        mats[g, p, np.arange(n)] = 1.0
+    return ak.UnitaryRep(group, mats)
+
+
+def dense_covariance_residual(c, r_in, r_out) -> float:
+    """max_g ||Choi(U_out(g) o E o U_in(g)^dag) - Choi(E)||_F, one Kronecker product per g.
+
+    Each term conjugates the d^2 x d^2 Choi matrix by U_out(g) kron conj U_in(g),
+    at O(|G| d^6): the dense oracle for :func:`asymkit.is_g_covariant`, sharing
+    none of its gather or Kraus-level code.
+    """
+    j = c.choi()
+    worst = 0.0
+    for g in r_in.group.elements():
+        m = np.kron(r_out.mats[g], r_in.mats[g].conj())
+        worst = max(worst, frob(m @ j @ m.conj().T - j))
+    return worst
 
 
 def reference_canonical_dumps(obj: Any) -> str:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import asymkit as ak
+from asymkit import reps
 from asymkit.linalg import frob, haar_unitary
+from helpers import dense_covariance_residual, perm_rep
 
 
 def plus_state(dim, a, b):
@@ -191,6 +193,145 @@ class TestEmbedding:
         rho[2, 2] = 1.0  # fully in the out sector
         out = emb.apply_to_density(rho)
         assert frob(out - np.eye(4) / 4) < 1e-12
+
+    def test_kraus_order(self, groups):
+        # E's operators first, then |i><d_in + j| / sqrt(d), ordered by j, then i.
+        r_in = ak.number_rep(groups["z4"], [0, 1])
+        r_out = ak.number_rep(groups["z4"], [0, 1, 3])
+        c = ak.QuantumChannel(np.eye(3, 2)[None])
+        want = np.zeros((1 + 3 * 5, 5, 5), dtype=complex)
+        want[0, 2:, :2] = c.kraus[0]
+        for j in range(3):
+            for i in range(5):
+                want[1 + 5 * j + i, i, 2 + j] = 1 / np.sqrt(5)
+        assert np.array_equal(ak.embed_channel(c, r_in, r_out).kraus, want)
+
+
+def _conjugated(r, rng):
+    """V U(g) V^dag for a Haar-random V: the same rep with no monomial form."""
+    v = haar_unitary(r.dim, rng)
+    out = ak.UnitaryRep(r.group, v @ r.mats @ v.conj().T)
+    assert out._monomial is None
+    return out
+
+
+def _isometry_channel(v):
+    """The channel rho -> V rho V^dag of an isometry V (d_out x d_in)."""
+    return ak.QuantumChannel(np.asarray(v, dtype=complex)[None])
+
+
+@pytest.fixture(scope="module")
+def covariance_cases(groups):
+    """name -> (channel, r_in, r_out, covariant?) over every route of is_g_covariant."""
+    rng = np.random.default_rng(8)
+    s3, d3, d4 = (ak.regular_rep(groups[n]) for n in ("s3", "d3", "d4"))
+    perm = perm_rep(groups["s4"])
+    a4 = [g for g in range(24) if np.linalg.det(perm.mats[g]).real > 0]
+    z16 = ak.number_rep(groups["z16"], range(16))
+    z16_low = ak.number_rep(groups["z16"], [0, 1, 2, 3])
+    dense_d4, dense_perm = _conjugated(d4, rng), _conjugated(perm, rng)
+    pair_in, pair_out = ak.number_rep(groups["z4"], [0, 1]), ak.number_rep(groups["z4"], [2, 3])
+    v = haar_unitary(2, rng)
+    dense_out = ak.UnitaryRep(pair_out.group, v @ pair_out.mats @ v.conj().T)
+    wide_out = ak.number_rep(groups["z4"], [0, 1, 3])
+    embed_in = ak.twirl_channel(ak.random_channel(4, 2, rng), perm)
+    both = ak.direct_sum_rep(perm, perm)
+    dense_embed_in = ak.twirl_channel(ak.random_channel(4, 1, rng), dense_perm)
+    dense_both = ak.direct_sum_rep(dense_perm, dense_perm)
+    cases = {
+        "s3 regular, twirled": (ak.twirl_channel(ak.random_channel(6, 2, rng), s3), s3, s3, True),
+        "s3 regular, raw": (ak.random_channel(6, 2, rng), s3, s3, False),
+        "d4 regular, subgroup twirl": (ak.uniform_twirl_over_subgroup(d4, range(4)), d4, d4, True),
+        "z16 number, shift": (ak.shift_channel(16, 2), z16, z16, True),
+        "z16 number, raw": (ak.random_channel(4, 2, rng), z16_low, z16_low, False),
+        "s4 perm, twirled": (ak.twirl_channel(ak.random_channel(4, 2, rng), perm), perm, perm, True),
+        "s4 perm, raw": (ak.random_channel(4, 3, rng), perm, perm, False),
+        "s4 perm, subgroup twirl": (ak.uniform_twirl_over_subgroup(perm, a4), perm, perm, True),
+        "d4 regular conjugated, twirled": (
+            ak.twirl_channel(ak.random_channel(8, 2, rng), dense_d4), dense_d4, dense_d4, True
+        ),
+        "d4 regular conjugated, raw": (ak.random_channel(8, 2, rng), dense_d4, dense_d4, False),
+        "d4 regular conjugated, subgroup twirl": (
+            ak.uniform_twirl_over_subgroup(dense_d4, range(4)), dense_d4, dense_d4, True
+        ),
+        "d3 regular, non-normal subgroup twirl": (
+            ak.uniform_twirl_over_subgroup(d3, [0, 3]), d3, d3, False
+        ),
+        "monomial in, dense out": (_isometry_channel(v), pair_in, dense_out, True),
+        "monomial in, dense out, raw": (ak.random_channel(2, 2, rng), pair_in, dense_out, False),
+        "d_in 2, d_out 3": (_isometry_channel(np.eye(3, 2)), pair_in, wide_out, True),
+        "d_in 2, d_out 3, raw": (
+            _isometry_channel(haar_unitary(3, rng)[:, :2]), pair_in, wide_out, False
+        ),
+        "dense in, monomial out, d_in 4, d_out 2": (
+            ak.QuantumChannel(np.stack([np.eye(2, 4), np.eye(2, 4, 2)])),
+            _conjugated(ak.number_rep(groups["z4"], [0, 1, 0, 1]), rng),
+            pair_in,
+            False,
+        ),
+        "s4 perm conjugated, twirled, r > d_in d_out": (
+            ak.twirl_channel(ak.random_channel(4, 2, rng), dense_perm), dense_perm, dense_perm, True
+        ),
+        "s4 perm conjugated, raw, r > d_in d_out": (
+            ak.random_channel(4, 20, rng), dense_perm, dense_perm, False
+        ),
+        "s4 perm, embedded": (ak.embed_channel(embed_in, perm, perm), both, both, True),
+        "s4 perm conjugated, embedded": (
+            ak.embed_channel(dense_embed_in, dense_perm, dense_perm), dense_both, dense_both, True
+        ),
+        "s4 perm, embedded raw": (
+            ak.embed_channel(ak.random_channel(4, 2, rng), perm, perm), both, both, False
+        ),
+    }
+    assert sorted(cases) == sorted(COVARIANCE_CASES)
+    assert len(cases["s4 perm conjugated, twirled, r > d_in d_out"][0].kraus) > 16
+    return cases
+
+
+COVARIANCE_CASES = [
+    "s3 regular, twirled",
+    "s3 regular, raw",
+    "d4 regular, subgroup twirl",
+    "z16 number, shift",
+    "z16 number, raw",
+    "s4 perm, twirled",
+    "s4 perm, raw",
+    "s4 perm, subgroup twirl",
+    "d4 regular conjugated, twirled",
+    "d4 regular conjugated, raw",
+    "d4 regular conjugated, subgroup twirl",
+    "d3 regular, non-normal subgroup twirl",
+    "monomial in, dense out",
+    "monomial in, dense out, raw",
+    "d_in 2, d_out 3",
+    "d_in 2, d_out 3, raw",
+    "dense in, monomial out, d_in 4, d_out 2",
+    "s4 perm conjugated, twirled, r > d_in d_out",
+    "s4 perm conjugated, raw, r > d_in d_out",
+    "s4 perm, embedded",
+    "s4 perm conjugated, embedded",
+    "s4 perm, embedded raw",
+]
+
+
+class TestCovarianceOracle:
+    """is_g_covariant's gather and Kraus-level routes against the Kronecker loop."""
+
+    @pytest.mark.parametrize("chunk", ["whole group", "one element", "three elements"])
+    @pytest.mark.parametrize("name", COVARIANCE_CASES)
+    def test_matches_dense_kron(self, covariance_cases, monkeypatch, name, chunk):
+        c, r_in, r_out, covariant = covariance_cases[name]
+        j = c.choi()
+        n = r_in.group.order
+        if chunk != "whole group":
+            per_chunk = 1 if chunk == "one element" else 3
+            monkeypatch.setattr(reps, "_STACK_BYTES", per_chunk * j.nbytes)
+            assert len(reps._chunk_slices(n, j.nbytes)) == -(-n // per_chunk) > 1
+        scale = max(1.0, frob(j))
+        oracle = dense_covariance_residual(c, r_in, r_out)
+        check = ak.is_g_covariant(c, r_in, r_out)
+        assert check.covariant == (oracle <= 1e-8 * scale) == covariant
+        assert abs(check.residual - oracle) <= 1e-12 * scale
 
 
 class TestMonotonicity:

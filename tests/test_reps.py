@@ -6,7 +6,7 @@ import pytest
 import asymkit as ak
 from asymkit import reps
 from asymkit.linalg import frob, haar_unitary, random_complex, random_hermitian, scaled_tol
-from helpers import dense_rep_residuals
+from helpers import dense_rep_residuals, perm_rep
 
 
 def irrep_dims_oracle(order: int, num_classes: int) -> list[int] | None:
@@ -487,15 +487,11 @@ MONOMIAL_REPS = [
 
 @pytest.fixture(scope="module")
 def monomial_reps(regular_reps, z16_number_rep, s3_square, z16_number_x3_dec):
-    s4 = ak.make_symmetric(4)
-    perm = np.zeros((24, 4, 4), dtype=complex)
-    for g, label in enumerate(s4.labels):
-        perm[g, [int(c) for c in label], np.arange(4)] = 1.0
-    perm_rep = ak.UnitaryRep(s4, perm)
+    perm = perm_rep(ak.make_symmetric(4))
     out = {f"{name} regular": r for name, r in regular_reps.items()}
     out["z16 number"] = z16_number_rep
     out["s3reg x s3reg"] = s3_square
-    out["s4 perm x s4 perm"] = ak.tensor_rep(perm_rep, perm_rep)
+    out["s4 perm x s4 perm"] = ak.tensor_rep(perm, perm)
     out["z16 number x3"] = z16_number_x3_dec.rep
     # D U(g) D^dag for a random diagonal unitary D: phase d_i conj(d_src(i)) moves with src
     d = np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=8))
@@ -566,6 +562,25 @@ class TestMonomialPath:
         assert np.max(np.abs(got_unitarity - unitarity)) <= tol
         assert np.max(np.abs(got_homomorphism - homomorphism)) <= tol
         assert got_homomorphism.max() >= 1.0 or kind == "phase-modulus"
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 5, None])
+    def test_corrupted_element_named(self, monkeypatch, rows_per_chunk):
+        # S4 regular with one sign flipped in U(7): still monomial and unitary,
+        # but U(a) U(7) != U(a 7) from row a = 1 on, wherever the chunks start.
+        s4 = ak.make_symmetric(4)
+        mats = ak.regular_rep(s4).mats.copy()
+        mats[7] *= -1
+        assert reps._monomial_form(mats) is not None
+        if rows_per_chunk is not None:
+            monkeypatch.setattr(reps, "_STACK_BYTES", rows_per_chunk * 24 * 24 * 16)
+            assert len(reps._chunk_slices(24, 24 * 24 * 16)) == -(-24 // rows_per_chunk)
+        _, _, homomorphism = dense_rep_residuals(s4.mul, mats)
+        _, got = self.residuals(s4, mats, reps._monomial_form(mats))
+        assert np.max(np.abs(got - homomorphism)) <= 1e-12
+        first = int(np.flatnonzero(homomorphism.max(axis=1) > scaled_tol(mats))[0])
+        assert first == 1
+        with pytest.raises(ak.ValidationError, match=f"at element {first}: residual "):
+            ak.UnitaryRep(s4, mats)
 
     @pytest.mark.parametrize("name", MONOMIAL_REPS)
     def test_twirl_matches_dense_sum(self, monomial_reps, name, rng):
