@@ -4,8 +4,8 @@ Exactly the normalized positive definite ones: f(e) = 1 and the translated
 Gram matrix X[g,h] = f(g^-1 h) is PSD.  Equivalently, every Fourier block
 B_mu = d_mu * avg_g f(g^-1) U_mu(g) is Hermitian PSD.  Both routes are
 implemented: the block test produces per-irrep diagnostics, and the Gram
-route powers the constructive inverse, which rebuilds a representation and a
-cyclic unit vector realizing a valid f.
+route powers the constructive inverse, which rebuilds a block-diagonal rep
+and a cyclic unit vector realizing a valid f, in the eigenbasis of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reps
 from .errors import InvalidCharacteristicFunctionError, InvalidParameterError
-from .linalg import frob, min_eigenvalue, polar_unitary, scaled_tol
-from .reps import IrrepDecomposition, UnitaryRep, _require_every_irrep
+from .errors import NumericalDegeneracyError
+from .linalg import frob, min_eigenvalue, scaled_tol
 from .states import CharFunction, QuantumState, fourier_blocks
 
 _DEFAULT_RANK_TOL = 1e-10
@@ -41,13 +42,13 @@ class BochnerReport:
 class GnsResult:
     """A representation and cyclic unit vector realizing a group function."""
 
-    rep: UnitaryRep
+    rep: reps.UnitaryRep
     state: QuantumState
     dim: int
 
 
 def is_positive_definite(
-    f: CharFunction, dec_of_regular: IrrepDecomposition, tol: float | None = None
+    f: CharFunction, dec_of_regular: reps.IrrepDecomposition, tol: float | None = None
 ) -> BochnerReport:
     """Test a candidate function blockwise over all irreps of the group.
 
@@ -66,7 +67,7 @@ def is_positive_definite(
         tol = scaled_tol(f.values)
     if not tol >= 0:
         raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
-    _require_every_irrep(f.group, dec_of_regular)
+    reps._require_every_irrep(f.group, dec_of_regular)
     blocks = fourier_blocks(f.values, dec_of_regular)
     herm_residual = max(frob(b - b.conj().T) for b in blocks)
     minima = {blk.label: min_eigenvalue(b) for blk, b in zip(dec_of_regular.blocks, blocks)}
@@ -90,10 +91,13 @@ def gns_construct(f: CharFunction, rank_tol: float = _DEFAULT_RANK_TOL) -> GnsRe
     element, with v_e the cyclic unit vector; left translation of the labels
     preserves the Gram form (X depends only on g^-1 h), so it extends to a
     unitary representation on the span.  The carrier dimension is the rank of
-    X with eigenvalues below rank_tol * (largest eigenvalue) truncated.
+    X with eigenvalues below rank_tol * (largest eigenvalue) truncated.  L(k)
+    commutes with X, so U(k) = M^dag L(k) M on each eigenvalue cluster's columns
+    M (clustered as in :func:`asymkit.decompose`), exactly zero elsewhere.
 
     Raises InvalidCharacteristicFunctionError if f is not normalized positive
-    definite, and InvalidParameterError unless 0 <= rank_tol < 1.
+    definite, InvalidParameterError unless 0 <= rank_tol < 1, and
+    NumericalDegeneracyError if chi of (U, psi) misses f (a split eigenspace).
     """
     if not 0 <= rank_tol < 1:
         raise InvalidParameterError(f"rank_tol must lie in [0, 1), got {rank_tol}")
@@ -116,14 +120,14 @@ def gns_construct(f: CharFunction, rank_tol: float = _DEFAULT_RANK_TOL) -> GnsRe
             f"candidate function is not positive definite: Gram eigenvalue {vals[0]:.3e} < 0"
         )
     keep = vals > rank_tol * top
-    lam = vals[keep]
-    m = vecs[:, keep]
-    rank = int(lam.size)
-    phi = (np.sqrt(lam)[:, None]) * m.conj().T  # columns are the embedded vectors
-    pinv = m / np.sqrt(lam)[None, :]
-    mats = np.empty((n, rank, rank), dtype=complex)
-    for k in range(n):
-        mats[k] = polar_unitary(phi[:, group.mul[k]] @ pinv)
-    rep = UnitaryRep(group, mats)
-    state = QuantumState.pure(phi[:, 0])
-    return GnsResult(rep=rep, state=state, dim=rank)
+    lam, m = vals[keep], vecs[:, keep]
+    psi = np.sqrt(lam) * m[0].conj()  # the embedded v_e
+    mats = np.zeros((n, lam.size, lam.size), dtype=complex)
+    for idx in reps._cluster_indices(lam, reps._CLUSTER_GAP * max(1.0, lam[-1] - lam[0])):
+        c = slice(idx[0], idx[-1] + 1)
+        for ks in reps._chunk_slices(n, m[:, c].nbytes):  # (L(k) M)[h] = M[k^-1 h]
+            mats[ks, c, c] = m[:, c].conj().T @ m[group.mul[group.inv[ks]], c]
+    err = float(np.abs(mats @ psi @ psi.conj() - f.values).max())
+    if not err <= tol:
+        raise NumericalDegeneracyError(f"GNS realization misses f by {err:.3e} > {tol:.3e}")
+    return GnsResult(rep=reps.UnitaryRep(group, mats), state=QuantumState.pure(psi), dim=lam.size)

@@ -40,7 +40,8 @@ class QuantumChannel:
         self.d_in = int(kraus.shape[2])
         if tol is None:
             tol = scaled_tol(kraus, base=1e-8)
-        total = np.einsum("kij,kil->jl", kraus.conj(), kraus)
+        flat = kraus.reshape(len(kraus) * self.d_out, self.d_in)  # sum K^dag K as one product
+        total = flat.conj().T @ flat
         residual = frob(total - np.eye(self.d_in))
         if not residual <= tol:
             raise ValidationError(

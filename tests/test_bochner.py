@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import asymkit as ak
+from asymkit import reps
+from helpers import perm_rep
 
 
 def translation_gram(f: ak.CharFunction) -> np.ndarray:
@@ -168,6 +170,68 @@ class TestGns:
         f = ak.CharFunction(groups["z2"], np.array([1.0, np.nan], dtype=complex))
         with pytest.raises(ak.InvalidCharacteristicFunctionError, match="Hermitian"):
             ak.gns_construct(f)
+
+
+def gram_rank(f: ak.CharFunction) -> int:
+    """Rank of the translated Gram matrix under the default rank_tol of 1e-10."""
+    spec = np.linalg.eigvalsh(translation_gram(f))
+    return int(np.sum(spec > 1e-10 * spec[-1]))
+
+
+def chi_error(f: ak.CharFunction, res: ak.GnsResult) -> float:
+    return float(np.max(np.abs(ak.charfunc(res.state, res.rep).values - f.values)))
+
+
+class TestGnsLadder:
+    """Larger groups and structured functions: the block-diagonal Gram-eigenbasis carrier."""
+
+    @pytest.mark.parametrize("make, n", [(ak.make_symmetric, 5), (ak.make_cyclic, 120)])
+    def test_full_rank_regular(self, make, n, rng):
+        group = make(n)
+        f = ak.charfunc(ak.random_pure_state(group.order, rng), ak.regular_rep(group))
+        res = ak.gns_construct(f)
+        assert chi_error(f, res) <= 1e-9
+        assert res.dim == gram_rank(f) == group.order
+
+    def test_low_rank_s5_permutation_state(self, rng):
+        s5 = ak.make_symmetric(5)
+        f = ak.charfunc(ak.random_pure_state(5, rng), perm_rep(s5))
+        res = ak.gns_construct(f)
+        assert chi_error(f, res) <= 1e-9
+        assert res.dim == gram_rank(f) == 5  # trivial + standard, one copy each
+
+    @pytest.mark.parametrize("name", ["z6", "s4"])
+    def test_delta_is_regular(self, groups, name):
+        group = groups[name]
+        f = ak.CharFunction(group, np.eye(group.order)[0].astype(complex))
+        res = ak.gns_construct(f)
+        assert res.dim == group.order
+        assert res.rep._monomial is not None
+        assert chi_error(f, res) <= 1e-9
+
+    def test_normalized_irreducible_character(self, groups, decompositions):
+        for blk in decompositions["s4"].blocks:
+            f = ak.CharFunction(groups["s4"], blk.character_per_element() / blk.dim)
+            res = ak.gns_construct(f)
+            assert res.dim == blk.dim**2
+            assert chi_error(f, res) <= 1e-9
+
+    def test_abelian_rep_is_monomial(self, regular_reps, rng):
+        f = ak.charfunc(ak.random_pure_state(16, rng), regular_reps["z16"])
+        res = ak.gns_construct(f)
+        assert res.rep._monomial is not None
+        assert chi_error(f, res) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["s3", "s4", "d4"])
+    def test_split_eigenspace_never_returned(self, monkeypatch, regular_reps, name, rng):
+        # With no clustering gap every degenerate Gram eigenspace is cut into
+        # pieces that are not invariant; that must raise, not realize chi != f.
+        monkeypatch.setattr(reps, "_CLUSTER_GAP", 0.0)
+        r = regular_reps[name]
+        for _ in range(3):
+            f = ak.charfunc(ak.random_pure_state(r.dim, rng), r)
+            with pytest.raises(ak.NumericalDegeneracyError, match="misses f"):
+                ak.gns_construct(f)
 
 
 class TestPerturbationRejection:

@@ -522,13 +522,16 @@ def malformed_monomial(kind):
     return z4, phases[:, :, None] * np.eye(2), "homomorphism"
 
 
+def residual_rows(group, mats, form):
+    """The library's unitarity and homomorphism rows, given a monomial form or block slices."""
+    if not isinstance(form, tuple):
+        form = reps._block_stacks(mats, form)
+    rows = list(reps._homomorphism_residuals(mats, group.mul, form))
+    return reps._unitarity_residuals(mats, form), np.array(rows)
+
+
 class TestMonomialPath:
     """The index-and-phase path for monomial reps against dense products."""
-
-    @staticmethod
-    def residuals(group, mats, form):
-        rows = list(reps._homomorphism_residuals(mats, group.mul, form))
-        return reps._unitarity_residuals(mats, form), np.array(rows)
 
     @pytest.mark.parametrize("conjugate", [False, True], ids=["monomial", "haar-conjugated"])
     @pytest.mark.parametrize("name", MONOMIAL_REPS)
@@ -538,10 +541,10 @@ class TestMonomialPath:
         if conjugate:
             v = haar_unitary(r.dim, rng)
             mats = v @ mats @ v.conj().T
-        form = reps._monomial_form(mats)
-        assert (form is None) == conjugate
+        form = reps._sparsity_form(mats)
+        assert isinstance(form, list) == conjugate
         _, unitarity, homomorphism = dense_rep_residuals(r.group.mul, mats)
-        got_unitarity, got_homomorphism = self.residuals(r.group, mats, form)
+        got_unitarity, got_homomorphism = residual_rows(r.group, mats, form)
         tol = 1e-14 * max(1.0, frob(mats))
         assert np.max(np.abs(got_unitarity - unitarity)) <= tol
         assert np.max(np.abs(got_homomorphism - homomorphism)) <= tol
@@ -549,15 +552,15 @@ class TestMonomialPath:
     @pytest.mark.parametrize("kind", ["identity-slot", "phase-modulus", "swapped", "half-weight"])
     def test_malformed_rejected_alike(self, kind):
         group, mats, fragment = malformed_monomial(kind)
-        form = reps._monomial_form(mats)
-        assert form is not None
+        form = reps._sparsity_form(mats)
+        assert isinstance(form, tuple)
         with pytest.raises(ak.ValidationError, match=fragment) as monomial:
             ak.UnitaryRep(group, mats)
-        with pytest.raises(ak.ValidationError) as dense:
-            reps._validate_rep(group, mats, scaled_tol(mats), None)
+        with pytest.raises(ak.ValidationError) as dense:  # one block: the dense case
+            reps._validate_rep(group, mats, scaled_tol(mats), [slice(0, mats.shape[1])])
         assert str(monomial.value) == str(dense.value)
         _, unitarity, homomorphism = dense_rep_residuals(group.mul, mats)
-        got_unitarity, got_homomorphism = self.residuals(group, mats, form)
+        got_unitarity, got_homomorphism = residual_rows(group, mats, form)
         tol = 1e-14 * max(1.0, frob(mats))
         assert np.max(np.abs(got_unitarity - unitarity)) <= tol
         assert np.max(np.abs(got_homomorphism - homomorphism)) <= tol
@@ -570,12 +573,12 @@ class TestMonomialPath:
         s4 = ak.make_symmetric(4)
         mats = ak.regular_rep(s4).mats.copy()
         mats[7] *= -1
-        assert reps._monomial_form(mats) is not None
+        assert isinstance(reps._sparsity_form(mats), tuple)
         if rows_per_chunk is not None:
             monkeypatch.setattr(reps, "_STACK_BYTES", rows_per_chunk * 24 * 24 * 16)
             assert len(reps._chunk_slices(24, 24 * 24 * 16)) == -(-24 // rows_per_chunk)
         _, _, homomorphism = dense_rep_residuals(s4.mul, mats)
-        _, got = self.residuals(s4, mats, reps._monomial_form(mats))
+        _, got = residual_rows(s4, mats, reps._sparsity_form(mats))
         assert np.max(np.abs(got - homomorphism)) <= 1e-12
         first = int(np.flatnonzero(homomorphism.max(axis=1) > scaled_tol(mats))[0])
         assert first == 1
@@ -616,4 +619,118 @@ class TestMonomialPath:
         ids=["two-in-one-column", "empty-row", "tiny-off-diagonal"],
     )
     def test_detection_rejects(self, m):
-        assert reps._monomial_form(np.array([np.eye(len(m)), m], dtype=complex)) is None
+        form = reps._sparsity_form(np.array([np.eye(len(m)), m], dtype=complex))
+        assert not isinstance(form, tuple)
+
+
+def conjugated(r, rng):
+    """V U(g) V^dag for a Haar-random V: dense, with no exact zeros."""
+    v = haar_unitary(r.dim, rng)
+    return v @ r.mats @ v.conj().T
+
+
+@pytest.fixture(scope="module")
+def block_reps(groups, regular_reps):
+    """Non-monomial reps, each as (group, mats), and the blocks it must split into."""
+    rng = np.random.default_rng(11)
+    out = {}
+    for name, group in (
+        ("s3", groups["s3"]),
+        ("s4", groups["s4"]),
+        ("d4", groups["d4"]),
+        ("d6", ak.make_dihedral(6)),
+    ):
+        f = ak.charfunc(ak.random_pure_state(group.order, rng), ak.regular_rep(group))
+        mats = ak.gns_construct(f).rep.mats
+        out[f"{name} gns"] = (group, mats, None)
+    s3 = groups["s3"]
+    big = ak.UnitaryRep(s3, conjugated(regular_reps["s3"], rng))
+    small = ak.UnitaryRep(s3, conjugated(perm_rep(s3), rng))
+    out["s3 dense 6 + dense 3"] = (s3, ak.direct_sum_rep(big, small).mats, [(0, 6), (6, 9)])
+    out["s3 dense"] = (s3, big.mats, [(0, 6)])
+    return out
+
+
+BLOCK_REPS = ["s3 gns", "s4 gns", "d4 gns", "d6 gns", "s3 dense 6 + dense 3", "s3 dense"]
+
+
+class TestBlockPath:
+    """Block-by-block validation of non-monomial reps against dense products."""
+
+    def assert_rows_match_dense(self, group, mats, form):
+        _, unitarity, homomorphism = dense_rep_residuals(group.mul, mats)
+        got_unitarity, got_homomorphism = residual_rows(group, mats, form)
+        assert np.max(np.abs(got_unitarity - unitarity)) <= 1e-12
+        assert np.max(np.abs(got_homomorphism - homomorphism)) <= 1e-12
+
+    @pytest.mark.parametrize("name", BLOCK_REPS)
+    def test_residuals_match_dense_reference(self, block_reps, name):
+        group, mats, blocks = block_reps[name]
+        form = reps._sparsity_form(mats)
+        assert isinstance(form, list)
+        spans = [(sl.start, sl.stop) for sl in form]
+        if blocks is None:  # a GNS rep: one block per Gram eigenvalue cluster
+            assert len(spans) > 1
+        else:
+            assert spans == blocks
+        self.assert_rows_match_dense(group, mats, form)
+
+    def test_mixed_state_function_on_z6(self, regular_reps, rng):
+        # abelian, so the GNS rep is diagonal and takes the monomial path;
+        # its 1x1 blocks through the block path give the same rows
+        r = regular_reps["z6"]
+        mats = ak.gns_construct(ak.charfunc(ak.random_mixed_state(6, rng), r)).rep.mats
+        assert isinstance(reps._sparsity_form(mats), tuple)
+        assert np.count_nonzero(mats - np.einsum("gii->gi", mats)[:, :, None] * np.eye(6)) == 0
+        self.assert_rows_match_dense(r.group, mats, [slice(i, i + 1) for i in range(6)])
+
+    @pytest.mark.parametrize("stack_bytes", [1, 3000, None])
+    def test_chunked_stacks(self, monkeypatch, block_reps, stack_bytes):
+        if stack_bytes is not None:
+            monkeypatch.setattr(reps, "_STACK_BYTES", stack_bytes)
+        for name in ("s4 gns", "s3 dense 6 + dense 3"):
+            group, mats, _ = block_reps[name]
+            self.assert_rows_match_dense(group, mats, reps._sparsity_form(mats))
+
+    def test_corrupted_block_named(self, block_reps):
+        # flip the sign of the last block of U(7): still unitary, and the first
+        # failing row is the dense oracle's, with the one-block (dense) message
+        group, mats, _ = block_reps["s4 gns"]
+        mats = mats.copy()
+        last = reps._sparsity_form(mats)[-1]
+        mats[7, last, last] *= -1
+        _, _, homomorphism = dense_rep_residuals(group.mul, mats)
+        tol = scaled_tol(mats)
+        first = int(np.flatnonzero(homomorphism.max(axis=1) > tol)[0])
+        with pytest.raises(ak.ValidationError, match=f"at element {first}: residual ") as blocks:
+            ak.UnitaryRep(group, mats)
+        with pytest.raises(ak.ValidationError) as dense:
+            reps._validate_rep(group, mats, tol, [slice(0, mats.shape[1])])
+        assert str(blocks.value) == str(dense.value)
+
+    @pytest.mark.parametrize("at", [(0, 8), (8, 0)], ids=["upper", "lower"])
+    def test_tiny_entry_joins_blocks(self, block_reps, at):
+        group, mats, _ = block_reps["s3 dense 6 + dense 3"]
+        mats = mats.copy()
+        mats[(1, *at)] = 1e-300
+        form = reps._sparsity_form(mats)
+        assert form == [slice(0, 9)]
+        ak.UnitaryRep(group, mats)
+        self.assert_rows_match_dense(group, mats, form)
+
+    def test_interleaved_blocks_are_one(self, block_reps):
+        group, mats, _ = block_reps["s3 dense 6 + dense 3"]
+        order = [0, 6, 1, 7, 2, 8, 3, 4, 5]
+        mats = mats[:, order][:, :, order]
+        form = reps._sparsity_form(mats)
+        assert form == [slice(0, 9)]
+        ak.UnitaryRep(group, mats)
+        self.assert_rows_match_dense(group, mats, form)
+
+    def test_zero_dimensional_rep(self, groups):
+        mats = np.zeros((4, 0, 0), dtype=complex)
+        assert reps._sparsity_form(mats) == []
+        unitarity, homomorphism = residual_rows(groups["z4"], mats, [])
+        assert unitarity.shape == (4,) and homomorphism.shape == (4, 4)
+        assert not unitarity.any() and not homomorphism.any()
+        ak.UnitaryRep(groups["z4"], mats)
