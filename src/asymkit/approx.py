@@ -46,14 +46,13 @@ class OverlapReport:
     bound_charfunc_per_mu: float
 
 
-def fidelity(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> float:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Uhlmann fidelity of two PSD matrices: trace norm of sqrt(a) sqrt(b)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatchError("fidelity requires equally sized matrices")
-    if tol is None:
-        tol = scaled_tol(a, b, base=1e-8)
+    tol = scaled_tol(a, b, base=1e-8)
     assert_psd(a, tol, what="fidelity argument")
     assert_psd(b, tol, what="fidelity argument")
     return trace_norm(psd_sqrt(a, tol) @ psd_sqrt(b, tol))

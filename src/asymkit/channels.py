@@ -29,7 +29,7 @@ class QuantumChannel:
 
     __slots__ = ("kraus", "d_in", "d_out")
 
-    def __init__(self, kraus, *, tol: float | None = None):
+    def __init__(self, kraus):
         kraus = np.asarray(kraus, dtype=complex)
         if kraus.ndim != 3:
             raise DimensionMismatchError("kraus must have shape (k, d_out, d_in)")
@@ -38,12 +38,10 @@ class QuantumChannel:
         self.kraus = kraus
         self.d_out = int(kraus.shape[1])
         self.d_in = int(kraus.shape[2])
-        if tol is None:
-            tol = scaled_tol(kraus, base=1e-8)
         flat = kraus.reshape(len(kraus) * self.d_out, self.d_in)  # sum K^dag K as one product
         total = flat.conj().T @ flat
         residual = frob(total - np.eye(self.d_in))
-        if not residual <= tol:
+        if not residual <= scaled_tol(kraus, base=1e-8):
             raise ValidationError(
                 "trace preservation invariant violated: sum K^dag K != I "
                 f"(residual {residual:.3e})"

@@ -89,51 +89,28 @@ def gram(states: list[QuantumState]) -> np.ndarray:
     return x
 
 
-def unitary_set_interconversion(
-    a: list[QuantumState], b: list[QuantumState], tol: float = 1e-8
-) -> np.ndarray | None:
+def unitary_set_interconversion(a: list[QuantumState], b: list[QuantumState]) -> np.ndarray | None:
     """A unitary V with V psi_i = phi_i for all i, or None.
 
-    Such a V exists iff the two Gram matrices agree.  Construction: factor the
-    common Gram matrix, map the orthonormalized column spans onto each other,
-    and extend arbitrarily on the orthogonal complements.
+    Such a V exists iff the two Gram matrices agree (entrywise within 1e-8).
+    Construction: with A = [psi_i] = E_a S F^dag and an equal Gram matrix,
+    B = [phi_i] = E_b S F^dag, so B A^dag = E_b S^2 E_a^dag and its unitary
+    polar factor maps span(a) onto span(b) as required, completed on the
+    orthogonal complements.
     """
     if len(a) != len(b):
         raise DimensionMismatchError("both sets must contain the same number of states")
-    xa = gram(a)
-    xb = gram(b)
-    if np.max(np.abs(xa - xb)) > tol:
+    if np.max(np.abs(gram(a) - gram(b))) > 1e-8:
         return None
     va = np.array([s.vec for s in a]).T  # d x n, columns psi_i
     vb = np.array([s.vec for s in b]).T
-    dim = va.shape[0]
-    vals, vecs = np.linalg.eigh(xa)
-    keep = vals > max(tol, 1e-12) * max(vals[-1], 1.0)
-    m = vecs[:, keep]
-    lam = vals[keep]
-    ea = va @ (m / np.sqrt(lam))  # orthonormal basis of span(a)
-    eb = vb @ (m / np.sqrt(lam))
-    v = eb @ ea.conj().T + _complement_basis(eb) @ _complement_basis(ea).conj().T
-    v = polar_unitary(v)
-    worst = max(np.linalg.norm(v @ va[:, i] - vb[:, i]) for i in range(va.shape[1]))
-    if worst > max(100 * tol, 1e-7) * max(1.0, np.sqrt(dim)):
+    v = polar_unitary(vb @ va.conj().T)
+    worst = float(np.linalg.norm(v @ va - vb, axis=0).max())
+    if worst > 1e-6 * max(1.0, np.sqrt(va.shape[0])):
         raise ValidationError(
             f"interconversion witness failed its mapping bound: residual {worst:.3e}"
         )
     return v
-
-
-def _complement_basis(e: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the columns of e.
-
-    e must have orthonormal columns; the trailing left singular vectors of
-    the full SVD then span the complement exactly.
-    """
-    d, r = e.shape
-    if r >= d:
-        return np.zeros((d, 0), dtype=complex)
-    u, _, _ = np.linalg.svd(e, full_matrices=True)
-    return u[:, r:]
 
 
 def decide_unitary_g_equivalence(
@@ -212,14 +189,13 @@ def decide_g_equivalence(
     return EquivalenceVerdict(EquivalenceStatus.INCONCLUSIVE, certificate=cert)
 
 
-def u1_shift_equivalence(
-    w_psi: WeightState, w_phi: WeightState, tol: float = 1e-9
-) -> int | None:
+def u1_shift_equivalence(w_psi: WeightState, w_phi: WeightState) -> int | None:
     """Integer Delta with p_psi(n) = p_phi(n + Delta) for all n, or None.
 
-    Weight distributions that are rigid shifts of each other are exactly the
-    phase-symmetry-equivalent pure states of the weight model; the matching
-    one-dimensional representation is the pure phase of weight Delta.
+    Probabilities are compared within 1e-9.  Weight distributions that are
+    rigid shifts of each other are exactly the phase-symmetry-equivalent pure
+    states of the weight model; the matching one-dimensional representation
+    is the pure phase of weight Delta.
     """
     supp_psi = sorted(w_psi.weights)
     supp_phi = sorted(w_phi.weights)
@@ -227,7 +203,7 @@ def u1_shift_equivalence(
         return None
     delta = supp_phi[0] - supp_psi[0]
     for n, p in w_psi.weights.items():
-        if abs(w_phi.weights.get(n + delta, 0.0) - p) > tol:
+        if abs(w_phi.weights.get(n + delta, 0.0) - p) > 1e-9:
             return None
     return delta
 
@@ -237,7 +213,6 @@ def extend_isometry_to_ginv_unitary(
     proj: np.ndarray,
     r: UnitaryRep,
     dec: IrrepDecomposition | None = None,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Complete an invariant partial isometry to an invariant unitary.
 
@@ -254,12 +229,12 @@ def extend_isometry_to_ginv_unitary(
     if w.shape != (d, d) or proj.shape != (d, d):
         raise DimensionMismatchError("isometry and projector must be d x d for the rep")
     wp = w @ proj
-    if frob(proj @ w.conj().T @ wp - proj) > max(tol, scaled_tol(proj)):
+    if frob(proj @ w.conj().T @ wp - proj) > max(1e-8, scaled_tol(proj)):
         raise NotInvariantIsometryError(
             "precondition violated: proj W^dag W proj = proj (W is not isometric on the support)"
         )
     worst = float(_frob_each(wp @ r.mats - r.mats @ wp).max())
-    if worst > max(tol, scaled_tol(wp)):
+    if worst > max(1e-8, scaled_tol(wp)):
         raise NotInvariantIsometryError(
             f"precondition violated: [W proj, U(g)] = 0 fails with residual {worst:.3e}"
         )

@@ -26,10 +26,6 @@ from .errors import (
 
 GROUP_ORDER_CAP = 720
 
-# Associativity is checked exhaustively up to this order, sampled above it.
-_EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 64
-_SAMPLED_TRIPLES_FACTOR = 10
-
 
 class GroupTable:
     """A finite group given by its full multiplication table.
@@ -119,19 +115,22 @@ def _validate_table(mul: np.ndarray) -> None:
         raise ValidationError("row permutation invariant violated")
     if not (np.sort(mul, axis=0) == idx[:, None]).all():
         raise ValidationError("column permutation invariant violated")
-    if n <= _EXHAUSTIVE_ASSOCIATIVITY_LIMIT:
-        left = mul[mul]  # left[a,b,c] = mul[mul[a,b], c]
-        right = np.take(mul, mul, axis=1)  # right[a,b,c] = mul[a, mul[b,c]]
-        if not np.array_equal(left, right):
+    # Light's test, exact: the s with (xy)s = x(ys) for all x, y are closed under
+    # products ((xy)(st) = ((xy)s)t = (x(ys))t = x((ys)t) = x(y(st))), so checking
+    # each s of a generating set, picked greedily, covers every triple.
+    reached = idx == 0
+    while not reached.all():
+        s = int(np.argmin(reached))  # the least element not yet reached
+        if not np.array_equal(mul[mul, s], mul[:, mul[:, s]]):
             raise ValidationError("associativity invariant violated")
-    else:
-        rng = np.random.default_rng(0)
-        m = _SAMPLED_TRIPLES_FACTOR * n * n
-        a = rng.integers(0, n, size=m)
-        b = rng.integers(0, n, size=m)
-        c = rng.integers(0, n, size=m)
-        if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
-            raise ValidationError("associativity invariant violated (sampled check)")
+        reached[s] = True
+        members = np.flatnonzero(reached)
+        while members.size < n:  # square the reached set until it is closed under products
+            reached[mul[np.ix_(members, members)]] = True
+            grown = np.flatnonzero(reached)
+            if grown.size == members.size:
+                break
+            members = grown
 
 
 def _compute_inverses(mul: np.ndarray) -> np.ndarray:

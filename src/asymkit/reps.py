@@ -61,7 +61,7 @@ class UnitaryRep:
 
     __slots__ = ("group", "dim", "mats", "_monomial")
 
-    def __init__(self, group: GroupTable, mats, *, tol: float | None = None):
+    def __init__(self, group: GroupTable, mats):
         mats = np.asarray(mats, dtype=complex)
         if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
             raise DimensionMismatchError(
@@ -74,9 +74,7 @@ class UnitaryRep:
         self.mats = mats
         form = _sparsity_form(mats)
         self._monomial = form if isinstance(form, tuple) else None
-        if tol is None:
-            tol = scaled_tol(mats)
-        _validate_rep(group, mats, tol, form)
+        _validate_rep(group, mats, scaled_tol(mats), form)
         self.mats.setflags(write=False)
 
     def character(self) -> np.ndarray:
@@ -382,7 +380,7 @@ class _Retry(Exception):
     """Internal: current random splitting ran into a degeneracy; reseed."""
 
 
-def decompose(r: UnitaryRep, seed: int = 0, *, tol: float | None = None) -> IrrepDecomposition:
+def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     """Decompose a unitary representation into irreducible blocks.
 
     Strategy: the group average of a random Hermitian matrix lies in the
@@ -397,8 +395,9 @@ def decompose(r: UnitaryRep, seed: int = 0, *, tol: float | None = None) -> Irre
     the group, so one attempt costs O(|G| d^3).
 
     Deterministic for a fixed seed.  Eigenvalue collisions across
-    inequivalent irreps are detected by the built-in verification and
-    resolved by reseeding; five failures raise NumericalDegeneracyError.
+    inequivalent irreps are detected by the built-in verification (residual
+    at most max(1e-8, 1e-9 ||mats||, 1e-10 d)) and resolved by reseeding;
+    five failures raise NumericalDegeneracyError.
 
     Parameters
     ----------
@@ -406,12 +405,8 @@ def decompose(r: UnitaryRep, seed: int = 0, *, tol: float | None = None) -> Irre
         The representation to split.
     seed : int
         Seed for the random probes; the only source of randomness.
-    tol : float, optional
-        Acceptance tolerance for the final verification; defaults to the
-        package-wide relative tolerance.
     """
-    if tol is None:
-        tol = max(scaled_tol(r.mats), 1e-10 * r.dim)
+    tol = max(scaled_tol(r.mats), 1e-10 * r.dim, 1e-8)
     last_error = "no attempt made"
     for attempt in range(_MAX_DECOMPOSE_RETRIES):
         rng = np.random.default_rng((int(seed), attempt))
@@ -421,7 +416,7 @@ def decompose(r: UnitaryRep, seed: int = 0, *, tol: float | None = None) -> Irre
             last_error = str(exc)
             continue
         residual = dec.reconstruction_residual()
-        if residual > max(tol, 1e-8):
+        if residual > tol:
             last_error = f"reconstruction residual {residual:.3e}"
             continue
         return dec

@@ -37,15 +37,13 @@ class QuantumState:
 
     __slots__ = ("kind", "dim", "vec", "rho")
 
-    def __init__(self, kind: str, data, *, tol: float | None = None):
+    def __init__(self, kind: str, data):
         data = np.asarray(data, dtype=complex)
         if kind == "pure":
             if data.ndim != 1:
                 raise ValidationError("pure state data must be a vector")
-            if tol is None:
-                tol = 1e-8
             nrm = np.linalg.norm(data)
-            if not abs(nrm - 1.0) <= tol:
+            if not abs(nrm - 1.0) <= 1e-8:
                 raise ValidationError(
                     f"pure state invariant violated: ||vec|| = {nrm:.12f}, must be 1"
                 )
@@ -55,8 +53,7 @@ class QuantumState:
         elif kind == "mixed":
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise ValidationError("mixed state data must be a square matrix")
-            if tol is None:
-                tol = scaled_tol(data, base=1e-8)
+            tol = scaled_tol(data, base=1e-8)
             assert_psd(data, tol, what="density matrix")
             tr = np.trace(data).real
             if abs(tr - 1.0) > tol:
@@ -127,9 +124,6 @@ class CharFunction:
                 "characteristic function needs one value per group element"
             )
 
-    def value(self, g: int) -> complex:
-        return complex(self.values[g])
-
 
 @dataclass(eq=False)
 class IrrepReduction:
@@ -142,9 +136,6 @@ class IrrepReduction:
         self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]
         if len(self.labels) != len(self.blocks):
             raise ValidationError("reduction needs one label per block")
-
-    def block(self, label: int) -> np.ndarray:
-        return self.blocks[self.labels.index(label)]
 
     def traces(self) -> np.ndarray:
         return np.array([np.trace(b).real for b in self.blocks])

@@ -25,7 +25,7 @@ def trace_distance_fidelity_check(a: np.ndarray, b: np.ndarray) -> bool:
     assert_psd(a, tol, what="inequality argument")
     assert_psd(b, tol, what="inequality argument")
     lhs = trace_norm(a - b)
-    rhs = float(np.trace(a).real + np.trace(b).real) - 2.0 * ak.fidelity(a, b, tol)
+    rhs = float(np.trace(a).real + np.trace(b).real) - 2.0 * ak.fidelity(a, b)
     return lhs >= rhs - 10 * tol
 
 

@@ -29,7 +29,8 @@ class TestPositiveDefinite:
         f = ak.CharFunction(groups["z2"], np.array([1.0, -3.0], dtype=complex))
         report = ak.is_positive_definite(f, decompositions["z2"])
         assert not report.positive_definite
-        assert abs(report.min_eigenvalue - (-1.0)) < 1e-12
+        # Gram units: X = [[1, -3], [-3, 1]] has eigenvalue -2 = (|G|/d) * (-1)
+        assert abs(report.min_eigenvalue - (-2.0)) < 1e-12
         # the offending block is the trivial one (all-ones character)
         blk = next(
             b
@@ -101,6 +102,79 @@ class TestPositiveDefinite:
             assert report.positive_definite == oracle
 
 
+@pytest.fixture(scope="module")
+def sweep_decs():
+    made = {"s4": ak.make_symmetric(4), "d5": ak.make_dihedral(5), "z12": ak.make_cyclic(12),
+            "z120": ak.make_cyclic(120)}
+    return {name: ak.decompose(ak.regular_rep(g), seed=0) for name, g in made.items()}
+
+
+def gram_threshold(values: np.ndarray) -> float:
+    """The Bochner threshold 1e-9 * max(1, ||X||_F), with ||X||_F = sqrt(|G|) ||f||."""
+    return 1e-9 * max(1.0, np.sqrt(values.size) * np.linalg.norm(values))
+
+
+def with_block_eigenvalue(chi: ak.CharFunction, dec, index: int, lam: float) -> ak.CharFunction:
+    """chi with the least eigenvalue of Fourier block `index` set to lam, scaled to f(e) = 1."""
+    blocks = ak.states.fourier_blocks(chi.values, dec)
+    w, v = np.linalg.eigh(blocks[index])
+    w[0] = lam
+    blocks[index] = (v * w) @ v.conj().T
+    total = sum(np.trace(b).real for b in blocks)
+    red = ak.IrrepReduction([b.label for b in dec.blocks], [b / total for b in blocks])
+    return ak.charfunc_from_reduction(red, dec)
+
+
+def agreed_verdict(f: ak.CharFunction, dec) -> bool:
+    """The verdict of both Bochner entry points, asserting that they agree and
+    that the report is in Gram units."""
+    report = ak.is_positive_definite(f, dec)
+    try:
+        ak.gns_construct(f)
+        realizable = True
+    except ak.InvalidCharacteristicFunctionError:
+        realizable = False
+    assert report.positive_definite == realizable
+    x = translation_gram(f)
+    n = f.group.order
+    assert abs(report.min_eigenvalue - np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0]) <= 1e-12 * n
+    assert abs(report.hermiticity_residual - np.linalg.norm(x - x.conj().T)) <= 1e-12 * n
+    return realizable
+
+
+class TestOneRule:
+    """is_positive_definite and gns_construct decide with one rule, in Gram units."""
+
+    @pytest.mark.parametrize("c", [-10.0, -2.0, -0.5, 0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("name", ["s4", "d5", "z12"])
+    def test_block_eigenvalue_at_threshold_multiples(self, sweep_decs, name, c, rng):
+        # One block eigenvalue at gamma = c * t, all others far above: PD iff c > -1.
+        dec = sweep_decs[name]
+        n = dec.rep.group.order
+        chi = ak.charfunc(ak.random_pure_state(n, rng), dec.rep)
+        t = gram_threshold(chi.values)
+        for index in (0, len(dec.blocks) - 1):
+            lam = c * t * dec.blocks[index].dim / n
+            assert agreed_verdict(with_block_eigenvalue(chi, dec, index, lam), dec) == (c > -1)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("name", ["s4", "d5", "z12"])
+    def test_hermiticity_residual_at_threshold_multiples(self, sweep_decs, name, c, rng):
+        # f(g) += eps at one g != g^-1 gives ||X - X^dag||_F = sqrt(2|G|) |eps| = c * t.
+        dec = sweep_decs[name]
+        group = dec.rep.group
+        vals = ak.charfunc(ak.random_pure_state(group.order, rng), dec.rep).values.copy()
+        g = next(k for k in range(group.order) if group.inv[k] != k)
+        vals[g] += 1j * c * gram_threshold(vals) / np.sqrt(2 * group.order)
+        assert agreed_verdict(ak.CharFunction(group, vals), dec) == (c < 1)
+
+    def test_z120_dented_block_rejected_by_both(self, sweep_decs, rng):
+        # A 1-dim block at -1e-9 is a Gram eigenvalue of -1.2e-7, about -8 t.
+        dec = sweep_decs["z120"]
+        chi = ak.charfunc(ak.random_pure_state(120, rng), dec.rep)
+        assert not agreed_verdict(with_block_eigenvalue(chi, dec, 60, -1e-9), dec)
+
+
 class TestGns:
     def test_one_dim_rep_recovered(self, groups, decompositions):
         om = ak.one_dim_reps(groups["z6"], decompositions["z6"])[2]
@@ -160,12 +234,6 @@ class TestGns:
         with pytest.raises(ak.InvalidCharacteristicFunctionError):
             ak.gns_construct(f)
 
-    @pytest.mark.parametrize("rank_tol", [-1.0, np.nan, 1.0])
-    def test_rank_tol_checked(self, groups, decompositions, rank_tol):
-        om = ak.one_dim_reps(groups["z6"], decompositions["z6"])[1]
-        with pytest.raises(ak.InvalidParameterError, match="rank_tol"):
-            ak.gns_construct(ak.CharFunction(groups["z6"], om), rank_tol=rank_tol)
-
     def test_nan_rejected(self, groups):
         f = ak.CharFunction(groups["z2"], np.array([1.0, np.nan], dtype=complex))
         with pytest.raises(ak.InvalidCharacteristicFunctionError, match="Hermitian"):
@@ -173,7 +241,7 @@ class TestGns:
 
 
 def gram_rank(f: ak.CharFunction) -> int:
-    """Rank of the translated Gram matrix under the default rank_tol of 1e-10."""
+    """Rank of the translated Gram matrix under the GNS truncation at 1e-10 of the top."""
     spec = np.linalg.eigvalsh(translation_gram(f))
     return int(np.sum(spec > 1e-10 * spec[-1]))
 

@@ -115,7 +115,7 @@ class TestCommands:
         assert code == 0
         result = json.loads(out)["result"]["bochner"]
         assert result["positive_definite"] is False
-        assert abs(result["min_eigenvalue"] - (-1.0)) < 1e-9
+        assert abs(result["min_eigenvalue"] - (-2.0)) < 1e-9  # Gram units: 2 * (-1)
 
     def test_gns_round_trip(self, workdir, capsys):
         vals = 0.5 * (1 + np.exp(2j * np.pi * np.arange(16) / 16))

@@ -80,6 +80,20 @@ class TestSetInterconversion:
             )
             assert worst <= 1e-9
 
+    @pytest.mark.parametrize("count, dim, rank", [(30, 24, 5), (8, 6, 6), (12, 4, 2)])
+    def test_overcomplete_rank_deficient_set(self, rng, count, dim, rank):
+        # More states than the span's dimension, spanning only `rank` dimensions.
+        basis = haar_unitary(dim, rng)[:, :rank]
+        states = [
+            ak.QuantumState.pure(basis @ c / np.linalg.norm(c))
+            for c in rng.normal(size=(count, rank)) + 1j * rng.normal(size=(count, rank))
+        ]
+        w = haar_unitary(dim, rng)
+        targets = [ak.QuantumState.pure(w @ s.vec) for s in states]
+        v = ak.unitary_set_interconversion(states, targets)
+        assert frob(v @ v.conj().T - np.eye(dim)) <= 1e-12
+        assert max(np.linalg.norm(v @ s.vec - t.vec) for s, t in zip(states, targets)) <= 1e-12
+
 
 class TestUnitaryGEquivalence:
     def test_positive_with_witness(self, decompositions, rng):

@@ -206,6 +206,22 @@ class TestValidation:
         with pytest.raises(ak.ValidationError):
             ak.GroupTable(mul)
 
+    @pytest.mark.parametrize("n", [10, 66])
+    def test_intercalate_loop_rejected(self, n):
+        # Swapping the 2x2 subsquare {1, 1 + n/2}^2 of the Z_n table keeps a
+        # Latin square with identity (a loop), but not an associative one.
+        mul = ak.make_cyclic(n).mul.copy()
+        a, b = 1, 1 + n // 2
+        mul[[a, a, b, b], [a, b, a, b]] = mul[[a, a, b, b], [b, a, b, a]]
+        with pytest.raises(ak.ValidationError, match="associativity"):
+            ak.GroupTable(mul)
+
+    @pytest.mark.parametrize(
+        "make, n", [(ak.make_symmetric, 6), (ak.make_dihedral, 360), (ak.make_cyclic, 720)]
+    )
+    def test_largest_groups_accepted(self, make, n):
+        assert make(n).order == ak.GROUP_ORDER_CAP
+
     def test_order_cap(self):
         with pytest.raises(ak.SizeLimitError):
             ak.make_cyclic(721)

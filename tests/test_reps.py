@@ -276,11 +276,6 @@ class TestRepValidation:
         with pytest.raises(ak.ValidationError, match="non-finite"):
             ak.UnitaryRep(group, mats)
 
-    def test_nan_tolerance_fails_closed(self, regular_reps):
-        r = regular_reps["z4"]
-        with pytest.raises(ak.ValidationError):
-            ak.UnitaryRep(r.group, r.mats, tol=float("nan"))
-
 
 class TestDegeneracyPath:
     def test_retries_then_raises(self, regular_reps, monkeypatch):
