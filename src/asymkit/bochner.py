@@ -27,7 +27,9 @@ _RANK_TOL = 1e-10
 def _gram_rule(f: CharFunction, base: float = RTOL) -> tuple[float, float]:
     """(||X - X^dag||_F, t = base * max(1, ||X||_F)) in O(|G|), as sqrt|G| times
     ||f - f~|| (f~(g) = conj f(g^-1)) and ||f||.  f is positive definite iff the
-    residual is <= t and every Gram eigenvalue is >= -t."""
+    residual is <= t and every Gram eigenvalue is >= -t; a NaN or infinite f raises."""
+    if not np.isfinite(f.values).all():
+        raise InvalidCharacteristicFunctionError("candidate function has a NaN or infinite value")
     root_n = f.group.order**0.5
     residual = root_n * frob(f.values - f.values[f.group.inv].conj())
     return residual, base * max(1.0, root_n * frob(f.values))
@@ -72,8 +74,6 @@ def is_positive_definite(
     affect positive definiteness.  A negative tol raises InvalidParameterError,
     a NaN or infinite value of f InvalidCharacteristicFunctionError.
     """
-    if not np.isfinite(f.values).all():
-        raise InvalidCharacteristicFunctionError("candidate function has a NaN or infinite value")
     if not (tol is None or tol >= 0):
         raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
     reps._require_every_irrep(f.group, dec_of_regular)
@@ -102,11 +102,11 @@ def gns_construct(f: CharFunction) -> GnsResult:
     unitary representation on the span.  The carrier dimension is the rank of
     X with eigenvalues below 1e-10 * (largest eigenvalue) truncated.  L(k)
     commutes with X, so U(k) = M^dag L(k) M on each eigenvalue cluster's columns
-    M (clustered as in :func:`asymkit.decompose`), exactly zero elsewhere.
+    M (split at gaps over 1e-6 of the spread), exactly zero elsewhere.
 
-    Raises InvalidCharacteristicFunctionError if f is not normalized positive
-    definite under the module's Gram rule, and NumericalDegeneracyError if chi
-    of (U, psi) misses f (a split eigenspace).
+    Raises InvalidCharacteristicFunctionError if f has a NaN or infinite value or
+    is not normalized positive definite under the module's Gram rule, and
+    NumericalDegeneracyError if chi of (U, psi) misses f (a split eigenspace).
     """
     group = f.group
     n = group.order
@@ -129,8 +129,8 @@ def gns_construct(f: CharFunction) -> GnsResult:
     lam, m = vals[keep], vecs[:, keep]
     psi = np.sqrt(lam) * m[0].conj()  # the embedded v_e
     mats = np.zeros((n, lam.size, lam.size), dtype=complex)
-    for idx in reps._cluster_indices(lam, reps._CLUSTER_GAP * max(1.0, lam[-1] - lam[0])):
-        c = slice(idx[0], idx[-1] + 1)
+    cuts = np.flatnonzero(np.diff(lam) > reps._CLUSTER_GAP * max(1.0, lam[-1] - lam[0])) + 1
+    for c in map(slice, np.r_[0, cuts], np.r_[cuts, lam.size]):
         for ks in reps._chunk_slices(n, m[:, c].nbytes):  # (L(k) M)[h] = M[k^-1 h]
             mats[ks, c, c] = m[:, c].conj().T @ m[group.mul[group.inv[ks]], c]
     err = float(np.abs(mats @ psi @ psi.conj() - f.values).max())

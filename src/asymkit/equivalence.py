@@ -170,7 +170,7 @@ def decide_g_equivalence(
     omega matches and both characteristic functions vanish nowhere, the
     states are provably inequivalent; if either vanishes somewhere, the
     inequivalence argument does not apply and the verdict is Inconclusive.
-    dec_regular defaults to the group's regular decomposition, made once per group.
+    The omegas come from dec_regular if given, else from the group's character table.
     """
     _require_pure(psi, phi)
     chi_psi = charfunc(psi, r).values

@@ -9,10 +9,10 @@ with d_mu the block dimension and n_mu its multiplicity.  Within one block the
 basis is ordered so that index m * n_mu + n means (irrep row m, copy n); all
 sector bookkeeping in the package leans on that layout.
 
-Block ordering is canonical - ascending d_mu, ties broken on the character
-vector over the canonical conjugacy-class order - so decompositions of the
-same representation are comparable across runs and seeds.  The irrep basis
-inside a class is fixed only up to a simultaneous unitary conjugation.
+Block order is the character table's: ascending d_mu, ties broken on the
+character vector over the canonical conjugacy-class order, the same across runs
+and seeds.  The irrep basis inside a block is fixed only up to a simultaneous
+unitary conjugation, which a seed moves only in isotypes of several copies.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
-from .groups import GroupTable, same_group
+from .groups import GroupTable, _greedy_generators, same_group
 from .linalg import (
     frob,
     haar_unitary,
@@ -40,10 +40,9 @@ from .linalg import (
 
 _MAX_DECOMPOSE_RETRIES = 5
 
-# Loose thresholds used while carving out candidate invariant subspaces; the
+# Loose threshold used while carving out candidate invariant subspaces; the
 # final decomposition is always re-verified at the strict tolerance.
 _CLUSTER_GAP = 1e-6
-_CHARACTER_MATCH = 1e-6
 
 _STACK_BYTES = 1 << 18  # bytes per stack in a chunked pass over the group
 
@@ -370,10 +369,12 @@ class IrrepDecomposition:
         return self.invariant_unitary(mult_unitaries), shares
 
     def reconstruction_residual(self) -> float:
-        """max_g || W U(g) W^dag - blocks(g) ||_F."""
+        """max_g || W U(g) W^dag - blocks(g) ||_F, computed in chunks of g."""
         w = self.basis
-        diff = w @ self.rep.mats @ w.conj().T - self.block_matrix(slice(None))
-        return float(_frob_each(diff).max())
+        return max(
+            float(_frob_each(w @ self.rep.mats[g] @ w.conj().T - self.block_matrix(g)).max())
+            for g in _chunk_slices(self.rep.group.order, w.nbytes)
+        )
 
 
 class _Retry(Exception):
@@ -383,21 +384,20 @@ class _Retry(Exception):
 def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     """Decompose a unitary representation into irreducible blocks.
 
-    Strategy: the group average of a random Hermitian matrix lies in the
-    commutant, so for a generic draw each of its eigenspaces is a single
-    irreducible invariant subspace.  Eigenspaces are extracted, the carried
-    subrepresentations are grouped into equivalence classes by character,
-    copies within a class are aligned to the first copy with Schur
-    intertwiners (unitarized through their polar factor), and the blocks are
-    sorted canonically.
+    Strategy (Serre, Linear Representations of Finite Groups, 2.6): the group's
+    character table gives each multiplicity n_mu = <chi_mu, chi_r>, and one
+    ``eigh`` of P = sum_mu c_mu P_mu, the isotypic projectors weighted by labels
+    c_mu = 0, 1, 2, ... in the table's canonical order, splits the space into
+    isotypes.  An isotype of a 1-dim irrep, or of one copy, is a block as it is;
+    any other is split by twirling a random Hermitian restricted to it, and its
+    copies are aligned to the first with Schur intertwiners (polar factors).
+    P costs O(|G| d) on a monomial rep, O(|G| d^2) otherwise; the final check
+    (residual at most max(1e-8, 1e-9 ||mats||, 1e-10 d)) O(|G| d^3).
 
-    Every group sum and per-element check is one batched numpy call over
-    the group, so one attempt costs O(|G| d^3).
-
-    Deterministic for a fixed seed.  Eigenvalue collisions across
-    inequivalent irreps are detected by the built-in verification (residual
-    at most max(1e-8, 1e-9 ||mats||, 1e-10 d)) and resolved by reseeding;
-    five failures raise NumericalDegeneracyError.
+    Deterministic for a fixed seed, which drives only the splitting twirls and
+    the intertwiners: a collision there or a failed final check reseeds, which
+    moves the basis inside such an isotype but never the blocks' order, labels,
+    dimensions or multiplicities; five failures raise NumericalDegeneracyError.
 
     Parameters
     ----------
@@ -426,89 +426,75 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
 
 
 def _decompose_once(r: UnitaryRep, rng: np.random.Generator) -> IrrepDecomposition:
-    d = r.dim
-    group = r.group
-    t = twirl_operator(r, random_hermitian(d, rng))
-    evals, evecs = np.linalg.eigh(t)
-    spread = max(1.0, float(evals[-1] - evals[0]))
-    clusters = _cluster_indices(evals, _CLUSTER_GAP * spread)
+    group, d, n = r.group, r.dim, r.group.order
+    chars = group._character_table()
+    degs = chars[:, 0].real.astype(int)
+    mults = chars.conj() @ r.character() / n  # n_mu = <chi_mu, chi_r>
+    counts = np.rint(mults.real).astype(int)
+    if abs(mults - counts).max() > _CLUSTER_GAP or degs @ counts != d:
+        raise _Retry(f"irrep multiplicities {np.round(mults, 6).tolist()} are not whole")
+    present = np.flatnonzero(counts)
+    sizes = degs[present] * counts[present]
+    # P = sum_mu c_mu P_mu with P_mu = (d_mu/|G|) sum_g conj chi_mu(g) U(g), labels c_mu = 0, 1, ...
+    a = (np.arange(present.size) * degs[present]) @ chars[present].conj() / n
+    if r._monomial is None:
+        p = np.tensordot(a, r.mats, axes=1)
+    else:  # U(g)[i, src[g, i]] = phase[g, i]
+        p = np.zeros((d, d), dtype=complex)
+        np.add.at(p, (np.arange(d), r._monomial[0]), a[:, None] * r._monomial[1])
+    evals, evecs = np.linalg.eigh(p)
+    off = float(abs(evals - np.repeat(np.arange(present.size), sizes)).max())
+    if off > _CLUSTER_GAP:
+        raise _Retry(f"isotypic projector eigenvalues {off:.3e} off their labels")
 
-    copies = []  # (basis Q, submats) for each candidate irreducible subspace
-    for idx in clusters:
-        q = evecs[:, idx]
-        sub = q.conj().T @ r.mats @ q
-        k = len(idx)
-        uni = float(_frob_each(sub @ _dagger(sub) - np.eye(k)).max())
-        if uni > 1e-7:
-            raise _Retry(f"eigenspace of size {k} is not invariant (residual {uni:.3e})")
-        char = np.einsum("gii->g", sub)
-        norm = float(np.mean(np.abs(char) ** 2))
-        if abs(norm - 1.0) > 1e-6:
-            raise _Retry(f"subspace carries character norm {norm:.6f}, not irreducible")
-        copies.append((q, sub, char))
-
-    # Group equivalent copies by their characters.
-    classes: list[list[int]] = []
-    for i, (_, _, char) in enumerate(copies):
-        for cls in classes:
-            ref_char = copies[cls[0]][2]
-            if char.shape == ref_char.shape and np.max(np.abs(char - ref_char)) < _CHARACTER_MATCH:
-                cls.append(i)
-                break
+    basis_cols, blocks = [], []
+    reps_ = group.class_representatives()
+    for label, (mu, q) in enumerate(zip(present, np.split(evecs, np.cumsum(sizes)[:-1], axis=1))):
+        d_mu, n_mu = int(degs[mu]), int(counts[mu])
+        if d_mu == 1:  # every column is a copy, acting by the table row
+            ref_mats = chars[mu].reshape(n, 1, 1)
+        elif n_mu == 1:
+            ref_mats = _subrep(r, q)
         else:
-            classes.append([i])
-
-    # Canonical order: ascending dimension, then the character at the class
-    # representatives, real part descending so the trivial block leads its peers.
-    class_chars = [copies[cls[0]][2][group.class_representatives()] for cls in classes]
-    keys = [
-        (copies[cls[0]][0].shape[1], [(-round(c.real, 9), round(c.imag, 9)) for c in ch.tolist()])
-        for cls, ch in zip(classes, class_chars)
-    ]
-    class_order = sorted(range(len(classes)), key=keys.__getitem__)
-    basis_cols = []
-    blocks = []
-    for label, ci in enumerate(class_order):
-        members = classes[ci]
-        q_ref, ref_mats, _ = copies[members[0]]
-        d_mu = q_ref.shape[1]
-        aligned = [q_ref]
-        for i in members[1:]:
-            aligned.append(_align_copy(r, ref_mats, copies[i], rng))
-        n_mu = len(aligned)
-        for m in range(d_mu):
-            for q in aligned:
-                basis_cols.append(q[:, m])
-        blocks.append(
-            IrrepBlock(label=label, dim=d_mu, mult=n_mu, mats=ref_mats, character=class_chars[ci])
-        )
-
-    w = np.array(basis_cols).conj()  # rows are conj of new basis vectors: W = B^dag
-    return IrrepDecomposition(r, w, blocks)
+            q, ref_mats = _split_isotype(q, _subrep(r, q), d_mu, rng)
+        basis_cols.append(q)
+        blocks.append(IrrepBlock(label, d_mu, n_mu, ref_mats, np.einsum("gii->g", ref_mats[reps_])))
+    return IrrepDecomposition(r, np.hstack(basis_cols).conj().T, blocks)
 
 
-def _cluster_indices(evals: np.ndarray, gap: float) -> list[list[int]]:
-    clusters = [[0]]
-    for i in range(1, evals.size):
-        if evals[i] - evals[i - 1] > gap:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
-    return clusters
+def _split_isotype(q: np.ndarray, sub: np.ndarray, d_mu: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Basis in the layout m * n_mu + n (irrep row m, copy n) and the first copy's
+    matrices of an isotype (basis q, subrep sub).  Its commutant is I_{d_mu} (x) M, so
+    a twirled random Hermitian has each eigenvalue d_mu times; a collision raises _Retry."""
+    m = q.shape[1]
+    evals, v = np.linalg.eigh((sub @ random_hermitian(m, rng) @ _dagger(sub)).mean(axis=0))
+    gap = _CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0]))
+    if not np.array_equal(np.diff(evals) > gap, np.arange(1, m) % d_mu == 0):
+        raise _Retry(f"copies of a {d_mu}-dim irrep collide in the isotypic twirl")
+    vs = np.split(v, m // d_mu, axis=1)
+    ref = _dagger(vs[0]) @ sub @ vs[0]
+    copies = [q @ vs[0]] + [_align_copy(ref, q @ c, _dagger(c) @ sub @ c, rng) for c in vs[1:]]
+    return np.stack(copies, axis=2).reshape(len(q), m), ref
 
 
-def _align_copy(r: UnitaryRep, ref_mats: np.ndarray, copy, rng: np.random.Generator) -> np.ndarray:
-    """Rotate one equivalent copy so its subrepresentation equals the reference.
+def _subrep(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
+    """q^dag U(g) q for every g; on a monomial rep U(g) q is a row gather."""
+    if r._monomial is None:
+        return q.conj().T @ r.mats @ q
+    return q.conj().T @ (r._monomial[1][..., None] * q[r._monomial[0]])
+
+
+def _align_copy(ref_mats: np.ndarray, q: np.ndarray, sub: np.ndarray, rng) -> np.ndarray:
+    """Rotate one equivalent copy (basis q, subrepresentation sub) onto the reference.
 
     The group average S = avg_g U_ref(g) X U_i(g)^dag of a random X intertwines
     the copy with the reference; by Schur's lemma S is a scalar multiple of a
     unitary, recovered stably as the polar factor.
     """
-    q, sub, _ = copy
     d_mu = sub.shape[1]
     for _ in range(4):
         x = random_complex((d_mu, d_mu), rng)
-        s = (ref_mats @ x @ _dagger(sub)).sum(axis=0) / r.group.order
+        s = (ref_mats @ x @ _dagger(sub)).mean(axis=0)
         smin = np.linalg.svd(s, compute_uv=False)[-1]
         if smin > 1e-6:
             break
@@ -537,19 +523,23 @@ def _require_every_irrep(group: GroupTable, dec: IrrepDecomposition) -> None:
 def one_dim_reps(group: GroupTable, dec: IrrepDecomposition | None = None) -> np.ndarray:
     """All one-dimensional representations, as unit-modulus vectors over G.
 
-    Row k of the result is one homomorphism omega: G -> U(1) with omega(e)=1.
-    Extracted from a decomposition holding every irrep, by default the group's
-    regular one; the list always includes the all-ones (trivial) row.  A dec
-    over another group raises GroupMismatchError, one missing an irrep
-    InvalidParameterError.
+    Row k of the result is one homomorphism omega: G -> U(1) with omega(e)=1:
+    a degree-1 row of the group's character table, checked exactly on the integer
+    exponents of its |G|-th roots of unity, or a 1-dim block of dec, which must
+    hold every irrep (else InvalidParameterError) of this group (else
+    GroupMismatchError).  The list always includes the all-ones (trivial) row.
     """
     if dec is not None:
         _require_every_irrep(group, dec)
-    elif group._regular_blocks is None:
-        # Kept on the group from first use: every irrep once, O(|G|^2) numbers.
-        group._regular_blocks = decompose(regular_rep(group), seed=0).blocks
-    blocks = group._regular_blocks if dec is None else dec.blocks
-    return np.array([blk.mats[:, 0, 0] for blk in blocks if blk.dim == 1])
+        return np.array([blk.mats[:, 0, 0] for blk in dec.blocks if blk.dim == 1])
+    chars, n = group._character_table(), group.order
+    omegas = chars[chars[:, 0] == 1]
+    m = np.rint(np.angle(omegas) * n / (2 * np.pi)).astype(np.int64)
+    for s in _greedy_generators(group.mul):  # the b with m(ab) = m(a) + m(b) for all a
+        for rows in _chunk_slices(len(m), m[0].nbytes):  # are closed under products
+            if ((m[rows][:, group.mul[:, s]] - m[rows] - m[rows, s, None]) % n).any():
+                raise NumericalDegeneracyError("a degree-1 character is not a homomorphism")
+    return omegas
 
 
 def random_invariant_unitary(dec: IrrepDecomposition, rng) -> np.ndarray:

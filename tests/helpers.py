@@ -57,6 +57,25 @@ def charfunc_bound_by_convolution(psi1, psi2, dec) -> tuple[float, float]:
     return bound_global, 1.0 - 0.5 * per_total
 
 
+def assert_matches_character_table(dec, atol: float = 1e-9) -> None:
+    """decompose's blocks against the group's character table: each block's own
+    character, the trace of its matrices, is a table row; the rows appear in table
+    order; each dim is the row's degree and each multiplicity <chi_mu, chi_r>, with
+    chi_r the trace of the rep's own matrices; the residual is within tolerance."""
+    group = dec.rep.group
+    table = group._character_table()
+    mults = (table.conj() @ np.einsum("gii->g", dec.rep.mats) / group.order).real
+    rows = []
+    for blk in dec.blocks:
+        char = np.einsum("gii->g", blk.mats)
+        row = int(np.argmin(np.abs(table - char).max(axis=1)))
+        assert np.abs(table[row] - char).max() <= atol
+        assert blk.dim == table[row, 0].real and abs(blk.mult - mults[row]) <= atol
+        rows.append(row)
+    assert rows == list(np.flatnonzero(np.rint(mults)))
+    assert dec.reconstruction_residual() <= max(1e-8, 1e-10 * dec.rep.dim)
+
+
 def dense_rep_residuals(mul: np.ndarray, mats: np.ndarray):
     """The three residuals a UnitaryRep is checked on, from one dense product per pair.
 

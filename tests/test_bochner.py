@@ -236,7 +236,14 @@ class TestGns:
 
     def test_nan_rejected(self, groups):
         f = ak.CharFunction(groups["z2"], np.array([1.0, np.nan], dtype=complex))
-        with pytest.raises(ak.InvalidCharacteristicFunctionError, match="Hermitian"):
+        with pytest.raises(ak.InvalidCharacteristicFunctionError, match="NaN or infinite"):
+            ak.gns_construct(f)
+
+    def test_opposite_infinities_rejected(self, groups):
+        # inf at g and -inf at g^-1 used to pass the Hermitian check (inf <= inf) and
+        # fail inside eigh; pytest turns the RuntimeWarning that came first into an error
+        f = ak.CharFunction(groups["z4"], np.array([1.0, np.inf, 0.0, -np.inf], dtype=complex))
+        with pytest.raises(ak.InvalidCharacteristicFunctionError, match="NaN or infinite"):
             ak.gns_construct(f)
 
 

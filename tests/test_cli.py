@@ -360,6 +360,26 @@ def test_bochner_non_finite_func_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_gns_opposite_infinities_exit_2(tmp_path, capsys, recwarn):
+    p = tmp_path / "inf_func.json"
+    p.write_text('{"values": [[1, 0], [Infinity, 0], [0, 0], [-Infinity, 0]]}')
+    code = main(["gns", "--make", "cyclic:4", "--func", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "validation error:" in captured.err and "NaN or infinite" in captured.err
+    assert captured.out == "" and len(recwarn) == 0
+
+
+def test_equiv_never_decomposes(workdir, capsys, monkeypatch):
+    def no_decomposition(*args):
+        raise AssertionError("equiv decomposed a representation")
+
+    monkeypatch.setattr(ak.reps, "_decompose_once", no_decomposition)
+    states = ["--state", str(workdir / "psi.json"), "--state", str(workdir / "phi.json")]
+    code, out = run_cli(capsys, "equiv", "--rep", str(workdir / "rep16.json"), *states)
+    assert code == 0 and json.loads(out)["result"]["verdict"]["status"] == "equivalent"
+
+
 def test_parser_built_once_per_process(workdir, capsys):
     from asymkit.cli import build_parser
 

@@ -215,25 +215,26 @@ class TestGEquivalence:
         with pytest.raises(ak.GroupMismatchError):
             ak.decide_g_equivalence(psi, phi, r, decompositions["klein"])
 
-    def test_regular_blocks_computed_once(self, monkeypatch):
+    def test_character_table_computed_once_without_decompose(self, monkeypatch):
         z6 = ak.make_cyclic(6)
         r = ak.number_rep(z6, [0, 1])
-        calls = []
-        decompose = ak.reps.decompose
+        decompositions, eigs = [], []
+        eig = np.linalg.eig
 
-        def counting_decompose(*args, **kwargs):
-            calls.append(args)
-            return decompose(*args, **kwargs)
+        def counting_eig(*args, **kwargs):
+            eigs.append(args)
+            return eig(*args, **kwargs)
 
-        monkeypatch.setattr(ak.reps, "decompose", counting_decompose)
+        # every decomposition goes through _decompose_once, whatever name it is called by
+        monkeypatch.setattr(ak.reps, "_decompose_once", lambda *a: decompositions.append(a))
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
         psi = ak.QuantumState.pure([0.6, 0.8])
         for _ in range(2):
             assert ak.decide_g_equivalence(psi, psi, r).status is ak.EquivalenceStatus.EQUIVALENT
-        assert len(calls) == 1
-        blocks = z6._regular_blocks
-        assert blocks is not None and sum(blk.dim**2 for blk in blocks) == 6
-        ak.one_dim_reps(z6)
-        assert z6._regular_blocks is blocks and len(calls) == 1
+        table = z6._characters
+        assert table is not None and len(eigs) == 1
+        assert len(ak.one_dim_reps(z6)) == 6
+        assert z6._characters is table and len(eigs) == 1 and decompositions == []
 
     def test_mixed_rejected(self, z16_number_rep, rng):
         with pytest.raises(ak.PureStateRequiredError):

@@ -27,6 +27,104 @@ def brute_force_isomorphic(a: ak.GroupTable, b: ak.GroupTable) -> bool:
     return False
 
 
+def assert_same_characters(got: np.ndarray, want: np.ndarray) -> None:
+    """got holds the rows of want in some order, each entry within 1e-10.
+
+    Every row of a character table has norm 1 under <a, b> = avg_g conj a(g) b(g),
+    so the overlaps of two tables of the same rows form a permutation matrix.
+    """
+    assert got.shape == want.shape
+    overlap = got.conj() @ want.T / want.shape[1]
+    match = np.argmax(abs(overlap), axis=1)
+    assert sorted(match) == list(range(len(want)))
+    assert np.abs(got - want[match]).max() <= 1e-10
+
+
+def cycle_type(label: str) -> tuple[int, ...]:
+    """Cycle lengths, descending, of the permutation spelled by a make_symmetric label."""
+    p, seen, lengths = [int(c) for c in label], set(), []
+    for start in range(len(p)):
+        x, n = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, n = p[x], n + 1
+        if n:
+            lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))
+
+
+# The printed character table of S4, by cycle type.
+S4_TABLE = {
+    (1, 1, 1, 1): [1, 1, 2, 3, 3],
+    (2, 1, 1): [1, -1, 0, 1, -1],
+    (2, 2): [1, 1, 2, -1, -1],
+    (3, 1): [1, 1, -1, 0, 0],
+    (4,): [1, -1, 0, -1, 1],
+}
+
+
+class TestCharacterTable:
+    """The table read off the multiplication table, against closed forms."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 30, 720])
+    def test_cyclic_closed_form(self, n):
+        table = ak.make_cyclic(n)._character_table()
+        idx = np.arange(n)
+        assert_same_characters(table, np.exp(2j * np.pi * np.outer(idx, idx) / n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 100])
+    def test_dihedral_closed_form(self, n):
+        # element e * n + k is s^e r^k
+        k = np.arange(n)
+        rows = [np.r_[a**k, b * a**k] for a in ((1, -1) if n % 2 == 0 else (1,)) for b in (1, -1)]
+        rows += [np.r_[2 * np.cos(2 * np.pi * j * k / n), 0 * k] for j in range(1, (n + 1) // 2)]
+        want = np.array(rows, dtype=complex)
+        assert_same_characters(ak.make_dihedral(n)._character_table(), want)
+
+    def test_s4_printed_table(self):
+        g = ak.make_symmetric(4)
+        want = np.array([S4_TABLE[cycle_type(label)] for label in g.labels], dtype=complex).T
+        assert_same_characters(g._character_table(), want)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [("s3", "z4"), ("d4", "z3"), ("s3", "s3"), ("klein", "d3")],
+    )
+    def test_direct_products(self, groups, a, b):
+        """Column orthogonality, and the rows are the products of the factors' rows."""
+        g = ak.direct_product(groups[a], groups[b])
+        table = g._character_table()
+        same_class = np.zeros((g.order, g.order))
+        for c in g.conjugacy_classes():
+            same_class[np.ix_(c, c)] = g.order / len(c)  # |C_G(x)| for x in c
+        assert np.abs(table.conj().T @ table - same_class).max() <= 1e-10
+        ta, tb = groups[a]._character_table(), groups[b]._character_table()
+        products = ta[:, None, :, None] * tb[None, :, None, :]  # chi_a(x) chi_b(y) at (x, y)
+        assert_same_characters(table, products.reshape(len(table), -1))
+
+    @pytest.mark.parametrize(
+        "make, n", [(ak.make_symmetric, 6), (ak.make_dihedral, 360), (ak.make_symmetric, 5)]
+    )
+    def test_degrees_and_row_orthogonality(self, make, n):
+        g = make(n)
+        table = g._character_table()
+        deg = table[:, 0].real
+        assert np.array_equal(deg, np.sort(np.rint(deg))) and deg @ deg == g.order
+        assert len(table) == len(g.conjugacy_classes())
+        assert np.abs(table @ table.conj().T / g.order - np.eye(len(table))).max() <= 1e-10
+
+    def test_built_once_read_only_and_canonical(self):
+        g = ak.make_dihedral(6)
+        table = g._character_table()
+        assert g._character_table() is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 2
+        assert np.array_equal(table[0], np.ones(g.order))  # the trivial row leads
+        linear = table[table[:, 0] == 1]
+        powers = np.rint(np.angle(linear) * 12 / (2 * np.pi))
+        assert np.array_equal(linear, np.exp(2j * np.pi * powers / 12))  # exact 12th roots
+
+
 class TestCyclic:
     def test_trivial_group(self):
         g = ak.make_cyclic(1)
