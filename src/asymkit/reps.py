@@ -12,7 +12,9 @@ sector bookkeeping in the package leans on that layout.
 Block order is the character table's: ascending d_mu, ties broken on the
 character vector over the canonical conjugacy-class order, the same across runs
 and seeds.  The irrep basis inside a block is fixed only up to a simultaneous
-unitary conjugation, which a seed moves only in isotypes of several copies.
+unitary conjugation, which a seed moves only in isotypes of several copies of an
+irrep of dimension > 1: there a twirled random Hermitian picks one copy, and
+Serre's projection operators carry its irrep basis to every other copy.
 """
 
 from __future__ import annotations
@@ -29,14 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import GroupTable, _greedy_generators, same_group
-from .linalg import (
-    frob,
-    haar_unitary,
-    polar_unitary,
-    random_complex,
-    random_hermitian,
-    scaled_tol,
-)
+from .linalg import frob, haar_unitary, random_hermitian, scaled_tol
 
 _MAX_DECOMPOSE_RETRIES = 5
 
@@ -265,8 +260,9 @@ def twirl_operator(r: UnitaryRep, x: np.ndarray) -> np.ndarray:
 class IrrepBlock:
     """One inequivalent irreducible constituent of a decomposition.
 
-    ``mats`` holds the reference copy's d_mu x d_mu unitaries (one per group
-    element); all other copies in the sector were rotated to match it.
+    ``mats`` holds the d_mu x d_mu unitaries (one per group element) by which
+    every copy in the sector acts: the decomposition's basis lays all copies out
+    in the same irrep basis.
     ``character`` is the trace vector over conjugacy classes in canonical
     class order.
     """
@@ -384,28 +380,34 @@ class _Retry(Exception):
 def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     """Decompose a unitary representation into irreducible blocks.
 
-    Strategy (Serre, Linear Representations of Finite Groups, 2.6): the group's
-    character table gives each multiplicity n_mu = <chi_mu, chi_r>, and one
-    ``eigh`` of P = sum_mu c_mu P_mu, the isotypic projectors weighted by labels
-    c_mu = 0, 1, 2, ... in the table's canonical order, splits the space into
-    isotypes.  An isotype of a 1-dim irrep, or of one copy, is a block as it is;
-    any other is split by twirling a random Hermitian restricted to it, and its
-    copies are aligned to the first with Schur intertwiners (polar factors).
-    P costs O(|G| d) on a monomial rep, O(|G| d^2) otherwise; the final check
-    (residual at most max(1e-8, 1e-9 ||mats||, 1e-10 d)) O(|G| d^3).
+    Strategy (Serre, Linear Representations of Finite Groups, 2.6-2.7): the
+    group's character table gives each multiplicity n_mu = <chi_mu, chi_r>, and
+    one ``eigh`` of P = sum_mu c_mu P_mu, the isotypic projectors weighted by
+    labels c_mu = 0, 1, 2, ... in the table's canonical order, splits the space
+    into isotypes.  An isotype of a 1-dim irrep, or of one copy, is a block as it
+    is.  In any other, the lowest eigenvectors of a random Hermitian twirled
+    inside it give one copy's matrices ref, and Serre's projection operators built
+    from ref lay out every copy in ref's basis at once.  P costs O(|G| d) on a
+    monomial rep, O(|G| d^2) otherwise; the final check (residual at most
+    max(1e-8, 1e-9 ||mats||, 1e-10 d)) O(|G| d^3).  A 0-dim rep has no blocks.
 
-    Deterministic for a fixed seed, which drives only the splitting twirls and
-    the intertwiners: a collision there or a failed final check reseeds, which
-    moves the basis inside such an isotype but never the blocks' order, labels,
-    dimensions or multiplicities; five failures raise NumericalDegeneracyError.
+    Deterministic for a fixed seed, which drives only the splitting twirl: a
+    collision there or a failed final check reseeds, which moves the basis inside
+    such an isotype but never the blocks' order, labels, dimensions or
+    multiplicities; five failures raise NumericalDegeneracyError.
 
     Parameters
     ----------
     r : UnitaryRep
         The representation to split.
     seed : int
-        Seed for the random probes; the only source of randomness.
+        Nonnegative seed of the splitting twirl, the only source of randomness;
+        a negative one raises InvalidParameterError.
     """
+    if int(seed) < 0:
+        raise InvalidParameterError(f"decompose needs a nonnegative seed, got {seed}")
+    if r.dim == 0:
+        return IrrepDecomposition(r, np.zeros((0, 0), dtype=complex), [])
     tol = max(scaled_tol(r.mats), 1e-10 * r.dim, 1e-8)
     last_error = "no attempt made"
     for attempt in range(_MAX_DECOMPOSE_RETRIES):
@@ -464,17 +466,19 @@ def _decompose_once(r: UnitaryRep, rng: np.random.Generator) -> IrrepDecompositi
 
 def _split_isotype(q: np.ndarray, sub: np.ndarray, d_mu: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Basis in the layout m * n_mu + n (irrep row m, copy n) and the first copy's
-    matrices of an isotype (basis q, subrep sub).  Its commutant is I_{d_mu} (x) M, so
-    a twirled random Hermitian has each eigenvalue d_mu times; a collision raises _Retry."""
-    m = q.shape[1]
+    matrices ref of an isotype (basis q, subrep sub).  Its commutant is I_{d_mu} (x) M, so
+    the lowest d_mu eigenvectors of a twirled random Hermitian span one copy unless the
+    gap after them closes, which raises _Retry.  Serre's operators (Linear Representations
+    of Finite Groups, 2.7, Prop. 8) p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) map an
+    orthonormal basis w of the range of p_0 onto row a of every copy at once."""
+    m, n_mu = sub.shape[1], sub.shape[1] // d_mu
     evals, v = np.linalg.eigh((sub @ random_hermitian(m, rng) @ _dagger(sub)).mean(axis=0))
-    gap = _CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0]))
-    if not np.array_equal(np.diff(evals) > gap, np.arange(1, m) % d_mu == 0):
+    if not evals[d_mu] - evals[d_mu - 1] > _CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0])):
         raise _Retry(f"copies of a {d_mu}-dim irrep collide in the isotypic twirl")
-    vs = np.split(v, m // d_mu, axis=1)
-    ref = _dagger(vs[0]) @ sub @ vs[0]
-    copies = [q @ vs[0]] + [_align_copy(ref, q @ c, _dagger(c) @ sub @ c, rng) for c in vs[1:]]
-    return np.stack(copies, axis=2).reshape(len(q), m), ref
+    ref = _dagger(v[:, :d_mu]) @ sub @ v[:, :d_mu]
+    p = np.einsum("ga,gij->aij", ref[:, :, 0].conj(), sub) * (d_mu / len(sub))
+    w = np.linalg.eigh(p[0])[1][:, -n_mu:]
+    return (q @ (p @ w)).transpose(1, 0, 2).reshape(len(q), m), ref
 
 
 def _subrep(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
@@ -482,30 +486,6 @@ def _subrep(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
     if r._monomial is None:
         return q.conj().T @ r.mats @ q
     return q.conj().T @ (r._monomial[1][..., None] * q[r._monomial[0]])
-
-
-def _align_copy(ref_mats: np.ndarray, q: np.ndarray, sub: np.ndarray, rng) -> np.ndarray:
-    """Rotate one equivalent copy (basis q, subrepresentation sub) onto the reference.
-
-    The group average S = avg_g U_ref(g) X U_i(g)^dag of a random X intertwines
-    the copy with the reference; by Schur's lemma S is a scalar multiple of a
-    unitary, recovered stably as the polar factor.
-    """
-    d_mu = sub.shape[1]
-    for _ in range(4):
-        x = random_complex((d_mu, d_mu), rng)
-        s = (ref_mats @ x @ _dagger(sub)).mean(axis=0)
-        smin = np.linalg.svd(s, compute_uv=False)[-1]
-        if smin > 1e-6:
-            break
-    else:
-        raise _Retry("could not find a nonsingular intertwiner between equivalent copies")
-    u = polar_unitary(s)
-    aligned_q = q @ u.conj().T
-    residual = float(_frob_each(u @ sub @ u.conj().T - ref_mats).max())
-    if residual > 1e-8:
-        raise _Retry(f"intertwiner alignment residual {residual:.3e}")
-    return aligned_q
 
 
 def _require_every_irrep(group: GroupTable, dec: IrrepDecomposition) -> None:

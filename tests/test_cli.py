@@ -313,6 +313,33 @@ def test_negative_tol_exit_2(workdir, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--rep", "rep16.json"],
+        ["reduce", "--rep", "rep16.json", "--state", "psi.json"],
+        ["fourier", "--rep", "rep16.json", "--func", "chi16.json"],
+        ["uequiv", "--rep", "rep16.json", "--state", "psi.json", "--state", "phi.json"],
+        ["overlap", "--rep", "rep16.json", "--state", "psi.json", "--state", "phi.json"],
+        ["bochner", "--make", "cyclic:16", "--func", "chi16.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exit_2(workdir, capsys, argv):
+    rep = jsonio.rep_from_json(json.loads((workdir / "rep16.json").read_text()))
+    psi = jsonio.state_from_json(json.loads((workdir / "psi.json").read_text()))
+    chi = jsonio.func_to_json(ak.charfunc(psi, rep))
+    (workdir / "chi16.json").write_text(json.dumps(chi))
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    assert main([*argv, "--seed", "0"]) == 0
+    capsys.readouterr()
+    code = main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "validation error:" in captured.err and "seed" in captured.err
+    assert captured.out == ""
+
+
 class TestDegeneracyExitCode:
     def test_exit_3_on_numerical_degeneracy(self, capsys, monkeypatch):
         import asymkit.cli as cli_mod
