@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Validation failures (bad inputs, violated construction invariants) are
-distinguished from numerical-degeneracy failures (a randomized algorithm ran
-out of retries), because the CLI maps them to different exit codes.
+distinguished from numerical-degeneracy failures (a valid input on which a
+numerical method could not reach its stated accuracy), because the CLI maps
+them to different exit codes.
 """
 
 
@@ -60,4 +61,10 @@ class ToleranceError(AsymkitError):
 
 
 class NumericalDegeneracyError(AsymkitError):
-    """A randomized numerical procedure failed after all reseed retries."""
+    """A numerical method failed its own check on a valid input.
+
+    Each failure is reproducible: the character table tries four fixed random
+    sums and ``decompose``'s splitting twirl five draws of its seed's generator
+    before raising; ``decompose``'s multiplicity, isotype and residual checks
+    and ``gns_construct``'s check of the rebuilt chi raise at once.
+    """

@@ -219,15 +219,11 @@ def make_dihedral(n: int) -> GroupTable:
         raise InvalidParameterError(f"dihedral parameter must be >= 2, got {n}")
     if 2 * n > GROUP_ORDER_CAP:
         raise SizeLimitError(f"dihedral order {2 * n} exceeds cap {GROUP_ORDER_CAP}")
-    order = 2 * n
-    mul = np.empty((order, order), dtype=np.int64)
-    for e1, k1, e2, k2 in itertools.product((0, 1), range(n), (0, 1), range(n)):
-        # s^e1 r^k1 s^e2 r^k2 = s^(e1+e2) r^(k2 +- k1)
-        e = (e1 + e2) % 2
-        k = (k2 - k1) % n if e2 else (k1 + k2) % n
-        mul[e1 * n + k1, e2 * n + k2] = e * n + k
+    e1, k1, e2, k2 = np.ix_((0, 1), range(n), (0, 1), range(n))
+    # s^e1 r^k1 s^e2 r^k2 = s^(e1+e2) r^(k2 +- k1), over all pairs at once
+    mul = (e1 + e2) % 2 * n + np.where(e2, k2 - k1, k1 + k2) % n
     labels = [f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)]
-    return GroupTable(mul, labels=labels)
+    return GroupTable(mul.reshape(2 * n, 2 * n), labels=labels)
 
 
 def make_symmetric(n: int) -> GroupTable:
@@ -242,13 +238,10 @@ def make_symmetric(n: int) -> GroupTable:
         raise SizeLimitError(
             f"symmetric group S_{n} has order {n}! > {GROUP_ORDER_CAP}; cap is n <= 6"
         )
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    mul = np.empty((order, order), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mul[i, j] = index[tuple(p[q[x]] for x in range(n))]
+    perms = np.array(list(itertools.permutations(range(n))))
+    # base-n codes ascend in lexicographic order: one search ranks every p_i(q_j(x))
+    code = n ** np.arange(n - 1, -1, -1)
+    mul = np.searchsorted(perms @ code, perms[:, perms] @ code)
     labels = ["".join(map(str, p)) for p in perms]
     return GroupTable(mul, labels=labels)
 

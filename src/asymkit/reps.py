@@ -19,6 +19,7 @@ Serre's projection operators carry its irrep basis to every other copy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
 from .groups import GroupTable, _greedy_generators, same_group
 from .linalg import frob, haar_unitary, random_hermitian, scaled_tol
 
-_MAX_DECOMPOSE_RETRIES = 5
+_MAX_TWIRL_DRAWS = 5  # random Hermitians tried per isotype before decompose gives up
 
 # Loose threshold used while carving out candidate invariant subspaces; the
 # final decomposition is always re-verified at the strict tolerance.
@@ -373,10 +374,6 @@ class IrrepDecomposition:
         )
 
 
-class _Retry(Exception):
-    """Internal: current random splitting ran into a degeneracy; reseed."""
-
-
 def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     """Decompose a unitary representation into irreducible blocks.
 
@@ -391,50 +388,35 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     monomial rep, O(|G| d^2) otherwise; the final check (residual at most
     max(1e-8, 1e-9 ||mats||, 1e-10 d)) O(|G| d^3).  A 0-dim rep has no blocks.
 
-    Deterministic for a fixed seed, which drives only the splitting twirl: a
-    collision there or a failed final check reseeds, which moves the basis inside
-    such an isotype but never the blocks' order, labels, dimensions or
-    multiplicities; five failures raise NumericalDegeneracyError.
+    Deterministic for a fixed seed, which drives only the splitting twirls: it
+    moves the basis inside such an isotype but never the blocks' order, labels,
+    dimensions or multiplicities.  The seed-independent stages raise
+    NumericalDegeneracyError at once: multiplicities that are not whole, P's
+    eigenvalues off their labels, and a failed final check.  Only a twirl whose
+    lowest d_mu eigenvalues collide with the next one is redrawn, from the same
+    generator; five colliding draws in one isotype raise it too.
 
     Parameters
     ----------
     r : UnitaryRep
         The representation to split.
     seed : int
-        Nonnegative seed of the splitting twirl, the only source of randomness;
-        a negative one raises InvalidParameterError.
+        Nonnegative integer seed of the splitting twirls, the only source of
+        randomness; any other value raises InvalidParameterError.
     """
-    if int(seed) < 0:
-        raise InvalidParameterError(f"decompose needs a nonnegative seed, got {seed}")
-    if r.dim == 0:
-        return IrrepDecomposition(r, np.zeros((0, 0), dtype=complex), [])
-    tol = max(scaled_tol(r.mats), 1e-10 * r.dim, 1e-8)
-    last_error = "no attempt made"
-    for attempt in range(_MAX_DECOMPOSE_RETRIES):
-        rng = np.random.default_rng((int(seed), attempt))
-        try:
-            dec = _decompose_once(r, rng)
-        except _Retry as exc:
-            last_error = str(exc)
-            continue
-        residual = dec.reconstruction_residual()
-        if residual > tol:
-            last_error = f"reconstruction residual {residual:.3e}"
-            continue
-        return dec
-    raise NumericalDegeneracyError(
-        f"decompose failed after {_MAX_DECOMPOSE_RETRIES} reseeds: {last_error}"
-    )
-
-
-def _decompose_once(r: UnitaryRep, rng: np.random.Generator) -> IrrepDecomposition:
+    try:  # a float or str seed fails operator.index, a negative one default_rng
+        rng = np.random.default_rng((operator.index(seed), 0))
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"decompose needs a nonnegative integer seed, got {seed!r}")
     group, d, n = r.group, r.dim, r.group.order
+    if d == 0:
+        return IrrepDecomposition(r, np.zeros((0, 0), dtype=complex), [])
     chars = group._character_table()
     degs = chars[:, 0].real.astype(int)
     mults = chars.conj() @ r.character() / n  # n_mu = <chi_mu, chi_r>
     counts = np.rint(mults.real).astype(int)
     if abs(mults - counts).max() > _CLUSTER_GAP or degs @ counts != d:
-        raise _Retry(f"irrep multiplicities {np.round(mults, 6).tolist()} are not whole")
+        raise NumericalDegeneracyError(f"decompose: multiplicities {np.round(mults, 6)} not whole")
     present = np.flatnonzero(counts)
     sizes = degs[present] * counts[present]
     # P = sum_mu c_mu P_mu with P_mu = (d_mu/|G|) sum_g conj chi_mu(g) U(g), labels c_mu = 0, 1, ...
@@ -447,7 +429,7 @@ def _decompose_once(r: UnitaryRep, rng: np.random.Generator) -> IrrepDecompositi
     evals, evecs = np.linalg.eigh(p)
     off = float(abs(evals - np.repeat(np.arange(present.size), sizes)).max())
     if off > _CLUSTER_GAP:
-        raise _Retry(f"isotypic projector eigenvalues {off:.3e} off their labels")
+        raise NumericalDegeneracyError(f"decompose: projector eigenvalues {off:.3e} off labels")
 
     basis_cols, blocks = [], []
     reps_ = group.class_representatives()
@@ -461,20 +443,30 @@ def _decompose_once(r: UnitaryRep, rng: np.random.Generator) -> IrrepDecompositi
             q, ref_mats = _split_isotype(q, _subrep(r, q), d_mu, rng)
         basis_cols.append(q)
         blocks.append(IrrepBlock(label, d_mu, n_mu, ref_mats, np.einsum("gii->g", ref_mats[reps_])))
-    return IrrepDecomposition(r, np.hstack(basis_cols).conj().T, blocks)
+    dec = IrrepDecomposition(r, np.hstack(basis_cols).conj().T, blocks)
+    residual, tol = dec.reconstruction_residual(), max(scaled_tol(r.mats), 1e-10 * d, 1e-8)
+    if residual > tol:
+        raise NumericalDegeneracyError(f"decompose: residual {residual:.3e} > {tol:.3e}")
+    return dec
 
 
 def _split_isotype(q: np.ndarray, sub: np.ndarray, d_mu: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Basis in the layout m * n_mu + n (irrep row m, copy n) and the first copy's
     matrices ref of an isotype (basis q, subrep sub).  Its commutant is I_{d_mu} (x) M, so
     the lowest d_mu eigenvectors of a twirled random Hermitian span one copy unless the
-    gap after them closes, which raises _Retry.  Serre's operators (Linear Representations
-    of Finite Groups, 2.7, Prop. 8) p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) map an
+    gap after them closes; then it draws again, and raises NumericalDegeneracyError after
+    _MAX_TWIRL_DRAWS such draws.  Serre's operators (Linear Representations of Finite
+    Groups, 2.7, Prop. 8) p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) map an
     orthonormal basis w of the range of p_0 onto row a of every copy at once."""
     m, n_mu = sub.shape[1], sub.shape[1] // d_mu
-    evals, v = np.linalg.eigh((sub @ random_hermitian(m, rng) @ _dagger(sub)).mean(axis=0))
-    if not evals[d_mu] - evals[d_mu - 1] > _CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0])):
-        raise _Retry(f"copies of a {d_mu}-dim irrep collide in the isotypic twirl")
+    for _ in range(_MAX_TWIRL_DRAWS):
+        evals, v = np.linalg.eigh((sub @ random_hermitian(m, rng) @ _dagger(sub)).mean(axis=0))
+        if evals[d_mu] - evals[d_mu - 1] > _CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0])):
+            break
+    else:
+        raise NumericalDegeneracyError(
+            f"decompose: copies of a {d_mu}-dim irrep collide in {_MAX_TWIRL_DRAWS} isotypic twirls"
+        )
     ref = _dagger(v[:, :d_mu]) @ sub @ v[:, :d_mu]
     p = np.einsum("ga,gij->aij", ref[:, :, 0].conj(), sub) * (d_mu / len(sub))
     w = np.linalg.eigh(p[0])[1][:, -n_mu:]

@@ -401,7 +401,8 @@ def test_equiv_never_decomposes(workdir, capsys, monkeypatch):
     def no_decomposition(*args):
         raise AssertionError("equiv decomposed a representation")
 
-    monkeypatch.setattr(ak.reps, "_decompose_once", no_decomposition)
+    # every decomposition, whatever path builds it, is an IrrepDecomposition
+    monkeypatch.setattr(ak.IrrepDecomposition, "__init__", no_decomposition)
     states = ["--state", str(workdir / "psi.json"), "--state", str(workdir / "phi.json")]
     code, out = run_cli(capsys, "equiv", "--rep", str(workdir / "rep16.json"), *states)
     assert code == 0 and json.loads(out)["result"]["verdict"]["status"] == "equivalent"

@@ -225,8 +225,8 @@ class TestGEquivalence:
             eigs.append(args)
             return eig(*args, **kwargs)
 
-        # every decomposition goes through _decompose_once, whatever name it is called by
-        monkeypatch.setattr(ak.reps, "_decompose_once", lambda *a: decompositions.append(a))
+        # every decomposition, whatever name decompose is called by, is an IrrepDecomposition
+        monkeypatch.setattr(ak.IrrepDecomposition, "__init__", lambda *a: decompositions.append(a))
         monkeypatch.setattr(np.linalg, "eig", counting_eig)
         psi = ak.QuantumState.pure([0.6, 0.8])
         for _ in range(2):

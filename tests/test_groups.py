@@ -27,6 +27,27 @@ def brute_force_isomorphic(a: ak.GroupTable, b: ak.GroupTable) -> bool:
     return False
 
 
+def dihedral_table_by_loops(n: int) -> np.ndarray:
+    """Oracle: D_n's table pair by pair from s^e1 r^k1 s^e2 r^k2 = s^(e1+e2) r^(k2 +- k1)."""
+    mul = np.empty((2 * n, 2 * n), dtype=np.int64)
+    for e1, k1, e2, k2 in itertools.product((0, 1), range(n), (0, 1), range(n)):
+        k = (k2 - k1) % n if e2 else (k1 + k2) % n
+        mul[e1 * n + k1, e2 * n + k2] = (e1 + e2) % 2 * n + k
+    return mul
+
+
+def symmetric_table_by_loops(n: int) -> tuple[np.ndarray, list[str]]:
+    """Oracle: S_n's table and labels, composing (p*q)(x) = p(q(x)) pair by pair and
+    looking each product up among the permutations in lexicographic order."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            mul[i, j] = index[tuple(p[q[x]] for x in range(n))]
+    return mul, ["".join(map(str, p)) for p in perms]
+
+
 def assert_same_characters(got: np.ndarray, want: np.ndarray) -> None:
     """got holds the rows of want in some order, each entry within 1e-10.
 
@@ -179,6 +200,12 @@ class TestDihedral:
         with pytest.raises(ak.InvalidParameterError):
             ak.make_dihedral(1)
 
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_table_and_labels_match_loops(self, n):
+        g = ak.make_dihedral(n)
+        assert np.array_equal(g.mul, dihedral_table_by_loops(n)) and g.mul.dtype == np.int64
+        assert g.labels == [f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)]
+
 
 class TestSymmetric:
     def test_orders(self):
@@ -194,6 +221,12 @@ class TestSymmetric:
     def test_size_limit(self):
         with pytest.raises(ak.SizeLimitError):
             ak.make_symmetric(7)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_table_and_labels_match_loops(self, n):
+        g = ak.make_symmetric(n)
+        mul, labels = symmetric_table_by_loops(n)
+        assert np.array_equal(g.mul, mul) and g.mul.dtype == np.int64 and g.labels == labels
 
 
 class TestDirectProduct:

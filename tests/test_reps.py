@@ -10,16 +10,23 @@ from asymkit.linalg import frob, haar_unitary, random_complex, random_hermitian,
 from helpers import assert_matches_character_table, dense_rep_residuals, perm_rep
 
 
-def count_attempts(monkeypatch) -> list:
-    """Count decompose attempts: each call of reps._decompose_once appends to the list returned."""
-    calls, real_once = [], reps._decompose_once
+def count_draws(monkeypatch, identity_at=()) -> list:
+    """Record the size of every random Hermitian decompose draws for a splitting twirl in
+    the list returned.  Draws numbered (from 1) in identity_at are the identity instead,
+    whose twirl has one eigenvalue, so that every copy collides."""
+    draws, real_draw = [], reps.random_hermitian
 
-    def once(r, rng):
-        calls.append(1)
-        return real_once(r, rng)
+    def draw(m, rng):
+        draws.append(m)
+        return np.eye(m) if len(draws) in identity_at else real_draw(m, rng)
 
-    monkeypatch.setattr(reps, "_decompose_once", once)
-    return calls
+    monkeypatch.setattr(reps, "random_hermitian", draw)
+    return draws
+
+
+def split_isotypes(dec) -> int:
+    """Isotypes holding several copies of an irrep of dimension > 1: one twirl each."""
+    return sum(blk.dim > 1 and blk.mult > 1 for blk in dec.blocks)
 
 
 class TestRegularRep:
@@ -202,6 +209,17 @@ class TestDecompose:
         with pytest.raises(ak.InvalidParameterError, match="seed"):
             ak.decompose(regular_reps["s3"], seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.7, "3", 3.0, None])
+    def test_non_integer_seed_rejected(self, regular_reps, seed):
+        """Not truncated to another seed's basis: 1.7 once decomposed as seed 1."""
+        with pytest.raises(ak.InvalidParameterError, match="seed"):
+            ak.decompose(regular_reps["s3"], seed=seed)
+
+    def test_numpy_integer_seed_is_that_integer(self, regular_reps):
+        a, b = (ak.decompose(regular_reps["s4"], seed=s) for s in (np.int64(3), 3))
+        assert np.array_equal(a.basis, b.basis)
+        assert all(np.array_equal(x.mats, y.mats) for x, y in zip(a.blocks, b.blocks))
+
     def test_zero_dimensional_rep_has_no_blocks(self, groups):
         dec = ak.decompose(ak.UnitaryRep(groups["s3"], np.zeros((6, 0, 0))), seed=0)
         assert dec.blocks == [] and dec.basis.shape == (0, 0)
@@ -289,38 +307,33 @@ class TestRepValidation:
 
 
 class TestDegeneracyPath:
-    def test_retries_then_raises(self, regular_reps, monkeypatch):
-        import asymkit.reps as reps_mod
+    @pytest.mark.parametrize("name, twirls", [("z2", 0), ("s3", 1), ("s4", 3)])
+    def test_failed_final_check_raises_after_one_pass(self, regular_reps, monkeypatch, name, twirls):
+        """A residual over tolerance raises at once: the seed moves only the twirls, so
+        decompose draws once per split isotype and never starts over."""
+        monkeypatch.setattr(ak.IrrepDecomposition, "reconstruction_residual", lambda self: 1.0)
+        draws = count_draws(monkeypatch)
+        with pytest.raises(ak.NumericalDegeneracyError, match="residual"):
+            ak.decompose(regular_reps[name], seed=0)
+        assert len(draws) == twirls
 
-        calls = {"n": 0}
-
-        def always_retry(r, rng):
-            calls["n"] += 1
-            raise reps_mod._Retry("forced")
-
-        monkeypatch.setattr(reps_mod, "_decompose_once", always_retry)
-        with pytest.raises(ak.NumericalDegeneracyError):
-            ak.decompose(regular_reps["z2"], seed=0)
-        assert calls["n"] == 5
-
-    @pytest.mark.parametrize("identity_draws, attempts", [(1, 2), (5, 5)])
-    def test_isotypic_twirl_collision(self, regular_reps, monkeypatch, identity_draws, attempts):
-        """The twirl of the identity has one eigenvalue, so the two copies of S3's
-        2-dim irrep collide: five identity draws exhaust the attempts, one costs one."""
-        draws, real_draw = [], reps.random_hermitian
-
-        def draw(m, rng):
-            draws.append(m)
-            return np.eye(m) if len(draws) <= identity_draws else real_draw(m, rng)
-
-        monkeypatch.setattr(reps, "random_hermitian", draw)
-        calls = count_attempts(monkeypatch)
-        if identity_draws == 5:
+    @pytest.mark.parametrize(
+        "name, identity_at, draws_made",
+        [("s3", {1}, 2), ("s3", {1, 2, 3, 4, 5}, 5), ("s4", {2}, 4), ("s4", {2, 3, 4, 5, 6}, 6)],
+    )
+    def test_isotypic_twirl_collision(self, regular_reps, monkeypatch, name, identity_at, draws_made):
+        """A colliding twirl is redrawn in its own isotype: on regular S4 (isotypes of two
+        copies of a 2-dim irrep and three of each 3-dim one) an identity second draw costs
+        one more draw, not a fresh pass; five colliding draws in one isotype raise."""
+        draws = count_draws(monkeypatch, identity_at)
+        if len(identity_at) == 5:
             with pytest.raises(ak.NumericalDegeneracyError, match="collide"):
-                ak.decompose(regular_reps["s3"], seed=0)
+                ak.decompose(regular_reps[name], seed=0)
         else:
-            assert_matches_character_table(ak.decompose(regular_reps["s3"], seed=0))
-        assert len(calls) == attempts
+            dec = ak.decompose(regular_reps[name], seed=0)
+            assert_matches_character_table(dec)
+            assert split_isotypes(dec) == draws_made - 1
+        assert len(draws) == draws_made
 
 
 class TestDecomposeCompositeReps:
@@ -566,11 +579,11 @@ RESIDUAL_INPUTS = _residual_inputs()
 @pytest.mark.parametrize("seed", range(6))
 def test_regular_residual_at_every_seed(name, seed, monkeypatch):
     """Regression: regular Z16 at seed 3 once gave 4.6e-11 against <= 2e-13 at other
-    seeds.  Every input decomposes on its first attempt, in table order."""
-    attempts = count_attempts(monkeypatch)
+    seeds.  Every input decomposes in table order, each twirl on its first draw."""
+    draws = count_draws(monkeypatch)
     dec = ak.decompose(RESIDUAL_INPUTS[name](), seed=seed)
     assert dec.reconstruction_residual() <= 1e-12
-    assert len(attempts) == 1
+    assert len(draws) == split_isotypes(dec)
     assert_matches_character_table(dec)
 
 
@@ -610,6 +623,21 @@ def monomial_reps(regular_reps, z16_number_rep, s3_square, z16_number_x3_dec):
         d4.group, d[:, None] * d4.mats * d.conj()
     )
     return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", MONOMIAL_REPS)
+def test_sector_projectors_match_character_sums(monomial_reps, name, seed):
+    """An oracle sharing no code or randomness with decompose (Serre, 2.6, Thm. 8): each
+    sector's projector W_mu^dag W_mu is (d_mu/|G|) sum_g conj chi_mu(g) U(g), with chi_mu
+    the trace of the block's own matrices, summed element by element."""
+    r = monomial_reps[name]
+    dec = ak.decompose(r, seed=seed)
+    for i, blk in enumerate(dec.blocks):
+        w = dec.basis[dec.sector_slice(i)]
+        chi = [np.trace(m) for m in blk.mats]
+        want = sum(np.conj(c) * u for c, u in zip(chi, r.mats)) * blk.dim / r.group.order
+        assert np.abs(w.conj().T @ w - want).max() <= 1e-10
 
 
 def malformed_monomial(kind):
