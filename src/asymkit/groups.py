@@ -40,7 +40,7 @@ class GroupTable:
     __slots__ = ("order", "mul", "inv", "labels", "_classes", "_abelian", "_characters")
 
     def __init__(self, mul, labels=None):
-        mul = np.asarray(mul, dtype=np.int64)
+        mul = _whole(mul, "multiplication table")
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValidationError("multiplication table must be square")
         n = mul.shape[0]
@@ -135,6 +135,31 @@ class SubgroupRef:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def _whole(obj, what: str) -> np.ndarray:
+    """obj as an int64 array, or ValidationError naming ``what`` unless every entry is a
+    whole number of magnitude at most 2^53 (2 and 2.0 pass, 2.5 does not).  An integer
+    array is only cast, so the tables the makers build pay no extra pass."""
+    try:
+        a = np.asarray(obj)
+        if a.dtype.kind in "iu":
+            return a.astype(np.int64, copy=False)
+        x = a.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what}: expected whole numbers") from None
+    bad = ~(abs(x) <= 2.0**53) | (x != np.rint(x))
+    if bad.any():
+        raise ValidationError(f"{what}: expected whole numbers, got {float(x[bad].flat[0])}")
+    return x.astype(np.int64)
+
+
+def _whole_number(obj, what: str) -> int:
+    """One whole number, as :func:`_whole` reads it."""
+    a = _whole(obj, what)
+    if a.ndim:
+        raise ValidationError(f"{what} must be one whole number, got an array of shape {a.shape}")
+    return int(a)
 
 
 def _validate_table(mul: np.ndarray) -> None:
@@ -317,6 +342,6 @@ def group_from_json(obj: dict) -> GroupTable:
     if "mul" not in obj:
         raise ValidationError("group JSON must contain a 'mul' table")
     table = GroupTable(obj["mul"], labels=obj.get("labels"))
-    if "order" in obj and int(obj["order"]) != table.order:
+    if "order" in obj and _whole_number(obj["order"], "group JSON 'order'") != table.order:
         raise ValidationError("group JSON 'order' does not match table size")
     return table

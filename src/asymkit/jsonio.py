@@ -1,9 +1,19 @@
 """JSON interchange for every object the CLI reads or writes.
 
 Complex scalars are [re, im] pairs, matrices row-major nested lists of pairs,
-converted a whole array at a time.  Writers keep full float precision (a round
-trip is bit-identical); :func:`canonical_dumps` reports round to 12 significant
-digits, in text byte for byte what ``json.dumps`` of the rounded payload gives.
+converted a whole array at a time.  Integer fields must hold whole numbers (2.0
+reads as 2, 2.5 raises).  A representation is written in the first of three forms
+that fits what :class:`UnitaryRep` found at construction, each marked by its key:
+
+* monomial, ``src`` and ``phase`` of shape (|G|, dim): mats[g, i, src[g, i]] = phase[g, i];
+* diagonal blocks, unless there is just one: ``blocks``, a list of ``{"start", "mats"}``;
+* dense: ``mats``, every (dim, dim) matrix in full.
+
+The reader takes all three, dense files of monomial reps included, and builds the
+rep through :class:`UnitaryRep` with its full validation.  Writers keep full float
+precision (a round trip is bit-identical); :func:`canonical_dumps` reports round to
+12 significant digits, in text byte for byte what ``json.dumps`` of the rounded
+payload gives.
 """
 
 from __future__ import annotations
@@ -18,8 +28,8 @@ from .approx import OverlapReport
 from .bochner import BochnerReport, GnsResult
 from .channels import QuantumChannel
 from .equivalence import EquivalenceVerdict
-from .errors import ValidationError
-from .groups import GroupTable, group_from_json, group_to_json
+from .errors import SizeLimitError, ValidationError
+from .groups import GroupTable, _whole, _whole_number, group_from_json, group_to_json
 from .reps import IrrepDecomposition, UnitaryRep
 from .states import CharFunction, IrrepReduction, QuantumState, WeightState
 
@@ -64,23 +74,95 @@ def matrix_from_json(obj) -> np.ndarray:
 
 # -- representations ---------------------------------------------------------
 
+_REP_BYTES = 1 << 28  # largest dense stack |G| d^2 16 a rep file may claim
+
 
 def rep_to_json(r: UnitaryRep, inline_group: bool = True) -> dict:
-    out: dict[str, Any] = {"dim": r.dim, "mats": matrix_to_json(r.mats)}
+    """The rep in the first form that fits it: monomial, diagonal blocks unless there is
+    just one (a 0-dim rep has none), or dense."""
+    out: dict[str, Any] = {"dim": r.dim}
+    if r._monomial is not None:
+        out["src"], out["phase"] = r._monomial[0].tolist(), matrix_to_json(r._monomial[1])
+    elif len(r._blocks) != 1:
+        out["blocks"] = [
+            {"start": b.start, "mats": matrix_to_json(r.mats[:, b, b])} for b in r._blocks
+        ]
+    else:
+        out["mats"] = matrix_to_json(r.mats)
     if inline_group:
         out["group"] = group_to_json(r.group)
     return out
 
 
 def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
+    """Read a rep in any of the three forms into the dense stack and validate it in full.
+
+    A compact form must state ``dim``; a ``dim`` whose stack takes |G| dim^2 16 bytes
+    > 256 MiB raises SizeLimitError before any array is read.  Malformed indices or
+    blocks raise ValidationError; phases and block entries are left to UnitaryRep.
+    """
     if group is None:
         if "group" not in obj:
             raise ValidationError("representation JSON carries no group; pass one explicitly")
         group = group_from_json(obj["group"])
-    rep = UnitaryRep(group, _from_pairs(obj["mats"], 3))
-    if "dim" in obj and int(obj["dim"]) != rep.dim:
+    form = [key for key in ("mats", "blocks", "src", "phase") if key in obj]
+    if form not in (["mats"], ["blocks"], ["src", "phase"]):
+        raise ValidationError(
+            f"representation JSON needs 'mats', 'blocks' or 'src' with 'phase', got {form}"
+        )
+    n, dim = group.order, obj.get("dim")
+    if dim is None and form != ["mats"]:
+        raise ValidationError("a compact representation JSON must state its 'dim'")
+    if dim is not None:
+        dim = _whole_number(dim, "representation JSON 'dim'")
+        if dim < 0:
+            raise ValidationError(f"representation JSON 'dim' must be nonnegative, got {dim}")
+        if n * dim * dim * 16 > _REP_BYTES:
+            raise SizeLimitError(
+                f"a {dim}-dim rep of a group of order {n} takes {n * dim * dim * 16} bytes,"
+                f" over the cap {_REP_BYTES}"
+            )
+    if form == ["src", "phase"]:
+        mats = _monomial_mats(_whole(obj["src"], "'src'"), _from_pairs(obj["phase"], 2), n, dim)
+    elif form == ["blocks"]:
+        mats = _block_mats(obj["blocks"], n, dim)
+    else:
+        mats = _from_pairs(obj["mats"], 3)
+    rep = UnitaryRep(group, mats)
+    if dim is not None and dim != rep.dim:
         raise ValidationError("representation JSON 'dim' does not match its matrices")
     return rep
+
+
+def _monomial_mats(src: np.ndarray, phase: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """The stack with mats[g, i, src[g, i]] = phase[g, i] and zeros elsewhere."""
+    if src.shape != (n, dim) or phase.shape != (n, dim):
+        raise ValidationError(
+            f"'src' {src.shape} and 'phase' {phase.shape} must both have shape {(n, dim)}"
+        )
+    if not (np.sort(src, axis=1) == np.arange(dim)).all():
+        raise ValidationError(f"each row of 'src' must hold every index 0..{dim - 1} once")
+    mats = np.zeros((n, dim, dim), dtype=complex)
+    mats[np.arange(n)[:, None], np.arange(dim), src] = phase
+    return mats
+
+
+def _block_mats(blocks: list, n: int, dim: int) -> np.ndarray:
+    """The stack holding each block's (n, s, s) matrices on the diagonal at its start;
+    the blocks must follow each other from 0 to dim, with no gap and no overlap."""
+    mats, at = np.zeros((n, dim, dim), dtype=complex), 0
+    for blk in blocks:
+        start, m = _whole_number(blk["start"], "block 'start'"), _from_pairs(blk["mats"], 3)
+        if start != at or m.shape[0] != n or m.shape[1] != m.shape[2] or at + m.shape[1] > dim:
+            raise ValidationError(
+                f"block at {start} of shape {m.shape} does not tile (|G|, {dim}, {dim})"
+                f" after index {at}: the blocks must be square and follow each other"
+            )
+        at += m.shape[1]
+        mats[:, start:at, start:at] = m
+    if at != dim:
+        raise ValidationError(f"the blocks cover {at} of 'dim' {dim} indices")
+    return mats
 
 
 # -- states and functions -----------------------------------------------------
@@ -136,9 +218,9 @@ def channel_to_json(c: QuantumChannel) -> dict:
 
 def channel_from_json(obj: dict) -> QuantumChannel:
     c = QuantumChannel(_from_pairs(obj["kraus"], 3))
-    if "d_in" in obj and int(obj["d_in"]) != c.d_in:
+    if "d_in" in obj and _whole_number(obj["d_in"], "channel JSON 'd_in'") != c.d_in:
         raise ValidationError("channel JSON 'd_in' does not match its Kraus operators")
-    if "d_out" in obj and int(obj["d_out"]) != c.d_out:
+    if "d_out" in obj and _whole_number(obj["d_out"], "channel JSON 'd_out'") != c.d_out:
         raise ValidationError("channel JSON 'd_out' does not match its Kraus operators")
     return c
 

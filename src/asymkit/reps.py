@@ -51,10 +51,11 @@ class UnitaryRep:
     tolerance relative to the matrix norms.  Instances are immutable.  A
     monomial rep (one nonzero per row and column, exact zeros elsewhere:
     permutation and number reps, their sums and products) is also kept as
-    index and phase arrays and validated in O(|G|^2 d); others per diagonal block.
+    index and phase arrays and validated in O(|G|^2 d); any other keeps the
+    slices of its diagonal blocks and is validated block by block.
     """
 
-    __slots__ = ("group", "dim", "mats", "_monomial")
+    __slots__ = ("group", "dim", "mats", "_monomial", "_blocks")
 
     def __init__(self, group: GroupTable, mats):
         mats = np.asarray(mats, dtype=complex)
@@ -68,7 +69,7 @@ class UnitaryRep:
         self.dim = int(mats.shape[1])
         self.mats = mats
         form = _sparsity_form(mats)
-        self._monomial = form if isinstance(form, tuple) else None
+        self._monomial, self._blocks = (form, None) if isinstance(form, tuple) else (None, form)
         _validate_rep(group, mats, scaled_tol(mats), form)
         self.mats.setflags(write=False)
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
+import operator
 from typing import Any
 
 import numpy as np
@@ -145,29 +147,67 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
+def blocked_rep(group) -> ak.UnitaryRep:
+    """A rep of Z4 with two diagonal blocks, neither monomial nor dense: the number rep
+    with weights 0 and 1 turned by 45 degrees (a 2x2 block), then weight 2 (1x1)."""
+    c = np.sqrt(0.5)
+    turn = np.array([[c, -c], [c, c]])
+    pair = ak.number_rep(group, [0, 1])
+    pair = ak.UnitaryRep(group, turn @ pair.mats @ turn.T)
+    return ak.direct_sum_rep(pair, ak.number_rep(group, [2]))
+
+
+PAIR_KINDS = ("rep", "rep-phase", "rep-block", "state", "func", "channel")
+
+
 def pair_payloads():
     """A valid JSON payload of each kind that holds [re, im] pairs.
 
-    Each entry is (payload, the key of its pair array, reader); all live on
-    the Z4 number rep with weights 0 and 1 (d = 2).
+    Each entry is (payload, the path of keys to its pair array, reader).  The rep is
+    the Z4 number rep with weights 0 and 1 (d = 2), as a hand-written dense file
+    ("rep") and in the monomial form the writer picks ("rep-phase"); "rep-block" is
+    :func:`blocked_rep` in the block form.  The other payloads live on that d = 2 rep.
     """
     z4 = ak.make_cyclic(4)
     rep = ak.number_rep(z4, [0, 1])
+    dense = {"group": ak.group_to_json(z4), "dim": 2, "mats": jsonio.matrix_to_json(rep.mats)}
     psi = ak.QuantumState.pure(np.array([1.0, 1.0j]) / np.sqrt(2))
     return {
-        "rep": (jsonio.rep_to_json(rep), "mats", jsonio.rep_from_json),
-        "state": (jsonio.state_to_json(psi), "data", jsonio.state_from_json),
+        "rep": (dense, ("mats",), jsonio.rep_from_json),
+        "rep-phase": (jsonio.rep_to_json(rep), ("phase",), jsonio.rep_from_json),
+        "rep-block": (
+            jsonio.rep_to_json(blocked_rep(z4)),
+            ("blocks", 0, "mats"),
+            jsonio.rep_from_json,
+        ),
+        "state": (jsonio.state_to_json(psi), ("data",), jsonio.state_from_json),
         "func": (
             jsonio.func_to_json(ak.charfunc(psi, rep)),
-            "values",
+            ("values",),
             lambda obj: jsonio.func_from_json(obj, z4),
         ),
         "channel": (
             jsonio.channel_to_json(ak.QuantumChannel(np.eye(2)[None])),
-            "kraus",
+            ("kraus",),
             jsonio.channel_from_json,
         ),
     }
+
+
+def _with(base, path, value):
+    """A deep copy of ``base`` with the entry at the key path set to ``value``."""
+    obj = copy.deepcopy(base)
+    *outer, key = path
+    functools.reduce(operator.getitem, outer, obj)[key] = value
+    return obj
+
+
+def edited_payload(kind, edit):
+    """A copy of the ``kind`` payload of :func:`pair_payloads` with ``edit`` applied to
+    its pair array (edit returns the new array)."""
+    payload, path, _ = pair_payloads()[kind]
+    pairs = copy.deepcopy(functools.reduce(operator.getitem, path, payload))
+    return _with(payload, path, edit(pairs))
 
 
 def _first_row(pairs):
@@ -205,7 +245,42 @@ MALFORMED = {
 
 
 def malformed_payload(kind, case):
-    payload, key, _ = pair_payloads()[kind]
-    payload = copy.deepcopy(payload)
-    payload[key] = MALFORMED[case](payload[key])
-    return payload
+    return edited_payload(kind, MALFORMED[case])
+
+
+def rejected_inputs():
+    """Input files each reader must reject with ValidationError: id -> (kind, payload), kind
+    "rep", "group" or "channel".  The reps edit the payloads of :func:`pair_payloads`."""
+    payloads = pair_payloads()
+    dense, mono, blocks = (payloads[k][0] for k in ("rep", "rep-phase", "rep-block"))
+    narrow = [[row[:1] for row in m] for m in blocks["blocks"][0]["mats"]]
+    rep = {
+        "dim-fraction-dense": _with(dense, ("dim",), 2.9),
+        "dim-fraction-compact": _with(mono, ("dim",), 2.9),
+        "dim-missing-compact": {k: v for k, v in mono.items() if k != "dim"},
+        "src-fraction": _with(mono, ("src", 1, 1), 1.5),
+        "src-out-of-range": _with(mono, ("src", 1, 1), 2),
+        "src-negative": _with(mono, ("src", 1, 0), -1),
+        "src-repeated": _with(mono, ("src", 1), [0, 0]),
+        "src-phase-shapes": _with(mono, ("phase",), mono["phase"][:3]),
+        "src-without-phase": {k: v for k, v in mono.items() if k != "phase"},
+        "phase-zero": _with(mono, ("phase", 1, 0), [0.0, 0.0]),
+        "phase-not-unit": _with(mono, ("phase", 1, 0), [2.0, 0.0]),
+        "start-fraction": _with(blocks, ("blocks", 1, "start"), 2.5),
+        "blocks-overlap": _with(blocks, ("blocks", 1, "start"), 1),
+        "blocks-gap": _with(_with(blocks, ("blocks", 1, "start"), 3), ("dim",), 4),
+        "blocks-not-square": _with(blocks, ("blocks", 0, "mats"), narrow),
+        "blocks-short-of-dim": _with(blocks, ("dim",), 4),
+        "blocks-past-dim": _with(blocks, ("dim",), 2),
+        "mats-and-src": {**mono, "mats": dense["mats"]},
+        "blocks-and-src": {**blocks, "src": mono["src"], "phase": mono["phase"]},
+        "no-form": {k: v for k, v in dense.items() if k != "mats"},
+    }
+    channel = payloads["channel"][0]
+    return {
+        **{name: ("rep", obj) for name, obj in rep.items()},
+        "mul-fraction": ("group", {"mul": [[0, 1.5], [1, 0]]}),
+        "order-fraction": ("group", {"mul": [[0, 1], [1, 0]], "order": 2.5}),
+        "d-in-fraction": ("channel", _with(channel, ("d_in",), 2.5)),
+        "d-out-fraction": ("channel", _with(channel, ("d_out",), 2.5)),
+    }

@@ -4,7 +4,15 @@ import json
 
 import numpy as np
 import pytest
-from helpers import MALFORMED, malformed_payload, pair_payloads, reference_canonical_dumps
+from helpers import (
+    MALFORMED,
+    PAIR_KINDS,
+    edited_payload,
+    malformed_payload,
+    pair_payloads,
+    reference_canonical_dumps,
+    rejected_inputs,
+)
 
 import asymkit as ak
 from asymkit import jsonio
@@ -218,10 +226,15 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
-def nan_rep_json():
-    obj = jsonio.rep_to_json(ak.number_rep(ak.make_cyclic(4), [0, 1]))
-    obj["mats"][1][0][0] = [float("nan"), 0.0]
-    return obj
+def nan_rep_json(kind):
+    """The rep payload ``kind`` of pair_payloads with its second pair NaN (json writes NaN)."""
+
+    def nan(pairs):
+        pairs = np.array(pairs, dtype=object)
+        pairs.reshape(-1, 2)[1] = [float("nan"), 0.0]
+        return pairs.tolist()
+
+    return edited_payload(kind, nan)
 
 
 class TestMalformedInputFiles:
@@ -244,8 +257,10 @@ class TestMalformedInputFiles:
             lambda d: ["charfunc", "--rep", d("rep16.json"), "--state", d([[1.0, 0.0]])],
             # subgroup indices that are not integers
             lambda d: ["twirl", "--make", "cyclic:4", "--subgroup", "a,b"],
-            # a representation with a NaN matrix entry (json writes it as NaN)
-            lambda d: ["decompose", "--rep", d(nan_rep_json())],
+            # a representation with a NaN matrix entry, phase or block entry
+            lambda d: ["decompose", "--rep", d(nan_rep_json("rep"))],
+            lambda d: ["decompose", "--rep", d(nan_rep_json("rep-phase"))],
+            lambda d: ["decompose", "--rep", d(nan_rep_json("rep-block"))],
         ],
         ids=[
             "state-without-data",
@@ -254,6 +269,8 @@ class TestMalformedInputFiles:
             "state-list",
             "subgroup-ab",
             "rep-nan",
+            "rep-phase-nan",
+            "rep-block-nan",
         ],
     )
     def test_exit_2(self, workdir, capsys, make_argv):
@@ -357,15 +374,17 @@ class TestMalformedPairArrays:
     """A pair array with a null, a ragged row, a triple or the wrong depth exits 2."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
-    @pytest.mark.parametrize("kind", ["rep", "state", "func", "channel"])
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
     def test_exit_2(self, tmp_path, capsys, kind, case):
-        files = {name: tmp_path / f"{name}.json" for name in ("rep", "state", "func", "channel")}
+        files = {name: tmp_path / f"{name}.json" for name in PAIR_KINDS}
         for name, (payload, _, _) in pair_payloads().items():
             files[name].write_text(json.dumps(payload))
         files[kind].write_text(json.dumps(malformed_payload(kind, case)))
         f = {name: str(path) for name, path in files.items()}
         argv = {
             "rep": ["decompose", "--rep", f["rep"]],
+            "rep-phase": ["decompose", "--rep", f["rep-phase"]],
+            "rep-block": ["decompose", "--rep", f["rep-block"]],
             "state": ["charfunc", "--rep", f["rep"], "--state", f["state"]],
             "func": ["bochner", "--make", "cyclic:4", "--func", f["func"]],
             "channel": ["covcheck", "--channel", f["channel"], "--rep", f["rep"]],
@@ -469,3 +488,67 @@ def test_report_text_matches_encoder(small_files, capsys, monkeypatch, command):
     (report,) = reports
     assert report["command"] == command
     assert out == reference_canonical_dumps(report) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(rejected_inputs()))
+def test_rejected_input_exit_2(tmp_path, capsys, name):
+    kind, payload = rejected_inputs()[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "rep": ["decompose", "--rep", str(path)],
+        "group": ["group", "--group", str(path)],
+        "channel": ["covcheck", "--channel", str(path), "--make", "cyclic:2"],
+    }[kind]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("validation error:") and str(path) in captured.err
+    assert captured.out == ""
+
+
+def test_size_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 2000, "src": [[0]], "phase": [[[1.0, 0.0]]]}))
+    code = main(["decompose", "--make", "cyclic:720", "--rep", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("validation error:") and "SizeLimitError" in captured.err
+    assert captured.out == ""
+
+
+def gns_s3_rep(rng):
+    s3 = ak.make_symmetric(3)
+    return ak.gns_construct(ak.charfunc(ak.random_pure_state(6, rng), ak.regular_rep(s3))).rep
+
+
+@pytest.mark.parametrize("command", ["reduce", "overlap", "uequiv", "equiv", "decompose"])
+@pytest.mark.parametrize(
+    "make_rep",
+    [
+        lambda rng: ak.number_rep(ak.make_cyclic(8), [w for w in range(8) for _ in range(2)]),
+        gns_s3_rep,
+    ],
+    ids=["number", "gns"],
+)
+def test_dense_and_compact_files_report_alike(tmp_path, capsys, rng, command, make_rep):
+    rep = make_rep(rng)
+    compact = jsonio.rep_to_json(rep)
+    dense = {"group": compact["group"], "dim": rep.dim, "mats": jsonio.matrix_to_json(rep.mats)}
+    assert "mats" not in compact
+    psi = ak.random_pure_state(rep.dim, rng)
+    phi = ak.random_invariant_unitary(ak.decompose(rep, seed=4), rng) @ psi.vec
+    for name, obj in [
+        ("dense", dense),
+        ("compact", compact),
+        ("psi", jsonio.state_to_json(psi)),
+        ("phi", jsonio.state_to_json(ak.QuantumState.pure(phi))),
+    ]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    pair = ["--state", str(tmp_path / "psi.json"), "--state", str(tmp_path / "phi.json")]
+    states = {"decompose": [], "reduce": pair[:2]}.get(command, pair)
+    outs = [
+        run_cli(capsys, command, "--rep", str(tmp_path / f"{form}.json"), *states, "--seed", "3")
+        for form in ("dense", "compact")
+    ]
+    assert outs[0][0] == 0 and outs[0] == outs[1]

@@ -1,16 +1,27 @@
 """Serialization round trips for every interchange format."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import MALFORMED, malformed_payload, pair_payloads, reference_canonical_dumps
+from conftest import _build_groups
+from helpers import (
+    MALFORMED,
+    PAIR_KINDS,
+    malformed_payload,
+    pair_payloads,
+    perm_rep,
+    reference_canonical_dumps,
+    rejected_inputs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import asymkit as ak
 from asymkit import jsonio
+from asymkit.linalg import haar_unitary
 
 
 def test_rep_round_trip(rng):
@@ -87,14 +98,14 @@ def test_reloaded_group_interoperates(regular_reps, rng):
     assert out.values.shape == (6,)
 
 
-@pytest.mark.parametrize("kind", ["rep", "state", "func", "channel"])
+@pytest.mark.parametrize("kind", PAIR_KINDS)
 def test_valid_pair_payloads_parse(kind):
     payload, _, read = pair_payloads()[kind]
     read(json.loads(json.dumps(payload)))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-@pytest.mark.parametrize("kind", ["rep", "state", "func", "channel"])
+@pytest.mark.parametrize("kind", PAIR_KINDS)
 def test_malformed_pairs_rejected_by_reader(kind, case):
     _, _, read = pair_payloads()[kind]
     with pytest.raises(ak.ValidationError, match="pairs"):
@@ -169,3 +180,97 @@ def test_canonical_dumps_matches_encoder_on_large_arrays():
         "table": rng.integers(-(2**62), 2**62, (7, 9)).tolist(),
     }
     assert jsonio.canonical_dumps(payload) == reference_canonical_dumps(payload)
+
+
+def form_of(obj) -> list[str]:
+    return [key for key in ("mats", "blocks", "src") if key in obj]
+
+
+def haar_conjugated_rep():
+    s4 = ak.make_symmetric(4)
+    r = ak.direct_sum_rep(perm_rep(s4), ak.regular_rep(s4))
+    u = haar_unitary(r.dim, np.random.default_rng(11))
+    return ak.UnitaryRep(s4, u @ r.mats @ u.conj().T)
+
+
+ROUND_TRIPS = {
+    **{
+        f"regular-{name}": ("src", lambda fx, name=name: fx("regular_reps")[name])
+        for name in _build_groups()
+    },
+    "z16-number": ("src", lambda fx: fx("z16_number_rep")),
+    "s3-square": ("src", lambda fx: fx("s3_square")),
+    "z16-number-x3": ("src", lambda fx: fx("z16_number_x3_dec").rep),
+    "gns-s4": (
+        "blocks",
+        lambda fx: ak.gns_construct(
+            ak.charfunc(ak.random_pure_state(24, fx("rng")), fx("regular_reps")["s4"])
+        ).rep,
+    ),
+    "haar-dense": ("mats", lambda fx: haar_conjugated_rep()),
+    "zero-dim": ("blocks", lambda fx: ak.UnitaryRep(fx("groups")["z4"], np.zeros((4, 0, 0)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_rep_round_trip_bit_identical_in_its_form(request, name):
+    form, build = ROUND_TRIPS[name]
+    r = build(request.getfixturevalue)
+    obj = json.loads(json.dumps(jsonio.rep_to_json(r)))
+    assert form_of(obj) == [form]
+    back = jsonio.rep_from_json(obj)
+    assert back.mats.tobytes() == r.mats.tobytes()
+    assert (back._monomial is None, back._blocks) == (r._monomial is None, r._blocks)
+
+
+@pytest.mark.parametrize("name", ["z16-number-x3", "regular-s4"])
+def test_old_dense_file_of_monomial_rep_loads(request, name):
+    r = ROUND_TRIPS[name][1](request.getfixturevalue)
+    old = {"group": ak.group_to_json(r.group), "dim": r.dim, "mats": jsonio.matrix_to_json(r.mats)}
+    back = jsonio.rep_from_json(json.loads(json.dumps(old)))
+    assert back.mats.tobytes() == r.mats.tobytes()
+    assert back._monomial is not None
+
+
+READERS = {
+    "rep": jsonio.rep_from_json,
+    "group": ak.group_from_json,
+    "channel": jsonio.channel_from_json,
+}
+
+
+@pytest.mark.parametrize("name", sorted(rejected_inputs()))
+def test_reader_rejects(name):
+    kind, payload = rejected_inputs()[name]
+    match = "unitarity" if name.startswith("phase-") else None
+    with pytest.raises(ak.ValidationError, match=match):
+        READERS[kind](json.loads(json.dumps(payload)))
+
+
+def test_whole_numbers_are_read_as_integers():
+    payload, _, read = pair_payloads()["rep-block"]
+    obj = json.loads(json.dumps(payload))
+    obj["dim"], obj["blocks"][1]["start"] = 3.0, 2.0
+    assert read(obj).mats.tobytes() == read(payload).mats.tobytes()
+    assert ak.group_from_json({"mul": [[0.0, 1.0], [1.0, 0.0]], "order": 2.0}).order == 2
+
+
+HUGE_CLAIMS = {
+    "monomial": {"dim": 2000, "src": [[0]], "phase": [[[1.0, 0.0]]]},
+    "blocks": {"dim": 2000, "blocks": [{"start": 0, "mats": [[[[1.0, 0.0]]]]}]},
+    "dense": {"dim": 2000, "mats": [[[[1.0, 0.0]]]]},
+}
+
+
+@pytest.mark.parametrize("form", sorted(HUGE_CLAIMS))
+def test_size_limit_before_allocating(form):
+    """dim 2000 on Z720 would expand to 720 * 2000^2 * 16 bytes, 46 GB."""
+    z720 = ak.make_cyclic(720)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ak.SizeLimitError, match="46080000000 bytes"):
+            jsonio.rep_from_json(HUGE_CLAIMS[form], z720)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
