@@ -19,7 +19,7 @@ from . import reps
 from .errors import InvalidCharacteristicFunctionError, InvalidParameterError
 from .errors import NumericalDegeneracyError
 from .linalg import RTOL, frob, min_eigenvalue, scaled_tol
-from .states import CharFunction, QuantumState, fourier_blocks
+from .states import CharFunction, QuantumState, _forward_block
 
 _RANK_TOL = 1e-10
 
@@ -78,9 +78,9 @@ def is_positive_definite(
         raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
     reps._require_every_irrep(f.group, dec_of_regular)
     residual, t = _gram_rule(f, RTOL if tol is None else tol)
-    n = f.group.order
-    blocks = zip(dec_of_regular.blocks, fourier_blocks(f.values, dec_of_regular))
-    minima = {blk.label: n / blk.dim * min_eigenvalue(b) for blk, b in blocks}
+    n, dec = f.group.order, dec_of_regular
+    lows = [min_eigenvalue(_forward_block(f.values, f.group, m)) for *_, m in dec._by_shape()]
+    minima = {b.label: n / b.dim * float(x) for b, x in zip(dec.blocks, dec._in_block_order(lows))}
     worst = min(minima, key=minima.get)
     norm_tol = scaled_tol(f.values) if tol is None else max(tol, RTOL)
     return BochnerReport(

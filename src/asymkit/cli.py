@@ -132,7 +132,7 @@ def _cmd_decompose(args):
     return {
         "summary": [{"label": b.label, "dim": b.dim, "mult": b.mult} for b in dec.blocks],
         "decomposition": jsonio.decomposition_to_json(dec),
-        "residual": dec.reconstruction_residual(),
+        "residual": dec._residual,
     }
 
 

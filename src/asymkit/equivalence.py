@@ -32,8 +32,8 @@ from .errors import (
     PureStateRequiredError,
     ValidationError,
 )
-from .linalg import assert_psd, frob, polar_unitary, scaled_tol, trace_norm
-from .reps import IrrepDecomposition, UnitaryRep, _frob_each, decompose, one_dim_reps
+from .linalg import assert_psd, frob, polar_unitary, scaled_tol
+from .reps import IrrepDecomposition, UnitaryRep, _dagger, _frob_each, decompose, one_dim_reps
 from .states import QuantumState, WeightState, charfunc
 
 #: Per-element absolute tolerance for characteristic-function equality.
@@ -132,15 +132,15 @@ def decide_unitary_g_equivalence(
     _require_pure(psi, phi)
     if psi.dim != phi.dim or psi.dim != dec.rep.dim:
         raise DimensionMismatchError("states and decomposition must share one dimension")
-    sectors = zip(dec.vector_sectors(psi.vec), dec.vector_sectors(phi.vec))
-    equal = all(trace_norm(a @ a.conj().T - b @ b.conj().T) <= tol for a, b in sectors)
-    if not equal:
+    xs, ys = dec._sector_stacks(psi.vec), dec._sector_stacks(phi.vec)
+    gaps = (x @ _dagger(x) - y @ _dagger(y) for x, y in zip(xs, ys))  # all() stops at the first
+    if not all((np.linalg.svd(g, compute_uv=False).sum(axis=1) <= tol).all() for g in gaps):
         # A |chi| gap below CHI_MATCH_TOL is rounding, whatever the sector tol.
         cert = _modulus_certificate(
             charfunc(psi, dec.rep).values, charfunc(phi, dec.rep).values, max(tol, CHI_MATCH_TOL)
         )
         return EquivalenceVerdict(EquivalenceStatus.NOT_EQUIVALENT, certificate=cert)
-    v, _ = dec.align(psi.vec, phi.vec)
+    v, _ = dec._align(xs, ys)
     return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, witness=v)
 
 
@@ -240,24 +240,18 @@ def extend_isometry_to_ginv_unitary(
         )
     if dec is None:
         dec = decompose(r, seed=0)
-    pj = dec.basis @ proj @ dec.basis.conj().T
-    xj = dec.basis @ wp @ dec.basis.conj().T
-    mult_blocks = []
-    for i, blk in enumerate(dec.blocks):
-        sl = dec.sector_slice(i)
-        p_mu = _multiplicity_factor(pj[sl, sl], blk.dim, blk.mult)
-        t_mu = _multiplicity_factor(xj[sl, sl], blk.dim, blk.mult)
-        full = polar_unitary(t_mu)
-        # On the kernel of p_mu the completion is free; keep the SVD's choice.
-        if frob(full @ p_mu - t_mu) > 1e-6:
-            raise NotInvariantIsometryError(
-                f"sector {blk.label}: completion failed; input is not an invariant isometry"
-            )
-        mult_blocks.append(full)
-    return dec.invariant_unitary(mult_blocks)
-
-
-def _multiplicity_factor(block: np.ndarray, d_mu: int, n_mu: int) -> np.ndarray:
-    """Extract M from a sector operator of the form I_{d_mu} kron M."""
-    sector = block.reshape(d_mu, n_mu, d_mu, n_mu)
-    return np.einsum("mnmk->nk", sector) / d_mu
+    pj, xj = (dec.basis @ x @ _dagger(dec.basis) for x in (proj, wp))
+    fulls, worst = [], np.zeros(len(dec.blocks))
+    for ix, rows, _ in dec._by_shape():  # sector operators [j, m, a, m', b] are I_{d_mu} kron M
+        sectors = (x[rows[..., None, None], rows[:, None, None]] for x in (pj, xj))
+        p_mu, t_mu = (np.einsum("kmamb->kab", y) / rows.shape[1] for y in sectors)
+        fulls.append(polar_unitary(t_mu))
+        worst[ix] = _frob_each(fulls[-1] @ p_mu - t_mu)
+    # On the kernel of p_mu the completion is free; keep the SVD's choice.
+    failed = np.flatnonzero(worst > 1e-6)
+    if failed.size:
+        label = dec.blocks[failed[0]].label
+        raise NotInvariantIsometryError(
+            f"sector {label}: completion failed; input is not an invariant isometry"
+        )
+    return dec._assemble(fulls)

@@ -32,12 +32,12 @@ def is_hermitian(a: np.ndarray, tol: float) -> bool:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of a."""
-    return float(np.linalg.eigvalsh(hermitian_part(a))[0])
+def min_eigenvalue(a: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of a, per matrix of a stack (..., d, d)."""
+    return np.linalg.eigvalsh(hermitian_part(a))[..., 0]
 
 
 def assert_psd(a: np.ndarray, tol: float, what: str = "matrix") -> None:
@@ -46,7 +46,7 @@ def assert_psd(a: np.ndarray, tol: float, what: str = "matrix") -> None:
         raise NotPositiveSemidefiniteError(
             f"{what} is not Hermitian: ||A - A^dag|| = {frob(a - a.conj().T):.3e} > {tol:.3e}"
         )
-    lo = min_eigenvalue(a)
+    lo = float(min_eigenvalue(a))
     if lo < -tol:
         raise NotPositiveSemidefiniteError(
             f"{what} is not PSD: min eigenvalue {lo:.3e} < -{tol:.3e}"
@@ -75,7 +75,7 @@ def trace_norm(x: np.ndarray) -> float:
 
 
 def polar_unitary(m: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition m = U P."""
+    """Unitary factor of the polar decomposition m = U P, per matrix of a stack."""
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 

@@ -280,9 +280,10 @@ class IrrepBlock:
 
 
 class IrrepDecomposition:
-    """Basis change W plus the ordered irreducible blocks it exposes."""
+    """Basis change W plus the ordered irreducible blocks it exposes.  Sector queries
+    make one batched call per sector shape (d_mu, n_mu), not one per sector."""
 
-    __slots__ = ("rep", "basis", "blocks", "offsets")
+    __slots__ = ("rep", "basis", "blocks", "offsets", "_shapes", "_residual")
 
     def __init__(self, rep: UnitaryRep, basis: np.ndarray, blocks: list[IrrepBlock]):
         self.rep = rep
@@ -298,6 +299,8 @@ class IrrepDecomposition:
                 "decomposition invariant violated: sum of d_mu * n_mu must equal dim"
             )
         self.offsets = offsets
+        self._shapes = None  # the index of _by_shape, built by the first sector query
+        self._residual = None  # decompose's final reconstruction residual
 
     def multiset(self) -> list[tuple[int, int]]:
         """The (dimension, multiplicity) pairs, in block order."""
@@ -307,6 +310,32 @@ class IrrepDecomposition:
         blk = self.blocks[index]
         start = self.offsets[index]
         return slice(start, start + blk.dim * blk.mult)
+
+    def _by_shape(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The sectors grouped by shape (d_mu, n_mu), built on first use.  Per shape, in
+        order of first block: the block indices ix, rows of shape (k, d_mu, n_mu) with
+        rows[j, m, a] = offsets[ix[j]] + m * n_mu + a, and the stack of the blocks' mats."""
+        if self._shapes is None:
+            shapes: dict[tuple[int, int], list[int]] = {}
+            for i, blk in enumerate(self.blocks):
+                shapes.setdefault((blk.dim, blk.mult), []).append(i)
+            index = []
+            for (d, n), ix in shapes.items():
+                starts = np.array([self.offsets[i] for i in ix])[:, None]
+                rows = (starts + np.arange(d * n)).reshape(-1, d, n)
+                index.append((np.array(ix), rows, np.array([self.blocks[i].mats for i in ix])))
+            self._shapes = index
+        return self._shapes
+
+    def _sector_stacks(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per shape, the (k, d_mu, n_mu) stack of the vector's coefficient matrices."""
+        x = self.basis @ np.asarray(vec, dtype=complex)
+        return [x[rows] for _, rows, _ in self._by_shape()]
+
+    def _in_block_order(self, stacks: list[np.ndarray]) -> list[np.ndarray]:
+        """The entries of per-shape stacks as one list in block order."""
+        at = {i: x for (ix, _, _), st in zip(self._by_shape(), stacks) for i, x in zip(ix, st)}
+        return [at[i] for i in range(len(self.blocks))]
 
     def block_matrix(self, g) -> np.ndarray:
         """directsum_mu U_mu(g) kron I_{n_mu} in the decomposed basis.
@@ -324,30 +353,31 @@ class IrrepDecomposition:
 
     def vector_sectors(self, vec: np.ndarray) -> list[np.ndarray]:
         """Coefficient matrix (d_mu x n_mu) of a vector in each sector."""
-        x = self.basis @ np.asarray(vec, dtype=complex)
-        out = []
-        for i, blk in enumerate(self.blocks):
-            out.append(x[self.sector_slice(i)].reshape(blk.dim, blk.mult))
-        return out
+        return self._in_block_order(self._sector_stacks(vec))
 
     def invariant_unitary(self, mult_unitaries: list[np.ndarray]) -> np.ndarray:
         """Assemble directsum_mu I_{d_mu} kron V_mu back in the original basis.
 
         Every unitary commuting with the whole representation has this shape,
-        with V_mu acting on the multiplicity space of block mu.
+        with V_mu acting on the multiplicity space of block mu.  One indexed
+        assignment per shape (d_mu, n_mu) places the V_mu; W^dag (.) W is O(d^3).
         """
         if len(mult_unitaries) != len(self.blocks):
             raise DimensionMismatchError("need one multiplicity-space unitary per block")
-        out = np.zeros((self.rep.dim, self.rep.dim), dtype=complex)
-        for i, blk in enumerate(self.blocks):
-            v = np.asarray(mult_unitaries[i], dtype=complex)
+        vs = [np.asarray(v, dtype=complex) for v in mult_unitaries]
+        for blk, v in zip(self.blocks, vs):
             if v.shape != (blk.mult, blk.mult):
                 raise DimensionMismatchError(
                     f"block {blk.label} needs a {blk.mult}x{blk.mult} unitary, got {v.shape}"
                 )
-            sl = self.sector_slice(i)
-            out[sl, sl] = np.kron(np.eye(blk.dim), v)
-        return self.basis.conj().T @ out @ self.basis
+        return self._assemble([np.stack([vs[i] for i in ix]) for ix, _, _ in self._by_shape()])
+
+    def _assemble(self, stacks: list[np.ndarray]) -> np.ndarray:
+        """W^dag (directsum_mu I_{d_mu} kron V_mu) W from the per-shape stacks of V_mu."""
+        out = np.zeros((self.rep.dim, self.rep.dim), dtype=complex)
+        for (_, rows, _), v in zip(self._by_shape(), stacks):
+            out[rows[..., None], rows[:, :, None, :]] = v[:, None]  # [j, m, a, b] = V_j[a, b]
+        return _dagger(self.basis) @ out @ self.basis
 
     def align(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """Invariant unitary V maximizing Re <b|V|a>, and each sector's share of it.
@@ -357,14 +387,18 @@ class IrrepDecomposition:
         sum(s), the maximum, which is the Uhlmann fidelity of A A^dag and B B^dag
         (on zero singular values the SVD's completion is kept).  The shares, in
         block order, sum to <b|V|a>, which is therefore real and nonnegative.
+        One batched SVD per shape (d_mu, n_mu), then V as in :meth:`invariant_unitary`.
         """
-        mult_unitaries = []
-        shares = []
-        for x, y in zip(self.vector_sectors(a), self.vector_sectors(b)):
-            u, s, vh = np.linalg.svd(y.conj().T @ x)
-            mult_unitaries.append(np.conj(u @ vh))
-            shares.append(float(s.sum()))
-        return self.invariant_unitary(mult_unitaries), shares
+        return self._align(self._sector_stacks(a), self._sector_stacks(b))
+
+    def _align(self, xs: list[np.ndarray], ys: list[np.ndarray]) -> tuple[np.ndarray, list[float]]:
+        """:meth:`align` from the per-shape sector stacks of a and b."""
+        vs, shares = [], np.zeros(len(self.blocks))
+        for (ix, _, _), x, y in zip(self._by_shape(), xs, ys):
+            u, s, vh = np.linalg.svd(_dagger(y) @ x)
+            vs.append(np.conj(u @ vh))
+            shares[ix] = s.sum(axis=1)
+        return self._assemble(vs), shares.tolist()
 
     def reconstruction_residual(self) -> float:
         """max_g || W U(g) W^dag - blocks(g) ||_F, computed in chunks of g."""
@@ -411,7 +445,9 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
         raise InvalidParameterError(f"decompose needs a nonnegative integer seed, got {seed!r}")
     group, d, n = r.group, r.dim, r.group.order
     if d == 0:
-        return IrrepDecomposition(r, np.zeros((0, 0), dtype=complex), [])
+        dec = IrrepDecomposition(r, np.zeros((0, 0), dtype=complex), [])
+        dec._residual = 0.0
+        return dec
     chars = group._character_table()
     degs = chars[:, 0].real.astype(int)
     mults = chars.conj() @ r.character() / n  # n_mu = <chi_mu, chi_r>
@@ -448,6 +484,7 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     residual, tol = dec.reconstruction_residual(), max(scaled_tol(r.mats), 1e-10 * d, 1e-8)
     if residual > tol:
         raise NumericalDegeneracyError(f"decompose: residual {residual:.3e} > {tol:.3e}")
+    dec._residual = residual
     return dec
 
 

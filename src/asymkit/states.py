@@ -28,8 +28,8 @@ from .errors import (
     ValidationError,
 )
 from .groups import GroupTable, SubgroupRef, same_group, subgroup
-from .linalg import assert_psd, scaled_tol
-from .reps import IrrepBlock, IrrepDecomposition, UnitaryRep, _dagger, _frob_each
+from .linalg import assert_psd, min_eigenvalue, scaled_tol
+from .reps import IrrepDecomposition, UnitaryRep, _dagger, _frob_each
 
 
 class QuantumState:
@@ -141,8 +141,17 @@ class IrrepReduction:
         return np.array([np.trace(b).real for b in self.blocks])
 
     def validate(self, tol: float = 1e-8) -> "IrrepReduction":
-        for lab, b in zip(self.labels, self.blocks):
-            assert_psd(b, tol, what=f"reduction block {lab}")
+        """Raise unless every block is Hermitian PSD within tol, naming the first that is
+        not, and the traces sum to one.  One Hermiticity pass and ``eigvalsh`` per shape."""
+        failing = []
+        for shape in dict.fromkeys(b.shape for b in self.blocks):
+            ix = [i for i, b in enumerate(self.blocks) if b.shape == shape]
+            stack = np.array([self.blocks[i] for i in ix])
+            ok = _frob_each(stack - _dagger(stack)) <= tol  # a NaN residual fails
+            ok[ok] = min_eigenvalue(stack[ok]) >= -tol
+            failing += [i for i, good in zip(ix, ok) if not good]
+        for i in sorted(failing):  # assert_psd words the error
+            assert_psd(self.blocks[i], tol, what=f"reduction block {self.labels[i]}")
         total = float(self.traces().sum())
         if abs(total - 1.0) > tol:
             raise ValidationError(
@@ -183,17 +192,13 @@ def reduction_onto_irreps(s: QuantumState, dec: IrrepDecomposition) -> IrrepRedu
         raise DimensionMismatchError(
             f"state dimension {s.dim} does not match decomposition dimension {dec.rep.dim}"
         )
-    blocks = []
     if s.is_pure:
-        for a in dec.vector_sectors(s.vec):
-            blocks.append(a @ a.conj().T)
-    else:
-        rho = dec.basis @ s.rho @ dec.basis.conj().T
-        for i, blk in enumerate(dec.blocks):
-            sl = dec.sector_slice(i)
-            sector = rho[sl, sl].reshape(blk.dim, blk.mult, blk.dim, blk.mult)
-            blocks.append(np.einsum("mnkn->mk", sector))
-    red = IrrepReduction([b.label for b in dec.blocks], blocks)
+        stacks = [x @ _dagger(x) for x in dec._sector_stacks(s.vec)]
+    else:  # the trace over a of rho's sector entries [j, m, a, m', b]
+        rho = dec.basis @ s.rho @ _dagger(dec.basis)
+        sectors = (rho[r[..., None, None], r[:, None, None]] for _, r, _ in dec._by_shape())
+        stacks = [np.einsum("kmaja->kmj", sector) for sector in sectors]
+    red = IrrepReduction([b.label for b in dec.blocks], dec._in_block_order(stacks))
     return red.validate(max(1e-8, scaled_tol(s.density(), base=1e-9)))
 
 
@@ -201,7 +206,7 @@ def charfunc_from_reduction(red: IrrepReduction, dec: IrrepDecomposition) -> Cha
     """chi(g) = sum_mu tr(F_mu U_mu(g)): the sum of the inverse-transform rows."""
     if red.labels != [b.label for b in dec.blocks]:
         raise ValidationError("reduction labels do not match the decomposition blocks")
-    values = sum(_inverse_block(f, blk) for blk, f in zip(dec.blocks, red.blocks))
+    values = sum(_inverse_block(f, blk.mats) for blk, f in zip(dec.blocks, red.blocks))
     return CharFunction(dec.rep.group, values)
 
 
@@ -219,18 +224,19 @@ def fourier_inverse(f: CharFunction, dec: IrrepDecomposition) -> IrrepReduction:
 
 def fourier_blocks(values: np.ndarray, dec: IrrepDecomposition) -> list[np.ndarray]:
     """Forward transform: raw blocks d_mu * avg_g values(g^-1) U_mu(g), unvalidated."""
-    return [_forward_block(values, dec.rep.group, blk) for blk in dec.blocks]
+    group = dec.rep.group
+    return dec._in_block_order([_forward_block(values, group, m) for *_, m in dec._by_shape()])
 
 
-def _forward_block(values: np.ndarray, group: GroupTable, blk: IrrepBlock) -> np.ndarray:
-    """One block of the forward transform, O(|G| d_mu^2)."""
+def _forward_block(values: np.ndarray, group: GroupTable, mats: np.ndarray) -> np.ndarray:
+    """Forward block of mats (|G|, d, d), or per block of a (k, |G|, d, d) stack, O(|G| d^2)."""
     inv_vals = np.asarray(values, dtype=complex)[group.inv]
-    return blk.dim * np.einsum("g,gij->ij", inv_vals, blk.mats) / group.order
+    return mats.shape[-1] * np.einsum("g,...gij->...ij", inv_vals, mats) / group.order
 
 
-def _inverse_block(f: np.ndarray, blk: IrrepBlock) -> np.ndarray:
-    """One block of the inverse transform: the row g -> tr(f U_mu(g)), O(|G| d_mu^2)."""
-    return np.einsum("ij,gji->g", f, blk.mats)
+def _inverse_block(f: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Inverse row g -> tr(f U(g)) of a block, or per block of stacked f and mats, O(|G| d^2)."""
+    return np.einsum("...ij,...gji->...g", f, mats)
 
 
 def convolve(f1: CharFunction, f2: CharFunction) -> CharFunction:
