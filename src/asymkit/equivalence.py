@@ -150,13 +150,6 @@ def _modulus_certificate(chi1: np.ndarray, chi2: np.ndarray, tol: float) -> int 
     return g if gap[g] > tol else None
 
 
-def _chi_matches(target: np.ndarray, base: np.ndarray, omega: np.ndarray) -> bool:
-    big = np.abs(base) > CHI_ZERO_THRESHOLD
-    if np.any(np.abs(target[big] - omega[big] * base[big]) > CHI_MATCH_TOL):
-        return False
-    return not np.any(np.abs(target[~big]) > CHI_ZERO_THRESHOLD)
-
-
 def decide_g_equivalence(
     psi: QuantumState,
     phi: QuantumState,
@@ -176,15 +169,13 @@ def decide_g_equivalence(
     chi_psi = charfunc(psi, r).values
     chi_phi = charfunc(phi, r).values
     omegas = one_dim_reps(r.group, dec_regular)
-    for om in omegas:
-        if _chi_matches(chi_phi, chi_psi, om):
-            return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, one_dim_rep=om)
+    big = np.abs(chi_psi) > CHI_ZERO_THRESHOLD
+    misses = (np.abs(chi_phi[big] - omegas[:, big] * chi_psi[big]) > CHI_MATCH_TOL).any(axis=1)
+    # where chi_psi vanishes chi_phi must vanish too, whatever omega; the first match wins
+    if not misses.all() and not (np.abs(chi_phi[~big]) > CHI_ZERO_THRESHOLD).any():
+        return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, one_dim_rep=omegas[misses.argmin()])
     cert = _modulus_certificate(chi_psi, chi_phi, CHI_MATCH_TOL)
-    nonvanishing = (
-        np.min(np.abs(chi_psi)) > CHI_ZERO_THRESHOLD
-        and np.min(np.abs(chi_phi)) > CHI_ZERO_THRESHOLD
-    )
-    if nonvanishing:
+    if big.all() and (np.abs(chi_phi) > CHI_ZERO_THRESHOLD).all():  # both vanish nowhere
         return EquivalenceVerdict(EquivalenceStatus.NOT_EQUIVALENT, certificate=cert)
     return EquivalenceVerdict(EquivalenceStatus.INCONCLUSIVE, certificate=cert)
 

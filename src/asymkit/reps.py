@@ -77,6 +77,18 @@ class UnitaryRep:
         """Per-element trace vector tr U(g)."""
         return np.einsum("gii->g", self.mats)
 
+    def trace_against(self, x: np.ndarray) -> np.ndarray:
+        """tr(x U(g)) for every g; a vector psi stands for x = psi psi^dag, never formed.
+        A gather of sum_i phase[g, i] x[src[g, i], i] in O(|G| d) on a monomial rep."""
+        if self._monomial is None:
+            if x.ndim == 1:
+                return np.einsum("i,gij,j->g", x.conj(), self.mats, x)
+            return np.einsum("ij,gji->g", x, self.mats)
+        src, phase = self._monomial
+        if x.ndim == 1:
+            return (phase * x[src]) @ x.conj()
+        return (phase * x[src, np.arange(self.dim)]).sum(axis=1)
+
     def __repr__(self):
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
 
@@ -274,9 +286,6 @@ class IrrepBlock:
     mult: int
     mats: np.ndarray
     character: np.ndarray
-
-    def character_per_element(self) -> np.ndarray:
-        return np.einsum("gii->g", self.mats)
 
 
 class IrrepDecomposition:

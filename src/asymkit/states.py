@@ -10,7 +10,8 @@ each) and used by every conversion in the package:
 
 Characteristic functions are stored densely per group element.  They are a
 class function only for states commuting with the representation, which is
-not the generic case, so no per-class compression is done.
+not the generic case, so no per-class compression is done.  charfunc is O(|G| d) on a
+monomial rep, O(|G| d^2) otherwise; reductions are checked once per sector shape.
 """
 
 from __future__ import annotations
@@ -141,23 +142,38 @@ class IrrepReduction:
         return np.array([np.trace(b).real for b in self.blocks])
 
     def validate(self, tol: float = 1e-8) -> "IrrepReduction":
-        """Raise unless every block is Hermitian PSD within tol, naming the first that is
-        not, and the traces sum to one.  One Hermiticity pass and ``eigvalsh`` per shape."""
-        failing = []
-        for shape in dict.fromkeys(b.shape for b in self.blocks):
-            ix = [i for i, b in enumerate(self.blocks) if b.shape == shape]
-            stack = np.array([self.blocks[i] for i in ix])
-            ok = _frob_each(stack - _dagger(stack)) <= tol  # a NaN residual fails
-            ok[ok] = min_eigenvalue(stack[ok]) >= -tol
-            failing += [i for i, good in zip(ix, ok) if not good]
-        for i in sorted(failing):  # assert_psd words the error
-            assert_psd(self.blocks[i], tol, what=f"reduction block {self.labels[i]}")
-        total = float(self.traces().sum())
-        if abs(total - 1.0) > tol:
-            raise ValidationError(
-                f"reduction invariant violated: sum of traces = {total:.12f}, must be 1"
-            )
+        """Raise unless every block is Hermitian PSD within tol (>= 0), naming the first that
+        is not, and the traces sum to one.  Blocks are checked once per shape."""
+        if not tol >= 0:
+            raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
+        shapes = [b.shape for b in self.blocks]
+        ixs = [np.flatnonzero([x == shape for x in shapes]) for shape in dict.fromkeys(shapes)]
+        _check_stacks([np.array([self.blocks[i] for i in ix]) for ix in ixs], ixs, self.labels, tol)
         return self
+
+
+def _check_stacks(stacks: list, ixs: list, labels: list, tol: float) -> None:
+    """Raise unless each block stacks[s][j], block ixs[s][j], is Hermitian PSD within tol, naming
+    the first that is not, and the traces sum to one.  One pass of each check per shape."""
+    failing = {}
+    for ix, stack in zip(ixs, stacks):
+        ok = _frob_each(stack - _dagger(stack)) <= tol  # a NaN residual fails
+        ok[ok] = min_eigenvalue(stack[ok]) >= -tol
+        failing.update(zip(ix[~ok], stack[~ok]))
+    for i in sorted(failing):  # assert_psd words the error
+        assert_psd(failing[i], tol, what=f"reduction block {labels[i]}")
+    total = float(sum(np.einsum("kii->", stack).real for stack in stacks))
+    if abs(total - 1.0) > tol:
+        raise ValidationError(
+            f"reduction invariant violated: sum of traces = {total:.12f}, must be 1"
+        )
+
+
+def _reduction(stacks: list[np.ndarray], dec: IrrepDecomposition, tol: float) -> IrrepReduction:
+    """The reduction of per-shape stacks in dec's shape order, checked before block order."""
+    labels = [b.label for b in dec.blocks]
+    _check_stacks(stacks, [ix for ix, *_ in dec._by_shape()], labels, tol)
+    return IrrepReduction(labels, dec._in_block_order(stacks))
 
 
 def _state_chi_check(values: np.ndarray, tol: float = 1e-8) -> None:
@@ -178,10 +194,7 @@ def charfunc(s: QuantumState, r: UnitaryRep) -> CharFunction:
         raise DimensionMismatchError(
             f"state dimension {s.dim} does not match representation dimension {r.dim}"
         )
-    if s.is_pure:
-        values = np.einsum("i,gij,j->g", s.vec.conj(), r.mats, s.vec)
-    else:
-        values = np.einsum("ij,gji->g", s.rho, r.mats)
+    values = r.trace_against(s.vec if s.is_pure else s.rho)
     _state_chi_check(values)
     return CharFunction(r.group, values)
 
@@ -198,8 +211,8 @@ def reduction_onto_irreps(s: QuantumState, dec: IrrepDecomposition) -> IrrepRedu
         rho = dec.basis @ s.rho @ _dagger(dec.basis)
         sectors = (rho[r[..., None, None], r[:, None, None]] for _, r, _ in dec._by_shape())
         stacks = [np.einsum("kmaja->kmj", sector) for sector in sectors]
-    red = IrrepReduction([b.label for b in dec.blocks], dec._in_block_order(stacks))
-    return red.validate(max(1e-8, scaled_tol(s.density(), base=1e-9)))
+    scale = np.vdot(s.vec, s.vec) if s.is_pure else s.rho  # ||psi||^2 = ||psi psi^dag||_F
+    return _reduction(stacks, dec, max(1e-8, scaled_tol(scale, base=1e-9)))
 
 
 def charfunc_from_reduction(red: IrrepReduction, dec: IrrepDecomposition) -> CharFunction:
@@ -217,9 +230,8 @@ def fourier_inverse(f: CharFunction, dec: IrrepDecomposition) -> IrrepReduction:
     """
     if not same_group(f.group, dec.rep.group):
         raise GroupMismatchError("function and decomposition must share the group")
-    blocks = fourier_blocks(f.values, dec)
-    red = IrrepReduction([b.label for b in dec.blocks], blocks)
-    return red.validate()
+    stacks = [_forward_block(f.values, f.group, m) for *_, m in dec._by_shape()]
+    return _reduction(stacks, dec, 1e-8)
 
 
 def fourier_blocks(values: np.ndarray, dec: IrrepDecomposition) -> list[np.ndarray]:
@@ -261,8 +273,11 @@ def symmetry_subgroup(s: QuantumState, r: UnitaryRep, tol: float = 1e-8) -> Subg
 
     Closure of the resulting set is exact in theory; a closure failure at the
     working tolerance means the tolerance sits inside the spectrum of
-    deviations and raises ToleranceError rather than returning a non-group.
+    deviations and raises ToleranceError rather than returning a non-group.  A negative
+    or NaN tol raises InvalidParameterError.
     """
+    if not tol >= 0:
+        raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
     if s.dim != r.dim:
         raise DimensionMismatchError(
             f"state dimension {s.dim} does not match representation dimension {r.dim}"

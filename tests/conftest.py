@@ -69,6 +69,18 @@ def z16_number_x3_dec(groups):
     return ak.decompose(ak.number_rep(groups["z16"], [w for w in range(16) for _ in range(3)]))
 
 
+@pytest.fixture(scope="session")
+def shuffled(decompositions):
+    """Regular S4 with shapes (3, 3), (1, 1), (2, 2), (1, 1), (3, 3): equal shapes apart.
+    The same decomposition with its blocks (and basis rows) in another order."""
+    dec, order = decompositions["s4"], [3, 0, 2, 1, 4]
+    rows = np.concatenate([np.arange(dec.rep.dim)[dec.sector_slice(i)] for i in order])
+    dec = ak.IrrepDecomposition(dec.rep, dec.basis[rows], [dec.blocks[i] for i in order])
+    assert dec.multiset() == [(3, 3), (1, 1), (2, 2), (1, 1), (3, 3)]
+    assert dec.reconstruction_residual() <= 1e-10
+    return dec
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)

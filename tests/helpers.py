@@ -52,7 +52,7 @@ def charfunc_bound_by_convolution(psi1, psi2, dec) -> tuple[float, float]:
     per_total = 0.0
     for i in active:
         blk = dec.blocks[i]
-        character = ak.CharFunction(dec.rep.group, blk.character_per_element())
+        character = ak.CharFunction(dec.rep.group, np.einsum("gii->g", blk.mats))
         c1 = ak.convolve(character, chi1).values
         c2 = ak.convolve(character, chi2).values
         per_total += blk.dim**2 * float(np.mean(np.abs(blk.dim * (c1 - c2))))
@@ -145,6 +145,14 @@ def _round_floats(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     return obj
+
+
+def dense_charfunc(s, r) -> np.ndarray:
+    """chi(g) = tr(rho U(g)) by one einsum over every dense matrix: what charfunc computes on
+    a rep that is not monomial, and the oracle for its gather on one that is."""
+    if s.is_pure:
+        return np.einsum("i,gij,j->g", s.vec.conj(), r.mats, s.vec)
+    return np.einsum("ij,gji->g", s.rho, r.mats)
 
 
 def blocked_rep(group) -> ak.UnitaryRep:

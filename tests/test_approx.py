@@ -191,7 +191,7 @@ class TestComponentsAgainstConvolution:
         # a complex group function that is not a characteristic function
         f = ak.CharFunction(dec.rep.group, rng.normal(size=n) + 1j * rng.normal(size=n))
         for i, blk in enumerate(dec.blocks):
-            character = ak.CharFunction(dec.rep.group, blk.character_per_element())
+            character = ak.CharFunction(dec.rep.group, np.einsum("gii->g", blk.mats))
             expected = blk.dim * ak.convolve(character, f).values
             assert np.max(np.abs(ak.irrep_component(f, dec, i).values - expected)) < 1e-10
 

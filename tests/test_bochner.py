@@ -286,7 +286,7 @@ class TestGnsLadder:
 
     def test_normalized_irreducible_character(self, groups, decompositions):
         for blk in decompositions["s4"].blocks:
-            f = ak.CharFunction(groups["s4"], blk.character_per_element() / blk.dim)
+            f = ak.CharFunction(groups["s4"], np.einsum("gii->g", blk.mats) / blk.dim)
             res = ak.gns_construct(f)
             assert res.dim == blk.dim**2
             assert chi_error(f, res) <= 1e-9

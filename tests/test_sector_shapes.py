@@ -27,21 +27,6 @@ def all_decs(decompositions, s3_square_dec, z16_number_x3_dec):
     return {**decompositions, "s3_square": s3_square_dec, "z16_number_x3": z16_number_x3_dec}
 
 
-def permuted(dec, order):
-    """The same decomposition with its blocks (and basis rows) in another order."""
-    rows = np.concatenate([np.arange(dec.rep.dim)[dec.sector_slice(i)] for i in order])
-    return ak.IrrepDecomposition(dec.rep, dec.basis[rows], [dec.blocks[i] for i in order])
-
-
-@pytest.fixture(scope="module")
-def shuffled(decompositions):
-    """Regular S4 with shapes (3, 3), (1, 1), (2, 2), (1, 1), (3, 3): equal shapes apart."""
-    dec = permuted(decompositions["s4"], [3, 0, 2, 1, 4])
-    assert dec.multiset() == [(3, 3), (1, 1), (2, 2), (1, 1), (3, 3)]
-    assert dec.reconstruction_residual() <= 1e-10
-    return dec
-
-
 def ref_sectors(dec, vec):
     x = dec.basis @ vec
     return [x[dec.sector_slice(i)].reshape(b.dim, b.mult) for i, b in enumerate(dec.blocks)]

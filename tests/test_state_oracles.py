@@ -1,0 +1,355 @@
+"""State queries against the references they replaced.
+
+* ``charfunc`` on a monomial rep is a gather, sum_i phase[g, i] rho[src[g, i], i];
+  :func:`helpers.dense_charfunc`, one einsum over every dense matrix, is its oracle
+  and is still the route on any other rep.
+* Reductions are checked once per sector shape.  The per-block rule (``assert_psd`` on
+  every block in block order, then the trace sum) must raise the same class with the
+  same message, so the same block is named.
+* ``decide_g_equivalence`` compares every omega with chi in one array pass.  The
+  per-omega loop it replaced must return the same omega and status.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import asymkit as ak
+from asymkit.equivalence import CHI_MATCH_TOL, CHI_ZERO_THRESHOLD
+from asymkit.linalg import assert_psd, haar_unitary, scaled_tol
+from asymkit.reps import one_dim_reps
+from helpers import blocked_rep, dense_charfunc
+
+TOL = 1e-12
+
+
+def shift_rep(group, m: int) -> ak.UnitaryRep:
+    """Z_N permuting m points (m divides N): g moves point i to i + g mod m."""
+    mats = np.zeros((group.order, m, m), dtype=complex)
+    for g in range(group.order):
+        mats[g, (np.arange(m) + g) % m, np.arange(m)] = 1.0
+    return ak.UnitaryRep(group, mats)
+
+
+def states(dim, rng):
+    return [ak.random_pure_state(dim, rng), ak.random_mixed_state(dim, rng, rank=2)]
+
+
+@pytest.fixture(scope="module")
+def monomial_reps(groups, regular_reps):
+    rng = np.random.default_rng(7)
+    z6, z16 = groups["z6"], groups["z16"]
+    return {
+        "z16 number, random weights": ak.number_rep(z16, rng.integers(-40, 40, size=7)),
+        "z6 number, repeated weights": ak.number_rep(z6, [0, 5, 5, 2, -3]),
+        "s4 regular": regular_reps["s4"],
+        "d4 regular": regular_reps["d4"],
+        "z6 shift (x) number": ak.tensor_rep(shift_rep(z6, 3), ak.number_rep(z6, [1, 4])),
+        "s3 regular (x) s3 regular": ak.tensor_rep(regular_reps["s3"], regular_reps["s3"]),
+    }
+
+
+class TestCharfuncGather:
+    def test_monomial_reps_match_the_dense_einsum(self, monomial_reps, rng):
+        for name, r in monomial_reps.items():
+            assert r._monomial is not None, name
+            assert not np.allclose(r._monomial[1], 1.0) or "regular" in name
+            for s in states(r.dim, rng):
+                chi = ak.charfunc(s, r).values
+                assert np.abs(chi - dense_charfunc(s, r)).max() <= TOL, (name, s.kind)
+
+    def test_basis_vectors_and_maximally_mixed(self, monomial_reps):
+        # exact values: chi of e_i is U(g)[i, i]; of I/d, the character over d
+        for name, r in monomial_reps.items():
+            diag = np.einsum("gii->gi", r.mats)
+            for i in (0, r.dim - 1):
+                e = np.zeros(r.dim)
+                e[i] = 1.0
+                chi = ak.charfunc(ak.QuantumState.pure(e), r).values
+                assert np.abs(chi - diag[:, i]).max() <= TOL
+            mixed = ak.QuantumState.mixed(np.eye(r.dim) / r.dim)
+            assert np.abs(ak.charfunc(mixed, r).values - r.character() / r.dim).max() <= TOL
+
+    @pytest.mark.parametrize("kind", ["dense", "blocked"])
+    def test_other_reps_take_the_dense_einsum(self, kind, groups, regular_reps, rng, monkeypatch):
+        if kind == "dense":
+            v = haar_unitary(6, rng)
+            r = ak.UnitaryRep(groups["s3"], v @ regular_reps["s3"].mats @ v.conj().T)
+        else:
+            r = blocked_rep(groups["z4"])
+        assert r._monomial is None
+        for s in states(r.dim, rng):
+            want = dense_charfunc(s, r)
+            calls = []
+            einsum = np.einsum
+
+            def counting_einsum(spec, *ops, **kwargs):
+                calls.append(spec)
+                return einsum(spec, *ops, **kwargs)
+
+            monkeypatch.setattr(np, "einsum", counting_einsum)
+            chi = ak.charfunc(s, r).values
+            monkeypatch.undo()
+            assert calls == ["i,gij,j->g" if s.is_pure else "ij,gji->g"]
+            assert np.array_equal(chi, want)
+
+    @given(
+        st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_number_and_shift_reps_by_hypothesis(self, weights, seed, mixed):
+        z12 = ak.make_cyclic(12)
+        rng = np.random.default_rng(seed)
+        number = ak.number_rep(z12, weights)
+        reps = [number, ak.tensor_rep(shift_rep(z12, 4), number)]
+        if len(weights) <= 3:
+            reps.append(ak.tensor_rep(number, ak.regular_rep(z12)))
+        for r in reps:
+            assert r._monomial is not None
+            s = ak.random_mixed_state(r.dim, rng) if mixed else ak.random_pure_state(r.dim, rng)
+            assert np.abs(ak.charfunc(s, r).values - dense_charfunc(s, r)).max() <= TOL
+
+
+# -- reductions: the per-block rule as an oracle -----------------------------------
+
+
+def ref_check(blocks, labels, tol):
+    """The rule block by block: assert_psd in block order, then the trace sum."""
+    for blk, label in zip(blocks, labels):
+        assert_psd(blk, tol, what=f"reduction block {label}")
+    total = float(sum(np.trace(b).real for b in blocks))
+    if abs(total - 1.0) > tol:
+        raise ak.ValidationError(
+            f"reduction invariant violated: sum of traces = {total:.12f}, must be 1"
+        )
+
+
+def ref_reduction_blocks(s, dec):
+    """Per sector, the partial trace over the multiplicity space, in block order."""
+    rho = dec.basis @ s.density() @ dec.basis.conj().T
+    out = []
+    for i, blk in enumerate(dec.blocks):
+        sec = rho[dec.sector_slice(i), dec.sector_slice(i)]
+        out.append(np.einsum("mana->mn", sec.reshape(blk.dim, blk.mult, blk.dim, blk.mult)))
+    return out
+
+
+def ref_fourier_blocks(values, dec):
+    group = dec.rep.group
+    return [
+        blk.dim * np.einsum("g,gij->ij", values[group.inv], blk.mats) / group.order
+        for blk in dec.blocks
+    ]
+
+
+def same_error(call, oracle):
+    """Both raise, with the same class and message; return the message."""
+    with pytest.raises(ak.AsymkitError) as got:
+        call()
+    with pytest.raises(ak.AsymkitError) as want:
+        oracle()
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def function_of(blocks, dec):
+    """The function whose forward transform is the given blocks (any blocks at all)."""
+    red = ak.IrrepReduction([b.label for b in dec.blocks], blocks)
+    return ak.charfunc_from_reduction(red, dec)
+
+
+class TestReductionVerdicts:
+    def test_failing_block_in_a_later_shape_is_named_first(self, shuffled, rng):
+        # shapes in first-seen order: (3, 3) holds blocks 0 and 4, (1, 1) blocks 1 and 3,
+        # (2, 2) block 2; blocks 4 and 2 fail, so the third shape holds the one named
+        red = ak.reduction_onto_irreps(ak.random_pure_state(24, rng), shuffled)
+        blocks = [b.copy() for b in red.blocks]
+        blocks[4] -= 0.5 * np.eye(3)
+        blocks[2] = np.array([[0.3, 0.2], [0.2, -0.1]])
+        f = function_of(blocks, shuffled)
+        labels = [b.label for b in shuffled.blocks]
+        msg = same_error(
+            lambda: ak.fourier_inverse(f, shuffled),
+            lambda: ref_check(ref_fourier_blocks(f.values, shuffled), labels, 1e-8),
+        )
+        assert f"block {labels[2]} is not PSD" in msg
+        msg = same_error(
+            lambda: ak.IrrepReduction(labels, blocks).validate(),
+            lambda: ref_check(blocks, labels, 1e-8),
+        )
+        assert f"block {labels[2]} is not PSD" in msg
+
+    def test_non_hermitian_block_of_the_first_shape_is_named_first(self, shuffled):
+        # block 0 (first shape) is not Hermitian, block 3 (second shape) not PSD
+        labels = [b.label for b in shuffled.blocks]
+        blocks = [np.eye(3) / 15, np.eye(1) / 5, np.eye(2) / 10, np.eye(1) / 5, np.eye(3) / 15]
+        blocks[3] = np.array([[-0.2]])
+        blocks[0] = blocks[0] + np.triu(np.ones((3, 3)), 1) * 0.1
+        msg = same_error(
+            lambda: ak.IrrepReduction(labels, blocks).validate(),
+            lambda: ref_check(blocks, labels, 1e-8),
+        )
+        assert f"block {labels[0]} is not Hermitian" in msg
+
+    def test_nan(self, decompositions):
+        dec = decompositions["s4"]
+        labels = [b.label for b in dec.blocks]
+        s = ak.QuantumState.pure(np.eye(24)[0])
+        s.vec = np.full(24, np.nan, dtype=complex)
+        tol = max(1e-8, scaled_tol(s.density(), base=1e-9))
+        msg = same_error(
+            lambda: ak.reduction_onto_irreps(s, dec),
+            lambda: ref_check(ref_reduction_blocks(s, dec), labels, tol),
+        )
+        assert f"block {labels[0]} is not Hermitian" in msg
+        f = ak.CharFunction(dec.rep.group, np.r_[1.0, np.full(23, np.nan)])
+        same_error(
+            lambda: ak.fourier_inverse(f, dec),
+            lambda: ref_check(ref_fourier_blocks(f.values, dec), labels, 1e-8),
+        )
+
+    @pytest.mark.parametrize("scale", [1.5, 100.0])
+    def test_trace_sum_not_one(self, scale, decompositions, rng):
+        # a vector of norm^2 = scale^2: the tolerance is read from ||psi||^2, which is
+        # ||psi psi^dag||_F, so both sides use the same one
+        dec = decompositions["s4"]
+        labels = [b.label for b in dec.blocks]
+        s = ak.random_pure_state(24, rng)
+        s.vec = scale * s.vec
+        tol = max(1e-8, scaled_tol(s.density(), base=1e-9))
+        msg = same_error(
+            lambda: ak.reduction_onto_irreps(s, dec),
+            lambda: ref_check(ref_reduction_blocks(s, dec), labels, tol),
+        )
+        assert "sum of traces" in msg
+        chi = ak.charfunc(ak.random_pure_state(24, rng), dec.rep)
+        f = ak.CharFunction(dec.rep.group, scale * chi.values)
+        same_error(
+            lambda: ak.fourier_inverse(f, dec),
+            lambda: ref_check(ref_fourier_blocks(f.values, dec), labels, 1e-8),
+        )
+
+    def test_mixed_state_blocks_match_the_partial_traces(self, decompositions, s3_square_dec, rng):
+        for dec in (decompositions["s4"], decompositions["d4"], s3_square_dec):
+            for s in states(dec.rep.dim, rng):
+                red = ak.reduction_onto_irreps(s, dec)
+                for got, want in zip(red.blocks, ref_reduction_blocks(s, dec)):
+                    assert np.abs(got - want).max() <= TOL
+
+
+class TestToleranceRule:
+    @pytest.mark.parametrize("tol", [-1e-3, np.nan])
+    def test_validate_rejects(self, tol):
+        with pytest.raises(ak.InvalidParameterError, match="tol must be nonnegative"):
+            ak.IrrepReduction([0], [np.eye(1)]).validate(tol)
+
+    @pytest.mark.parametrize("tol", [-1e-3, np.nan])
+    def test_symmetry_subgroup_rejects(self, tol, z16_number_rep):
+        s = ak.QuantumState.pure(np.eye(16)[3])
+        with pytest.raises(ak.InvalidParameterError, match="tol must be nonnegative"):
+            ak.symmetry_subgroup(s, z16_number_rep, tol=tol)
+
+    def test_zero_tol_still_accepted(self, z16_number_rep):
+        assert ak.IrrepReduction([0], [np.eye(1)]).validate(0.0).labels == [0]
+        s = ak.QuantumState.pure(np.eye(16)[0])  # weight 0: every phase is exactly 1
+        assert len(ak.symmetry_subgroup(s, z16_number_rep, tol=0.0)) == 16
+
+
+# -- the omega scan: the per-omega loop as an oracle ---------------------------------
+
+
+def ref_decide_g(psi, phi, r, dec_regular=None):
+    """The loop decide_g_equivalence replaced: the first omega in one_dim_reps order with
+    chi_phi = omega chi_psi where chi_psi does not vanish, and chi_phi vanishing where it does."""
+    chi_psi, chi_phi = ak.charfunc(psi, r).values, ak.charfunc(phi, r).values
+    for om in one_dim_reps(r.group, dec_regular):
+        big = np.abs(chi_psi) > CHI_ZERO_THRESHOLD
+        if np.any(np.abs(chi_phi[big] - om[big] * chi_psi[big]) > CHI_MATCH_TOL):
+            continue
+        if not np.any(np.abs(chi_phi[~big]) > CHI_ZERO_THRESHOLD):
+            return ak.EquivalenceStatus.EQUIVALENT, om, None
+    gap = np.abs(np.abs(chi_psi) - np.abs(chi_phi))
+    cert = int(np.argmax(gap)) if gap.max() > CHI_MATCH_TOL else None
+    vanish = min(np.abs(chi_psi).min(), np.abs(chi_phi).min()) <= CHI_ZERO_THRESHOLD
+    status = ak.EquivalenceStatus.INCONCLUSIVE if vanish else ak.EquivalenceStatus.NOT_EQUIVALENT
+    return status, None, cert
+
+
+def assert_same_verdict(psi, phi, r, dec_regular=None):
+    v = ak.decide_g_equivalence(psi, phi, r, dec_regular)
+    status, om, cert = ref_decide_g(psi, phi, r, dec_regular)
+    assert v.status is status
+    assert v.certificate == cert
+    if om is None:
+        assert v.one_dim_rep is None
+    else:
+        assert np.array_equal(v.one_dim_rep, om)
+    return v
+
+
+def basis_state(dim, i):
+    return ak.QuantumState.pure(np.eye(dim)[i])
+
+
+class TestOmegaScan:
+    @pytest.mark.parametrize("name", ["z6", "klein", "s4", "d4", "s3"])
+    def test_random_and_twisted_pairs(self, name, regular_reps, decompositions, rng):
+        r, dec = regular_reps[name], decompositions[name]
+        omegas = one_dim_reps(r.group, dec)
+        n = r.group.order
+        for k in range(len(omegas)):
+            psi = ak.random_pure_state(n, rng)
+            twisted = ak.QuantumState.pure(omegas[k] * psi.vec)  # chi_phi = omega_k chi_psi
+            v = assert_same_verdict(psi, twisted, r, dec)
+            assert v.status is ak.EquivalenceStatus.EQUIVALENT
+            assert_same_verdict(psi, ak.random_pure_state(n, rng), r, dec)
+            assert_same_verdict(psi, twisted, r)
+
+    @pytest.mark.parametrize("name", ["z6", "klein", "d4"])
+    def test_vanishing_chi_several_omegas_match(self, name, regular_reps, decompositions):
+        # chi of a basis vector of the regular rep is the delta at e: every omega matches,
+        # and the first in one_dim_reps order (the trivial one) is returned
+        r, dec = regular_reps[name], decompositions[name]
+        n = r.group.order
+        v = assert_same_verdict(basis_state(n, 0), basis_state(n, n - 1), r, dec)
+        assert v.status is ak.EquivalenceStatus.EQUIVALENT
+        assert np.array_equal(v.one_dim_rep, one_dim_reps(r.group, dec)[0])
+        # chi_psi vanishing where chi_phi does not: no omega, and inconclusive
+        plus = ak.QuantumState.pure(np.r_[1.0, 1.0, np.zeros(n - 2)] / np.sqrt(2))
+        v = assert_same_verdict(basis_state(n, 0), plus, r, dec)
+        assert v.status is ak.EquivalenceStatus.INCONCLUSIVE
+        v = assert_same_verdict(plus, basis_state(n, 0), r, dec)
+        assert v.status is ak.EquivalenceStatus.INCONCLUSIVE
+
+    def test_partly_vanishing_chi_with_two_matches(self, groups):
+        # Z4 number rep with weights 0 and 2: chi = (1 + (-1)^g) / 2 vanishes at odd g,
+        # so omega(g) = i^(k g) matches for k = 0 and k = 2, and k = 0 comes first
+        r = ak.number_rep(groups["z4"], [0, 2])
+        psi = ak.QuantumState.pure(np.array([1.0, 1.0]) / np.sqrt(2))
+        phi = ak.QuantumState.pure(np.array([1.0, -1.0]) / np.sqrt(2))
+        omegas = one_dim_reps(groups["z4"])
+        chi_psi = ak.charfunc(psi, r).values
+        matches = [k for k, om in enumerate(omegas)
+                   if np.abs(ak.charfunc(phi, r).values - om * chi_psi).max() <= CHI_MATCH_TOL]
+        assert len(matches) == 2
+        v = assert_same_verdict(psi, phi, r)
+        assert np.array_equal(v.one_dim_rep, omegas[matches[0]])
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5))
+    @settings(max_examples=30, deadline=None)
+    def test_sparse_states_by_hypothesis(self, seed, zeros):
+        # states with several exact zeros on Z6 make chi vanish on some elements
+        rng = np.random.default_rng(seed)
+        r = ak.regular_rep(ak.make_cyclic(6))
+        vecs = []
+        for _ in range(2):
+            v = rng.normal(size=6) + 1j * rng.normal(size=6)
+            v[rng.choice(6, size=zeros, replace=False)] = 0
+            vecs.append(ak.QuantumState.pure(v / np.linalg.norm(v)))
+        psi, phi = vecs
+        assert_same_verdict(psi, phi, r)
+        assert_same_verdict(psi, ak.QuantumState.pure(np.roll(psi.vec, seed % 6)), r)

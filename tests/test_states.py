@@ -181,7 +181,7 @@ class TestConvolve:
     def test_two_dim_identity_value(self, decompositions):
         blk = next(b for b in decompositions["s3"].blocks if b.dim == 2)
         g = decompositions["s3"].rep.group
-        chi = ak.CharFunction(g, blk.character_per_element())
+        chi = ak.CharFunction(g, np.einsum("gii->g", blk.mats))
         conv = ak.convolve(chi, chi)
         assert abs(blk.dim * conv.values[0] - 2.0) < 1e-12
 
