@@ -4,8 +4,9 @@ Conventions shared by the whole package:
 
 * elements are integers 0..|G|-1 and index 0 is always the identity;
 * tables are immutable after construction; derived data is computed eagerly,
-  except the character table, cached on first use (a race is harmless: it is
-  deterministic), so concurrent reads are safe;
+  except the character table and the one-dimensional reps checked against it,
+  cached on first use (a race is harmless: both are deterministic), so
+  concurrent reads are safe;
 * the desk-scale cap is |G| <= 720 so that |G|-indexed dense data and
   O(|G| d^3) averaging loops stay comfortable in memory and time.
 """
@@ -27,6 +28,8 @@ from .errors import (
 
 GROUP_ORDER_CAP = 720
 
+_STACK_BYTES = 1 << 18  # bytes per stack in a chunked pass over the group
+
 
 class GroupTable:
     """A finite group given by its full multiplication table.
@@ -37,7 +40,8 @@ class GroupTable:
     verified eagerly; a table that fails any of them raises ValidationError.
     """
 
-    __slots__ = ("order", "mul", "inv", "labels", "_classes", "_abelian", "_characters")
+    __slots__ = ("order", "mul", "inv", "labels", "_generators", "_classes", "_abelian",
+                 "_characters", "_one_dim")
 
     def __init__(self, mul, labels=None):
         mul = _whole(mul, "multiplication table")
@@ -54,7 +58,7 @@ class GroupTable:
             raise ValidationError("table entries must be element indices 0..order-1")
         self.order = n
         self.mul = mul
-        _validate_table(mul)
+        self._generators = _validate_table(mul)
         self.inv = _compute_inverses(mul)
         if labels is not None:
             labels = list(map(str, labels))
@@ -63,7 +67,7 @@ class GroupTable:
         self.labels = labels or [str(i) for i in range(n)]
         self._classes = _conjugacy_classes(mul, self.inv)
         self._abelian = bool(np.array_equal(mul, mul.T))
-        self._characters = None
+        self._characters = self._one_dim = None  # the second cached by reps.one_dim_reps
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 
@@ -162,7 +166,8 @@ def _whole_number(obj, what: str) -> int:
     return int(a)
 
 
-def _validate_table(mul: np.ndarray) -> None:
+def _validate_table(mul: np.ndarray) -> tuple[int, ...]:
+    """The greedy generators of a group table; ValidationError if mul is not one."""
     n = mul.shape[0]
     idx = np.arange(n)
     if not np.array_equal(mul[0], idx):
@@ -177,9 +182,10 @@ def _validate_table(mul: np.ndarray) -> None:
     # Light's test, exact: the s with (xy)s = x(ys) for all x, y are closed under
     # products ((xy)(st) = ((xy)s)t = (x(ys))t = x((ys)t) = x(y(st))), so checking
     # each s of a generating set covers every triple.
-    for s in _greedy_generators(mul):
-        if not np.array_equal(mul[mul, s], mul[:, mul[:, s]]):
-            raise ValidationError("associativity invariant violated")
+    generators = tuple(_greedy_generators(mul))
+    if not all(np.array_equal(mul[mul, s], mul[:, mul[:, s]]) for s in generators):
+        raise ValidationError("associativity invariant violated")
+    return generators
 
 
 def _greedy_generators(mul: np.ndarray):
@@ -209,17 +215,15 @@ def _compute_inverses(mul: np.ndarray) -> np.ndarray:
 
 
 def _conjugacy_classes(mul: np.ndarray, inv: np.ndarray) -> list[tuple[int, ...]]:
+    """The classes as ascending tuples, sorted by least member: h's class is the set of
+    elements whose least conjugate, a running minimum of g h g^-1 over chunks of g, is h's."""
     n = mul.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    for h in range(n):
-        if seen[h]:
-            continue
-        orbit = np.unique(mul[mul[:, h], inv])  # all g h g^-1
-        seen[orbit] = True
-        classes.append(tuple(int(x) for x in orbit))
-    classes.sort(key=lambda c: c[0])
-    return classes
+    least, step = np.arange(n), max(1, _STACK_BYTES // (8 * n))
+    for g in range(0, n, step):  # conj[g, h] = g h g^-1
+        conj = mul[mul[g : g + step], inv[g : g + step, None]]
+        np.minimum(least, conj.min(axis=0), out=least)
+    order, keys = np.argsort(least, kind="stable").tolist(), least.tolist()
+    return [tuple(c) for _, c in itertools.groupby(order, keys.__getitem__)]
 
 
 def make_cyclic(n: int) -> GroupTable:

@@ -31,7 +31,7 @@ from .errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
-from .groups import GroupTable, _greedy_generators, same_group
+from .groups import _STACK_BYTES, GroupTable, same_group
 from .linalg import frob, haar_unitary, random_hermitian, scaled_tol
 
 _MAX_TWIRL_DRAWS = 5  # random Hermitians tried per isotype before decompose gives up
@@ -39,8 +39,6 @@ _MAX_TWIRL_DRAWS = 5  # random Hermitians tried per isotype before decompose giv
 # Loose threshold used while carving out candidate invariant subspaces; the
 # final decomposition is always re-verified at the strict tolerance.
 _CLUSTER_GAP = 1e-6
-
-_STACK_BYTES = 1 << 18  # bytes per stack in a chunked pass over the group
 
 
 class UnitaryRep:
@@ -51,8 +49,9 @@ class UnitaryRep:
     tolerance relative to the matrix norms.  Instances are immutable.  A
     monomial rep (one nonzero per row and column, exact zeros elsewhere:
     permutation and number reps, their sums and products) is also kept as
-    index and phase arrays and validated in O(|G|^2 d); any other keeps the
-    slices of its diagonal blocks and is validated block by block.
+    index and phase arrays and validated in O(|G|^2 d), or in integers if its
+    entries are 0 or 1; any other keeps its diagonal blocks' slices and is
+    validated block by block.
     """
 
     __slots__ = ("group", "dim", "mats", "_monomial", "_blocks")
@@ -74,8 +73,10 @@ class UnitaryRep:
         self.mats.setflags(write=False)
 
     def character(self) -> np.ndarray:
-        """Per-element trace vector tr U(g)."""
-        return np.einsum("gii->g", self.mats)
+        """Per-element trace vector tr U(g); the diagonal phases summed on a monomial rep."""
+        if self._monomial is None:
+            return np.einsum("gii->g", self.mats)
+        return (self._monomial[1] * (self._monomial[0] == np.arange(self.dim))).sum(axis=1)
 
     def trace_against(self, x: np.ndarray) -> np.ndarray:
         """tr(x U(g)) for every g; a vector psi stands for x = psi psi^dag, never formed.
@@ -110,9 +111,16 @@ def _sparsity_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | list[sli
 def _validate_rep(group: GroupTable, mats: np.ndarray, tol: float, form) -> None:
     """Raise ValidationError unless ||mats[0] - I||, every ||U U^dag - I|| and
     every ||U(a) U(b) - U(ab)|| are <= tol (a NaN residual fails).  Given mats'
-    :func:`_sparsity_form`: O(|G|^2 d) if monomial, else O(|G|^2 sum s^3)."""
+    :func:`_sparsity_form`: O(|G|^2 d) if monomial, else O(|G|^2 sum s^3).  Residuals of
+    0/1 entries (monomial, every phase exactly 1) are 0 or >= sqrt 2, so such a rep passes
+    iff src[ab] = src[b][src[a]] for all a and each greedy generator b (the b that pass are
+    closed under products), in integers; if not, the float pass names the failing element."""
     if not frob(mats[0] - np.eye(mats.shape[1])) <= tol:
         raise ValidationError("representation invariant violated: mats[0] must be the identity")
+    if isinstance(form, tuple) and (form[1] == 1).all():
+        src = form[0]
+        if all((src[group.mul[:, b]] == src[b][src]).all() for b in group._generators):
+            return
     if not isinstance(form, tuple):
         form = _block_stacks(mats, form)
     worst = float(_unitarity_residuals(mats, form).max())
@@ -308,7 +316,7 @@ class IrrepDecomposition:
                 "decomposition invariant violated: sum of d_mu * n_mu must equal dim"
             )
         self.offsets = offsets
-        self._shapes = None  # the index of _by_shape, built by the first sector query
+        self._shapes = None  # the index of _by_shape, built on first use (decompose's check)
         self._residual = None  # decompose's final reconstruction residual
 
     def multiset(self) -> list[tuple[int, int]]:
@@ -345,20 +353,6 @@ class IrrepDecomposition:
         """The entries of per-shape stacks as one list in block order."""
         at = {i: x for (ix, _, _), st in zip(self._by_shape(), stacks) for i, x in zip(ix, st)}
         return [at[i] for i in range(len(self.blocks))]
-
-    def block_matrix(self, g) -> np.ndarray:
-        """directsum_mu U_mu(g) kron I_{n_mu} in the decomposed basis.
-
-        An index array or slice for ``g`` gives a stack, one matrix per element.
-        """
-        lead = self.rep.mats[g].shape[:-2]
-        out = np.zeros(lead + (self.rep.dim, self.rep.dim), dtype=complex)
-        for i, blk in enumerate(self.blocks):
-            sl = self.sector_slice(i)
-            # kron(M, I_n) over the leading axes: entry (m, a, m', b) is M[m, m'] I[a, b].
-            kron = blk.mats[g][..., :, None, :, None] * np.eye(blk.mult)[:, None, :]
-            out[..., sl, sl] = kron.reshape(out[..., sl, sl].shape)
-        return out
 
     def vector_sectors(self, vec: np.ndarray) -> list[np.ndarray]:
         """Coefficient matrix (d_mu x n_mu) of a vector in each sector."""
@@ -410,12 +404,37 @@ class IrrepDecomposition:
         return self._assemble(vs), shares.tolist()
 
     def reconstruction_residual(self) -> float:
-        """max_g || W U(g) W^dag - blocks(g) ||_F, computed in chunks of g."""
-        w = self.basis
-        return max(
-            float(_frob_each(w @ self.rep.mats[g] @ w.conj().T - self.block_matrix(g)).max())
-            for g in _chunk_slices(self.rep.group.order, w.nbytes)
-        )
+        """A bound on max_g ||W U(g) W^dag - B(g)||_F, B(g) = directsum_mu U_mu(g) (x) I_{n_mu},
+        never below it: W U W^dag - B = (W U - B W) W^dag + B (W W^dag - I) gives
+        r sqrt(1 + e) + sqrt(b) e for r = max_g ||W U(g) - B(g) W||_F, e = ||W W^dag - I||_F and
+        b = 1 + max ||U_mu U_mu^dag - I||_F, as ||W||_2^2 <= 1 + e and ||B(g)||_2^2 <= b.  Per
+        shape and chunk of g, rows of W U(g) are one gather (of W if monomial, else of W U(g))
+        and of B(g) W one product: O(|G| d sum d_mu^2 n_mu + d^3), or O(|G| d^3) off monomial."""
+        w, d, n = np.ascontiguousarray(self.basis), self.rep.dim, self.rep.group.order
+        e, b, mono, r = frob(w @ _dagger(w) - np.eye(d)), 1.0, self.rep._monomial, 0.0
+        parts = []  # per shape: flat index of row [j, m, a] in x, mats, W's rows [j, m, (a, col)]
+        for _, rows, m in self._by_shape():  # U U^dag summed over columns: no tiny matmuls
+            gram = sum(m[..., :, j, None] * m[..., None, :, j].conj() for j in range(m.shape[-1]))
+            b = max(b, 1 + _frob_each((gram - np.eye(m.shape[-1])).reshape(len(m), -1)).max())
+            parts.append((rows[:, None, :, :, None] * d, m, w[rows].reshape(*rows.shape[:2], -1)))
+        if mono is not None:  # (W U(g))[:, col] = W[:, at[g, col]] phase[g, at[g, col]]
+            at = np.argsort(mono[0], axis=1)
+            phase = np.take_along_axis(mono[1], at, axis=1)[:, None, None]
+        for g in _chunk_slices(n, w.nbytes):  # cols: flat index of [row 0, col] in x, per g
+            x = w if mono is not None else w @ self.rep.mats[g]
+            cols = at[g] if mono is not None else np.arange(len(x))[:, None] * d * d + np.arange(d)
+            sq = 0.0
+            for at_row, m, wr in parts:  # diff[j, g, m, a, col], as B(g) W comes out
+                diff = np.take(x, at_row + cols[:, None, None])
+                if mono is not None:
+                    diff *= phase[g]
+                k, d_mu = wr.shape[:2]  # B(g) W: outer products if d_mu = 1, else small products
+                bw = m[:, g] * wr[:, None] if d_mu == 1 else m[:, g].reshape(k, -1, d_mu) @ wr
+                diff -= bw.reshape(diff.shape)
+                flat = diff.reshape(k, len(cols), -1).view(float)
+                sq = sq + np.einsum("jgx,jgx->g", flat, flat)
+            r = max(r, float(np.sqrt(np.max(sq, initial=0.0))))
+        return float(r * np.sqrt(1.0 + e) + np.sqrt(b) * e)
 
 
 def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
@@ -428,16 +447,18 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     into isotypes.  An isotype of a 1-dim irrep, or of one copy, is a block as it
     is.  In any other, the lowest eigenvectors of a random Hermitian twirled
     inside it give one copy's matrices ref, and Serre's projection operators built
-    from ref lay out every copy in ref's basis at once.  P costs O(|G| d) on a
-    monomial rep, O(|G| d^2) otherwise; the final check (residual at most
-    max(1e-8, 1e-9 ||mats||, 1e-10 d)) O(|G| d^3).  A 0-dim rep has no blocks.
+    from ref lay out every copy in ref's basis at once, one batched pass per isotype
+    shape (d_mu, n_mu).  P costs O(|G| d) on a monomial rep, O(|G| d^2) otherwise; the
+    final check (the residual bound, at most max(1e-8, 1e-9 ||mats||, 1e-10 d))
+    O(|G| d sum d_mu^2 n_mu + d^3), or O(|G| d^3) off monomial reps.  A 0-dim rep has no blocks.
 
     Deterministic for a fixed seed, which drives only the splitting twirls: it
     moves the basis inside such an isotype but never the blocks' order, labels,
     dimensions or multiplicities.  The seed-independent stages raise
     NumericalDegeneracyError at once: multiplicities that are not whole, P's
-    eigenvalues off their labels, and a failed final check.  Only a twirl whose
-    lowest d_mu eigenvalues collide with the next one is redrawn, from the same
+    eigenvalues off their labels, and a failed final check.  Each split isotype draws
+    once, in label order, before any twirl is diagonalized; those whose lowest d_mu
+    eigenvalues collide with the next one draw again, in label order, from the same
     generator; five colliding draws in one isotype raise it too.
 
     Parameters
@@ -464,9 +485,10 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     if abs(mults - counts).max() > _CLUSTER_GAP or degs @ counts != d:
         raise NumericalDegeneracyError(f"decompose: multiplicities {np.round(mults, 6)} not whole")
     present = np.flatnonzero(counts)
-    sizes = degs[present] * counts[present]
+    dims, copies = degs[present], counts[present]
+    sizes = dims * copies
     # P = sum_mu c_mu P_mu with P_mu = (d_mu/|G|) sum_g conj chi_mu(g) U(g), labels c_mu = 0, 1, ...
-    a = (np.arange(present.size) * degs[present]) @ chars[present].conj() / n
+    a = (np.arange(present.size) * dims) @ chars[present].conj() / n
     if r._monomial is None:
         p = np.tensordot(a, r.mats, axes=1)
     else:  # U(g)[i, src[g, i]] = phase[g, i]
@@ -477,54 +499,72 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     if off > _CLUSTER_GAP:
         raise NumericalDegeneracyError(f"decompose: projector eigenvalues {off:.3e} off labels")
 
-    basis_cols, blocks = [], []
-    reps_ = group.class_representatives()
-    for label, (mu, q) in enumerate(zip(present, np.split(evecs, np.cumsum(sizes)[:-1], axis=1))):
-        d_mu, n_mu = int(degs[mu]), int(counts[mu])
-        if d_mu == 1:  # every column is a copy, acting by the table row
-            ref_mats = chars[mu].reshape(n, 1, 1)
-        elif n_mu == 1:
-            ref_mats = _subrep(r, q)
-        else:
-            q, ref_mats = _split_isotype(q, _subrep(r, q), d_mu, rng)
-        basis_cols.append(q)
-        blocks.append(IrrepBlock(label, d_mu, n_mu, ref_mats, np.einsum("gii->g", ref_mats[reps_])))
-    dec = IrrepDecomposition(r, np.hstack(basis_cols).conj().T, blocks)
-    residual, tol = dec.reconstruction_residual(), max(scaled_tol(r.mats), 1e-10 * d, 1e-8)
+    shapes: dict[tuple[int, int], list[int]] = {}  # the labels of the isotypes of d_mu > 1
+    for i in np.flatnonzero(dims > 1):
+        shapes.setdefault((int(dims[i]), int(copies[i])), []).append(i)
+    cuts, basis = np.r_[0, np.cumsum(sizes)], evecs.copy()
+    cols = {s: cuts[ix, None] + np.arange(s[0] * s[1]) for s, ix in shapes.items()}  # [j, column]
+    qs = {s: np.ascontiguousarray(evecs[:, c].transpose(1, 0, 2)) for s, c in cols.items()}
+    subs = {s: _subreps(r, q) for s, q in qs.items()}
+    for s, (q, ref) in _split_isotypes(shapes, qs, subs, rng).items():
+        basis[:, cols[s]], subs[s] = q.transpose(1, 0, 2), ref
+    mats = {i: m for s, ix in shapes.items() for i, m in zip(ix, subs[s])}
+    reps_, blocks = group.class_representatives(), []
+    for i, mu in enumerate(present):  # a 1-dim isotype acts by its table row
+        m = mats.get(i, chars[mu].reshape(n, 1, 1))
+        blocks.append(IrrepBlock(i, int(dims[i]), int(copies[i]), m, np.einsum("gii->g", m[reps_])))
+    dec = IrrepDecomposition(r, basis.conj().T, blocks)
+    norm = r.mats if r._monomial is None else r._monomial[1]  # ||mats||_F = ||phase||_F
+    residual, tol = dec.reconstruction_residual(), max(scaled_tol(norm), 1e-10 * d, 1e-8)
     if residual > tol:
         raise NumericalDegeneracyError(f"decompose: residual {residual:.3e} > {tol:.3e}")
     dec._residual = residual
     return dec
 
 
-def _split_isotype(q: np.ndarray, sub: np.ndarray, d_mu: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Basis in the layout m * n_mu + n (irrep row m, copy n) and the first copy's
-    matrices ref of an isotype (basis q, subrep sub).  Its commutant is I_{d_mu} (x) M, so
-    the lowest d_mu eigenvectors of a twirled random Hermitian span one copy unless the
-    gap after them closes; then it draws again, and raises NumericalDegeneracyError after
-    _MAX_TWIRL_DRAWS such draws.  Serre's operators (Linear Representations of Finite
-    Groups, 2.7, Prop. 8) p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) map an
-    orthonormal basis w of the range of p_0 onto row a of every copy at once."""
-    m, n_mu = sub.shape[1], sub.shape[1] // d_mu
+def _subreps(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
+    """q_j^dag U(g) q_j in chunks of g for a stack q (k, d, m); U(g) q_j is a gather if monomial."""
+    out, qh = np.empty((len(q), r.group.order, *q.shape[2:] * 2), complex), _dagger(q)[:, None]
+    for g in _chunk_slices(r.group.order, q.nbytes):
+        if r._monomial is None:
+            out[:, g] = qh @ r.mats[g] @ q[:, None]
+        else:
+            out[:, g] = qh @ (r._monomial[1][g, :, None] * q[:, r._monomial[0][g]])
+    return out
+
+
+def _split_isotypes(shapes: dict, qs: dict, subs: dict, rng) -> dict:
+    """Per shape (d_mu, n_mu > 1), from its isotypes' labels, bases q and subreps: the bases in
+    the layout m * n_mu + n (irrep row m, copy n) and the first copies' matrices ref.  The
+    commutant being I_{d_mu} (x) M, a twirled random Hermitian's lowest d_mu eigenvectors span
+    one copy unless the gap after them closes: each round draws for every isotype unsplit, in
+    label order, then makes one batched ``eigh`` per shape, up to _MAX_TWIRL_DRAWS rounds.
+    Serre's p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) (Linear Representations of Finite
+    Groups, 2.7, Prop. 8) map a basis w of the range of p_0 onto row a of every copy at once."""
+    pending, tops, out = sorted((i, s) for s, ix in shapes.items() if s[1] > 1 for i in ix), {}, {}
     for _ in range(_MAX_TWIRL_DRAWS):
-        evals, v = np.linalg.eigh((sub @ random_hermitian(m, rng) @ _dagger(sub)).mean(axis=0))
-        if evals[d_mu] - evals[d_mu - 1] > _CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0])):
+        drawn = {i: random_hermitian(s[0] * s[1], rng) for i, s in pending}
+        for (d_mu, n_mu), ix in shapes.items():
+            if at := [j for j, i in enumerate(ix) if i in drawn]:
+                sub, h = subs[d_mu, n_mu][at], np.stack([drawn[ix[j]] for j in at])[:, None]
+                evals, v = np.linalg.eigh((sub @ h @ _dagger(sub)).mean(axis=1))
+                gap = evals[:, d_mu] - evals[:, d_mu - 1]
+                ok = gap > _CLUSTER_GAP * np.maximum(1.0, evals[:, -1] - evals[:, 0])
+                tops.update((ix[j], v[t, :, :d_mu]) for t, j in enumerate(at) if ok[t])
+        if not (pending := [(i, s) for i, s in pending if i not in tops]):
             break
     else:
-        raise NumericalDegeneracyError(
-            f"decompose: copies of a {d_mu}-dim irrep collide in {_MAX_TWIRL_DRAWS} isotypic twirls"
-        )
-    ref = _dagger(v[:, :d_mu]) @ sub @ v[:, :d_mu]
-    p = np.einsum("ga,gij->aij", ref[:, :, 0].conj(), sub) * (d_mu / len(sub))
-    w = np.linalg.eigh(p[0])[1][:, -n_mu:]
-    return (q @ (p @ w)).transpose(1, 0, 2).reshape(len(q), m), ref
-
-
-def _subrep(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
-    """q^dag U(g) q for every g; on a monomial rep U(g) q is a row gather."""
-    if r._monomial is None:
-        return q.conj().T @ r.mats @ q
-    return q.conj().T @ (r._monomial[1][..., None] * q[r._monomial[0]])
+        raise NumericalDegeneracyError(f"decompose: copies of a {pending[0][1][0]}-dim irrep "
+                                       f"collide in {_MAX_TWIRL_DRAWS} isotypic twirls")
+    for (d_mu, n_mu), ix in shapes.items():
+        if n_mu > 1:
+            sub, v = subs[d_mu, n_mu], np.stack([tops[i] for i in ix])[:, None]
+            ref = _dagger(v) @ sub @ v
+            p = np.einsum("kga,kgij->kaij", ref[..., 0].conj(), sub) * (d_mu / sub.shape[1])
+            w = np.linalg.eigh(p[:, 0])[1][:, None, :, -n_mu:]
+            q = (qs[d_mu, n_mu][:, None] @ (p @ w)).transpose(0, 2, 1, 3)
+            out[d_mu, n_mu] = q.reshape(qs[d_mu, n_mu].shape), ref
+    return out
 
 
 def _require_every_irrep(group: GroupTable, dec: IrrepDecomposition) -> None:
@@ -551,14 +591,17 @@ def one_dim_reps(group: GroupTable, dec: IrrepDecomposition | None = None) -> np
     if dec is not None:
         _require_every_irrep(group, dec)
         return np.array([blk.mats[:, 0, 0] for blk in dec.blocks if blk.dim == 1])
-    chars, n = group._character_table(), group.order
-    omegas = chars[chars[:, 0] == 1]
-    m = np.rint(np.angle(omegas) * n / (2 * np.pi)).astype(np.int64)
-    for s in _greedy_generators(group.mul):  # the b with m(ab) = m(a) + m(b) for all a
-        for rows in _chunk_slices(len(m), m[0].nbytes):  # are closed under products
-            if ((m[rows][:, group.mul[:, s]] - m[rows] - m[rows, s, None]) % n).any():
-                raise NumericalDegeneracyError("a degree-1 character is not a homomorphism")
-    return omegas
+    if group._one_dim is None:  # checked once, then kept read-only on the group
+        chars, n = group._character_table(), group.order
+        omegas = chars[chars[:, 0] == 1]
+        m = np.rint(np.angle(omegas) * n / (2 * np.pi)).astype(np.int64)
+        for s in group._generators:  # the b with m(ab) = m(a) + m(b) for all a
+            for rows in _chunk_slices(len(m), m[0].nbytes):  # are closed under products
+                if ((m[rows][:, group.mul[:, s]] - m[rows] - m[rows, s, None]) % n).any():
+                    raise NumericalDegeneracyError("a degree-1 character is not a homomorphism")
+        omegas.setflags(write=False)
+        group._one_dim = omegas
+    return group._one_dim
 
 
 def random_invariant_unitary(dec: IrrepDecomposition, rng) -> np.ndarray:

@@ -216,11 +216,12 @@ def reduction_onto_irreps(s: QuantumState, dec: IrrepDecomposition) -> IrrepRedu
 
 
 def charfunc_from_reduction(red: IrrepReduction, dec: IrrepDecomposition) -> CharFunction:
-    """chi(g) = sum_mu tr(F_mu U_mu(g)): the sum of the inverse-transform rows."""
+    """chi(g) = sum_mu tr(F_mu U_mu(g)): the sum of the inverse-transform rows, one
+    :func:`_inverse_block` call per sector shape."""
     if red.labels != [b.label for b in dec.blocks]:
         raise ValidationError("reduction labels do not match the decomposition blocks")
-    values = sum(_inverse_block(f, blk.mats) for blk, f in zip(dec.blocks, red.blocks))
-    return CharFunction(dec.rep.group, values)
+    stacks = ((np.stack([red.blocks[i] for i in ix]), m) for ix, _, m in dec._by_shape())
+    return CharFunction(dec.rep.group, sum(_inverse_block(f, m).sum(axis=0) for f, m in stacks))
 
 
 def fourier_inverse(f: CharFunction, dec: IrrepDecomposition) -> IrrepReduction:

@@ -11,7 +11,7 @@ from typing import Any
 import numpy as np
 
 import asymkit as ak
-from asymkit import jsonio
+from asymkit import jsonio, reps
 from asymkit.linalg import assert_psd, frob, scaled_tol, trace_norm
 
 
@@ -76,6 +76,83 @@ def assert_matches_character_table(dec, atol: float = 1e-9) -> None:
         rows.append(row)
     assert rows == list(np.flatnonzero(np.rint(mults)))
     assert dec.reconstruction_residual() <= max(1e-8, 1e-10 * dec.rep.dim)
+
+
+def block_matrix(dec, g) -> np.ndarray:
+    """directsum_mu U_mu(g) kron I_{n_mu} in the decomposed basis, placed one block at a
+    time; an index array or slice for ``g`` gives a stack, one matrix per element."""
+    lead = dec.rep.mats[g].shape[:-2]
+    out = np.zeros(lead + (dec.rep.dim, dec.rep.dim), dtype=complex)
+    for i, blk in enumerate(dec.blocks):
+        sl = dec.sector_slice(i)
+        # kron(M, I_n) over the leading axes: entry (m, a, m', b) is M[m, m'] I[a, b].
+        kron = blk.mats[g][..., :, None, :, None] * np.eye(blk.mult)[:, None, :]
+        out[..., sl, sl] = kron.reshape(out[..., sl, sl].shape)
+    return out
+
+
+def dense_reconstruction_residual(dec) -> float:
+    """max_g ||W U(g) W^dag - B(g)||_F with B(g) from :func:`block_matrix`, one dense
+    product per g: the residual that ``reconstruction_residual`` bounds from above."""
+    w = dec.basis
+    return max(
+        (frob(w @ u @ w.conj().T - block_matrix(dec, g)) for g, u in enumerate(dec.rep.mats)),
+        default=0.0,
+    )
+
+
+def per_isotype_decompose(r, seed: int = 0) -> ak.IrrepDecomposition:
+    """``decompose`` with one Python iteration per isotype, unchecked: each isotype's
+    subrep, twirl (redrawn in place until its copies part), ``eigh`` and Serre projection
+    on its own.  The oracle for the batched split, which must give the same bits whenever
+    no twirl is redrawn; it draws through ``reps.random_hermitian``, as decompose does."""
+    rng = np.random.default_rng((seed, 0))
+    group, d, n = r.group, r.dim, r.group.order
+    chars = group._character_table()
+    degs = chars[:, 0].real.astype(int)
+    counts = np.rint((chars.conj() @ np.einsum("gii->g", r.mats) / n).real).astype(int)
+    present = np.flatnonzero(counts)
+    sizes = degs[present] * counts[present]
+    a = (np.arange(present.size) * degs[present]) @ chars[present].conj() / n
+    if r._monomial is None:
+        p = np.tensordot(a, r.mats, axes=1)
+    else:
+        p = np.zeros((d, d), dtype=complex)
+        np.add.at(p, (np.arange(d), r._monomial[0]), a[:, None] * r._monomial[1])
+    evecs = np.linalg.eigh(p)[1]
+    basis_cols, blocks = [], []
+    for label, (mu, q) in enumerate(zip(present, np.split(evecs, np.cumsum(sizes)[:-1], axis=1))):
+        d_mu, n_mu = int(degs[mu]), int(counts[mu])
+        if d_mu == 1:
+            ref = chars[mu].reshape(n, 1, 1)
+        else:
+            if r._monomial is None:
+                ref = q.conj().T @ r.mats @ q
+            else:
+                ref = q.conj().T @ (r._monomial[1][..., None] * q[r._monomial[0]])
+            if n_mu > 1:
+                q, ref = _split_isotype(q, ref, d_mu, rng)
+        basis_cols.append(q)
+        character = np.einsum("gii->g", ref[group.class_representatives()])
+        blocks.append(ak.IrrepBlock(label, d_mu, n_mu, ref, character))
+    return ak.IrrepDecomposition(r, np.hstack(basis_cols).conj().T, blocks)
+
+
+def _split_isotype(q, sub, d_mu, rng):
+    """One isotype's split as :func:`per_isotype_decompose` makes it."""
+    m, n_mu = sub.shape[1], sub.shape[1] // d_mu
+    for _ in range(reps._MAX_TWIRL_DRAWS):
+        h = reps.random_hermitian(m, rng)
+        evals, v = np.linalg.eigh((sub @ h @ reps._dagger(sub)).mean(axis=0))
+        gap = reps._CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0]))
+        if evals[d_mu] - evals[d_mu - 1] > gap:
+            break
+    else:
+        raise ak.NumericalDegeneracyError("copies collide")
+    ref = reps._dagger(v[:, :d_mu]) @ sub @ v[:, :d_mu]
+    p = np.einsum("ga,gij->aij", ref[:, :, 0].conj(), sub) * (d_mu / len(sub))
+    w = np.linalg.eigh(p[0])[1][:, -n_mu:]
+    return (q @ (p @ w)).transpose(1, 0, 2).reshape(len(q), m), ref
 
 
 def dense_rep_residuals(mul: np.ndarray, mats: np.ndarray):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asymkit as ak
-from asymkit.groups import group_from_json, group_to_json
+from asymkit import groups as groups_module
+from asymkit.groups import _greedy_generators, group_from_json, group_to_json
 
 
 def brute_force_isomorphic(a: ak.GroupTable, b: ak.GroupTable) -> bool:
@@ -245,7 +246,42 @@ class TestDirectProduct:
         assert np.array_equal(g.mul, s3.mul)
 
 
+def orbit_loop_classes(g) -> list[tuple[int, ...]]:
+    """The classes as one np.unique of g h g^-1 per unseen h found them, sorted by least
+    member: the oracle for the running-minimum pass."""
+    seen, classes = np.zeros(g.order, dtype=bool), []
+    for h in range(g.order):
+        if not seen[h]:
+            orbit = np.unique(g.mul[g.mul[:, h], g.inv])
+            seen[orbit] = True
+            classes.append(tuple(int(x) for x in orbit))
+    return sorted(classes, key=lambda c: c[0])
+
+
+LADDER = {
+    "z1": lambda: ak.make_cyclic(1),
+    "z32": lambda: ak.make_cyclic(32),
+    "d17": lambda: ak.make_dihedral(17),
+    "d100": lambda: ak.make_dihedral(100),
+    "s5": lambda: ak.make_symmetric(5),
+    "s3 x d4": lambda: ak.direct_product(ak.make_symmetric(3), ak.make_dihedral(4)),
+}
+
+
 class TestConjugacyClasses:
+    @pytest.mark.parametrize("name", list(LADDER))
+    def test_same_classes_as_orbit_loop(self, name):
+        g = LADDER[name]()
+        want = orbit_loop_classes(g)
+        assert g.conjugacy_classes() == [list(c) for c in want]
+        assert groups_module._conjugacy_classes(g.mul, g.inv) == want
+
+    @pytest.mark.parametrize("stack_bytes", [1, 8 * 120 * 7])
+    def test_chunked_running_minimum(self, monkeypatch, stack_bytes):
+        g = ak.make_symmetric(5)  # chunks of one row, then of 7 rows (the last one short)
+        monkeypatch.setattr(groups_module, "_STACK_BYTES", stack_bytes)
+        assert groups_module._conjugacy_classes(g.mul, g.inv) == orbit_loop_classes(g)
+
     def test_s3_sizes(self, groups):
         sizes = sorted(len(c) for c in groups["s3"].conjugacy_classes())
         assert sizes == [1, 2, 3]
@@ -256,6 +292,28 @@ class TestConjugacyClasses:
     def test_identity_class_is_singleton(self, groups):
         for g in groups.values():
             assert g.conjugacy_classes()[0] == [0]
+
+
+class TestCachedGenerators:
+    @pytest.mark.parametrize("name", list(LADDER))
+    def test_generators_kept_and_generating(self, name):
+        g = LADDER[name]()
+        assert g._generators == tuple(_greedy_generators(g.mul))
+        reached = np.zeros(g.order, dtype=bool)
+        reached[[0, *g._generators]] = True
+        while True:  # closure of the generators under products
+            members = np.flatnonzero(reached)
+            reached[g.mul[np.ix_(members, members)]] = True
+            if reached.sum() == members.size:
+                break
+        assert reached.all()
+
+    def test_one_dim_reps_kept_read_only(self):
+        g = ak.make_dihedral(6)
+        first = ak.one_dim_reps(g)
+        assert ak.one_dim_reps(g) is first and not first.flags.writeable
+        table = g._character_table()
+        assert np.array_equal(first, table[table[:, 0] == 1])
 
 
 class TestSubgroups:

@@ -7,7 +7,14 @@ import asymkit as ak
 from asymkit import reps
 from asymkit.groups import group_from_json, group_to_json
 from asymkit.linalg import frob, haar_unitary, random_complex, random_hermitian, scaled_tol
-from helpers import assert_matches_character_table, dense_rep_residuals, perm_rep
+from helpers import (
+    assert_matches_character_table,
+    block_matrix,
+    dense_reconstruction_residual,
+    dense_rep_residuals,
+    per_isotype_decompose,
+    perm_rep,
+)
 
 
 def count_draws(monkeypatch, identity_at=()) -> list:
@@ -201,7 +208,7 @@ class TestDecompose:
 
     def test_idempotent_on_block_diagonal_input(self, decompositions):
         dec = decompositions["s3"]
-        mats = np.array([dec.block_matrix(g) for g in range(6)])
+        mats = block_matrix(dec, np.arange(6))
         again = ak.decompose(ak.UnitaryRep(dec.rep.group, mats), seed=0)
         assert sorted(again.multiset()) == sorted(dec.multiset())
 
@@ -319,12 +326,13 @@ class TestDegeneracyPath:
 
     @pytest.mark.parametrize(
         "name, identity_at, draws_made",
-        [("s3", {1}, 2), ("s3", {1, 2, 3, 4, 5}, 5), ("s4", {2}, 4), ("s4", {2, 3, 4, 5, 6}, 6)],
+        [("s3", {1}, 2), ("s3", {1, 2, 3, 4, 5}, 5), ("s4", {2}, 4), ("s4", {2, 4, 5, 6, 7}, 7)],
     )
     def test_isotypic_twirl_collision(self, regular_reps, monkeypatch, name, identity_at, draws_made):
         """A colliding twirl is redrawn in its own isotype: on regular S4 (isotypes of two
-        copies of a 2-dim irrep and three of each 3-dim one) an identity second draw costs
-        one more draw, not a fresh pass; five colliding draws in one isotype raise."""
+        copies of a 2-dim irrep and three of each 3-dim one) draws 1-3 are the isotypes'
+        first and an identity second draw costs one more draw, not a fresh pass; its
+        redraws are draws 4, 5, ..., and five colliding draws in one isotype raise."""
         draws = count_draws(monkeypatch, identity_at)
         if len(identity_at) == 5:
             with pytest.raises(ak.NumericalDegeneracyError, match="collide"):
@@ -334,6 +342,40 @@ class TestDegeneracyPath:
             assert_matches_character_table(dec)
             assert split_isotypes(dec) == draws_made - 1
         assert len(draws) == draws_made
+
+
+    def test_redraw_follows_every_first_draw(self, regular_reps, monkeypatch):
+        """Regular S4 splits label 2 (shape (2, 2)) and labels 3 and 4 (shape (3, 3), one
+        batched twirl).  Draw k is H_k and draw 2 the identity, so label 3 collides and
+        takes draw 4, after label 4's first draw: the bits are the per-isotype oracle's
+        fed H_1, H_4, H_3 in label order, and not those it gives fed H_1, H_3, H_4."""
+        r = regular_reps["s4"]
+        hs = [random_hermitian(m, np.random.default_rng(k)) for k, m in enumerate([4, 9, 9, 9])]
+        hs[1] = np.eye(9)
+        feed = iter(hs)
+        monkeypatch.setattr(reps, "random_hermitian", lambda m, rng: next(feed))
+        dec = ak.decompose(r, seed=0)
+        assert next(feed, None) is None
+        for order, same in (([0, 3, 2], True), ([0, 2, 3], False)):
+            feed = iter([hs[k] for k in order])
+            want = per_isotype_decompose(r, seed=0)
+            assert next(feed, None) is None
+            assert same_bits(dec, want) == same
+
+    def test_five_collisions_inside_a_shape_raise(self, regular_reps, monkeypatch):
+        """Label 4 collides five times while label 3, of the same shape, parts at once."""
+        draws = count_draws(monkeypatch, {3, 4, 5, 6, 7})
+        with pytest.raises(ak.NumericalDegeneracyError, match="3-dim irrep collide in 5"):
+            ak.decompose(regular_reps["s4"], seed=0)
+        assert draws == [4, 9, 9, 9, 9, 9, 9]
+
+
+def same_bits(a, b) -> bool:
+    """Whether two decompositions have the same basis, block matrices and characters."""
+    return np.array_equal(a.basis, b.basis) and all(
+        np.array_equal(x.mats, y.mats) and np.array_equal(x.character, y.character)
+        for x, y in zip(a.blocks, b.blocks, strict=True)
+    )
 
 
 class TestDecomposeCompositeReps:
@@ -450,27 +492,25 @@ class TestBatchedMatchesPerElementLoops:
         assert self.close(ak.twirl_operator(s3_square, x), want)
 
     def test_block_matrix_is_kron_per_block(self, s3_square_dec):
+        """The oracle's indexed kron, for one element and for a stack, against np.kron."""
         dec = s3_square_dec
+        stack = block_matrix(dec, slice(None))
         for g in dec.rep.group.elements():
             want = np.zeros((dec.rep.dim, dec.rep.dim), dtype=complex)
             for i, blk in enumerate(dec.blocks):
                 sl = dec.sector_slice(i)
                 want[sl, sl] = np.kron(blk.mats[g], np.eye(blk.mult))
-            assert np.array_equal(dec.block_matrix(g), want)
+            assert np.array_equal(block_matrix(dec, g), want)
+            assert np.array_equal(stack[g], want)
 
     def test_reconstruction_residual(self, s3_square_dec, rng):
-        from asymkit.linalg import haar_unitary
-
+        """On a unitary basis the bound is the dense residual up to rounding: the true
+        decomposition, and one with a scrambled basis whose residual is O(1)."""
         dec = s3_square_dec
-        # the true decomposition, and one with a scrambled basis whose residual is O(1)
         scrambled = ak.IrrepDecomposition(dec.rep, haar_unitary(36, rng) @ dec.basis, dec.blocks)
         for d in (dec, scrambled):
-            w = d.basis
-            want = max(
-                frob(w @ d.rep.mats[g] @ w.conj().T - d.block_matrix(g))
-                for g in d.rep.group.elements()
-            )
-            assert abs(d.reconstruction_residual() - want) <= 1e-12 * max(1.0, want)
+            want = dense_reconstruction_residual(d)
+            assert want <= d.reconstruction_residual() <= want + 1e-12 * max(1.0, want)
         assert scrambled.reconstruction_residual() > 1e-2
 
     def test_twirl_channel_same_kraus_list(self, regular_reps, rng):
@@ -872,3 +912,186 @@ class TestBlockPath:
         assert unitarity.shape == (4,) and homomorphism.shape == (4, 4)
         assert not unitarity.any() and not homomorphism.any()
         ak.UnitaryRep(groups["z4"], mats)
+
+
+def _split_inputs():
+    """Reps whose decompositions batch several isotypes of one shape, beside the
+    monomial fixtures: dense ones, a direct sum and the regular D30 (shape (2, 2) x 14)."""
+    s3, s4 = ak.make_symmetric(3), ak.make_symmetric(4)
+    sums = ak.direct_sum_rep(perm_rep(s4), ak.regular_rep(s4))
+    return {
+        "dense s3reg + s3reg": RESIDUAL_INPUTS["dense s3reg + s3reg"],
+        "dense s4 perm + s4 regular": lambda: ak.UnitaryRep(
+            s4, conjugated(sums, np.random.default_rng(11))
+        ),
+        "d16reg + d16reg": RESIDUAL_INPUTS["d16reg + d16reg"],
+        "s3reg + s3 trivial + s3reg": lambda: ak.direct_sum_rep(
+            ak.direct_sum_rep(ak.regular_rep(s3), ak.trivial_rep(s3)), ak.regular_rep(s3)
+        ),
+        "d30 regular": lambda: ak.regular_rep(ak.make_dihedral(15)),
+    }
+
+
+SPLIT_INPUTS = _split_inputs()
+
+
+@pytest.fixture(scope="module")
+def split_inputs(monomial_reps):
+    return {**monomial_reps, **{name: make() for name, make in SPLIT_INPUTS.items()}}
+
+
+class TestBatchedSplit:
+    """Isotypes split per shape (d_mu, n_mu) against the per-isotype loop they replaced
+    (:func:`helpers.per_isotype_decompose`), and the residual bound against the dense
+    residual it bounds (:func:`helpers.dense_reconstruction_residual`)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", [*MONOMIAL_REPS, *SPLIT_INPUTS])
+    def test_bits_match_per_isotype_split(self, split_inputs, monkeypatch, name, seed):
+        r = split_inputs[name]
+        draws = count_draws(monkeypatch)
+        dec = ak.decompose(r, seed=seed)
+        assert len(draws) == split_isotypes(dec)  # no redraw
+        assert same_bits(dec, per_isotype_decompose(r, seed=seed))
+
+    @pytest.mark.parametrize("name", ["s4 regular", "s3reg x s3reg", "dense s4 perm + s4 regular"])
+    def test_bits_match_in_chunks_of_one_element(self, split_inputs, monkeypatch, name):
+        r = split_inputs[name]
+        want = per_isotype_decompose(r, seed=4)
+        monkeypatch.setattr(reps, "_STACK_BYTES", 1)
+        assert same_bits(ak.decompose(r, seed=4), want)
+
+    @pytest.mark.parametrize("scale", [1.0, 1 + 1e-7], ids=["basis", "scaled basis"])
+    @pytest.mark.parametrize("name", [*MONOMIAL_REPS, *SPLIT_INPUTS])
+    def test_residual_bounds_dense_oracle(self, split_inputs, name, scale):
+        """Never below the dense residual.  Scaling W by 1 + 1e-7 makes the dense residual
+        about 2e-7 sqrt(d), while ||W U - B W|| stays at rounding: the e term carries it."""
+        dec = ak.decompose(split_inputs[name], seed=1)
+        dec = ak.IrrepDecomposition(dec.rep, scale * dec.basis, dec.blocks)
+        want = dense_reconstruction_residual(dec)
+        assert want <= dec.reconstruction_residual() <= 2 * want + 1e-12
+        if scale != 1.0:
+            assert want > 1e-7
+
+    def test_residual_bounds_dense_oracle_on_shared_fixtures(
+        self, decompositions, s3_square_dec, z16_number_x3_dec, shuffled
+    ):
+        for dec in [*decompositions.values(), s3_square_dec, z16_number_x3_dec, shuffled]:
+            want = dense_reconstruction_residual(dec)
+            assert want <= dec.reconstruction_residual() <= 2 * want + 1e-12
+
+    def test_residual_in_chunks_of_one_element(self, split_inputs, monkeypatch):
+        for name in ("s4 regular", "dense s4 perm + s4 regular"):
+            dec = ak.decompose(split_inputs[name], seed=0)
+            whole = dec.reconstruction_residual()
+            monkeypatch.setattr(reps, "_STACK_BYTES", 1)
+            assert abs(dec.reconstruction_residual() - whole) <= 1e-15
+            monkeypatch.undo()
+
+    def test_monomial_character_is_the_trace(self, monomial_reps):
+        for r in monomial_reps.values():
+            assert r._monomial is not None
+            assert np.abs(r.character() - np.einsum("gii->g", r.mats)).max() <= 1e-13
+
+
+def zero_one_reps():
+    """Reps whose every entry is exactly 0 or 1, as (group, mats)."""
+    s3, s4, z6 = ak.make_symmetric(3), ak.make_symmetric(4), ak.make_cyclic(6)
+    perm = perm_rep(s4)
+    out = {f"{name} regular": (g, ak.regular_rep(g).mats) for name, g in
+           [("z6", z6), ("s3", s3), ("s4", s4), ("d5", ak.make_dihedral(5))]}
+    out["s4 perm"] = (s4, perm.mats)
+    out["s4 perm x s4 perm"] = (s4, ak.tensor_rep(perm, perm).mats)
+    out["s3reg + s3 trivial"] = (s3, ak.direct_sum_rep(ak.regular_rep(s3), ak.trivial_rep(s3)).mats)
+    p = np.eye(6)[[3, 0, 5, 1, 4, 2]]  # a valid rep, relabelled
+    out["z6 regular, relabelled"] = (z6, p @ ak.regular_rep(z6).mats @ p.T)
+    return out
+
+
+ZERO_ONE = zero_one_reps()
+CORRUPTIONS = [
+    *((name, kind) for name in ZERO_ONE for kind in ("src", "phase")),
+    *((name, "table") for name in ZERO_ONE if name.endswith(" regular")),
+]
+
+
+def corrupted(name, kind, rng):
+    """One corruption of a 0/1 rep: the regular rep of a table with two entries of one row
+    swapped, two entries of one src row swapped, or one phase set to -1."""
+    group, mats = ZERO_ONE[name]
+    mats = mats.copy()
+    d, n = mats.shape[1], group.order
+    g = int(rng.integers(n))
+    if kind == "table":
+        mul = group.mul.copy()
+        b, c = rng.choice(n, size=2, replace=False)
+        mul[g, [b, c]] = mul[g, [c, b]]
+        mats = np.zeros((n, n, n), dtype=complex)
+        mats[np.arange(n)[:, None], mul, np.arange(n)] = 1.0
+    elif kind == "src":
+        i, j = rng.choice(d, size=2, replace=False)
+        mats[g, [i, j]] = mats[g, [j, i]]
+    else:
+        i = int(rng.integers(d))
+        mats[g, i] *= -1
+    return group, mats
+
+
+def validation_outcome(group, mats, form):
+    """None if _validate_rep accepts mats given form, else the message it raises."""
+    try:
+        reps._validate_rep(group, mats, scaled_tol(mats), form)
+    except ak.ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestExactRoute:
+    """0/1 reps are checked in integers on the greedy generators; the float pass on the
+    dense stack is the oracle, and must agree on the verdict and the message."""
+
+    @pytest.fixture()
+    def float_passes(self, monkeypatch):
+        calls, real = [], reps._homomorphism_residuals
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(reps, "_homomorphism_residuals", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", list(ZERO_ONE))
+    def test_valid_reps_pass_without_float_pass(self, float_passes, name):
+        group, mats = ZERO_ONE[name]
+        form = reps._sparsity_form(mats)
+        assert isinstance(form, tuple) and (form[1] == 1).all()
+        ak.UnitaryRep(group, mats)
+        assert float_passes == []
+        assert validation_outcome(group, mats, [slice(0, mats.shape[1])]) is None
+
+    def test_every_generator_is_checked(self, float_passes):
+        """On the Klein group (greedy generators 1 and 2) a stack with U(a 1) = U(a) U(1) for
+        every a, but with U(2) a 3-cycle, fails only on the second generator."""
+        klein = ak.direct_product(ak.make_cyclic(2), ak.make_cyclic(2))
+        assert klein._generators == (1, 2)
+        x, y = np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]]
+        mats = np.array([np.eye(3), x, y, y @ x], dtype=complex)
+        assert all(np.array_equal(mats[klein.mul[a, 1]], mats[a] @ x) for a in range(4))
+        got = validation_outcome(klein, mats, reps._sparsity_form(mats))
+        assert got is not None and float_passes == [1]
+        assert got == validation_outcome(klein, mats, [slice(0, 3)])
+
+    @pytest.mark.parametrize("name, kind", CORRUPTIONS)
+    def test_corruptions_rejected_alike(self, float_passes, name, kind):
+        rng = np.random.default_rng(len(name))
+        for _ in range(8):
+            group, mats = corrupted(name, kind, rng)
+            form = reps._sparsity_form(mats)
+            assert isinstance(form, tuple)
+            assert (form[1] == 1).all() == (kind != "phase")
+            float_passes.clear()
+            got = validation_outcome(group, mats, form)
+            assert float_passes == ([] if got is None or "identity" in got else [1])
+            assert got == validation_outcome(group, mats, [slice(0, mats.shape[1])])
+            assert got is not None or kind == "src"

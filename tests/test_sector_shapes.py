@@ -142,6 +142,14 @@ class TestAgainstPerSectorLoops:
             back = sum(_inverse_block(f, blk.mats) for blk, f in zip(dec.blocks, red.blocks))
             assert frob(back - chi.values) <= 1e-10
 
+    def test_charfunc_from_reduction_is_the_per_block_sum(self, all_decs, shuffled, rng):
+        for dec in [*all_decs.values(), shuffled]:
+            d = dec.rep.dim
+            for s in (ak.random_pure_state(d, rng), ak.random_mixed_state(d, rng)):
+                red = ak.reduction_onto_irreps(s, dec)
+                want = sum(_inverse_block(f, blk.mats) for blk, f in zip(dec.blocks, red.blocks))
+                assert frob(ak.charfunc_from_reduction(red, dec).values - want) <= TOL
+
 
 class TestBlockOrder:
     """Outputs keyed or listed per block follow block order, also where the sectors
