@@ -64,7 +64,8 @@ class NumericalDegeneracyError(AsymkitError):
     """A numerical method failed its own check on a valid input.
 
     Each failure is reproducible: the character table tries four fixed random
-    sums and ``decompose``'s splitting twirl five draws of its seed's generator
-    before raising; ``decompose``'s multiplicity, isotype and residual checks
-    and ``gns_construct``'s check of the rebuilt chi raise at once.
+    sums before raising.  ``decompose`` draws one splitting twirl per isotype
+    from its seed's generator and raises at once if that twirl's copies collide,
+    as its multiplicity, isotype and residual checks and ``gns_construct``'s check
+    of the rebuilt chi do; another seed draws other twirls.
     """

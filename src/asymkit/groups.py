@@ -71,15 +71,6 @@ class GroupTable:
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def elements(self) -> range:
-        return range(self.order)
-
     @property
     def is_abelian(self) -> bool:
         return self._abelian

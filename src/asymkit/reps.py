@@ -34,8 +34,6 @@ from .errors import (
 from .groups import _STACK_BYTES, GroupTable, same_group
 from .linalg import frob, haar_unitary, random_hermitian, scaled_tol
 
-_MAX_TWIRL_DRAWS = 5  # random Hermitians tried per isotype before decompose gives up
-
 # Loose threshold used while carving out candidate invariant subspaces; the
 # final decomposition is always re-verified at the strict tolerance.
 _CLUSTER_GAP = 1e-6
@@ -454,12 +452,12 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
 
     Deterministic for a fixed seed, which drives only the splitting twirls: it
     moves the basis inside such an isotype but never the blocks' order, labels,
-    dimensions or multiplicities.  The seed-independent stages raise
-    NumericalDegeneracyError at once: multiplicities that are not whole, P's
-    eigenvalues off their labels, and a failed final check.  Each split isotype draws
-    once, in label order, before any twirl is diagonalized; those whose lowest d_mu
-    eigenvalues collide with the next one draw again, in label order, from the same
-    generator; five colliding draws in one isotype raise it too.
+    dimensions or multiplicities.  Each split isotype draws exactly one random Hermitian,
+    in label order, before any twirl is diagonalized.  NumericalDegeneracyError is raised
+    at once for multiplicities that are not whole, P's eigenvalues off their labels, a
+    failed final check, or a twirl whose lowest d_mu eigenvalues collide with the next
+    one: no rep forces that, as the twirl's spectrum is a GUE matrix's, whose gaps repel,
+    and another seed draws another twirl.
 
     Parameters
     ----------
@@ -499,16 +497,19 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     if off > _CLUSTER_GAP:
         raise NumericalDegeneracyError(f"decompose: projector eigenvalues {off:.3e} off labels")
 
+    hs = {i: random_hermitian(sizes[i], rng) for i in np.flatnonzero((dims > 1) & (copies > 1))}
     shapes: dict[tuple[int, int], list[int]] = {}  # the labels of the isotypes of d_mu > 1
     for i in np.flatnonzero(dims > 1):
         shapes.setdefault((int(dims[i]), int(copies[i])), []).append(i)
-    cuts, basis = np.r_[0, np.cumsum(sizes)], evecs.copy()
-    cols = {s: cuts[ix, None] + np.arange(s[0] * s[1]) for s, ix in shapes.items()}  # [j, column]
-    qs = {s: np.ascontiguousarray(evecs[:, c].transpose(1, 0, 2)) for s, c in cols.items()}
-    subs = {s: _subreps(r, q) for s, q in qs.items()}
-    for s, (q, ref) in _split_isotypes(shapes, qs, subs, rng).items():
-        basis[:, cols[s]], subs[s] = q.transpose(1, 0, 2), ref
-    mats = {i: m for s, ix in shapes.items() for i, m in zip(ix, subs[s])}
+    cuts, basis, mats = np.r_[0, np.cumsum(sizes)], evecs.copy(), {}
+    for (d_mu, n_mu), ix in shapes.items():
+        cols = cuts[ix, None] + np.arange(d_mu * n_mu)  # [j, column]
+        q = np.ascontiguousarray(evecs[:, cols].transpose(1, 0, 2))
+        sub = _subreps(r, q)
+        if n_mu > 1:
+            q, sub = _split(q, sub, np.stack([hs[i] for i in ix])[:, None], d_mu)
+        basis[:, cols] = q.transpose(1, 0, 2)
+        mats.update(zip(ix, sub))
     reps_, blocks = group.class_representatives(), []
     for i, mu in enumerate(present):  # a 1-dim isotype acts by its table row
         m = mats.get(i, chars[mu].reshape(n, 1, 1))
@@ -533,38 +534,24 @@ def _subreps(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_isotypes(shapes: dict, qs: dict, subs: dict, rng) -> dict:
-    """Per shape (d_mu, n_mu > 1), from its isotypes' labels, bases q and subreps: the bases in
-    the layout m * n_mu + n (irrep row m, copy n) and the first copies' matrices ref.  The
-    commutant being I_{d_mu} (x) M, a twirled random Hermitian's lowest d_mu eigenvectors span
-    one copy unless the gap after them closes: each round draws for every isotype unsplit, in
-    label order, then makes one batched ``eigh`` per shape, up to _MAX_TWIRL_DRAWS rounds.
-    Serre's p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) (Linear Representations of Finite
-    Groups, 2.7, Prop. 8) map a basis w of the range of p_0 onto row a of every copy at once."""
-    pending, tops, out = sorted((i, s) for s, ix in shapes.items() if s[1] > 1 for i in ix), {}, {}
-    for _ in range(_MAX_TWIRL_DRAWS):
-        drawn = {i: random_hermitian(s[0] * s[1], rng) for i, s in pending}
-        for (d_mu, n_mu), ix in shapes.items():
-            if at := [j for j, i in enumerate(ix) if i in drawn]:
-                sub, h = subs[d_mu, n_mu][at], np.stack([drawn[ix[j]] for j in at])[:, None]
-                evals, v = np.linalg.eigh((sub @ h @ _dagger(sub)).mean(axis=1))
-                gap = evals[:, d_mu] - evals[:, d_mu - 1]
-                ok = gap > _CLUSTER_GAP * np.maximum(1.0, evals[:, -1] - evals[:, 0])
-                tops.update((ix[j], v[t, :, :d_mu]) for t, j in enumerate(at) if ok[t])
-        if not (pending := [(i, s) for i, s in pending if i not in tops]):
-            break
-    else:
-        raise NumericalDegeneracyError(f"decompose: copies of a {pending[0][1][0]}-dim irrep "
-                                       f"collide in {_MAX_TWIRL_DRAWS} isotypic twirls")
-    for (d_mu, n_mu), ix in shapes.items():
-        if n_mu > 1:
-            sub, v = subs[d_mu, n_mu], np.stack([tops[i] for i in ix])[:, None]
-            ref = _dagger(v) @ sub @ v
-            p = np.einsum("kga,kgij->kaij", ref[..., 0].conj(), sub) * (d_mu / sub.shape[1])
-            w = np.linalg.eigh(p[:, 0])[1][:, None, :, -n_mu:]
-            q = (qs[d_mu, n_mu][:, None] @ (p @ w)).transpose(0, 2, 1, 3)
-            out[d_mu, n_mu] = q.reshape(qs[d_mu, n_mu].shape), ref
-    return out
+def _split(q: np.ndarray, sub: np.ndarray, h: np.ndarray, d_mu: int) -> tuple:
+    """Split k isotypes of one shape (d_mu, n_mu > 1), with bases q (k, d, m), subreps sub and
+    one random Hermitian each in h (k, 1, m, m): the bases in the layout m * n_mu + n (irrep
+    row m, copy n) and the first copies' matrices ref.  The twirl of h is I_{d_mu} (x) M; its
+    lowest d_mu eigenvectors span one copy, and a closed gap after them raises.  Serre's
+    p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) (Linear Representations of Finite
+    Groups, 2.7, Prop. 8) map a basis w of the range of p_0 onto row a of every copy."""
+    n_mu = q.shape[-1] // d_mu
+    evals, v = np.linalg.eigh((sub @ h @ _dagger(sub)).mean(axis=1))
+    gap = evals[:, d_mu] - evals[:, d_mu - 1]
+    if not (gap > _CLUSTER_GAP * np.maximum(1.0, evals[:, -1] - evals[:, 0])).all():
+        raise NumericalDegeneracyError(f"decompose: copies of a {d_mu}-dim irrep collide in "
+                                       "the isotypic twirl; another seed draws another twirl")
+    v = np.ascontiguousarray(v[..., :d_mu])[:, None]
+    ref = _dagger(v) @ sub @ v
+    p = np.einsum("kga,kgij->kaij", ref[..., 0].conj(), sub) * (d_mu / sub.shape[1])
+    w = np.linalg.eigh(p[:, 0])[1][:, None, :, -n_mu:]
+    return (q[:, None] @ (p @ w)).transpose(0, 2, 1, 3).reshape(q.shape), ref
 
 
 def _require_every_irrep(group: GroupTable, dec: IrrepDecomposition) -> None:

@@ -103,9 +103,9 @@ def dense_reconstruction_residual(dec) -> float:
 
 def per_isotype_decompose(r, seed: int = 0) -> ak.IrrepDecomposition:
     """``decompose`` with one Python iteration per isotype, unchecked: each isotype's
-    subrep, twirl (redrawn in place until its copies part), ``eigh`` and Serre projection
-    on its own.  The oracle for the batched split, which must give the same bits whenever
-    no twirl is redrawn; it draws through ``reps.random_hermitian``, as decompose does."""
+    subrep, twirl (one draw, which raises if its copies collide), ``eigh`` and Serre
+    projection on its own.  The oracle for the batched split, which must give the same
+    bits; it draws through ``reps.random_hermitian``, as decompose does."""
     rng = np.random.default_rng((seed, 0))
     group, d, n = r.group, r.dim, r.group.order
     chars = group._character_table()
@@ -141,13 +141,9 @@ def per_isotype_decompose(r, seed: int = 0) -> ak.IrrepDecomposition:
 def _split_isotype(q, sub, d_mu, rng):
     """One isotype's split as :func:`per_isotype_decompose` makes it."""
     m, n_mu = sub.shape[1], sub.shape[1] // d_mu
-    for _ in range(reps._MAX_TWIRL_DRAWS):
-        h = reps.random_hermitian(m, rng)
-        evals, v = np.linalg.eigh((sub @ h @ reps._dagger(sub)).mean(axis=0))
-        gap = reps._CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0]))
-        if evals[d_mu] - evals[d_mu - 1] > gap:
-            break
-    else:
+    h = reps.random_hermitian(m, rng)
+    evals, v = np.linalg.eigh((sub @ h @ reps._dagger(sub)).mean(axis=0))
+    if evals[d_mu] - evals[d_mu - 1] <= reps._CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0])):
         raise ak.NumericalDegeneracyError("copies collide")
     ref = reps._dagger(v[:, :d_mu]) @ sub @ v[:, :d_mu]
     p = np.einsum("ga,gij->aij", ref[:, :, 0].conj(), sub) * (d_mu / len(sub))
@@ -191,7 +187,7 @@ def dense_covariance_residual(c, r_in, r_out) -> float:
     """
     j = c.choi()
     worst = 0.0
-    for g in r_in.group.elements():
+    for g in range(r_in.group.order):
         m = np.kron(r_out.mats[g], r_in.mats[g].conj())
         worst = max(worst, frob(m @ j @ m.conj().T - j))
     return worst

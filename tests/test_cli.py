@@ -7,9 +7,11 @@ import pytest
 from helpers import (
     MALFORMED,
     PAIR_KINDS,
+    dense_covariance_residual,
     edited_payload,
     malformed_payload,
     pair_payloads,
+    perm_rep,
     reference_canonical_dumps,
     rejected_inputs,
 )
@@ -170,6 +172,50 @@ class TestCommands:
         assert code == 0
         assert "order" in out and "{" not in out.splitlines()[0]
 
+    def test_twirl_channel_over_the_whole_group(self, tmp_path, capsys):
+        """``twirl --channel --rep`` without ``--subgroup`` twirls over every element: the
+        channel it prints is covariant by the dense oracle, and a rerun prints the same bytes."""
+        rep = perm_rep(ak.make_symmetric(3))
+        raw = ak.random_channel(3, 2, np.random.default_rng(5))
+        assert dense_covariance_residual(raw, rep, rep) > 0.1
+        (tmp_path / "rep.json").write_text(json.dumps(jsonio.rep_to_json(rep)))
+        (tmp_path / "raw.json").write_text(json.dumps(jsonio.channel_to_json(raw)))
+        argv = ["twirl", "--channel", str(tmp_path / "raw.json"),
+                "--rep", str(tmp_path / "rep.json")]
+        code, first = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv) == (0, first)
+        twirled = jsonio.channel_from_json(json.loads(first)["result"]["channel"])
+        assert dense_covariance_residual(twirled, rep, rep) <= 1e-10
+
+    def test_make_klein(self, capsys):
+        code, out = run_cli(capsys, "group", "--make", "klein")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["group"]["order"] == 4 and result["abelian"] is True
+        assert result["inverses"] == [0, 1, 2, 3]
+
+    def test_table_format_prints_complex_pairs_and_floats(self, workdir, capsys):
+        """A charfunc report's values are complex pairs, one line of a+bj; a covcheck
+        report's residual is a float, printed to 12 significant digits."""
+        code, out = run_cli(
+            capsys, "charfunc", "--rep", str(workdir / "rep16.json"),
+            "--state", str(workdir / "psi.json"), "--format", "table",
+        )
+        assert code == 0
+        (line,) = [x for x in out.splitlines() if "j" in x and ":" not in x]
+        values = np.array([complex(x) for x in line.split()])
+        expected = 0.5 * (1 + np.exp(2j * np.pi * np.arange(16) / 16))
+        assert np.abs(values - expected).max() <= 1e-11
+        argv = ["covcheck", "--channel", str(workdir / "chan.json"),
+                "--rep", str(workdir / "rep16.json")]
+        _, report = run_cli(capsys, *argv)
+        code, out = run_cli(capsys, *argv, "--format", "table")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  covariant  True" in lines
+        assert f"  residual   {json.loads(report)['result']['residual']:.12g}" in lines
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, workdir, capsys):
@@ -219,6 +265,15 @@ class TestErrorPaths:
         assert code == 2
         assert "validation error:" in captured.err
         assert "NaN" not in captured.out
+
+    @pytest.mark.parametrize(
+        "spec, says", [("foo:3", "unknown group spec"), ("cyclic:x", "integer")]
+    )
+    def test_malformed_group_spec_exit_2(self, capsys, spec, says):
+        code = main(["group", "--make", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert says in captured.err
 
     def test_unknown_command_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

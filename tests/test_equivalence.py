@@ -17,7 +17,7 @@ def assert_witness_sound(verdict, rep, psi, phi, tol=1e-8):
     """Every claimed witness must commute with the action and map the states."""
     v = verdict.witness
     assert frob(v @ v.conj().T - np.eye(rep.dim)) < tol
-    worst = max(frob(v @ rep.mats[g] - rep.mats[g] @ v) for g in rep.group.elements())
+    worst = max(frob(v @ rep.mats[g] - rep.mats[g] @ v) for g in range(rep.group.order))
     assert worst < tol
     mapped = v @ psi.vec
     overlap = np.vdot(phi.vec, mapped)

@@ -279,7 +279,7 @@ class TestInvariantUnitary:
             assert frob(v @ v.conj().T - np.eye(dec.rep.dim)) < 1e-10
             worst = max(
                 frob(v @ dec.rep.mats[g] - dec.rep.mats[g] @ v)
-                for g in dec.rep.group.elements()
+                for g in range(dec.rep.group.order)
             )
             assert worst < 1e-10
 
@@ -325,49 +325,70 @@ class TestDegeneracyPath:
         assert len(draws) == twirls
 
     @pytest.mark.parametrize(
-        "name, identity_at, draws_made",
-        [("s3", {1}, 2), ("s3", {1, 2, 3, 4, 5}, 5), ("s4", {2}, 4), ("s4", {2, 4, 5, 6, 7}, 7)],
+        "name, at, d_mu", [("s3", 1, 2), ("s4", 1, 2), ("s4", 2, 3), ("s4", 3, 3)]
     )
-    def test_isotypic_twirl_collision(self, regular_reps, monkeypatch, name, identity_at, draws_made):
-        """A colliding twirl is redrawn in its own isotype: on regular S4 (isotypes of two
-        copies of a 2-dim irrep and three of each 3-dim one) draws 1-3 are the isotypes'
-        first and an identity second draw costs one more draw, not a fresh pass; its
-        redraws are draws 4, 5, ..., and five colliding draws in one isotype raise."""
-        draws = count_draws(monkeypatch, identity_at)
-        if len(identity_at) == 5:
-            with pytest.raises(ak.NumericalDegeneracyError, match="collide"):
-                ak.decompose(regular_reps[name], seed=0)
-        else:
-            dec = ak.decompose(regular_reps[name], seed=0)
-            assert_matches_character_table(dec)
-            assert split_isotypes(dec) == draws_made - 1
-        assert len(draws) == draws_made
+    def test_twirl_collision_raises_after_one_draw_each(
+        self, regular_reps, monkeypatch, name, at, d_mu
+    ):
+        """An identity draw twirls to one eigenvalue, so its isotype's copies collide.  On
+        regular S4, draw 1 splits the 2-dim irrep's isotype and draws 2 and 3 the 3-dim
+        ones.  decompose raises at once, having drawn once per split isotype and no more."""
+        splits = split_isotypes(ak.decompose(regular_reps[name], seed=0))
+        draws = count_draws(monkeypatch, {at})
+        collide = f"{d_mu}-dim irrep collide.*another seed"
+        with pytest.raises(ak.NumericalDegeneracyError, match=collide):
+            ak.decompose(regular_reps[name], seed=0)
+        assert len(draws) == splits
 
+    def test_twirl_gaps_clear_their_threshold(self, split_inputs, monkeypatch):
+        """The twirl is I_{d_mu} (x) M with M a GUE matrix, whose eigenvalues repel
+        (P(gap < eps) = O(eps^3)), so a collision cannot be forced by the choice of rep.
+        Over seeds 0-29 on the split fixtures, the smallest gap after the lowest d_mu
+        eigenvalues is at least 1e3 times the threshold decompose checks it against."""
+        ratios, real_split = [], reps._split
 
-    def test_redraw_follows_every_first_draw(self, regular_reps, monkeypatch):
-        """Regular S4 splits label 2 (shape (2, 2)) and labels 3 and 4 (shape (3, 3), one
-        batched twirl).  Draw k is H_k and draw 2 the identity, so label 3 collides and
-        takes draw 4, after label 4's first draw: the bits are the per-isotype oracle's
-        fed H_1, H_4, H_3 in label order, and not those it gives fed H_1, H_3, H_4."""
-        r = regular_reps["s4"]
-        hs = [random_hermitian(m, np.random.default_rng(k)) for k, m in enumerate([4, 9, 9, 9])]
-        hs[1] = np.eye(9)
-        feed = iter(hs)
-        monkeypatch.setattr(reps, "random_hermitian", lambda m, rng: next(feed))
-        dec = ak.decompose(r, seed=0)
-        assert next(feed, None) is None
-        for order, same in (([0, 3, 2], True), ([0, 2, 3], False)):
-            feed = iter([hs[k] for k in order])
-            want = per_isotype_decompose(r, seed=0)
-            assert next(feed, None) is None
-            assert same_bits(dec, want) == same
+        def split(q, sub, h, d_mu):
+            evals = np.linalg.eigvalsh((sub @ h @ reps._dagger(sub)).mean(axis=1))
+            threshold = reps._CLUSTER_GAP * np.maximum(1.0, evals[:, -1] - evals[:, 0])
+            ratios.extend((evals[:, d_mu] - evals[:, d_mu - 1]) / threshold)
+            return real_split(q, sub, h, d_mu)
 
-    def test_five_collisions_inside_a_shape_raise(self, regular_reps, monkeypatch):
-        """Label 4 collides five times while label 3, of the same shape, parts at once."""
-        draws = count_draws(monkeypatch, {3, 4, 5, 6, 7})
-        with pytest.raises(ak.NumericalDegeneracyError, match="3-dim irrep collide in 5"):
-            ak.decompose(regular_reps["s4"], seed=0)
-        assert draws == [4, 9, 9, 9, 9, 9, 9]
+        monkeypatch.setattr(reps, "_split", split)
+        decs = [ak.decompose(r, seed=seed) for r in split_inputs.values() for seed in range(30)]
+        twirls = sum(split_isotypes(dec) for dec in decs)
+        assert len(ratios) == twirls > 500
+        assert min(ratios) >= 1e3
+
+    @staticmethod
+    def perturbed_table(monkeypatch, group, row: int, g: int, by: float) -> None:
+        """Replace the group's cached character table by a copy with chi_row(g) moved by ``by``."""
+        chars = group._character_table().copy()
+        chars[row, g] += by
+        monkeypatch.setattr(group, "_characters", chars)
+
+    def test_multiplicities_not_whole_raise(self, monkeypatch):
+        """The permutation rep of S3 has character 1 on a transposition: moving the trivial
+        row there by 0.3 moves the trivial multiplicity off 1 by 0.3/6."""
+        s3 = ak.make_symmetric(3)
+        r, t = perm_rep(s3), s3.class_representatives()[1]
+        assert r.character()[t] == 1
+        self.perturbed_table(monkeypatch, s3, 0, t, 0.3)
+        draws = count_draws(monkeypatch)
+        with pytest.raises(ak.NumericalDegeneracyError, match="multiplicities .* not whole"):
+            ak.decompose(r, seed=0)
+        assert draws == []
+
+    def test_projector_eigenvalues_off_labels_raise(self, monkeypatch):
+        """The regular character is 0 off e, so a degree-1 row moved at g != e keeps every
+        multiplicity whole; the sign row (label 1) moved by 0.5 is no projector any more."""
+        s3 = ak.make_symmetric(3)
+        r = ak.regular_rep(s3)
+        assert s3._character_table()[1, 0] == 1
+        self.perturbed_table(monkeypatch, s3, 1, 1, 0.5)
+        draws = count_draws(monkeypatch)
+        with pytest.raises(ak.NumericalDegeneracyError, match="projector eigenvalues .* off labels"):
+            ak.decompose(r, seed=0)
+        assert draws == []
 
 
 def same_bits(a, b) -> bool:
@@ -495,7 +516,7 @@ class TestBatchedMatchesPerElementLoops:
         """The oracle's indexed kron, for one element and for a stack, against np.kron."""
         dec = s3_square_dec
         stack = block_matrix(dec, slice(None))
-        for g in dec.rep.group.elements():
+        for g in range(dec.rep.group.order):
             want = np.zeros((dec.rep.dim, dec.rep.dim), dtype=complex)
             for i, blk in enumerate(dec.blocks):
                 sl = dec.sector_slice(i)
@@ -777,7 +798,7 @@ class TestMonomialPath:
         assert np.array_equal(phase, np.einsum("gii->gi", z16_number_rep.mats))
         r = regular_reps["s3"]
         src, phase = r._monomial
-        for g in r.group.elements():  # U(g) e_h = e_gh: row gh reads column h
+        for g in range(r.group.order):  # U(g) e_h = e_gh: row gh reads column h
             assert np.array_equal(src[g, r.group.mul[g]], np.arange(6))
         assert np.all(phase == 1)
 

@@ -374,6 +374,29 @@ class TestWeightModel:
                 ak.u1_cumulant(both, 3) - ak.u1_cumulant(w1, 3) - ak.u1_cumulant(w2, 3)
             ) < 1e-12
 
+    @pytest.mark.parametrize("a, b, p", [(0, 1, 0.5), (2, 7, 0.2), (3, 4, 0.9)])
+    def test_cumulants_of_a_two_point_distribution(self, a, b, p):
+        """Weight a with probability 1 - p and b with p is a + (b - a) Bernoulli(p), whose
+        cumulants are a + s p, s^2 v, s^3 v (1 - 2p) and s^4 v (1 - 6v), s = b - a, v = p(1 - p)."""
+        w, s, v = ak.WeightState({a: 1 - p, b: p}), b - a, p * (1 - p)
+        want = [a + s * p, s**2 * v, s**3 * v * (1 - 2 * p), s**4 * v * (1 - 6 * v)]
+        for k, kappa in enumerate(want, start=1):
+            assert abs(ak.u1_cumulant(w, k) - kappa) <= 1e-10 * max(1.0, abs(kappa))
+
+    def test_every_cumulant_order_adds(self, rng):
+        for _ in range(5):
+            w1 = ak.WeightState(dict(enumerate(rng.dirichlet(np.ones(4)))))
+            w2 = ak.WeightState(dict(enumerate(rng.dirichlet(np.ones(3)))))
+            both = ak.weight_tensor(w1, w2)
+            for k in range(1, 5):
+                total = ak.u1_cumulant(w1, k) + ak.u1_cumulant(w2, k)
+                assert abs(ak.u1_cumulant(both, k) - total) < 1e-11
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_cumulant_order_out_of_range(self, k):
+        with pytest.raises(ak.InvalidParameterError, match="orders 1..4"):
+            ak.u1_cumulant(ak.WeightState({0: 0.5, 1: 0.5}), k)
+
     def test_weight_state_validation(self):
         with pytest.raises(ak.ValidationError):
             ak.WeightState({0: 0.7, 1: 0.7})
