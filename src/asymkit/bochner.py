@@ -119,7 +119,8 @@ def gns_construct(f: CharFunction) -> GnsResult:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not normalized: f(e) = {f.values[0]:.6f}"
         )
-    x = f.values[group.mul[group.inv]]  # x[g,h] = f(g^-1 h)
+    left = group.mul[group.inv]  # left[g, h] = g^-1 h
+    x = f.values[left]  # x[g,h] = f(g^-1 h)
     vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
     if not vals[0] >= -t:
         raise InvalidCharacteristicFunctionError(
@@ -130,9 +131,13 @@ def gns_construct(f: CharFunction) -> GnsResult:
     psi = np.sqrt(lam) * m[0].conj()  # the embedded v_e
     mats = np.zeros((n, lam.size, lam.size), dtype=complex)
     cuts = np.flatnonzero(np.diff(lam) > reps._CLUSTER_GAP * max(1.0, lam[-1] - lam[0])) + 1
-    for c in map(slice, np.r_[0, cuts], np.r_[cuts, lam.size]):
-        for ks in reps._chunk_slices(n, m[:, c].nbytes):  # (L(k) M)[h] = M[k^-1 h]
-            mats[ks, c, c] = m[:, c].conj().T @ m[group.mul[group.inv[ks]], c]
+    starts, sizes = np.r_[0, cuts], np.diff(np.r_[0, cuts, lam.size])
+    for s in sorted(set(sizes.tolist())):  # the clusters of size s at once: cols[j] is cluster j
+        cols = starts[sizes == s, None] + np.arange(s)
+        mh = reps._dagger(np.ascontiguousarray(m[:, cols].transpose(1, 0, 2)))[:, None]
+        i, j = cols[:, None, :, None], cols[:, None, None, :]  # [cluster, k, row, column]
+        for ks in reps._chunk_slices(n, m[:, cols].nbytes):  # (L(k) M)[h] = M[k^-1 h]
+            mats[np.arange(n)[ks, None, None], i, j] = mh @ m[left[ks, :, None], j]
     err = float(np.abs(mats @ psi @ psi.conj() - f.values).max())
     if not err <= t:
         raise NumericalDegeneracyError(f"GNS realization misses f by {err:.3e} > {t:.3e}")

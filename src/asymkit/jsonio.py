@@ -3,14 +3,15 @@
 Complex scalars are [re, im] pairs, matrices row-major nested lists of pairs,
 converted a whole array at a time.  Integer fields must hold whole numbers (2.0
 reads as 2, 2.5 raises).  A representation is written in the first of three forms
-that fits what :class:`UnitaryRep` found at construction, each marked by its key:
+that fits what :class:`UnitaryRep` holds, each marked by its key:
 
 * monomial, ``src`` and ``phase`` of shape (|G|, dim): mats[g, i, src[g, i]] = phase[g, i];
 * diagonal blocks, unless there is just one: ``blocks``, a list of ``{"start", "mats"}``;
 * dense: ``mats``, every (dim, dim) matrix in full.
 
-The reader takes all three, dense files of monomial reps included, and builds the
-rep through :class:`UnitaryRep` with its full validation.  Writers keep full float
+The reader takes all three, dense files of monomial reps included, with the full
+validation of :class:`UnitaryRep`.  A monomial file is checked and built on its
+(src, phase) form, never stacked densely; the other two forms are.  Writers keep full float
 precision (a round trip is bit-identical); :func:`canonical_dumps` reports round to
 12 significant digits, in text byte for byte what ``json.dumps`` of the rounded
 payload gives.
@@ -30,7 +31,7 @@ from .channels import QuantumChannel
 from .equivalence import EquivalenceVerdict
 from .errors import SizeLimitError, ValidationError
 from .groups import GroupTable, _whole, _whole_number, group_from_json, group_to_json
-from .reps import IrrepDecomposition, UnitaryRep
+from .reps import IrrepDecomposition, UnitaryRep, _monomial_rep
 from .states import CharFunction, IrrepReduction, QuantumState, WeightState
 
 
@@ -95,7 +96,8 @@ def rep_to_json(r: UnitaryRep, inline_group: bool = True) -> dict:
 
 
 def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
-    """Read a rep in any of the three forms into the dense stack and validate it in full.
+    """Read a rep in any of the three forms and validate it in full: a monomial one on its
+    (src, phase) form, the others on the dense stack.
 
     A compact form must state ``dim``; a ``dim`` whose stack takes |G| dim^2 16 bytes
     > 256 MiB raises SizeLimitError before any array is read.  Malformed indices or
@@ -123,8 +125,15 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
                 f" over the cap {_REP_BYTES}"
             )
     if form == ["src", "phase"]:
-        mats = _monomial_mats(_whole(obj["src"], "'src'"), _from_pairs(obj["phase"], 2), n, dim)
-    elif form == ["blocks"]:
+        src, phase = _whole(obj["src"], "'src'"), _from_pairs(obj["phase"], 2)
+        if src.shape != (n, dim) or phase.shape != (n, dim):
+            raise ValidationError(
+                f"'src' {src.shape} and 'phase' {phase.shape} must both have shape {(n, dim)}"
+            )
+        if not (np.sort(src, axis=1) == np.arange(dim)).all():
+            raise ValidationError(f"each row of 'src' must hold every index 0..{dim - 1} once")
+        return _monomial_rep(group, src, phase)
+    if form == ["blocks"]:
         mats = _block_mats(obj["blocks"], n, dim)
     else:
         mats = _from_pairs(obj["mats"], 3)
@@ -132,19 +141,6 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
     if dim is not None and dim != rep.dim:
         raise ValidationError("representation JSON 'dim' does not match its matrices")
     return rep
-
-
-def _monomial_mats(src: np.ndarray, phase: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """The stack with mats[g, i, src[g, i]] = phase[g, i] and zeros elsewhere."""
-    if src.shape != (n, dim) or phase.shape != (n, dim):
-        raise ValidationError(
-            f"'src' {src.shape} and 'phase' {phase.shape} must both have shape {(n, dim)}"
-        )
-    if not (np.sort(src, axis=1) == np.arange(dim)).all():
-        raise ValidationError(f"each row of 'src' must hold every index 0..{dim - 1} once")
-    mats = np.zeros((n, dim, dim), dtype=complex)
-    mats[np.arange(n)[:, None], np.arange(dim), src] = phase
-    return mats
 
 
 def _block_mats(blocks: list, n: int, dim: int) -> np.ndarray:

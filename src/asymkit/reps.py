@@ -46,29 +46,43 @@ class UnitaryRep:
     unitarity, and mats[a] @ mats[b] = mats[a*b] for all pairs, each within a
     tolerance relative to the matrix norms.  Instances are immutable.  A
     monomial rep (one nonzero per row and column, exact zeros elsewhere:
-    permutation and number reps, their sums and products) is also kept as
-    index and phase arrays and validated in O(|G|^2 d), or in integers if its
-    entries are 0 or 1; any other keeps its diagonal blocks' slices and is
-    validated block by block.
+    permutation and number reps, their sums and products) is kept as index and
+    phase arrays and validated on them in O(|G|^2 d), or in integers if its
+    entries are 0 or 1; the library builds such reps from those arrays, and
+    stacks their dense ``mats`` only when ``mats`` is first read.  Any other rep
+    keeps its dense stack and its diagonal blocks' slices, and is validated
+    block by block.
     """
 
-    __slots__ = ("group", "dim", "mats", "_monomial", "_blocks")
+    __slots__ = ("group", "dim", "_mats", "_monomial", "_blocks")
 
-    def __init__(self, group: GroupTable, mats):
-        mats = np.asarray(mats, dtype=complex)
-        if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
-            raise DimensionMismatchError(
-                "mats must have shape (|G|, d, d) matching the group order"
-            )
-        if not np.isfinite(mats).all():
-            raise ValidationError("representation matrices have non-finite entries")
-        self.group = group
-        self.dim = int(mats.shape[1])
-        self.mats = mats
-        form = _sparsity_form(mats)
-        self._monomial, self._blocks = (form, None) if isinstance(form, tuple) else (None, form)
-        _validate_rep(group, mats, scaled_tol(mats), form)
-        self.mats.setflags(write=False)
+    def __init__(self, group: GroupTable, mats, _form=None):
+        if _form is None:  # else a validated form: (src, phase) with mats None, or mats' slices
+            mats = np.asarray(mats, dtype=complex)
+            if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
+                raise DimensionMismatchError(
+                    "mats must have shape (|G|, d, d) matching the group order"
+                )
+            _form = _sparsity_form(mats)
+            _validate_rep(group, mats, scaled_tol(mats), _form)
+        monomial = isinstance(_form, tuple)
+        self.group, self._mats = group, mats
+        self.dim = int((_form[0] if monomial else mats).shape[1])
+        self._monomial, self._blocks = (_form, None) if monomial else (None, _form)
+        if mats is not None:
+            mats.setflags(write=False)
+
+    @property
+    def mats(self) -> np.ndarray:
+        """The read-only (|G|, d, d) stack; a monomial rep's is scattered from its
+        (src, phase) form on first read and kept (published only once complete)."""
+        if self._mats is None:
+            (n, d), (src, phase) = self._monomial[0].shape, self._monomial
+            mats = np.zeros((n, d, d), dtype=complex)
+            mats[np.arange(n)[:, None], np.arange(d), src] = phase
+            mats.setflags(write=False)
+            self._mats = mats
+        return self._mats
 
     def character(self) -> np.ndarray:
         """Per-element trace vector tr U(g); the diagonal phases summed on a monomial rep."""
@@ -106,14 +120,32 @@ def _sparsity_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | list[sli
     return [slice(int(a), int(b)) for a, b in zip(np.r_[0, ends[:-1]], ends)]
 
 
-def _validate_rep(group: GroupTable, mats: np.ndarray, tol: float, form) -> None:
-    """Raise ValidationError unless ||mats[0] - I||, every ||U U^dag - I|| and
-    every ||U(a) U(b) - U(ab)|| are <= tol (a NaN residual fails).  Given mats'
-    :func:`_sparsity_form`: O(|G|^2 d) if monomial, else O(|G|^2 sum s^3).  Residuals of
-    0/1 entries (monomial, every phase exactly 1) are 0 or >= sqrt 2, so such a rep passes
-    iff src[ab] = src[b][src[a]] for all a and each greedy generator b (the b that pass are
-    closed under products), in integers; if not, the float pass names the failing element."""
-    if not frob(mats[0] - np.eye(mats.shape[1])) <= tol:
+def _monomial_rep(group: GroupTable, src: np.ndarray, phase: np.ndarray) -> UnitaryRep:
+    """The rep with U(g)[i, src[g, i]] = phase[g, i], each row of src a permutation of
+    range(d), validated on (src, phase) with the checks, verdicts and messages of
+    :class:`UnitaryRep`, whose mats it never stacks; d = 0 gives the 0-dim dense rep."""
+    if not src.shape[1]:
+        return UnitaryRep(group, np.zeros((group.order, 0, 0)))
+    _validate_rep(group, None, scaled_tol(phase), (src, phase))  # ||mats||_F = ||phase||_F
+    return UnitaryRep(group, None, (src, phase))
+
+
+def _validate_rep(group: GroupTable, mats: np.ndarray | None, tol: float, form) -> None:
+    """Raise ValidationError unless every entry is finite and ||mats[0] - I||, every
+    ||U U^dag - I|| and every ||U(a) U(b) - U(ab)|| are <= tol.  Given mats'
+    :func:`_sparsity_form`: O(|G|^2 d) if monomial, read from (src, phase) alone (mats may
+    be None), else O(|G|^2 sum s^3).  Residuals of 0/1 entries (monomial, every phase
+    exactly 1) are 0 or >= sqrt 2, so such a rep passes iff src[ab] = src[b][src[a]] for
+    all a and each greedy generator b (the b that pass are closed under products), in
+    integers; if not, the float pass names the failing element."""
+    if not np.isfinite(form[1] if isinstance(form, tuple) else mats).all():
+        raise ValidationError("representation matrices have non-finite entries")
+    if isinstance(form, tuple):  # U(0) - I: phase - 1 on the diagonal, else phase and a -1
+        on = form[0][0] == np.arange(form[0].shape[1])
+        first = np.sqrt((abs(form[1][0] - on) ** 2 + ~on).sum())
+    else:
+        first = frob(mats[0] - np.eye(mats.shape[1]))
+    if not first <= tol:
         raise ValidationError("representation invariant violated: mats[0] must be the identity")
     if isinstance(form, tuple) and (form[1] == 1).all():
         src = form[0]
@@ -147,11 +179,11 @@ def _unitarity_residuals(mats: np.ndarray, form) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _homomorphism_residuals(mats: np.ndarray, mul: np.ndarray, form):
+def _homomorphism_residuals(mats: np.ndarray | None, mul: np.ndarray, form):
     """Yield ||U(a) U(b) - U(ab)|| over b for each a in turn, computed in chunks of a.
     Row i of a monomial U(a) U(b) holds phase[a, i] * phase[b, src[a, i]] at column
     src[b, src[a, i]]; a block U_j(a) multiplies every U_j(b) side by side."""
-    n = len(mats)
+    n = len(mul)
     if not isinstance(form, tuple):
         for rows in _chunk_slices(n, sum(stack.nbytes for stack in form)):
             sq = np.zeros((len(mul[rows]), n))
@@ -210,15 +242,13 @@ def _frob_each(stack: np.ndarray) -> np.ndarray:
 
 def trivial_rep(group: GroupTable) -> UnitaryRep:
     """The one-dimensional all-ones representation."""
-    return UnitaryRep(group, np.ones((group.order, 1, 1), dtype=complex))
+    return _monomial_rep(group, np.zeros((group.order, 1), int), np.ones((group.order, 1), complex))
 
 
 def regular_rep(group: GroupTable) -> UnitaryRep:
-    """Left-regular representation: permutation matrix of left multiplication."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    mats[np.arange(n)[:, None], group.mul, np.arange(n)] = 1.0
-    return UnitaryRep(group, mats)
+    """Left-regular representation: permutation matrix of left multiplication.
+    U(g) e_h = e_gh, so row i reads column g^-1 i: src = mul[inv], unit phases."""
+    return _monomial_rep(group, group.mul[group.inv], np.ones((group.order,) * 2, complex))
 
 
 def number_rep(group: GroupTable, weights) -> UnitaryRep:
@@ -231,32 +261,41 @@ def number_rep(group: GroupTable, weights) -> UnitaryRep:
     n = group.order
     w = np.asarray(list(weights), dtype=float)
     phases = np.exp(2j * np.pi * np.outer(np.arange(n), w) / n)
-    mats = np.zeros((n, w.size, w.size), dtype=complex)
-    step = np.arange(w.size)
-    mats[:, step, step] = phases
-    return UnitaryRep(group, mats)
+    return _monomial_rep(group, np.tile(np.arange(w.size), (n, 1)), phases)
 
 
 def tensor_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
-    """Collective action on a composite system: g -> a(g) kron b(g)."""
+    """Collective action on a composite system: g -> a(g) kron b(g).  Of two monomial
+    factors, row (i, k) reads column (src_a, src_b) with phase phase_a phase_b."""
     if not same_group(a.group, b.group):
         raise GroupMismatchError("tensor_rep requires both factors over the same group")
-    mats = np.einsum("gij,gkl->gikjl", a.mats, b.mats).reshape(
-        a.group.order, a.dim * b.dim, a.dim * b.dim
-    )
+    n, d = a.group.order, a.dim * b.dim
+    if a._monomial is not None and b._monomial is not None:
+        (src_a, ph_a), (src_b, ph_b) = a._monomial, b._monomial
+        src = src_a[:, :, None] * b.dim + src_b[:, None]
+        phase = np.einsum("gi,gk->gik", ph_a, ph_b)  # rounds as the dense einsum below does
+        return _monomial_rep(a.group, src.reshape(n, d), phase.reshape(n, d))
+    mats = np.einsum("gij,gkl->gikjl", a.mats, b.mats).reshape(n, d, d)
     return UnitaryRep(a.group, mats)
 
 
 def direct_sum_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
-    """Block-diagonal sum g -> a(g) directsum b(g)."""
+    """Block-diagonal sum g -> a(g) directsum b(g): two monomial forms concatenated, else the
+    dense stack and its form.  Not validated again on |G| >= 2: residuals of a block-diagonal
+    stack add in squares, a 0-dim summand has none, and a valid one of dim >= 1 has
+    ||M||_F > 1 (two near-unitary terms), so r^2 = r_a^2 + r_b^2 <= tol_a^2 + tol_b^2 = tol^2
+    for tol = 1e-9 ||M||_F."""
     if not same_group(a.group, b.group):
         raise GroupMismatchError("direct_sum_rep requires both summands over the same group")
-    n = a.group.order
-    d = a.dim + b.dim
+    n, d = a.group.order, a.dim + b.dim
+    if a._monomial is not None and b._monomial is not None:
+        (src_a, ph_a), (src_b, ph_b) = a._monomial, b._monomial
+        form = np.hstack([src_a, src_b + a.dim]), np.hstack([ph_a, ph_b])
+        return UnitaryRep(a.group, None, form) if n > 1 else _monomial_rep(a.group, *form)
     mats = np.zeros((n, d, d), dtype=complex)
     mats[:, : a.dim, : a.dim] = a.mats
     mats[:, a.dim :, a.dim :] = b.mats
-    return UnitaryRep(a.group, mats)
+    return UnitaryRep(a.group, mats, None if n == 1 else _sparsity_form(mats))
 
 
 def twirl_operator(r: UnitaryRep, x: np.ndarray) -> np.ndarray:

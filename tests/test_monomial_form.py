@@ -1,0 +1,194 @@
+"""Reps built from their monomial (src, phase) form: validated on the form, and the dense
+``mats`` stacked only when first read, bit for bit as the dense constructors stacked it."""
+
+import json
+
+import numpy as np
+import pytest
+from helpers import blocked_rep, dense_rep_residuals, pair_payloads, perm_rep
+
+import asymkit as ak
+from asymkit import jsonio, reps
+from asymkit.linalg import haar_unitary, scaled_tol
+
+
+def dense_regular(group):
+    n = group.order
+    mats = np.zeros((n, n, n), dtype=complex)
+    mats[np.arange(n)[:, None], group.mul, np.arange(n)] = 1.0
+    return mats
+
+
+def dense_number(group, weights):
+    n, w = group.order, np.asarray(weights, dtype=float)
+    mats = np.zeros((n, w.size, w.size), dtype=complex)
+    diagonal = np.arange(w.size)
+    mats[:, diagonal, diagonal] = np.exp(2j * np.pi * np.outer(np.arange(n), w) / n)
+    return mats
+
+
+def dense_tensor(a, b):
+    n, d = a.shape[0], a.shape[1] * b.shape[1]
+    return np.einsum("gij,gkl->gikjl", a, b).reshape(n, d, d)
+
+
+def dense_sum(a, b):
+    n, d = a.shape[0], a.shape[1] + b.shape[1]
+    mats = np.zeros((n, d, d), dtype=complex)
+    mats[:, : a.shape[1], : a.shape[1]], mats[:, a.shape[1] :, a.shape[1] :] = a, b
+    return mats
+
+
+def dense_scatter(src, phase):
+    """The stack the JSON reader used to build from a (src, phase) file."""
+    src, phase = np.asarray(src), jsonio._from_pairs(phase, 2)
+    n, d = src.shape
+    mats = np.zeros((n, d, d), dtype=complex)
+    mats[np.arange(n)[:, None], np.arange(d), src] = phase
+    return mats
+
+
+def built_reps():
+    """name -> (a fresh rep, the dense stack the dense constructors gave for it)."""
+    s3, s4, z16 = ak.make_symmetric(3), ak.make_symmetric(4), ak.make_cyclic(16)
+    d30 = ak.make_dihedral(15)
+    w1, w2 = [0, 1, 3, 3, 7], [2, 15, 9]
+    perm = perm_rep(s4)
+    out = {
+        "s3 regular": (ak.regular_rep(s3), dense_regular(s3)),
+        "d30 regular": (ak.regular_rep(d30), dense_regular(d30)),
+        "z16 number": (ak.number_rep(z16, w1), dense_number(z16, w1)),
+        "s4 trivial": (ak.trivial_rep(s4), np.ones((24, 1, 1), dtype=complex)),
+        "z16 number x number": (
+            ak.tensor_rep(ak.number_rep(z16, w1), ak.number_rep(z16, w2)),
+            dense_tensor(dense_number(z16, w1), dense_number(z16, w2)),
+        ),
+        "s3reg x s3reg": (
+            ak.tensor_rep(ak.regular_rep(s3), ak.regular_rep(s3)),
+            dense_tensor(dense_regular(s3), dense_regular(s3)),
+        ),
+        "s4 perm x s4 perm": (ak.tensor_rep(perm, perm), dense_tensor(perm.mats, perm.mats)),
+        "s3reg + s3 trivial": (
+            ak.direct_sum_rep(ak.regular_rep(s3), ak.trivial_rep(s3)),
+            dense_sum(dense_regular(s3), np.ones((6, 1, 1))),
+        ),
+        "z16 number + number": (
+            ak.direct_sum_rep(ak.number_rep(z16, w1), ak.number_rep(z16, w2)),
+            dense_sum(dense_number(z16, w1), dense_number(z16, w2)),
+        ),
+    }
+    for name in list(out):
+        r = out[name][0]
+        obj = json.loads(json.dumps(jsonio.rep_to_json(r)))
+        out[f"json {name}"] = (jsonio.rep_from_json(obj), dense_scatter(obj["src"], obj["phase"]))
+    return out
+
+
+BUILT = list(built_reps())
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_lazy_mats_match_dense_construction(name):
+    r, want = built_reps()[name]
+    assert r._monomial is not None and r._mats is None
+    got = r.mats
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable and r.mats is got
+    with pytest.raises(ValueError):
+        got[0, 0, 0] = 2.0
+
+
+def test_decompose_leaves_the_stack_unbuilt():
+    r = ak.regular_rep(ak.make_dihedral(15))
+    dec = ak.decompose(r, seed=0)
+    ak.charfunc(ak.random_pure_state(r.dim, np.random.default_rng(0)), r)
+    ak.twirl_operator(r, np.eye(r.dim))
+    assert r._mats is None
+    assert dec.reconstruction_residual() <= 1e-12
+
+
+def compact_corruptions():
+    """Compact rep files each holding one defect, as name -> JSON object."""
+    z4_number = pair_payloads()["rep-phase"][0]
+    files = {
+        "z4 number": z4_number,
+        "s3 regular": jsonio.rep_to_json(ak.regular_rep(ak.make_symmetric(3))),
+        "z8 number x2": jsonio.rep_to_json(ak.number_rep(ak.make_cyclic(8), [0, 0, 3, 3, 5])),
+    }
+    out = {}
+    for name, obj in files.items():
+        edits = {
+            "zero phase": lambda o: o["phase"][2].__setitem__(1, [0.0, 0.0]),
+            "non-unit phase": lambda o: o["phase"][1].__setitem__(0, [2.0, 0.0]),
+            "nan phase": lambda o: o["phase"][1].__setitem__(1, [float("nan"), 0.0]),
+            "inf phase": lambda o: o["phase"][3].__setitem__(0, [0.0, float("inf")]),
+            "mats[0] not I, phase": lambda o: o["phase"][0].__setitem__(1, [-1.0, 0.0]),
+            "mats[0] not I, src": lambda o: o["src"][0].reverse(),
+            "src not a homomorphism": lambda o: o["src"][2].reverse(),
+        }
+        for edit, apply in edits.items():
+            bad = json.loads(json.dumps(obj))
+            apply(bad)
+            out[f"{name}: {edit}"] = bad
+    return out
+
+
+@pytest.mark.parametrize("name", list(compact_corruptions()))
+def test_compact_files_fail_as_their_dense_stack_did(name):
+    """The reader used to scatter a compact file into a dense stack and build the rep from
+    it; reading the form directly raises the same error with the same message."""
+    obj = compact_corruptions()[name]
+    with pytest.raises(ak.ValidationError) as dense:
+        ak.UnitaryRep(ak.group_from_json(obj["group"]), dense_scatter(obj["src"], obj["phase"]))
+    with pytest.raises(ak.ValidationError) as compact:
+        jsonio.rep_from_json(obj)
+    assert str(compact.value) == str(dense.value)
+
+
+def summands():
+    """Reps of S3 and of Z4 in every form: monomial, block, dense and 0-dim."""
+    s3, z4 = ak.make_symmetric(3), ak.make_cyclic(4)
+    reg, rng = ak.regular_rep(s3), np.random.default_rng(3)
+    u = haar_unitary(6, rng)
+    gns = ak.gns_construct(ak.charfunc(ak.random_pure_state(6, rng), reg)).rep
+    return [
+        [reg, ak.trivial_rep(s3), perm_rep(s3), ak.UnitaryRep(s3, u @ reg.mats @ u.conj().T),
+         ak.UnitaryRep(s3, np.zeros((6, 0, 0))), gns],
+        [ak.number_rep(z4, [0, 1, 3]), blocked_rep(z4), ak.UnitaryRep(z4, np.zeros((4, 0, 0)))],
+    ]
+
+
+def fixture_sums():
+    return [(a, b) for same_group in summands() for a in same_group for b in same_group]
+
+
+@pytest.mark.parametrize("at", range(len(fixture_sums())))
+def test_direct_sum_passes_the_dense_oracle_unchecked(at, monkeypatch):
+    """direct_sum_rep skips validation, as the residuals of validated summands add in squares;
+    every sum of the fixtures passes the dense oracle at the sum's own tolerance, and keeps
+    the form its dense stack shows."""
+    a, b = fixture_sums()[at]
+    checks = []
+    monkeypatch.setattr(reps, "_validate_rep", lambda *args: checks.append(args))
+    s = ak.direct_sum_rep(a, b)
+    assert checks == []
+    identity, unitarity, homomorphism = dense_rep_residuals(s.group.mul, s.mats)
+    tol = scaled_tol(s.mats)
+    assert identity <= tol and unitarity.max(initial=0) <= tol and homomorphism.max() <= tol
+    form = reps._sparsity_form(s.mats)
+    if isinstance(form, tuple):
+        assert all(np.array_equal(x, y) for x, y in zip(s._monomial, form))
+    else:
+        assert s._monomial is None and s._blocks == form
+
+
+def test_direct_sum_over_the_trivial_group_is_checked(monkeypatch):
+    """The argument needs ||M||_F > 1 for a summand of dim >= 1, which |G| = 1 lacks."""
+    z1 = ak.make_cyclic(1)
+    one, empty = ak.trivial_rep(z1), ak.UnitaryRep(z1, np.zeros((1, 0, 0)))
+    checks, real = [], reps._validate_rep
+    monkeypatch.setattr(reps, "_validate_rep", lambda *args: checks.append(1) or real(*args))
+    assert ak.direct_sum_rep(one, one)._monomial is not None
+    assert ak.direct_sum_rep(one, empty).dim == 1
+    assert len(checks) == 2
