@@ -18,7 +18,7 @@ import numpy as np
 from . import reps
 from .errors import InvalidCharacteristicFunctionError, InvalidParameterError
 from .errors import NumericalDegeneracyError
-from .linalg import RTOL, frob, min_eigenvalue, scaled_tol
+from .linalg import RTOL, frob, hermitian_part, min_eigenvalue, scaled_tol
 from .states import CharFunction, QuantumState, _forward_block
 
 _RANK_TOL = 1e-10
@@ -100,9 +100,9 @@ def gns_construct(f: CharFunction) -> GnsResult:
     element, with v_e the cyclic unit vector; left translation of the labels
     preserves the Gram form (X depends only on g^-1 h), so it extends to a
     unitary representation on the span.  The carrier dimension is the rank of
-    X with eigenvalues below 1e-10 * (largest eigenvalue) truncated.  L(k)
-    commutes with X, so U(k) = M^dag L(k) M on each eigenvalue cluster's columns
-    M (split at gaps over 1e-6 of the spread), exactly zero elsewhere.
+    X with eigenvalues below 1e-10 * (largest eigenvalue) truncated.  The regular rep
+    L(k) commutes with X, so U(k) = M^dag L(k) M, its subrep on each eigenvalue cluster's
+    columns M (split at gaps over 1e-6 of the spread), exactly zero elsewhere.
 
     Raises InvalidCharacteristicFunctionError if f has a NaN or infinite value or
     is not normalized positive definite under the module's Gram rule, and
@@ -119,9 +119,8 @@ def gns_construct(f: CharFunction) -> GnsResult:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not normalized: f(e) = {f.values[0]:.6f}"
         )
-    left = group.mul[group.inv]  # left[g, h] = g^-1 h
-    x = f.values[left]  # x[g,h] = f(g^-1 h)
-    vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
+    x = f.values[group.mul[group.inv]]  # x[g,h] = f(g^-1 h)
+    vals, vecs = np.linalg.eigh(hermitian_part(x))
     if not vals[0] >= -t:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not positive definite: Gram eigenvalue {vals[0]:.3e} < 0"
@@ -132,12 +131,11 @@ def gns_construct(f: CharFunction) -> GnsResult:
     mats = np.zeros((n, lam.size, lam.size), dtype=complex)
     cuts = np.flatnonzero(np.diff(lam) > reps._CLUSTER_GAP * max(1.0, lam[-1] - lam[0])) + 1
     starts, sizes = np.r_[0, cuts], np.diff(np.r_[0, cuts, lam.size])
+    regular = reps.regular_rep(group)
     for s in sorted(set(sizes.tolist())):  # the clusters of size s at once: cols[j] is cluster j
         cols = starts[sizes == s, None] + np.arange(s)
-        mh = reps._dagger(np.ascontiguousarray(m[:, cols].transpose(1, 0, 2)))[:, None]
-        i, j = cols[:, None, :, None], cols[:, None, None, :]  # [cluster, k, row, column]
-        for ks in reps._chunk_slices(n, m[:, cols].nbytes):  # (L(k) M)[h] = M[k^-1 h]
-            mats[np.arange(n)[ks, None, None], i, j] = mh @ m[left[ks, :, None], j]
+        sub = reps._subreps(regular, np.ascontiguousarray(m[:, cols].transpose(1, 0, 2)))
+        mats[np.arange(n)[:, None, None], cols[:, None, :, None], cols[:, None, None, :]] = sub
     err = float(np.abs(mats @ psi @ psi.conj() - f.values).max())
     if not err <= t:
         raise NumericalDegeneracyError(f"GNS realization misses f by {err:.3e} > {t:.3e}")

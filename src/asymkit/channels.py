@@ -1,8 +1,8 @@
 """Quantum channels in Kraus form, covariance checks, twirls, and embeddings.
 
-Covariance with respect to a group action is decided on the Choi matrix, an
-exact finite check (no state sampling), with no d^2 x d^2 Kronecker product:
-a gather of it on monomial reps, batched Kraus products otherwise.
+Covariance with respect to a group action is decided on the Choi matrix J, an exact
+finite check (no state sampling) with no dense Kronecker product: J conjugated by the
+monomial U_out kron conj U_in on monomial reps, batched Kraus products otherwise.
 Vectorization is row-major throughout: vec(A B C) = (A kron C^T) vec(B).
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidParameterError, ValidationError
 from .groups import SubgroupRef, subgroup
 from .linalg import frob, scaled_tol
-from .reps import UnitaryRep, _chunk_slices, _conjugations, _dagger, _frob_each, direct_sum_rep
+from .reps import UnitaryRep, _chunk_slices, _dagger, _frob_each, _kron_rep, direct_sum_rep
 from .states import QuantumState
 
 
@@ -117,30 +117,25 @@ def is_g_covariant(
     """Choi-level covariance test of E against the in/out group actions.
 
     Measures max_g || Choi(U_out(g) o E o U_in(g)^dag) - Choi(E) ||_F, covariant iff
-    <= tol * max(1, ||Choi(E)||_F) (tol >= 0).  With D = d_in d_out, each g costs a
-    gather, O(D^2), when both reps are monomial, else O(D^2 r) from the r <= D Kraus
-    operators U_out(g) K U_in(g)^dag (after a thin QR); g goes in budgeted chunks.
+    <= tol * max(1, ||Choi(E)||_F) (tol >= 0).  With D = d_in d_out, each g costs O(D^2), J
+    conjugated by U_out kron conj U_in, if both reps are monomial, else O(D^2 r) from the
+    r <= D Kraus operators U_out(g) K U_in(g)^dag (thin QR first); g goes in budgeted chunks.
     """
     if not tol >= 0:
         raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
     if c.d_in != r_in.dim or c.d_out != r_out.dim:
         raise DimensionMismatchError("channel dimensions must match the representations")
     j = c.choi()
-    n = r_in.group.order
-    monomial = r_in._monomial is not None and r_out._monomial is not None
-    if monomial:  # U_out kron conj U_in is monomial too
-        (src_out, ph_out), (src_in, ph_in) = r_out._monomial, r_in._monomial
-        src = (src_out[:, :, None] * c.d_in + src_in[:, None, :]).reshape(n, -1)
-        phase = (ph_out[:, :, None] * ph_in.conj()[:, None, :]).reshape(n, -1)
-    else:
+    prod = _kron_rep(r_out, r_in, conj=True)  # U_out kron conj U_in, if both are monomial
+    if prod is None:
         flat = c.kraus.reshape(len(c.kraus), -1)
         if len(flat) > flat.shape[1]:  # J = R^dag R for the thin QR conj(flat) = Q R
             flat = np.linalg.qr(flat.conj(), mode="r").conj()
         kraus = flat.reshape(len(flat), c.d_out, c.d_in)
     worst = 0.0
-    for g in _chunk_slices(n, j.nbytes):
-        if monomial:
-            choi_g = _conjugations(src[g], phase[g], j)
+    for g in _chunk_slices(r_in.group.order, j.nbytes):
+        if prod is not None:
+            choi_g = prod.conjugate(j, g)
         else:
             a = r_out.mats[g, None] @ kraus @ _dagger(r_in.mats[g])[:, None]
             a = a.reshape(len(a), *flat.shape)

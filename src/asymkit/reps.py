@@ -85,22 +85,25 @@ class UnitaryRep:
         return self._mats
 
     def character(self) -> np.ndarray:
-        """Per-element trace vector tr U(g); the diagonal phases summed on a monomial rep."""
-        if self._monomial is None:
-            return np.einsum("gii->g", self.mats)
-        return (self._monomial[1] * (self._monomial[0] == np.arange(self.dim))).sum(axis=1)
+        """Per-element trace vector tr U(g)."""
+        return self.trace_against(np.eye(self.dim))
 
     def trace_against(self, x: np.ndarray) -> np.ndarray:
-        """tr(x U(g)) for every g; a vector psi stands for x = psi psi^dag, never formed.
-        A gather of sum_i phase[g, i] x[src[g, i], i] in O(|G| d) on a monomial rep."""
+        """tr(x U(g)) for every g; on a monomial rep the gather sum_i phase[g, i] x[src[g, i], i]
+        in O(|G| d)."""
         if self._monomial is None:
-            if x.ndim == 1:
-                return np.einsum("i,gij,j->g", x.conj(), self.mats, x)
             return np.einsum("ij,gji->g", x, self.mats)
         src, phase = self._monomial
-        if x.ndim == 1:
-            return (phase * x[src]) @ x.conj()
         return (phase * x[src, np.arange(self.dim)]).sum(axis=1)
+
+    def conjugate(self, x: np.ndarray, g=slice(None)) -> np.ndarray:
+        """U(g) x U(g)^dag stacked over g, a slice or index array; O(d^2) gathers if monomial."""
+        if self._monomial is None:
+            u = self.mats[g]
+            return u @ x @ _dagger(u)
+        src, ph = self._monomial[0][g], self._monomial[1][g]  # ph_i x[src_i, src_k] conj(ph_k)
+        y = np.take(np.asarray(x, complex), src[:, :, None] * len(x) + src[:, None, :])
+        return np.multiply(np.multiply(ph[:, :, None], y, out=y), ph.conj()[:, None, :], out=y)
 
     def __repr__(self):
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
@@ -218,12 +221,6 @@ def _chunk_slices(n: int, bytes_each: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _conjugations(src: np.ndarray, phase: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """U(g) x U(g)^dag per monomial row (src, phase): phase_i x[src_i, src_k] conj(phase_k)."""
-    at = src[:, :, None] * len(x) + src[:, None, :]  # flat index of [src_i, src_k]
-    return phase[:, :, None] * np.take(x, at) * phase.conj()[:, None, :]
-
-
 def _dagger(mats: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a stack of shape (..., m, n)."""
     return mats.conj().swapaxes(-1, -2)
@@ -265,18 +262,26 @@ def number_rep(group: GroupTable, weights) -> UnitaryRep:
 
 
 def tensor_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
-    """Collective action on a composite system: g -> a(g) kron b(g).  Of two monomial
-    factors, row (i, k) reads column (src_a, src_b) with phase phase_a phase_b."""
+    """Collective action on a composite system: g -> a(g) kron b(g)."""
     if not same_group(a.group, b.group):
         raise GroupMismatchError("tensor_rep requires both factors over the same group")
+    prod = _kron_rep(a, b)
+    if prod is not None:
+        return _monomial_rep(a.group, *prod._monomial)
     n, d = a.group.order, a.dim * b.dim
-    if a._monomial is not None and b._monomial is not None:
-        (src_a, ph_a), (src_b, ph_b) = a._monomial, b._monomial
-        src = src_a[:, :, None] * b.dim + src_b[:, None]
-        phase = np.einsum("gi,gk->gik", ph_a, ph_b)  # rounds as the dense einsum below does
-        return _monomial_rep(a.group, src.reshape(n, d), phase.reshape(n, d))
     mats = np.einsum("gij,gkl->gikjl", a.mats, b.mats).reshape(n, d, d)
     return UnitaryRep(a.group, mats)
+
+
+def _kron_rep(a: UnitaryRep, b: UnitaryRep, conj: bool = False) -> UnitaryRep | None:
+    """g -> a(g) kron b(g), or a(g) kron conj b(g), unvalidated, if both reps are monomial,
+    else None: row (i, k) reads column (src_a, src_b) with phase phase_a phase_b."""
+    if a._monomial is None or b._monomial is None:
+        return None
+    (src_a, ph_a), (src_b, ph_b) = a._monomial, b._monomial
+    src = (src_a[:, :, None] * b.dim + src_b[:, None]).reshape(len(src_a), -1)
+    phase = np.einsum("gi,gk->gik", ph_a, ph_b.conj() if conj else ph_b)  # dense einsum rounding
+    return UnitaryRep(a.group, None, (src, phase.reshape(src.shape)))
 
 
 def direct_sum_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
@@ -302,17 +307,17 @@ def twirl_operator(r: UnitaryRep, x: np.ndarray) -> np.ndarray:
     """Group average (1/|G|) sum_g U(g) x U(g)^dag.
 
     The result commutes with every U(g); averaging a Hermitian input yields a
-    Hermitian output with the same trace.  Costs O(|G| d^3), one batched matrix
-    product over the group; on a monomial rep (see :class:`UnitaryRep`) each
-    term is a gather (:func:`_conjugations`) and the twirl costs O(|G| d^2).
+    Hermitian output with the same trace.  The terms come from
+    :meth:`UnitaryRep.conjugate` in chunks of g under a fixed byte budget: O(|G| d^2)
+    on a monomial rep, O(|G| d^3) otherwise.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (r.dim, r.dim):
         raise DimensionMismatchError(
             f"twirl_operator needs a {r.dim}x{r.dim} matrix, got {x.shape}"
         )
-    terms = r.mats @ x @ _dagger(r.mats) if r._monomial is None else _conjugations(*r._monomial, x)
-    return terms.sum(axis=0) / r.group.order
+    total = sum(r.conjugate(x, g).sum(axis=0) for g in _chunk_slices(r.group.order, x.nbytes))
+    return total / r.group.order
 
 
 @dataclass(eq=False)
@@ -568,8 +573,9 @@ def _subreps(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
     for g in _chunk_slices(r.group.order, q.nbytes):
         if r._monomial is None:
             out[:, g] = qh @ r.mats[g] @ q[:, None]
-        else:
-            out[:, g] = qh @ (r._monomial[1][g, :, None] * q[:, r._monomial[0][g]])
+        else:  # a contiguous operand (np.take): numpy's matmul rounding turns on layout
+            x = np.take(q, r._monomial[0][g], axis=1)
+            out[:, g] = qh @ np.multiply(r._monomial[1][g, :, None], x, out=x)
     return out
 
 
@@ -609,14 +615,13 @@ def one_dim_reps(group: GroupTable, dec: IrrepDecomposition | None = None) -> np
     """All one-dimensional representations, as unit-modulus vectors over G.
 
     Row k of the result is one homomorphism omega: G -> U(1) with omega(e)=1:
-    a degree-1 row of the group's character table, checked exactly on the integer
-    exponents of its |G|-th roots of unity, or a 1-dim block of dec, which must
-    hold every irrep (else InvalidParameterError) of this group (else
-    GroupMismatchError).  The list always includes the all-ones (trivial) row.
+    a degree-1 row of the group's character table (the 1-dim blocks of :func:`decompose`),
+    checked exactly on the integer exponents of its |G|-th roots of unity.  A dec given must
+    hold every irrep (else InvalidParameterError) of this group (else GroupMismatchError).
+    The list always includes the all-ones (trivial) row.
     """
     if dec is not None:
         _require_every_irrep(group, dec)
-        return np.array([blk.mats[:, 0, 0] for blk in dec.blocks if blk.dim == 1])
     if group._one_dim is None:  # checked once, then kept read-only on the group
         chars, n = group._character_table(), group.order
         omegas = chars[chars[:, 0] == 1]

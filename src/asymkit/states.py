@@ -10,7 +10,7 @@ each) and used by every conversion in the package:
 
 Characteristic functions are stored densely per group element.  They are a
 class function only for states commuting with the representation, which is
-not the generic case, so no per-class compression is done.  charfunc is O(|G| d) on a
+not the generic case, so no per-class compression is done.  charfunc is O(d^2 + |G| d) on a
 monomial rep, O(|G| d^2) otherwise; reductions are checked once per sector shape.
 """
 
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .groups import GroupTable, SubgroupRef, same_group, subgroup
 from .linalg import assert_psd, min_eigenvalue, scaled_tol
-from .reps import IrrepDecomposition, UnitaryRep, _dagger, _frob_each
+from .reps import IrrepDecomposition, UnitaryRep, _chunk_slices, _dagger, _frob_each
 
 
 class QuantumState:
@@ -189,12 +189,12 @@ def _state_chi_check(values: np.ndarray, tol: float = 1e-8) -> None:
 
 
 def charfunc(s: QuantumState, r: UnitaryRep) -> CharFunction:
-    """chi(g) = tr(rho U(g)), via <psi|U(g)|psi> for pure states."""
+    """chi(g) = tr(rho U(g)) from :meth:`UnitaryRep.trace_against`, rho = psi psi^dag if pure."""
     if s.dim != r.dim:
         raise DimensionMismatchError(
             f"state dimension {s.dim} does not match representation dimension {r.dim}"
         )
-    values = r.trace_against(s.vec if s.is_pure else s.rho)
+    values = r.trace_against(s.density())
     _state_chi_check(values)
     return CharFunction(r.group, values)
 
@@ -284,7 +284,8 @@ def symmetry_subgroup(s: QuantumState, r: UnitaryRep, tol: float = 1e-8) -> Subg
             f"state dimension {s.dim} does not match representation dimension {r.dim}"
         )
     rho = s.density()
-    moved = _frob_each(r.mats @ rho @ _dagger(r.mats) - rho)
+    chunks = _chunk_slices(r.group.order, rho.nbytes)
+    moved = np.concatenate([_frob_each(r.conjugate(rho, g) - rho) for g in chunks])
     members = np.flatnonzero(moved <= tol)
     try:
         return subgroup(r.group, members)

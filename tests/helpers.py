@@ -11,7 +11,7 @@ from typing import Any
 import numpy as np
 
 import asymkit as ak
-from asymkit import jsonio, reps
+from asymkit import bochner, jsonio, reps
 from asymkit.linalg import assert_psd, frob, scaled_tol, trace_norm
 
 
@@ -149,6 +149,28 @@ def _split_isotype(q, sub, d_mu, rng):
     p = np.einsum("ga,gij->aij", ref[:, :, 0].conj(), sub) * (d_mu / len(sub))
     w = np.linalg.eigh(p[0])[1][:, -n_mu:]
     return (q @ (p @ w)).transpose(1, 0, 2).reshape(len(q), m), ref
+
+
+def gns_by_cluster_gather(f) -> tuple[np.ndarray, np.ndarray]:
+    """The GNS stack and cyclic vector of ``gns_construct``, built by its own gather of
+    M^dag L(k) M over the Gram eigenvalue clusters of each size, with (L(k) M)[h] = M[k^-1 h]
+    read through the table: the oracle, bit for bit, for its route through ``reps._subreps``."""
+    group, n = f.group, f.group.order
+    left = group.mul[group.inv]  # left[g, h] = g^-1 h
+    x = f.values[left]
+    vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
+    keep = vals > bochner._RANK_TOL * vals[-1]
+    lam, m = vals[keep], vecs[:, keep]
+    mats = np.zeros((n, lam.size, lam.size), dtype=complex)
+    cuts = np.flatnonzero(np.diff(lam) > reps._CLUSTER_GAP * max(1.0, lam[-1] - lam[0])) + 1
+    starts, sizes = np.r_[0, cuts], np.diff(np.r_[0, cuts, lam.size])
+    for s in sorted(set(sizes.tolist())):
+        cols = starts[sizes == s, None] + np.arange(s)
+        mh = reps._dagger(np.ascontiguousarray(m[:, cols].transpose(1, 0, 2)))[:, None]
+        i, j = cols[:, None, :, None], cols[:, None, None, :]  # [cluster, k, row, column]
+        for ks in reps._chunk_slices(n, m[:, cols].nbytes):
+            mats[np.arange(n)[ks, None, None], i, j] = mh @ m[left[ks, :, None], j]
+    return mats, ak.QuantumState.pure(np.sqrt(lam) * m[0].conj()).vec
 
 
 def dense_rep_residuals(mul: np.ndarray, mats: np.ndarray):

@@ -5,7 +5,7 @@ import pytest
 
 import asymkit as ak
 from asymkit import reps
-from helpers import perm_rep
+from helpers import gns_by_cluster_gather, perm_rep
 
 
 def translation_gram(f: ak.CharFunction) -> np.ndarray:
@@ -307,6 +307,35 @@ class TestGnsLadder:
             f = ak.charfunc(ak.random_pure_state(r.dim, rng), r)
             with pytest.raises(ak.NumericalDegeneracyError, match="misses f"):
                 ak.gns_construct(f)
+
+
+def gns_oracle_cases():
+    """chi of a random state in the regular rep of each construct-validate and cli-roundtrip
+    group (one cluster size for Z32, several for the others), and two low-rank chi, of states
+    in a 3-dim rep: the permutation rep of S3 and a number rep of Z32."""
+    rng = np.random.default_rng(17)
+    cases = {}
+    for name, group in (
+        ("s4", ak.make_symmetric(4)),
+        ("d12", ak.make_dihedral(6)),
+        ("z32", ak.make_cyclic(32)),
+        ("d20", ak.make_dihedral(10)),
+    ):
+        cases[name] = ak.charfunc(ak.random_pure_state(group.order, rng), ak.regular_rep(group))
+    low = (perm_rep(ak.make_symmetric(3)), ak.number_rep(ak.make_cyclic(32), [0, 3, 7]))
+    for name, r in zip(("s3 perm", "z32 number"), low):
+        cases[name] = ak.charfunc(ak.random_pure_state(3, rng), r)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(gns_oracle_cases()))
+def test_gns_stack_is_the_cluster_gather_bit_for_bit(name):
+    f = gns_oracle_cases()[name]
+    mats, psi = gns_by_cluster_gather(f)
+    res = ak.gns_construct(f)
+    assert res.rep.mats.tobytes() == mats.tobytes()
+    assert res.state.vec.tobytes() == psi.tobytes()
+    assert res.dim == (3 if name in ("s3 perm", "z32 number") else f.group.order)
 
 
 class TestPerturbationRejection:

@@ -102,10 +102,40 @@ def test_lazy_mats_match_dense_construction(name):
 def test_decompose_leaves_the_stack_unbuilt():
     r = ak.regular_rep(ak.make_dihedral(15))
     dec = ak.decompose(r, seed=0)
-    ak.charfunc(ak.random_pure_state(r.dim, np.random.default_rng(0)), r)
+    psi = ak.random_pure_state(r.dim, np.random.default_rng(0))
+    ak.charfunc(psi, r)
     ak.twirl_operator(r, np.eye(r.dim))
+    assert ak.symmetry_subgroup(psi, r).elements == (0,)
+    assert len(ak.symmetry_subgroup(ak.QuantumState.mixed(np.eye(r.dim) / r.dim), r)) == 30
+    assert ak.is_g_covariant(ak.identity_channel(r.dim), r, r)
     assert r._mats is None
     assert dec.reconstruction_residual() <= 1e-12
+
+
+def conjugate_reps():
+    """One rep of each form UnitaryRep.conjugate branches on, or passes through."""
+    s3, z4 = ak.make_symmetric(3), ak.make_cyclic(4)
+    v = haar_unitary(6, np.random.default_rng(3))
+    return {
+        "regular s3 (unit phases)": ak.regular_rep(s3),
+        "z16 number": ak.number_rep(ak.make_cyclic(16), [0, 3, 3, 7, -5]),
+        "blocked z4": blocked_rep(z4),
+        "dense s3": ak.UnitaryRep(s3, v @ ak.regular_rep(s3).mats @ v.conj().T),
+    }
+
+
+@pytest.mark.parametrize("name", list(conjugate_reps()))
+def test_conjugate_matches_the_dense_product(name):
+    r = conjugate_reps()[name]
+    rng = np.random.default_rng(11)
+    real = rng.normal(size=(r.dim, r.dim))
+    n = r.group.order
+    for x in (real + 1j * rng.normal(size=(r.dim, r.dim)), real):
+        for g in (slice(None), slice(1, n, 2), rng.permutation(n)[: max(1, n // 2)], np.array([0])):
+            got = r.conjugate(x, g)
+            want = r.mats[g] @ x @ r.mats[g].conj().transpose(0, 2, 1)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13
 
 
 def compact_corruptions():
