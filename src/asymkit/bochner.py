@@ -102,14 +102,15 @@ def gns_construct(f: CharFunction) -> GnsResult:
     unitary representation on the span.  The carrier dimension is the rank of
     X with eigenvalues below 1e-10 * (largest eigenvalue) truncated.  The regular rep
     L(k) commutes with X, so U(k) = M^dag L(k) M, its subrep on each eigenvalue cluster's
-    columns M (split at gaps over 1e-6 of the spread), exactly zero elsewhere.
+    columns M (split at gaps over 1e-6 of the spread), exactly zero elsewhere: the rep holds
+    these blocks, with no dense stack, and is certified by the intertwiner residual of M^dag.
 
     Raises InvalidCharacteristicFunctionError if f has a NaN or infinite value or
-    is not normalized positive definite under the module's Gram rule, and
-    NumericalDegeneracyError if chi of (U, psi) misses f (a split eigenspace).
+    is not normalized positive definite under the module's Gram rule,
+    NumericalDegeneracyError if chi of (U, psi) misses f (a split eigenspace), and
+    ValidationError if U fails its certificate (``reps._certify_blocks``).
     """
     group = f.group
-    n = group.order
     residual, t = _gram_rule(f)
     if not residual <= t:
         raise InvalidCharacteristicFunctionError(
@@ -128,15 +129,16 @@ def gns_construct(f: CharFunction) -> GnsResult:
     keep = vals > _RANK_TOL * vals[-1]
     lam, m = vals[keep], vecs[:, keep]
     psi = np.sqrt(lam) * m[0].conj()  # the embedded v_e
-    mats = np.zeros((n, lam.size, lam.size), dtype=complex)
     cuts = np.flatnonzero(np.diff(lam) > reps._CLUSTER_GAP * max(1.0, lam[-1] - lam[0])) + 1
     starts, sizes = np.r_[0, cuts], np.diff(np.r_[0, cuts, lam.size])
-    regular = reps.regular_rep(group)
+    regular, stacks = reps.regular_rep(group), []
     for s in sorted(set(sizes.tolist())):  # the clusters of size s at once: cols[j] is cluster j
         cols = starts[sizes == s, None] + np.arange(s)
-        sub = reps._subreps(regular, np.ascontiguousarray(m[:, cols].transpose(1, 0, 2)))
-        mats[np.arange(n)[:, None, None], cols[:, None, :, None], cols[:, None, None, :]] = sub
-    err = float(np.abs(mats @ psi @ psi.conj() - f.values).max())
+        q = np.ascontiguousarray(m[:, cols].transpose(1, 0, 2))
+        stacks.append((cols, reps._subreps(regular, q)))
+    rep = reps.UnitaryRep(group, None, stacks)  # certified below, once chi is checked
+    err = float(np.abs(rep.trace_against(np.outer(psi, psi.conj())) - f.values).max())
     if not err <= t:
         raise NumericalDegeneracyError(f"GNS realization misses f by {err:.3e} > {t:.3e}")
-    return GnsResult(rep=reps.UnitaryRep(group, mats), state=QuantumState.pure(psi), dim=lam.size)
+    reps._certify_blocks(regular, m.conj().T, stacks)
+    return GnsResult(rep=rep, state=QuantumState.pure(psi), dim=lam.size)

@@ -84,12 +84,9 @@ def rep_to_json(r: UnitaryRep, inline_group: bool = True) -> dict:
     out: dict[str, Any] = {"dim": r.dim}
     if r._monomial is not None:
         out["src"], out["phase"] = r._monomial[0].tolist(), matrix_to_json(r._monomial[1])
-    elif len(r._blocks) != 1:
-        out["blocks"] = [
-            {"start": b.start, "mats": matrix_to_json(r.mats[:, b, b])} for b in r._blocks
-        ]
-    else:
-        out["mats"] = matrix_to_json(r.mats)
+    else:  # each diagonal block, a GNS rep's cut from its own blocks; one block is `mats`
+        blocks = [{"start": b.start, "mats": matrix_to_json(m)} for b, m in r._diagonal()]
+        out.update({"blocks": blocks} if len(blocks) != 1 else {"mats": blocks[0]["mats"]})
     if inline_group:
         out["group"] = group_to_json(r.group)
     return out

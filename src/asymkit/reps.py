@@ -49,48 +49,62 @@ class UnitaryRep:
     permutation and number reps, their sums and products) is kept as index and
     phase arrays and validated on them in O(|G|^2 d), or in integers if its
     entries are 0 or 1; the library builds such reps from those arrays, and
-    stacks their dense ``mats`` only when ``mats`` is first read.  Any other rep
-    keeps its dense stack and its diagonal blocks' slices, and is validated
-    block by block.
+    stacks their dense ``mats`` only when ``mats`` is first read.  A block rep (GNS's) keeps
+    its diagonal blocks' stacks, scattered the same way, and is certified by
+    :func:`_certify_blocks`.  Any other rep keeps its dense stack and its diagonal blocks'
+    slices, and is validated block by block.
     """
 
-    __slots__ = ("group", "dim", "_mats", "_monomial", "_blocks")
+    __slots__ = ("group", "dim", "_mats", "_monomial", "_blocks", "_stacks")
 
     def __init__(self, group: GroupTable, mats, _form=None):
-        if _form is None:  # else a validated form: (src, phase) with mats None, or mats' slices
-            mats = np.asarray(mats, dtype=complex)
+        if _form is None:  # else validated: mats None with (src, phase) or blocks' (cols, sub)
+            mats = np.asarray(mats, dtype=complex)  # stacks, or mats with its slices
             if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
                 raise DimensionMismatchError(
                     "mats must have shape (|G|, d, d) matching the group order"
                 )
             _form = _sparsity_form(mats)
             _validate_rep(group, mats, scaled_tol(mats), _form)
+        stacks = _form if mats is None and isinstance(_form, list) else None
+        _form = _sparsity_form(stacks) if stacks else _form
         monomial = isinstance(_form, tuple)
-        self.group, self._mats = group, mats
-        self.dim = int((_form[0] if monomial else mats).shape[1])
+        self.group, self._mats, self._stacks = group, mats, None if monomial else stacks
+        self.dim = int(_form[0].shape[1] if monomial else _form[-1].stop if _form else 0)
         self._monomial, self._blocks = (_form, None) if monomial else (None, _form)
         if mats is not None:
             mats.setflags(write=False)
 
     @property
     def mats(self) -> np.ndarray:
-        """The read-only (|G|, d, d) stack; a monomial rep's is scattered from its
-        (src, phase) form on first read and kept (published only once complete)."""
+        """The read-only (|G|, d, d) stack; a monomial or block rep's is scattered from its
+        form on first read and kept (published only once complete)."""
         if self._mats is None:
-            (n, d), (src, phase) = self._monomial[0].shape, self._monomial
-            mats = np.zeros((n, d, d), dtype=complex)
-            mats[np.arange(n)[:, None], np.arange(d), src] = phase
+            n, d = self.group.order, self.dim
+            mats, at = np.zeros((n, d, d), dtype=complex), np.arange(n)
+            if self._monomial is not None:
+                mats[at[:, None], np.arange(d), self._monomial[0]] = self._monomial[1]
+            for cols, sub in self._stacks or ():  # [block, g, row, column]
+                mats[at[:, None, None], cols[:, None, :, None], cols[:, None, None, :]] = sub
             mats.setflags(write=False)
             self._mats = mats
         return self._mats
 
     def character(self) -> np.ndarray:
-        """Per-element trace vector tr U(g)."""
+        """Per-element trace vector tr U(g): a monomial rep's diagonal phases summed, or each
+        block's trace, in O(|G| d); a dense rep's is trace_against(I)."""
+        if self._monomial is not None:
+            return np.where(self._monomial[0] == np.arange(self.dim), self._monomial[1], 0).sum(1)
+        if self._stacks is not None:
+            return sum(np.einsum("kgii->g", sub) for _, sub in self._stacks)
         return self.trace_against(np.eye(self.dim))
 
     def trace_against(self, x: np.ndarray) -> np.ndarray:
         """tr(x U(g)) for every g; on a monomial rep the gather sum_i phase[g, i] x[src[g, i], i]
-        in O(|G| d)."""
+        in O(|G| d); on a block rep one einsum per block size, on x's diagonal blocks."""
+        if self._stacks is not None:
+            return sum(np.einsum("kij,kgji->g", x[c[..., None], c[:, None]], m)
+                       for c, m in self._stacks)
         if self._monomial is None:
             return np.einsum("ij,gji->g", x, self.mats)
         src, phase = self._monomial
@@ -105,21 +119,43 @@ class UnitaryRep:
         y = np.take(np.asarray(x, complex), src[:, :, None] * len(x) + src[:, None, :])
         return np.multiply(np.multiply(ph[:, :, None], y, out=y), ph.conj()[:, None, :], out=y)
 
+    def _diagonal(self) -> list[tuple[slice, np.ndarray]]:
+        """(b, mats[:, b, b]) for each slice b in _blocks; a block rep's cut from the last of its
+        blocks to start at or before b, as the slices refine the blocks."""
+        if self._stacks is None:
+            return [(b, self.mats[:, b, b]) for b in self._blocks]
+        at, out = {int(c[0]): m for cs, ms in self._stacks for c, m in zip(cs, ms)}, []
+        for b in self._blocks:
+            a, m = (b.start, at[b.start]) if b.start in at else (a, m)
+            out.append((b, m[:, b.start - a : b.stop - a, b.start - a : b.stop - a]))
+        return out
+
     def __repr__(self):
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
 
 
-def _sparsity_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | list[slice]:
-    """Monomial (src, phase), shape (|G|, d), with mats[g, i, src[g, i]] = phase[g, i] the
-    only nonzero of each row and column of every matrix; otherwise, or if d = 0, the
-    slices of the contiguous diagonal blocks outside which every entry is exactly zero."""
-    nonzero = mats != 0
-    if mats.size and (nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=2) == 1).all():
-        src = nonzero.argmax(axis=2)
-        return src, np.take_along_axis(mats, src[..., None], axis=2)[..., 0]
-    union, cols = nonzero.any(axis=0), np.arange(mats.shape[1])
-    reach = np.maximum(cols, np.where(union | union.T, cols, -1).max(axis=1, initial=-1))
-    ends = np.flatnonzero(np.maximum.accumulate(reach) == cols) + 1
+def _sparsity_form(mats) -> tuple[np.ndarray, np.ndarray] | list[slice]:
+    """Of a (|G|, d, d) stack, or of the block rep of (cols, sub) stacks (a dense stack being one
+    block): monomial (src, phase), shape (|G|, d), with mats[g, i, src[g, i]] = phase[g, i] the
+    only nonzero of each row and column of every matrix; otherwise, or if d = 0, the slices of
+    the contiguous diagonal blocks, each block's refined, outside which every entry is exactly
+    zero.  One pass per block size."""
+    stacks = mats if isinstance(mats, list) else [(np.arange(mats.shape[1])[None], mats[None])]
+    nonzero, n = [m != 0 for _, m in stacks], stacks[0][1].shape[1]
+    d = sum(c.size for c, _ in stacks)
+    if d and all((z.sum(2) == 1).all() and (z.sum(3) == 1).all() for z in nonzero):
+        src, phase = np.empty((n, d), int), np.empty((n, d), stacks[0][1].dtype)
+        for (c, m), z in zip(stacks, nonzero):  # [block, g, row]: column in the block, then in all
+            at = z.argmax(3)
+            src[:, c] = c[np.arange(len(c))[:, None, None], at].transpose(1, 0, 2)
+            phase[:, c] = np.take_along_axis(m, at[..., None], 3)[..., 0].transpose(1, 0, 2)
+        return src, phase
+    ends = []
+    for (c, _), z in zip(stacks, nonzero):  # each block's ends, where no entry reaches past
+        union, cols = z.any(1), np.arange(c.shape[1])
+        reach = np.where(union | union.transpose(0, 2, 1), cols, -1).max(2, initial=-1)
+        ends.append(c[np.maximum.accumulate(np.maximum(cols, reach), axis=1) == cols] + 1)
+    ends = np.sort(np.concatenate(ends))
     return [slice(int(a), int(b)) for a, b in zip(np.r_[0, ends[:-1]], ends)]
 
 
@@ -208,6 +244,30 @@ def _homomorphism_residuals(mats: np.ndarray | None, mul: np.ndarray, form):
         yield from np.sqrt(sq.sum(axis=2))
 
 
+def _certify_blocks(host: UnitaryRep, w: np.ndarray, stacks: list) -> tuple[float, float, float]:
+    """||B(0) - I||, max_g ||B B^dag - I|| and a bound on every ||B(a) B(b) - B(ab)||_F for the
+    rep B of blocks (cols, sub), or ValidationError if one exceeds 1e-9 max(1, ||B||_F).  The
+    first two are read off the blocks.  With (r, e, b) the :func:`_intertwiner_residual` of W
+    (L, d) against host, a 0/1 rep, and F = W U - B W: (B(a) B(b) - B(ab)) W = F(ab) - F(a) U(b)
+    - B(a) F(b), and X = X W W^dag (W W^dag)^-1, so the bound is (2 + sqrt b) r sqrt(1 + e) /
+    (1 - e), infinite if e >= 1."""
+    tol = scaled_tol(np.sqrt(sum(frob(m) ** 2 for _, m in stacks)))
+    first = float(np.sqrt(sum(frob(m[:, 0] - np.eye(m.shape[-1])) ** 2 for _, m in stacks)))
+    if not first <= tol:
+        raise ValidationError("representation invariant violated: mats[0] must be the identity")
+    sq = sum((abs(m @ _dagger(m) - np.eye(m.shape[-1])) ** 2).sum((0, 2, 3)) for _, m in stacks)
+    worst = float(np.sqrt(sq.max()))
+    if not worst <= tol:
+        raise ValidationError(
+            f"unitarity invariant violated: max ||U U^dag - I|| = {worst:.3e} > {tol:.3e}"
+        )
+    r, e, b = _intertwiner_residual(host, w, [(None, c[:, :, None], m) for c, m in stacks])
+    bound = float((2 + np.sqrt(b)) * r * np.sqrt(1 + e) / (1 - e)) if e < 1 else np.inf
+    if not bound <= tol:
+        raise ValidationError(f"homomorphism invariant violated: bound {bound:.3e} > {tol:.3e}")
+    return first, worst, bound
+
+
 def _block_stacks(mats: np.ndarray, blocks: list[slice]) -> list[np.ndarray]:
     """Per block size s, the (k, s, |G|, s) stack of its k blocks: [j, i, g, l] = U(g)_j[i, l]."""
     g, spans = np.arange(len(mats))[:, None], [np.arange(b.start, b.stop) for b in blocks]
@@ -245,7 +305,10 @@ def trivial_rep(group: GroupTable) -> UnitaryRep:
 def regular_rep(group: GroupTable) -> UnitaryRep:
     """Left-regular representation: permutation matrix of left multiplication.
     U(g) e_h = e_gh, so row i reads column g^-1 i: src = mul[inv], unit phases."""
-    return _monomial_rep(group, group.mul[group.inv], np.ones((group.order,) * 2, complex))
+    if group._regular is None:  # validated once, kept read-only on the group, wrapped anew
+        form = _monomial_rep(group, group.mul[group.inv], np.ones((group.order,) * 2, complex))
+        group._regular = tuple(a.setflags(write=False) or a for a in form._monomial)
+    return UnitaryRep(group, None, group._regular)
 
 
 def number_rep(group: GroupTable, weights) -> UnitaryRep:
@@ -447,36 +510,42 @@ class IrrepDecomposition:
 
     def reconstruction_residual(self) -> float:
         """A bound on max_g ||W U(g) W^dag - B(g)||_F, B(g) = directsum_mu U_mu(g) (x) I_{n_mu},
-        never below it: W U W^dag - B = (W U - B W) W^dag + B (W W^dag - I) gives
-        r sqrt(1 + e) + sqrt(b) e for r = max_g ||W U(g) - B(g) W||_F, e = ||W W^dag - I||_F and
-        b = 1 + max ||U_mu U_mu^dag - I||_F, as ||W||_2^2 <= 1 + e and ||B(g)||_2^2 <= b.  Per
-        shape and chunk of g, rows of W U(g) are one gather (of W if monomial, else of W U(g))
-        and of B(g) W one product: O(|G| d sum d_mu^2 n_mu + d^3), or O(|G| d^3) off monomial."""
-        w, d, n = np.ascontiguousarray(self.basis), self.rep.dim, self.rep.group.order
-        e, b, mono, r = frob(w @ _dagger(w) - np.eye(d)), 1.0, self.rep._monomial, 0.0
-        parts = []  # per shape: flat index of row [j, m, a] in x, mats, W's rows [j, m, (a, col)]
-        for _, rows, m in self._by_shape():  # U U^dag summed over columns: no tiny matmuls
-            gram = sum(m[..., :, j, None] * m[..., None, :, j].conj() for j in range(m.shape[-1]))
-            b = max(b, 1 + _frob_each((gram - np.eye(m.shape[-1])).reshape(len(m), -1)).max())
-            parts.append((rows[:, None, :, :, None] * d, m, w[rows].reshape(*rows.shape[:2], -1)))
-        if mono is not None:  # (W U(g))[:, col] = W[:, at[g, col]] phase[g, at[g, col]]
-            at = np.argsort(mono[0], axis=1)
-            phase = np.take_along_axis(mono[1], at, axis=1)[:, None, None]
-        for g in _chunk_slices(n, w.nbytes):  # cols: flat index of [row 0, col] in x, per g
-            x = w if mono is not None else w @ self.rep.mats[g]
-            cols = at[g] if mono is not None else np.arange(len(x))[:, None] * d * d + np.arange(d)
-            sq = 0.0
-            for at_row, m, wr in parts:  # diff[j, g, m, a, col], as B(g) W comes out
-                diff = np.take(x, at_row + cols[:, None, None])
-                if mono is not None:
-                    diff *= phase[g]
-                k, d_mu = wr.shape[:2]  # B(g) W: outer products if d_mu = 1, else small products
-                bw = m[:, g] * wr[:, None] if d_mu == 1 else m[:, g].reshape(k, -1, d_mu) @ wr
-                diff -= bw.reshape(diff.shape)
-                flat = diff.reshape(k, len(cols), -1).view(float)
-                sq = sq + np.einsum("jgx,jgx->g", flat, flat)
-            r = max(r, float(np.sqrt(np.max(sq, initial=0.0))))
+        never below it: W U W^dag - B = (W U - B W) W^dag + B (W W^dag - I) gives r sqrt(1 + e)
+        + sqrt(b) e for the :func:`_intertwiner_residual` (r, e, b) of W, as ||W||_2^2 <= 1 + e."""
+        r, e, b = _intertwiner_residual(self.rep, self.basis, self._by_shape())
         return float(r * np.sqrt(1.0 + e) + np.sqrt(b) * e)
+
+
+def _intertwiner_residual(rep: UnitaryRep, w: np.ndarray, shapes: list) -> tuple:
+    """r = max_g ||W U(g) - B(g) W||_F, e = ||W W^dag - I||_F, b = 1 + max ||B_c B_c^dag - I||_F for
+    W (L, d), B(g) = directsum_c B_c(g) (x) I_{n_c} per shape (_, rows (k, d_c, n_c) of W, B_c
+    (k, |G|, d_c, d_c)).  Per shape and chunk of g, rows of W U(g) are one gather (of W if monomial,
+    else of W U(g)), of B(g) W one product: O(|G| d sum d_c^2 n_c + L^2 d), or O(|G| L d^2)."""
+    w, d, n = np.ascontiguousarray(w), rep.dim, rep.group.order
+    e, b, mono, r = frob(w @ _dagger(w) - np.eye(len(w))), 1.0, rep._monomial, 0.0
+    parts = []  # per shape: flat index of row [j, m, a] in x, mats, W's rows [j, m, (a, col)]
+    for _, rows, m in shapes:  # U U^dag summed over columns: no tiny matmuls
+        gram = sum(m[..., :, j, None] * m[..., None, :, j].conj() for j in range(m.shape[-1]))
+        b = max(b, 1 + _frob_each((gram - np.eye(m.shape[-1])).reshape(len(m), -1)).max())
+        parts.append((rows[:, None, :, :, None] * d, m, w[rows].reshape(*rows.shape[:2], -1)))
+    if mono is not None:  # (W U(g))[:, col] = W[:, at[g, col]] phase[g, at[g, col]]
+        at = np.argsort(mono[0], axis=1)
+        phase = np.take_along_axis(mono[1], at, axis=1)[:, None, None]
+    for g in _chunk_slices(n, w.nbytes):  # cols: flat index of [row 0, col] in x, per g
+        x = w if mono is not None else w @ rep.mats[g]
+        cols = at[g] if mono is not None else np.arange(len(x))[:, None] * w.size + np.arange(d)
+        sq = 0.0
+        for at_row, m, wr in parts:  # diff[j, g, m, a, col], as B(g) W comes out
+            diff = np.take(x, at_row + cols[:, None, None])
+            if mono is not None:
+                diff *= phase[g]
+            k, d_mu = wr.shape[:2]  # B(g) W: outer products if d_mu = 1, else small products
+            bw = m[:, g] * wr[:, None] if d_mu == 1 else m[:, g].reshape(k, -1, d_mu) @ wr
+            diff -= bw.reshape(diff.shape)
+            flat = diff.reshape(k, len(cols), -1).view(float)
+            sq = sq + np.einsum("jgx,jgx->g", flat, flat)
+        r = max(r, float(np.sqrt(np.max(sq, initial=0.0))))
+    return r, e, b
 
 
 def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:

@@ -173,6 +173,31 @@ def gns_by_cluster_gather(f) -> tuple[np.ndarray, np.ndarray]:
     return mats, ak.QuantumState.pure(np.sqrt(lam) * m[0].conj()).vec
 
 
+def gns_cases() -> dict:
+    """Characteristic functions whose GNS reps take every form and cluster layout: chi of a
+    random state in the regular rep of each construct-validate and cli-roundtrip group (one
+    cluster size for Z32, a monomial rep, several for the others); low-rank chi of states in
+    the 3-dim permutation rep of S3, a 3-dim number rep of Z32 and the 4-dim permutation rep
+    of S4; delta_e on Z6 and S4 (one cluster, a monomial rep); and the normalized irreducible
+    characters of S4 (one cluster of d_mu^2 each)."""
+    rng = np.random.default_rng(17)
+    s4 = ak.make_symmetric(4)
+    cases = {}
+    for name, group in (("s4", s4), ("d12", ak.make_dihedral(6)), ("z32", ak.make_cyclic(32)),
+                        ("d20", ak.make_dihedral(10))):
+        cases[name] = ak.charfunc(ak.random_pure_state(group.order, rng), ak.regular_rep(group))
+    for name, r in (("s3 perm", perm_rep(ak.make_symmetric(3))),
+                    ("z32 number", ak.number_rep(ak.make_cyclic(32), [0, 3, 7])),
+                    ("s4 perm", perm_rep(s4))):
+        cases[name] = ak.charfunc(ak.random_pure_state(r.dim, rng), r)
+    for name, group in (("z6 delta", ak.make_cyclic(6)), ("s4 delta", s4)):
+        cases[name] = ak.CharFunction(group, np.eye(group.order)[0].astype(complex))
+    for blk in ak.decompose(ak.regular_rep(s4), seed=0).blocks:
+        character = np.einsum("gii->g", blk.mats) / blk.dim
+        cases[f"s4 irrep {blk.label}"] = ak.CharFunction(s4, character)
+    return cases
+
+
 def dense_rep_residuals(mul: np.ndarray, mats: np.ndarray):
     """The three residuals a UnitaryRep is checked on, from one dense product per pair.
 

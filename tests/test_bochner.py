@@ -5,7 +5,8 @@ import pytest
 
 import asymkit as ak
 from asymkit import reps
-from helpers import gns_by_cluster_gather, perm_rep
+from asymkit.linalg import random_hermitian
+from helpers import dense_rep_residuals, gns_by_cluster_gather, gns_cases, perm_rep
 
 
 def translation_gram(f: ak.CharFunction) -> np.ndarray:
@@ -309,33 +310,78 @@ class TestGnsLadder:
                 ak.gns_construct(f)
 
 
-def gns_oracle_cases():
-    """chi of a random state in the regular rep of each construct-validate and cli-roundtrip
-    group (one cluster size for Z32, several for the others), and two low-rank chi, of states
-    in a 3-dim rep: the permutation rep of S3 and a number rep of Z32."""
-    rng = np.random.default_rng(17)
-    cases = {}
-    for name, group in (
-        ("s4", ak.make_symmetric(4)),
-        ("d12", ak.make_dihedral(6)),
-        ("z32", ak.make_cyclic(32)),
-        ("d20", ak.make_dihedral(10)),
-    ):
-        cases[name] = ak.charfunc(ak.random_pure_state(group.order, rng), ak.regular_rep(group))
-    low = (perm_rep(ak.make_symmetric(3)), ak.number_rep(ak.make_cyclic(32), [0, 3, 7]))
-    for name, r in zip(("s3 perm", "z32 number"), low):
-        cases[name] = ak.charfunc(ak.random_pure_state(3, rng), r)
-    return cases
+GNS_CASES = list(gns_cases())
 
 
-@pytest.mark.parametrize("name", list(gns_oracle_cases()))
+@pytest.mark.parametrize("name", GNS_CASES)
 def test_gns_stack_is_the_cluster_gather_bit_for_bit(name):
-    f = gns_oracle_cases()[name]
+    f = gns_cases()[name]
     mats, psi = gns_by_cluster_gather(f)
     res = ak.gns_construct(f)
     assert res.rep.mats.tobytes() == mats.tobytes()
     assert res.state.vec.tobytes() == psi.tobytes()
-    assert res.dim == (3 if name in ("s3 perm", "z32 number") else f.group.order)
+    assert res.dim == gram_rank(f)
+
+
+def certified_gns(f, monkeypatch):
+    """gns_construct(f), with the arguments and the values of its one _certify_blocks call."""
+    calls, real = [], reps._certify_blocks
+    monkeypatch.setattr(reps, "_certify_blocks", lambda *args: calls.append((args, real(*args))))
+    res = ak.gns_construct(f)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return res, *calls[0]
+
+
+@pytest.mark.parametrize("name", GNS_CASES)
+def test_gns_certificate_is_never_below_the_dense_residuals(name, monkeypatch):
+    """The identity and unitarity residuals read off the blocks are the dense ones, computed
+    block by block (so equal up to rounding, and here rounding is all they hold), and the
+    intertwiner bound is at least the residual ||U(a) U(b) - U(ab)|| of every pair."""
+    f = gns_cases()[name]
+    res, _, (first, unitarity, bound) = certified_gns(f, monkeypatch)
+    identity, units, pairs = dense_rep_residuals(f.group.mul, res.rep.mats)
+    slack = 64 * np.finfo(float).eps * res.dim
+    assert first >= identity - slack and unitarity >= units.max() - slack
+    assert bound >= pairs.max()
+    assert bound <= 1e-9 * max(1.0, np.linalg.norm(res.rep.mats))
+
+
+def bent_blocks(stacks, element: int, kind: str, rng):
+    """A copy of the GNS blocks with one block at one element moved by 1e-6: one entry, or
+    right-multiplied by a unitary exp(1e-6 i H), which keeps it unitary."""
+    bent = [(c, m.copy()) for c, m in stacks]
+    c, m = bent[int(rng.integers(len(bent)))]
+    j, s = int(rng.integers(len(c))), c.shape[1]
+    if kind == "entry":
+        m[j, element, s - 1, 0] += 1e-6
+    else:
+        vals, vecs = np.linalg.eigh(random_hermitian(s, rng) if s > 1 else np.ones((1, 1)))
+        m[j, element] = m[j, element] @ (vecs * np.exp(1e-6j * vals)) @ vecs.conj().T
+    return bent
+
+
+@pytest.mark.parametrize("name", ["s4", "d12", "d20", "s3 perm", "s4 perm", "s4 irrep 4"])
+@pytest.mark.parametrize("kind", ["entry", "unitary"])
+def test_gns_certificate_fails_when_the_dense_check_does(name, kind, monkeypatch):
+    """Perturbed blocks fail the dense validation of their stack, and then the certificate."""
+    f, rng = gns_cases()[name], np.random.default_rng(7)
+    _, (host, w, stacks), _ = certified_gns(f, monkeypatch)
+    for element in (0, 1, f.group.order - 1):
+        bent = bent_blocks(stacks, element, kind, rng)
+        with pytest.raises(ak.ValidationError):
+            ak.UnitaryRep(f.group, reps.UnitaryRep(f.group, None, bent).mats)
+        # a unitary move off the identity breaks only the homomorphism, which the bound catches
+        only_homomorphism = kind == "unitary" and element != 0
+        with pytest.raises(ak.ValidationError, match="homomorphism" if only_homomorphism else None):
+            reps._certify_blocks(host, w, bent)
+
+
+def test_gns_certificate_needs_a_near_isometry(monkeypatch):
+    """Far from an isometry (e = ||W W^dag - I||_F >= 1) the bound is infinite and fails."""
+    _, (host, w, stacks), _ = certified_gns(gns_cases()["s4"], monkeypatch)
+    with pytest.raises(ak.ValidationError, match="bound inf"):
+        reps._certify_blocks(host, 2 * w, stacks)
 
 
 class TestPerturbationRejection:

@@ -5,7 +5,14 @@ import json
 
 import numpy as np
 import pytest
-from helpers import blocked_rep, dense_rep_residuals, pair_payloads, perm_rep
+from helpers import (
+    blocked_rep,
+    dense_charfunc,
+    dense_rep_residuals,
+    gns_cases,
+    pair_payloads,
+    perm_rep,
+)
 
 import asymkit as ak
 from asymkit import jsonio, reps
@@ -110,6 +117,46 @@ def test_decompose_leaves_the_stack_unbuilt():
     assert ak.is_g_covariant(ak.identity_channel(r.dim), r, r)
     assert r._mats is None
     assert dec.reconstruction_residual() <= 1e-12
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_character_reads_the_diagonal_phases(name):
+    """character() sums the diagonal phases: the terms and order of trace_against(I), so
+    decompose's multiplicities keep their bits, with no d x d identity and no dense stack."""
+    r, want = built_reps()[name]
+    assert r.character().tobytes() == r.trace_against(np.eye(r.dim)).tobytes()
+    assert r._mats is None
+    assert np.abs(r.character() - np.einsum("gii->g", want)).max() <= 1e-12
+
+
+def test_gns_leaves_the_stack_unbuilt():
+    f = ak.charfunc(ak.random_pure_state(30, np.random.default_rng(0)),
+                    ak.regular_rep(ak.make_dihedral(15)))
+    res = ak.gns_construct(f)
+    ak.charfunc(res.state, res.rep)
+    res.rep.character()
+    jsonio.rep_to_json(res.rep)
+    assert res.rep._monomial is None and res.rep._mats is None
+
+
+@pytest.mark.parametrize("name", list(gns_cases()))
+def test_gns_rep_reads_its_blocks_as_the_dense_stack(name):
+    """chi, the character and the JSON file of a GNS rep, read off its blocks, are those of its
+    dense stack, whose exact-zero pattern gives the same form: monomial or the same slices."""
+    f = gns_cases()[name]
+    res = ak.gns_construct(f)
+    r = res.rep
+    chi, trace, obj = ak.charfunc(res.state, r).values, r.character(), jsonio.rep_to_json(r)
+    assert r._mats is None
+    dense = ak.UnitaryRep(f.group, r.mats)
+    assert np.abs(chi - dense_charfunc(res.state, dense)).max() <= 1e-12
+    assert np.abs(trace - np.einsum("gii->g", dense.mats)).max() <= 1e-12
+    assert obj == jsonio.rep_to_json(dense)
+    form = reps._sparsity_form(r.mats)
+    if isinstance(form, tuple):
+        assert all(np.array_equal(x, y) for x, y in zip(r._monomial, form))
+    else:
+        assert r._monomial is None and r._blocks == form
 
 
 def conjugate_reps():
