@@ -58,27 +58,26 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return trace_norm(psd_sqrt(a, tol) @ psd_sqrt(b, tol))
 
 
-def _sector_stacks(psi: QuantumState, phi: QuantumState, dec: IrrepDecomposition):
-    """Per sector shape of dec: both states' sector stacks X, Y and reductions XX^dag, YY^dag."""
+def _pair_coefficients(psi: QuantumState, phi: QuantumState, dec: IrrepDecomposition):
+    """Both states' coefficients W psi, W phi (:meth:`IrrepDecomposition._coefficients`)."""
     if not (psi.is_pure and phi.is_pure):
         raise PureStateRequiredError("approximate interconversion is defined for pure states")
     if psi.dim != phi.dim or psi.dim != dec.rep.dim:
         raise DimensionMismatchError("states and decomposition must share one dimension")
-    xs, ys = dec._sector_stacks(psi.vec), dec._sector_stacks(phi.vec)
-    return xs, ys, [x @ _dagger(x) for x in xs], [y @ _dagger(y) for y in ys]
+    return dec._coefficients(psi.vec), dec._coefficients(phi.vec)
 
 
 def max_overlap(psi1: QuantumState, psi2: QuantumState, dec: IrrepDecomposition) -> OverlapReport:
     """Best overlap achievable by an invariant unitary, with its achiever.
 
     The witness and the per-sector fidelities both come from one
-    :meth:`IrrepDecomposition.align` of psi1 onto psi2; the optimum is the
-    sum of the sector fidelities.  Both states' sector stacks are built once and shared
-    with the bounds, in one batched call per shape (d_mu, n_mu): O(d^3 + |G| sum d_mu^2).
+    :meth:`IrrepDecomposition.align` of psi1 onto psi2 (SVDs per sector shape); the optimum is
+    the sum of the sector fidelities.  W psi1 and W psi2 are shared with the bounds, which take
+    one call per step over all sectors, zero-padded: O(d^3 + |G| K D^2).
     """
-    xs, ys, red1, red2 = _sector_stacks(psi1, psi2, dec)
-    v, shares = dec._align(xs, ys)
-    bound_trace, bound_global, bound_per_mu = _bounds(red1, red2, dec)
+    x, y = _pair_coefficients(psi1, psi2, dec)
+    v, shares = dec._align(x, y)
+    bound_trace, bound_global, bound_per_mu = _bounds(x, y, dec)
     return OverlapReport(
         optimal=float(sum(shares)),
         per_mu_fidelity={blk.label: share for blk, share in zip(dec.blocks, shares)},
@@ -93,7 +92,7 @@ def bound_from_trace_distance(
     psi1: QuantumState, psi2: QuantumState, dec: IrrepDecomposition
 ) -> float:
     """Lower bound 1 - (1/2) sum_mu ||F1_mu - F2_mu||_1 on the optimal overlap."""
-    return _bounds(*_sector_stacks(psi1, psi2, dec)[2:], dec)[0]
+    return _bounds(*_pair_coefficients(psi1, psi2, dec), dec)[0]
 
 
 def irrep_component(f: CharFunction, dec: IrrepDecomposition, index: int) -> CharFunction:
@@ -108,7 +107,7 @@ def irrep_component(f: CharFunction, dec: IrrepDecomposition, index: int) -> Cha
     if not same_group(f.group, dec.rep.group):
         raise GroupMismatchError("function and decomposition must share the group")
     blk = dec.blocks[index]
-    forward = _forward_block(f.values, dec.rep.group, blk.mats)
+    forward = _forward_block(f.values, dec.rep.group, blk.mats, blk.dim)
     return CharFunction(dec.rep.group, _inverse_block(forward, blk.mats))
 
 
@@ -127,22 +126,21 @@ def bound_from_charfunc(
     chi1_mu - chi2_mu is the inverse row of F1_mu - F2_mu, and chi1 - chi2 the
     sum of those rows: O(|G| sum_mu d_mu^2).
     """
-    return _bounds(*_sector_stacks(psi1, psi2, dec)[2:], dec)[1:]
+    return _bounds(*_pair_coefficients(psi1, psi2, dec), dec)[1:]
 
 
-def _bounds(red1: list, red2: list, dec: IrrepDecomposition) -> tuple[float, float, float]:
-    """The trace-distance bound and both characteristic-function bounds from per-shape
-    reduction stacks: per shape, one batched SVD of F1 - F2 and the inverse rows
-    tr((F1_mu - F2_mu) U_mu(g)) of all its sectors in one einsum."""
-    dist, chi_gap, d2, per_total = 0.0, 0.0, 0, 0.0
-    for (_, _, mats), f1, f2 in zip(dec._by_shape(), red1, red2):
-        gap = f1 - f2
-        dist += np.linalg.svd(gap, compute_uv=False).sum()
-        rows = _inverse_block(gap, mats)
-        weight = np.maximum(np.einsum("kii->k", f1).real, np.einsum("kii->k", f2).real)
-        active, dim2 = weight > _SECTOR_WEIGHT_CUTOFF, mats.shape[-1] ** 2
-        chi_gap = chi_gap + rows.sum(axis=0)
-        d2 += dim2 * int(active.sum())
-        per_total += dim2 * float(np.abs(rows[active]).mean(axis=1).sum())
-    bound_global = 1.0 - 0.5 * d2 * float(np.mean(np.abs(chi_gap)))
-    return 1.0 - 0.5 * float(dist), bound_global, 1.0 - 0.5 * per_total
+def _bounds(x: np.ndarray, y: np.ndarray, dec: IrrepDecomposition) -> tuple[float, float, float]:
+    """The trace-distance and both characteristic-function bounds from x = W psi1, y = W psi2 in
+    one call per step over the padded sectors: F1, F2, ||F1 - F2||_1 as sum |lambda| of one
+    eigvalsh (a zero border adds zeros), the inverse rows tr((F1_mu - F2_mu) U_mu(g))."""
+    rows, mats, dims = dec._padded()
+    f1, f2 = (z @ _dagger(z) for z in (x[rows], y[rows]))
+    gap = f1 - f2
+    dist = float(np.abs(np.linalg.eigvalsh(gap)).sum())
+    chi_rows = _inverse_block(gap, mats)
+    weight = np.maximum(np.einsum("kii->k", f1).real, np.einsum("kii->k", f2).real)
+    active = weight > _SECTOR_WEIGHT_CUTOFF
+    dim2 = dims[active] ** 2
+    bound_global = 1.0 - 0.5 * int(dim2.sum()) * float(np.mean(np.abs(chi_rows.sum(axis=0))))
+    per_total = float(dim2 @ np.abs(chi_rows[active]).mean(axis=1))
+    return 1.0 - 0.5 * dist, bound_global, 1.0 - 0.5 * per_total

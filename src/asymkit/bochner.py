@@ -79,8 +79,10 @@ def is_positive_definite(
     reps._require_every_irrep(f.group, dec_of_regular)
     residual, t = _gram_rule(f, RTOL if tol is None else tol)
     n, dec = f.group.order, dec_of_regular
-    lows = [min_eigenvalue(_forward_block(f.values, f.group, m)) for *_, m in dec._by_shape()]
-    minima = {b.label: n / b.dim * float(x) for b, x in zip(dec.blocks, dec._in_block_order(lows))}
+    lows = np.zeros(len(dec.blocks))
+    for ix, _, m in dec._by_shape():  # each block's own eigenvalues: per shape, not padded
+        lows[ix] = min_eigenvalue(_forward_block(f.values, f.group, m, m.shape[-1]))
+    minima = {b.label: n / b.dim * float(x) for b, x in zip(dec.blocks, lows)}
     worst = min(minima, key=minima.get)
     norm_tol = scaled_tol(f.values) if tol is None else max(tol, RTOL)
     return BochnerReport(
@@ -137,7 +139,7 @@ def gns_construct(f: CharFunction) -> GnsResult:
         q = np.ascontiguousarray(m[:, cols].transpose(1, 0, 2))
         stacks.append((cols, reps._subreps(regular, q)))
     rep = reps.UnitaryRep(group, None, stacks)  # certified below, once chi is checked
-    err = float(np.abs(rep.trace_against(np.outer(psi, psi.conj())) - f.values).max())
+    err = float(np.abs(rep.trace_against(psi) - f.values).max())
     if not err <= t:
         raise NumericalDegeneracyError(f"GNS realization misses f by {err:.3e} > {t:.3e}")
     reps._certify_blocks(regular, m.conj().T, stacks)

@@ -132,15 +132,16 @@ def decide_unitary_g_equivalence(
     _require_pure(psi, phi)
     if psi.dim != phi.dim or psi.dim != dec.rep.dim:
         raise DimensionMismatchError("states and decomposition must share one dimension")
-    xs, ys = dec._sector_stacks(psi.vec), dec._sector_stacks(phi.vec)
-    gaps = (x @ _dagger(x) - y @ _dagger(y) for x, y in zip(xs, ys))  # all() stops at the first
+    x, y = dec._coefficients(psi.vec), dec._coefficients(phi.vec)
+    # one sector shape at a time, not padded: all() stops at the first unequal one
+    gaps = (x[r] @ _dagger(x[r]) - y[r] @ _dagger(y[r]) for _, r, _ in dec._by_shape())
     if not all((np.linalg.svd(g, compute_uv=False).sum(axis=1) <= tol).all() for g in gaps):
         # A |chi| gap below CHI_MATCH_TOL is rounding, whatever the sector tol.
         cert = _modulus_certificate(
             charfunc(psi, dec.rep).values, charfunc(phi, dec.rep).values, max(tol, CHI_MATCH_TOL)
         )
         return EquivalenceVerdict(EquivalenceStatus.NOT_EQUIVALENT, certificate=cert)
-    v, _ = dec._align(xs, ys)
+    v, _ = dec._align(x, y)
     return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, witness=v)
 
 

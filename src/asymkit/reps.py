@@ -100,8 +100,12 @@ class UnitaryRep:
         return self.trace_against(np.eye(self.dim))
 
     def trace_against(self, x: np.ndarray) -> np.ndarray:
-        """tr(x U(g)) for every g; on a monomial rep the gather sum_i phase[g, i] x[src[g, i], i]
-        in O(|G| d); on a block rep one einsum per block size, on x's diagonal blocks."""
+        """tr(x U(g)) for every g, a vector x standing for x x^dag; on a monomial rep the gather
+        sum_i phase[g, i] x[src[g, i], i] in O(|G| d) (x[src[g, i]] conj x[i] of a vector: no d x d
+        array, the same products); on a block rep one einsum per block size, on x's blocks."""
+        if x.ndim == 1 and self._monomial is not None:
+            return (self._monomial[1] * (x[self._monomial[0]] * x.conj())).sum(axis=1)
+        x = np.outer(x, x.conj()) if x.ndim == 1 else x
         if self._stacks is not None:
             return sum(np.einsum("kij,kgji->g", x[c[..., None], c[:, None]], m)
                        for c, m in self._stacks)
@@ -293,7 +297,8 @@ def _frob_each(stack: np.ndarray) -> np.ndarray:
     gives the same values but is slower than a Python loop over ``frob`` once
     the matrices are about 32 x 32.
     """
-    flat = np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1).view(float)
+    flat = np.ascontiguousarray(stack, dtype=complex)
+    flat = flat.reshape(len(flat), -1 if flat.size else 0).view(float)  # an empty stack too
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
@@ -402,10 +407,10 @@ class IrrepBlock:
 
 
 class IrrepDecomposition:
-    """Basis change W plus the ordered irreducible blocks it exposes.  Sector queries
-    make one batched call per sector shape (d_mu, n_mu), not one per sector."""
+    """Basis change W plus the ordered irreducible blocks it exposes.  State queries make one call
+    per step over all sectors (:meth:`_padded`); SVDs and residual one per shape (d_mu, n_mu)."""
 
-    __slots__ = ("rep", "basis", "blocks", "offsets", "_shapes", "_residual")
+    __slots__ = ("rep", "basis", "blocks", "offsets", "_shapes", "_pad", "_residual")
 
     def __init__(self, rep: UnitaryRep, basis: np.ndarray, blocks: list[IrrepBlock]):
         self.rep = rep
@@ -422,6 +427,7 @@ class IrrepDecomposition:
             )
         self.offsets = offsets
         self._shapes = None  # the index of _by_shape, built on first use (decompose's check)
+        self._pad = None  # the layout of _padded, built by the first state query
         self._residual = None  # decompose's final reconstruction residual
 
     def multiset(self) -> list[tuple[int, int]]:
@@ -449,19 +455,31 @@ class IrrepDecomposition:
             self._shapes = index
         return self._shapes
 
-    def _sector_stacks(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Per shape, the (k, d_mu, n_mu) stack of the vector's coefficient matrices."""
-        x = self.basis @ np.asarray(vec, dtype=complex)
-        return [x[rows] for _, rows, _ in self._by_shape()]
+    def _padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The K sectors in block order, zero-padded to D = max d_mu and N = max n_mu (>= 1),
+        built on first use: rows (K, D, N) into :meth:`_coefficients`, offsets[k] + m n_mu + a
+        or d (its zero) on the padding; the block mats (K, |G|, D, D), K |G| D^2 16 bytes; d_mu."""
+        if self._pad is None:
+            dims, mults = np.array(self.multiset(), dtype=int).reshape(-1, 2).T
+            size, k = dims.max(initial=1), len(self.blocks)
+            rows = np.full((k, size, mults.max(initial=1)), self.rep.dim)
+            mats = np.zeros((k, self.rep.group.order, size, size), dtype=complex)
+            for ix, r, m in self._by_shape():  # one assignment per shape, not per block
+                d, n = r.shape[1:]
+                rows[ix, :d, :n], mats[ix, :, :d, :d] = r, m
+            self._pad = rows, mats, dims
+        return self._pad
 
-    def _in_block_order(self, stacks: list[np.ndarray]) -> list[np.ndarray]:
-        """The entries of per-shape stacks as one list in block order."""
-        at = {i: x for (ix, _, _), st in zip(self._by_shape(), stacks) for i, x in zip(ix, st)}
-        return [at[i] for i in range(len(self.blocks))]
+    def _coefficients(self, vec: np.ndarray) -> np.ndarray:
+        """W vec with a zero appended, which the padding of :meth:`_padded` reads."""
+        x = np.zeros(self.rep.dim + 1, dtype=complex)
+        np.matmul(self.basis, np.asarray(vec, dtype=complex), out=x[:-1])
+        return x
 
     def vector_sectors(self, vec: np.ndarray) -> list[np.ndarray]:
         """Coefficient matrix (d_mu x n_mu) of a vector in each sector."""
-        return self._in_block_order(self._sector_stacks(vec))
+        x = self._coefficients(vec)[self._padded()[0]]
+        return [z[: b.dim, : b.mult] for z, b in zip(x, self.blocks)]
 
     def invariant_unitary(self, mult_unitaries: list[np.ndarray]) -> np.ndarray:
         """Assemble directsum_mu I_{d_mu} kron V_mu back in the original basis.
@@ -497,13 +515,13 @@ class IrrepDecomposition:
         block order, sum to <b|V|a>, which is therefore real and nonnegative.
         One batched SVD per shape (d_mu, n_mu), then V as in :meth:`invariant_unitary`.
         """
-        return self._align(self._sector_stacks(a), self._sector_stacks(b))
+        return self._align(self._coefficients(a), self._coefficients(b))
 
-    def _align(self, xs: list[np.ndarray], ys: list[np.ndarray]) -> tuple[np.ndarray, list[float]]:
-        """:meth:`align` from the per-shape sector stacks of a and b."""
+    def _align(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """:meth:`align` from the :meth:`_coefficients` x of a and y of b."""
         vs, shares = [], np.zeros(len(self.blocks))
-        for (ix, _, _), x, y in zip(self._by_shape(), xs, ys):
-            u, s, vh = np.linalg.svd(_dagger(y) @ x)
+        for ix, rows, _ in self._by_shape():
+            u, s, vh = np.linalg.svd(_dagger(y[rows]) @ x[rows])
             vs.append(np.conj(u @ vh))
             shares[ix] = s.sum(axis=1)
         return self._assemble(vs), shares.tolist()

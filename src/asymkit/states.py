@@ -10,8 +10,9 @@ each) and used by every conversion in the package:
 
 Characteristic functions are stored densely per group element.  They are a
 class function only for states commuting with the representation, which is
-not the generic case, so no per-class compression is done.  charfunc is O(d^2 + |G| d) on a
-monomial rep, O(|G| d^2) otherwise; reductions are checked once per sector shape.
+not the generic case, so no per-class compression is done.  charfunc is O(|G| d) on a monomial
+rep (no d x d array for a pure state), O(|G| d^2) otherwise.  Reductions and Fourier blocks take
+one call per step over all sectors, zero-padded (:meth:`IrrepDecomposition._padded`).
 """
 
 from __future__ import annotations
@@ -143,37 +144,43 @@ class IrrepReduction:
 
     def validate(self, tol: float = 1e-8) -> "IrrepReduction":
         """Raise unless every block is Hermitian PSD within tol (>= 0), naming the first that
-        is not, and the traces sum to one.  Blocks are checked once per shape."""
+        is not, and the traces sum to one: one pass over the blocks zero-padded (:meth:`_check`)."""
         if not tol >= 0:
             raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
-        shapes = [b.shape for b in self.blocks]
-        ixs = [np.flatnonzero([x == shape for x in shapes]) for shape in dict.fromkeys(shapes)]
-        _check_stacks([np.array([self.blocks[i] for i in ix]) for ix in ixs], ixs, self.labels, tol)
+        size = max((max(b.shape) for b in self.blocks), default=1)
+        return self._check(_pad(self.blocks, size), tol)
+
+    def _check(self, padded: np.ndarray, tol: float) -> "IrrepReduction":
+        """:meth:`validate` on the blocks zero-padded into (K, D, D): one Hermitian pass and one
+        eigvalsh.  A zero border adds only zero eigenvalues: as tol >= 0, no verdict changes."""
+        ok = _frob_each(padded - _dagger(padded)) <= tol  # a NaN residual fails
+        ok[ok] = min_eigenvalue(padded[ok]) >= -tol
+        for i in np.flatnonzero(~ok):  # assert_psd words the error
+            assert_psd(self.blocks[i], tol, what=f"reduction block {self.labels[i]}")
+        total = float(np.einsum("kii->", padded).real)
+        if abs(total - 1.0) > tol:
+            raise ValidationError(
+                f"reduction invariant violated: sum of traces = {total:.12f}, must be 1"
+            )
         return self
 
 
-def _check_stacks(stacks: list, ixs: list, labels: list, tol: float) -> None:
-    """Raise unless each block stacks[s][j], block ixs[s][j], is Hermitian PSD within tol, naming
-    the first that is not, and the traces sum to one.  One pass of each check per shape."""
-    failing = {}
-    for ix, stack in zip(ixs, stacks):
-        ok = _frob_each(stack - _dagger(stack)) <= tol  # a NaN residual fails
-        ok[ok] = min_eigenvalue(stack[ok]) >= -tol
-        failing.update(zip(ix[~ok], stack[~ok]))
-    for i in sorted(failing):  # assert_psd words the error
-        assert_psd(failing[i], tol, what=f"reduction block {labels[i]}")
-    total = float(sum(np.einsum("kii->", stack).real for stack in stacks))
-    if abs(total - 1.0) > tol:
-        raise ValidationError(
-            f"reduction invariant violated: sum of traces = {total:.12f}, must be 1"
-        )
+def _pad(blocks: list[np.ndarray], size: int) -> np.ndarray:
+    """The blocks in order, zero-padded into one (K, size, size) stack."""
+    padded = np.zeros((len(blocks), size, size), dtype=complex)
+    for p, b in zip(padded, blocks):
+        p[: b.shape[0], : b.shape[1]] = b
+    return padded
 
 
-def _reduction(stacks: list[np.ndarray], dec: IrrepDecomposition, tol: float) -> IrrepReduction:
-    """The reduction of per-shape stacks in dec's shape order, checked before block order."""
-    labels = [b.label for b in dec.blocks]
-    _check_stacks(stacks, [ix for ix, *_ in dec._by_shape()], labels, tol)
-    return IrrepReduction(labels, dec._in_block_order(stacks))
+def _cut(padded: np.ndarray, dec: IrrepDecomposition) -> list[np.ndarray]:
+    """dec's zero-padded (K, D, D) blocks, each cut to d_mu x d_mu (if d_mu = D, as it is)."""
+    return [f if b.dim == len(f) else f[: b.dim, : b.dim] for f, b in zip(padded, dec.blocks)]
+
+
+def _padded_reduction(padded: np.ndarray, dec: IrrepDecomposition, tol: float) -> IrrepReduction:
+    """The reduction of dec's zero-padded (K, D, D) blocks, checked in one pass."""
+    return IrrepReduction([b.label for b in dec.blocks], _cut(padded, dec))._check(padded, tol)
 
 
 def _state_chi_check(values: np.ndarray, tol: float = 1e-8) -> None:
@@ -189,39 +196,43 @@ def _state_chi_check(values: np.ndarray, tol: float = 1e-8) -> None:
 
 
 def charfunc(s: QuantumState, r: UnitaryRep) -> CharFunction:
-    """chi(g) = tr(rho U(g)) from :meth:`UnitaryRep.trace_against`, rho = psi psi^dag if pure."""
+    """chi(g) = tr(rho U(g)) from :meth:`UnitaryRep.trace_against`, of psi itself if pure."""
     if s.dim != r.dim:
         raise DimensionMismatchError(
             f"state dimension {s.dim} does not match representation dimension {r.dim}"
         )
-    values = r.trace_against(s.density())
+    values = r.trace_against(s.vec if s.is_pure else s.rho)
     _state_chi_check(values)
     return CharFunction(r.group, values)
 
 
 def reduction_onto_irreps(s: QuantumState, dec: IrrepDecomposition) -> IrrepReduction:
-    """Partial trace of each isotypic sector over its multiplicity space."""
+    """Partial trace of each isotypic sector over its multiplicity space, in one padded pass."""
     if s.dim != dec.rep.dim:
         raise DimensionMismatchError(
             f"state dimension {s.dim} does not match decomposition dimension {dec.rep.dim}"
         )
+    rows = dec._padded()[0]
     if s.is_pure:
-        stacks = [x @ _dagger(x) for x in dec._sector_stacks(s.vec)]
-    else:  # the trace over a of rho's sector entries [j, m, a, m', b]
-        rho = dec.basis @ s.rho @ _dagger(dec.basis)
-        sectors = (rho[r[..., None, None], r[:, None, None]] for _, r, _ in dec._by_shape())
-        stacks = [np.einsum("kmaja->kmj", sector) for sector in sectors]
+        x = dec._coefficients(s.vec)[rows]
+        padded = x @ _dagger(x)
+    else:  # the trace over a of rho's sector entries [k, m, a, m', b], 0 on the padding
+        rho = np.zeros((s.dim + 1,) * 2, dtype=complex)
+        rho[:-1, :-1] = dec.basis @ s.rho @ _dagger(dec.basis)
+        padded = np.einsum("kmaja->kmj", rho[rows[..., None, None], rows[:, None, None]])
     scale = np.vdot(s.vec, s.vec) if s.is_pure else s.rho  # ||psi||^2 = ||psi psi^dag||_F
-    return _reduction(stacks, dec, max(1e-8, scaled_tol(scale, base=1e-9)))
+    return _padded_reduction(padded, dec, max(1e-8, scaled_tol(scale, base=1e-9)))
 
 
 def charfunc_from_reduction(red: IrrepReduction, dec: IrrepDecomposition) -> CharFunction:
-    """chi(g) = sum_mu tr(F_mu U_mu(g)): the sum of the inverse-transform rows, one
-    :func:`_inverse_block` call per sector shape."""
+    """chi(g) = sum_mu tr(F_mu U_mu(g)): one :func:`_inverse_block` over the padded blocks."""
     if red.labels != [b.label for b in dec.blocks]:
         raise ValidationError("reduction labels do not match the decomposition blocks")
-    stacks = ((np.stack([red.blocks[i] for i in ix]), m) for ix, _, m in dec._by_shape())
-    return CharFunction(dec.rep.group, sum(_inverse_block(f, m).sum(axis=0) for f, m in stacks))
+    if [f.shape for f in red.blocks] != [(b.dim, b.dim) for b in dec.blocks]:
+        raise DimensionMismatchError("reduction blocks do not match the decomposition blocks")
+    mats = dec._padded()[1]
+    rows = _inverse_block(_pad(red.blocks, mats.shape[-1]), mats)
+    return CharFunction(dec.rep.group, rows.sum(axis=0))
 
 
 def fourier_inverse(f: CharFunction, dec: IrrepDecomposition) -> IrrepReduction:
@@ -231,20 +242,22 @@ def fourier_inverse(f: CharFunction, dec: IrrepDecomposition) -> IrrepReduction:
     """
     if not same_group(f.group, dec.rep.group):
         raise GroupMismatchError("function and decomposition must share the group")
-    stacks = [_forward_block(f.values, f.group, m) for *_, m in dec._by_shape()]
-    return _reduction(stacks, dec, 1e-8)
+    _, mats, dims = dec._padded()
+    padded = _forward_block(f.values, f.group, mats, dims[:, None, None])
+    return _padded_reduction(padded, dec, 1e-8)
 
 
 def fourier_blocks(values: np.ndarray, dec: IrrepDecomposition) -> list[np.ndarray]:
     """Forward transform: raw blocks d_mu * avg_g values(g^-1) U_mu(g), unvalidated."""
-    group = dec.rep.group
-    return dec._in_block_order([_forward_block(values, group, m) for *_, m in dec._by_shape()])
+    _, mats, dims = dec._padded()
+    return _cut(_forward_block(values, dec.rep.group, mats, dims[:, None, None]), dec)
 
 
-def _forward_block(values: np.ndarray, group: GroupTable, mats: np.ndarray) -> np.ndarray:
-    """Forward block of mats (|G|, d, d), or per block of a (k, |G|, d, d) stack, O(|G| d^2)."""
+def _forward_block(values: np.ndarray, group: GroupTable, mats: np.ndarray, dim) -> np.ndarray:
+    """Forward block of mats (|G|, d, d), or per block of a (k, |G|, d, d) stack, with dim = d_mu
+    (one, or broadcast per block): O(|G| d^2)."""
     inv_vals = np.asarray(values, dtype=complex)[group.inv]
-    return mats.shape[-1] * np.einsum("g,...gij->...ij", inv_vals, mats) / group.order
+    return dim * np.einsum("g,...gij->...ij", inv_vals, mats) / group.order
 
 
 def _inverse_block(f: np.ndarray, mats: np.ndarray) -> np.ndarray:

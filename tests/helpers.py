@@ -275,6 +275,53 @@ def dense_charfunc(s, r) -> np.ndarray:
     return np.einsum("ij,gji->g", s.rho, r.mats)
 
 
+def _per_shape_in_block_order(dec, stacks) -> list:
+    """The entries of per-shape stacks, in dec's shape order, as one list in block order."""
+    out = [None] * len(dec.blocks)
+    for (ix, _, _), stack in zip(dec._by_shape(), stacks):
+        for i, x in zip(ix, stack):
+            out[i] = x
+    return out
+
+
+def per_shape_reduction(s, dec) -> list:
+    """The reduction blocks of a state one sector shape (d_mu, n_mu) at a time, in block
+    order: X X^dag of a pure state's coefficient stack, the partial trace of a mixed one."""
+    if s.is_pure:
+        x = dec.basis @ s.vec
+        stacks = [x[rows] @ x[rows].conj().swapaxes(1, 2) for _, rows, _ in dec._by_shape()]
+    else:
+        rho = dec.basis @ s.rho @ dec.basis.conj().T
+        stacks = [np.einsum("kmaja->kmj", rho[rows[..., None, None], rows[:, None, None]])
+                  for _, rows, _ in dec._by_shape()]
+    return _per_shape_in_block_order(dec, stacks)
+
+
+def per_shape_fourier(values, dec) -> list:
+    """The forward blocks d_mu avg_g values(g^-1) U_mu(g), one einsum per sector shape."""
+    group = dec.rep.group
+    stacks = [m.shape[-1] * np.einsum("g,kgij->kij", values[group.inv], m) / group.order
+              for _, _, m in dec._by_shape()]
+    return _per_shape_in_block_order(dec, stacks)
+
+
+def per_shape_bounds(psi, phi, dec) -> tuple[float, float, float]:
+    """max_overlap's trace, charfunc-global and charfunc-per-component bounds, one sector
+    shape at a time: an SVD of F1 - F2 and one einsum of inverse rows per shape."""
+    x, y = dec.basis @ psi.vec, dec.basis @ phi.vec
+    dist, chi_gap, d2, per_total = 0.0, 0.0, 0, 0.0
+    for _, rows, mats in dec._by_shape():
+        f1, f2 = (z[rows] @ z[rows].conj().swapaxes(1, 2) for z in (x, y))
+        dist += np.linalg.svd(f1 - f2, compute_uv=False).sum()
+        chi_rows = np.einsum("kij,kgji->kg", f1 - f2, mats)
+        weight = np.maximum(np.einsum("kii->k", f1).real, np.einsum("kii->k", f2).real)
+        active, dim2 = weight > 1e-12, mats.shape[-1] ** 2
+        chi_gap = chi_gap + chi_rows.sum(axis=0)
+        d2 += dim2 * int(active.sum())
+        per_total += dim2 * float(np.abs(chi_rows[active]).mean(axis=1).sum())
+    return 1 - 0.5 * dist, 1 - 0.5 * d2 * float(np.mean(np.abs(chi_gap))), 1 - 0.5 * per_total
+
+
 def blocked_rep(group) -> ak.UnitaryRep:
     """A rep of Z4 with two diagonal blocks, neither monomial nor dense: the number rep
     with weights 0 and 1 turned by 45 degrees (a 2x2 block), then weight 2 (1x1)."""

@@ -3,9 +3,12 @@
 * ``charfunc`` on a monomial rep is a gather, sum_i phase[g, i] rho[src[g, i], i];
   :func:`helpers.dense_charfunc`, one einsum over every dense matrix, is its oracle
   and is still the route on any other rep.
-* Reductions are checked once per sector shape.  The per-block rule (``assert_psd`` on
-  every block in block order, then the trace sum) must raise the same class with the
-  same message, so the same block is named.
+* Reductions are checked in one pass over all blocks, zero-padded to one size.  The
+  per-block rule (``assert_psd`` on every block in block order, then the trace sum) must
+  raise the same class with the same message, so the same block is named.
+* State queries run on the decomposition's padded layout; the per-shape helpers in
+  ``helpers`` are their oracles, and a pure state's chi on a monomial rep is the gather
+  of trace_against(psi psi^dag), bit for bit, with no d x d array.
 * ``decide_g_equivalence`` compares every omega with chi in one array pass.  The
   per-omega loop it replaced must return the same omega and status.
 """
@@ -19,7 +22,13 @@ import asymkit as ak
 from asymkit.equivalence import CHI_MATCH_TOL, CHI_ZERO_THRESHOLD
 from asymkit.linalg import assert_psd, haar_unitary, scaled_tol
 from asymkit.reps import one_dim_reps
-from helpers import blocked_rep, dense_charfunc
+from helpers import (
+    blocked_rep,
+    dense_charfunc,
+    per_shape_bounds,
+    per_shape_fourier,
+    per_shape_reduction,
+)
 
 TOL = 1e-12
 
@@ -91,7 +100,7 @@ class TestCharfuncGather:
             monkeypatch.setattr(np, "einsum", counting_einsum)
             chi = ak.charfunc(s, r).values
             monkeypatch.undo()
-            assert calls == ["ij,gji->g"]  # a pure state passes psi psi^dag
+            assert calls == ["ij,gji->g"]  # a pure state's psi psi^dag goes to the one einsum
             assert np.array_equal(chi, np.einsum("ij,gji->g", s.density(), r.mats))
             assert np.abs(chi - want).max() <= TOL
 
@@ -240,6 +249,140 @@ class TestReductionVerdicts:
                 red = ak.reduction_onto_irreps(s, dec)
                 for got, want in zip(red.blocks, ref_reduction_blocks(s, dec)):
                     assert np.abs(got - want).max() <= TOL
+
+
+@pytest.fixture(scope="module")
+def check_decs(decompositions, s3_square_dec, z16_number_x3_dec):
+    """Several sector shapes (S4, S3reg (x) S3reg, D20) and one (Z16 number x3)."""
+    d20 = ak.decompose(ak.regular_rep(ak.make_dihedral(10)), seed=0)
+    return {"s4": decompositions["s4"], "s3xs3": s3_square_dec, "d20": d20,
+            "z16 number x3": z16_number_x3_dec}
+
+
+def verdict(call):
+    """None if call returns, else the class and message of the AsymkitError it raises."""
+    try:
+        call()
+    except ak.AsymkitError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def planted_blocks(dec, rng, tol, target):
+    """One Hermitian block per sector with traces summing to target.  Each block's smallest
+    eigenvalue is left positive or placed at -f tol, f in (0.3, 0.7) (passes) or, with
+    probability 1 / (K + 1), in (1.5, 3) (fails); the positive eigenvalues are scaled so that
+    the traces sum to target."""
+    spectra = [rng.uniform(0.1, 1.0, size=blk.dim) for blk in dec.blocks]
+    fail = 1 / (len(spectra) + 1)
+    for lam in spectra:
+        mode = rng.choice(3, p=[0.75 - fail, 0.25, fail])
+        if mode:
+            lam[0] = -tol * (rng.uniform(0.3, 0.7) if mode == 1 else rng.uniform(1.5, 3.0))
+    positive = sum(lam[lam > 0].sum() for lam in spectra)
+    negative = sum(lam[lam < 0].sum() for lam in spectra)
+    blocks = []
+    for lam in spectra:
+        lam = np.where(lam > 0, lam * (target - negative) / positive, lam)
+        v = haar_unitary(len(lam), rng)
+        blocks.append((v * lam) @ v.conj().T)
+    return blocks
+
+
+class TestPaddedCheck:
+    """The one-pass check over zero-padded blocks against assert_psd block by block."""
+
+    @given(
+        st.sampled_from(["s4", "s3xs3", "d20", "z16 number x3"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_verdict_and_text_match_assert_psd_in_block_order(
+        self, check_decs, name, seed, skew, nan, off_trace
+    ):
+        dec, rng, tol = check_decs[name], np.random.default_rng(seed), 1e-8
+        blocks = planted_blocks(dec, rng, tol, 1.0 + (1e-6 if off_trace else 0.0))
+        if skew:  # far from Hermitian, also if 1x1
+            i = rng.integers(len(blocks))
+            blocks[i] = blocks[i] + 1e-3j * np.triu(np.ones_like(blocks[i]))
+        if nan:
+            blocks[rng.integers(len(blocks))][0, 0] = np.nan
+        labels = [b.label for b in dec.blocks]
+        want = verdict(lambda: ref_check(blocks, labels, tol))
+        assert verdict(lambda: ak.IrrepReduction(labels, blocks).validate(tol)) == want
+        f = function_of(blocks, dec)
+        want = verdict(lambda: ref_check(ref_fourier_blocks(f.values, dec), labels, tol))
+        assert verdict(lambda: ak.fourier_inverse(f, dec)) == want
+
+    def test_empty_reduction_fails_on_its_trace_sum(self):
+        with pytest.raises(ak.ValidationError, match="sum of traces = 0.000000000000, must be 1"):
+            ak.IrrepReduction([], []).validate()
+
+
+@pytest.fixture(scope="module")
+def layout_decs(decompositions, s3_square_dec, z16_number_dec, z16_number_x3_dec, shuffled):
+    """Every decomposition fixture."""
+    return {**decompositions, "s3_square": s3_square_dec, "z16_number": z16_number_dec,
+            "z16_number_x3": z16_number_x3_dec, "shuffled": shuffled}
+
+
+class TestPaddedLayout:
+    """State queries on the padded layout against one pass per sector shape."""
+
+    def test_reduction_blocks(self, layout_decs, rng):
+        for name, dec in layout_decs.items():
+            for s in states(dec.rep.dim, rng):
+                got = ak.reduction_onto_irreps(s, dec).blocks
+                want = per_shape_reduction(s, dec)
+                assert [b.shape for b in got] == [b.shape for b in want], name
+                assert max(np.abs(a - b).max() for a, b in zip(got, want)) <= 1e-13, name
+
+    def test_fourier_inverse_blocks(self, layout_decs, rng):
+        for name, dec in layout_decs.items():
+            chi = ak.charfunc(ak.random_pure_state(dec.rep.dim, rng), dec.rep)
+            got = ak.fourier_inverse(chi, dec).blocks
+            want = per_shape_fourier(chi.values, dec)
+            assert [b.shape for b in got] == [b.shape for b in want], name
+            assert max(np.abs(a - b).max() for a, b in zip(got, want)) <= 1e-13, name
+
+    def test_overlap_bounds(self, layout_decs, rng):
+        for name, dec in layout_decs.items():
+            for _ in range(3):
+                psi, phi = (ak.random_pure_state(dec.rep.dim, rng) for _ in range(2))
+                report = ak.max_overlap(psi, phi, dec)
+                got = report.bound_trace, report.bound_charfunc_global, report.bound_charfunc_per_mu
+                assert np.abs(np.subtract(got, per_shape_bounds(psi, phi, dec))).max() <= 1e-13
+
+    def test_pure_chi_on_monomial_reps_is_the_gather(
+        self, monomial_reps, regular_reps, z16_number_rep, s3_square, z16_number_x3_dec, rng,
+        monkeypatch,
+    ):
+        reps = [*monomial_reps.values(), *regular_reps.values(), z16_number_rep, s3_square,
+                z16_number_x3_dec.rep]
+        formed = []
+        for r in reps:
+            assert r._monomial is not None
+            for _ in range(5):
+                psi = ak.random_pure_state(r.dim, rng)
+                want = r.trace_against(np.outer(psi.vec, psi.vec.conj()))
+                with monkeypatch.context() as m:
+                    m.setattr(ak.QuantumState, "density", lambda self: formed.append(self))
+                    m.setattr(np, "outer", lambda *a, **k: formed.append(a))
+                    chi = ak.charfunc(psi, r).values
+                assert np.array_equal(chi, want)
+        assert formed == []
+
+    def test_decompose_leaves_the_layout_unbuilt(self, regular_reps, s3_square, z16_number_rep, rng):
+        for r in (regular_reps["s4"], regular_reps["z6"], s3_square, z16_number_rep):
+            dec = ak.decompose(r, seed=1)
+            dec.multiset(), dec.reconstruction_residual()
+            assert dec._pad is None
+            ak.reduction_onto_irreps(ak.random_pure_state(r.dim, rng), dec)
+            rows, mats, dims = dec._pad
+            assert mats.shape == (len(dec.blocks), r.group.order, dims.max(), dims.max())
 
 
 class TestToleranceRule:
