@@ -11,7 +11,8 @@ that fits what :class:`UnitaryRep` holds, each marked by its key:
 
 The reader takes all three, dense files of monomial reps included, with the full
 validation of :class:`UnitaryRep`.  A monomial file is checked and built on its
-(src, phase) form, never stacked densely; the other two forms are.  Writers keep full float
+(src, phase) form and a ``blocks`` file on its blocks, neither stacked densely; a ``mats``
+file is read into the dense stack.  Writers keep full float
 precision (a round trip is bit-identical); :func:`canonical_dumps` reports round to
 12 significant digits, in text byte for byte what ``json.dumps`` of the rounded
 payload gives.
@@ -31,7 +32,7 @@ from .channels import QuantumChannel
 from .equivalence import EquivalenceVerdict
 from .errors import SizeLimitError, ValidationError
 from .groups import GroupTable, _whole, _whole_number, group_from_json, group_to_json
-from .reps import IrrepDecomposition, UnitaryRep, _monomial_rep
+from .reps import IrrepDecomposition, UnitaryRep, _block_rep, _monomial_rep
 from .states import CharFunction, IrrepReduction, QuantumState, WeightState
 
 
@@ -84,8 +85,9 @@ def rep_to_json(r: UnitaryRep, inline_group: bool = True) -> dict:
     out: dict[str, Any] = {"dim": r.dim}
     if r._monomial is not None:
         out["src"], out["phase"] = r._monomial[0].tolist(), matrix_to_json(r._monomial[1])
-    else:  # each diagonal block, a GNS rep's cut from its own blocks; one block is `mats`
-        blocks = [{"start": b.start, "mats": matrix_to_json(m)} for b, m in r._diagonal()]
+    else:  # each diagonal block of the rep's stacks, in start order; one block is `mats`
+        starts = sorted((int(c[0]), m) for cs, ms in r._stacks for c, m in zip(cs, ms))
+        blocks = [{"start": a, "mats": matrix_to_json(m)} for a, m in starts]
         out.update({"blocks": blocks} if len(blocks) != 1 else {"mats": blocks[0]["mats"]})
     if inline_group:
         out["group"] = group_to_json(r.group)
@@ -93,8 +95,9 @@ def rep_to_json(r: UnitaryRep, inline_group: bool = True) -> dict:
 
 
 def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
-    """Read a rep in any of the three forms and validate it in full: a monomial one on its
-    (src, phase) form, the others on the dense stack.
+    """Read a rep in any of the three forms and validate it in full on the form it is held in:
+    a monomial one on (src, phase), a ``blocks`` one on its blocks and a ``mats`` one on its
+    dense stack, both cut to the diagonal blocks of their exact-zero pattern first.
 
     A compact form must state ``dim``; a ``dim`` whose stack takes |G| dim^2 16 bytes
     > 256 MiB raises SizeLimitError before any array is read.  Malformed indices or
@@ -131,19 +134,17 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
             raise ValidationError(f"each row of 'src' must hold every index 0..{dim - 1} once")
         return _monomial_rep(group, src, phase)
     if form == ["blocks"]:
-        mats = _block_mats(obj["blocks"], n, dim)
-    else:
-        mats = _from_pairs(obj["mats"], 3)
-    rep = UnitaryRep(group, mats)
+        return _block_rep(group, _block_mats(obj["blocks"], n, dim))
+    rep = UnitaryRep(group, _from_pairs(obj["mats"], 3))
     if dim is not None and dim != rep.dim:
         raise ValidationError("representation JSON 'dim' does not match its matrices")
     return rep
 
 
-def _block_mats(blocks: list, n: int, dim: int) -> np.ndarray:
-    """The stack holding each block's (n, s, s) matrices on the diagonal at its start;
-    the blocks must follow each other from 0 to dim, with no gap and no overlap."""
-    mats, at = np.zeros((n, dim, dim), dtype=complex), 0
+def _block_mats(blocks: list, n: int, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each block's (cols, sub) stack of one: its indices start..start+s and (n, s, s)
+    matrices; the blocks must follow each other from 0 to dim, with no gap and no overlap."""
+    stacks, at = [], 0
     for blk in blocks:
         start, m = _whole_number(blk["start"], "block 'start'"), _from_pairs(blk["mats"], 3)
         if start != at or m.shape[0] != n or m.shape[1] != m.shape[2] or at + m.shape[1] > dim:
@@ -152,10 +153,10 @@ def _block_mats(blocks: list, n: int, dim: int) -> np.ndarray:
                 f" after index {at}: the blocks must be square and follow each other"
             )
         at += m.shape[1]
-        mats[:, start:at, start:at] = m
+        stacks.append((np.arange(start, at)[None], m[None]))
     if at != dim:
         raise ValidationError(f"the blocks cover {at} of 'dim' {dim} indices")
-    return mats
+    return stacks
 
 
 # -- states and functions -----------------------------------------------------

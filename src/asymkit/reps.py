@@ -44,41 +44,39 @@ class UnitaryRep:
 
     Construction rejects non-finite entries, then verifies mats[0] = I,
     unitarity, and mats[a] @ mats[b] = mats[a*b] for all pairs, each within a
-    tolerance relative to the matrix norms.  Instances are immutable.  A
-    monomial rep (one nonzero per row and column, exact zeros elsewhere:
-    permutation and number reps, their sums and products) is kept as index and
-    phase arrays and validated on them in O(|G|^2 d), or in integers if its
-    entries are 0 or 1; the library builds such reps from those arrays, and
-    stacks their dense ``mats`` only when ``mats`` is first read.  A block rep (GNS's) keeps
-    its diagonal blocks' stacks, scattered the same way, and is certified by
-    :func:`_certify_blocks`.  Any other rep keeps its dense stack and its diagonal blocks'
-    slices, and is validated block by block.
+    tolerance relative to the matrix norms.  Instances are immutable.  A rep is held in one
+    of two forms, validated on it, and ``mats`` is scattered from it on first read (a dense
+    input keeps its stack).  A monomial rep (one nonzero per row and column, exact zeros
+    elsewhere: permutation and number reps, their sums and products) is kept as index and
+    phase arrays, validated in O(|G|^2 d), or in integers if its entries are 0 or 1.  Any
+    other rep keeps its diagonal blocks' stacks, cut once by :func:`_cut` to its exact-zero
+    pattern (a dense input is one block, a view unless it splits), and is validated block
+    by block, or certified by :func:`_certify_blocks` if GNS's.
     """
 
-    __slots__ = ("group", "dim", "_mats", "_monomial", "_blocks", "_stacks")
+    __slots__ = ("group", "dim", "_mats", "_monomial", "_stacks")
 
     def __init__(self, group: GroupTable, mats, _form=None):
-        if _form is None:  # else validated: mats None with (src, phase) or blocks' (cols, sub)
-            mats = np.asarray(mats, dtype=complex)  # stacks, or mats with its slices
+        if _form is None:  # else trusted: (src, phase), or (cols, sub) stacks to cut
+            mats = np.asarray(mats, dtype=complex)
             if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
                 raise DimensionMismatchError(
                     "mats must have shape (|G|, d, d) matching the group order"
                 )
-            _form = _sparsity_form(mats)
-            _validate_rep(group, mats, scaled_tol(mats), _form)
-        stacks = _form if mats is None and isinstance(_form, list) else None
-        _form = _sparsity_form(stacks) if stacks else _form
-        monomial = isinstance(_form, tuple)
-        self.group, self._mats, self._stacks = group, mats, None if monomial else stacks
-        self.dim = int(_form[0].shape[1] if monomial else _form[-1].stop if _form else 0)
-        self._monomial, self._blocks = (_form, None) if monomial else (None, _form)
-        if mats is not None:
+            _form = _cut([(np.arange(mats.shape[1])[None], mats[None])])
+            _validate_rep(group, _form)
             mats.setflags(write=False)
+        elif isinstance(_form, list):
+            _form = _cut(_form)
+        monomial = isinstance(_form, tuple)
+        self.group, self._mats = group, mats
+        self._monomial, self._stacks = (_form, None) if monomial else (None, _form)
+        self.dim = int(_form[0].shape[1]) if monomial else sum(c.size for c, _ in _form)
 
     @property
     def mats(self) -> np.ndarray:
-        """The read-only (|G|, d, d) stack; a monomial or block rep's is scattered from its
-        form on first read and kept (published only once complete)."""
+        """The read-only (|G|, d, d) stack; scattered from the rep's form on first read and
+        kept (published only once complete)."""
         if self._mats is None:
             n, d = self.group.order, self.dim
             mats, at = np.zeros((n, d, d), dtype=complex), np.arange(n)
@@ -91,28 +89,23 @@ class UnitaryRep:
         return self._mats
 
     def character(self) -> np.ndarray:
-        """Per-element trace vector tr U(g): a monomial rep's diagonal phases summed, or each
-        block's trace, in O(|G| d); a dense rep's is trace_against(I)."""
+        """Per-element trace vector tr U(g), in O(|G| d): diagonal phases, or block traces."""
         if self._monomial is not None:
             return np.where(self._monomial[0] == np.arange(self.dim), self._monomial[1], 0).sum(1)
-        if self._stacks is not None:
-            return sum(np.einsum("kgii->g", sub) for _, sub in self._stacks)
-        return self.trace_against(np.eye(self.dim))
+        return sum((np.einsum("kgii->g", sub) for _, sub in self._stacks),
+                   np.zeros(self.group.order, complex))  # a 0-dim rep's zeros
 
     def trace_against(self, x: np.ndarray) -> np.ndarray:
         """tr(x U(g)) for every g, a vector x standing for x x^dag; on a monomial rep the gather
         sum_i phase[g, i] x[src[g, i], i] in O(|G| d) (x[src[g, i]] conj x[i] of a vector: no d x d
-        array, the same products); on a block rep one einsum per block size, on x's blocks."""
+        array, the same products); else one einsum per block size, on x's blocks."""
         if x.ndim == 1 and self._monomial is not None:
             return (self._monomial[1] * (x[self._monomial[0]] * x.conj())).sum(axis=1)
         x = np.outer(x, x.conj()) if x.ndim == 1 else x
-        if self._stacks is not None:
-            return sum(np.einsum("kij,kgji->g", x[c[..., None], c[:, None]], m)
-                       for c, m in self._stacks)
-        if self._monomial is None:
-            return np.einsum("ij,gji->g", x, self.mats)
-        src, phase = self._monomial
-        return (phase * x[src, np.arange(self.dim)]).sum(axis=1)
+        if self._monomial is not None:
+            return (self._monomial[1] * x[self._monomial[0], np.arange(self.dim)]).sum(axis=1)
+        return sum((np.einsum("kij,kgji->g", x[c[..., None], c[:, None]], m)
+                    for c, m in self._stacks), np.zeros(self.group.order, complex))
 
     def conjugate(self, x: np.ndarray, g=slice(None)) -> np.ndarray:
         """U(g) x U(g)^dag stacked over g, a slice or index array; O(d^2) gathers if monomial."""
@@ -122,17 +115,6 @@ class UnitaryRep:
         src, ph = self._monomial[0][g], self._monomial[1][g]  # ph_i x[src_i, src_k] conj(ph_k)
         y = np.take(np.asarray(x, complex), src[:, :, None] * len(x) + src[:, None, :])
         return np.multiply(np.multiply(ph[:, :, None], y, out=y), ph.conj()[:, None, :], out=y)
-
-    def _diagonal(self) -> list[tuple[slice, np.ndarray]]:
-        """(b, mats[:, b, b]) for each slice b in _blocks; a block rep's cut from the last of its
-        blocks to start at or before b, as the slices refine the blocks."""
-        if self._stacks is None:
-            return [(b, self.mats[:, b, b]) for b in self._blocks]
-        at, out = {int(c[0]): m for cs, ms in self._stacks for c, m in zip(cs, ms)}, []
-        for b in self._blocks:
-            a, m = (b.start, at[b.start]) if b.start in at else (a, m)
-            out.append((b, m[:, b.start - a : b.stop - a, b.start - a : b.stop - a]))
-        return out
 
     def __repr__(self):
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
@@ -163,45 +145,54 @@ def _sparsity_form(mats) -> tuple[np.ndarray, np.ndarray] | list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(np.r_[0, ends[:-1]], ends)]
 
 
+def _cut(stacks: list) -> tuple[np.ndarray, np.ndarray] | list[tuple[np.ndarray, np.ndarray]]:
+    """The :func:`_sparsity_form` of the block rep of (cols, sub) stacks tiling range(d): monomial
+    (src, phase), or per slice size s ascending one (cols (k, s), sub (k, |G|, s, s)), the slices
+    in start order, each cut from its block; a stack the slices leave whole is kept as it is."""
+    form = _sparsity_form(stacks) if stacks else []
+    if isinstance(form, tuple) or not form:
+        return form
+    at, sizes = {int(c[0]): m for cs, ms in stacks for c, m in zip(cs, ms)}, {}
+    for b in form:  # the slices refine the blocks: a block's start is a slice's
+        a, m = (b.start, at[b.start]) if b.start in at else (a, m)
+        cut = slice(b.start - a, b.stop - a)
+        sizes.setdefault(cut.stop - cut.start, []).append((range(b.start, b.stop), m[:, cut, cut]))
+    out = []
+    for pieces in (sizes[s] for s in sorted(sizes)):
+        cols = np.array([c for c, _ in pieces])
+        whole = [st for st in stacks if np.array_equal(st[0], cols)]
+        out.append(whole[0] if whole else (cols, np.stack([m for _, m in pieces])))
+    return out
+
+
 def _monomial_rep(group: GroupTable, src: np.ndarray, phase: np.ndarray) -> UnitaryRep:
     """The rep with U(g)[i, src[g, i]] = phase[g, i], each row of src a permutation of
-    range(d), validated on (src, phase) with the checks, verdicts and messages of
-    :class:`UnitaryRep`, whose mats it never stacks; d = 0 gives the 0-dim dense rep."""
-    if not src.shape[1]:
-        return UnitaryRep(group, np.zeros((group.order, 0, 0)))
-    _validate_rep(group, None, scaled_tol(phase), (src, phase))  # ||mats||_F = ||phase||_F
-    return UnitaryRep(group, None, (src, phase))
+    range(d), validated on (src, phase) by :func:`_block_rep`; d = 0 gives the 0-dim rep."""
+    return _block_rep(group, (src, phase) if src.shape[1] else [])
 
 
-def _validate_rep(group: GroupTable, mats: np.ndarray | None, tol: float, form) -> None:
+def _block_rep(group: GroupTable, form) -> UnitaryRep:
+    """The rep of a monomial (src, phase), or of (cols, sub) stacks whose blocks tile range(d)
+    cut by :func:`_cut`, validated on its form with the checks, verdicts and messages of
+    :class:`UnitaryRep`, whose mats it never stacks; no stacks give the 0-dim rep."""
+    rep = UnitaryRep(group, None, form)
+    _validate_rep(group, rep._stacks if rep._monomial is None else rep._monomial)
+    return rep
+
+
+def _validate_rep(group: GroupTable, form) -> None:
     """Raise ValidationError unless every entry is finite and ||mats[0] - I||, every
-    ||U U^dag - I|| and every ||U(a) U(b) - U(ab)|| are <= tol.  Given mats'
-    :func:`_sparsity_form`: O(|G|^2 d) if monomial, read from (src, phase) alone (mats may
-    be None), else O(|G|^2 sum s^3).  Residuals of 0/1 entries (monomial, every phase
-    exactly 1) are 0 or >= sqrt 2, so such a rep passes iff src[ab] = src[b][src[a]] for
-    all a and each greedy generator b (the b that pass are closed under products), in
-    integers; if not, the float pass names the failing element."""
-    if not np.isfinite(form[1] if isinstance(form, tuple) else mats).all():
-        raise ValidationError("representation matrices have non-finite entries")
-    if isinstance(form, tuple):  # U(0) - I: phase - 1 on the diagonal, else phase and a -1
-        on = form[0][0] == np.arange(form[0].shape[1])
-        first = np.sqrt((abs(form[1][0] - on) ** 2 + ~on).sum())
-    else:
-        first = frob(mats[0] - np.eye(mats.shape[1]))
-    if not first <= tol:
-        raise ValidationError("representation invariant violated: mats[0] must be the identity")
+    ||U U^dag - I|| and every ||U(a) U(b) - U(ab)|| are <= tol = 1e-9 max(1, ||mats||_F), read
+    off a :func:`_cut` form: O(|G|^2 d) if monomial, else O(|G|^2 sum s^3).  Residuals of 0/1
+    entries (monomial, every phase exactly 1) are 0 or >= sqrt 2, so such a rep passes iff
+    src[ab] = src[b][src[a]] for all a and each greedy generator b (the b that pass are closed
+    under products), in integers; if not, the float pass names the failing element."""
+    tol = _identity_and_unitarity(group.order, form)[2]
     if isinstance(form, tuple) and (form[1] == 1).all():
         src = form[0]
         if all((src[group.mul[:, b]] == src[b][src]).all() for b in group._generators):
             return
-    if not isinstance(form, tuple):
-        form = _block_stacks(mats, form)
-    worst = float(_unitarity_residuals(mats, form).max())
-    if not worst <= tol:
-        raise ValidationError(
-            f"unitarity invariant violated: max ||U U^dag - I|| = {worst:.3e} > {tol:.3e}"
-        )
-    for a, row in enumerate(_homomorphism_residuals(mats, group.mul, form)):
+    for a, row in enumerate(_homomorphism_residuals(group.mul, form)):
         worst = float(row.max())
         if not worst <= tol:
             raise ValidationError(
@@ -209,28 +200,52 @@ def _validate_rep(group: GroupTable, mats: np.ndarray | None, tol: float, form) 
             )
 
 
-def _unitarity_residuals(mats: np.ndarray, form) -> np.ndarray:
-    """||U(g) U(g)^dag - I|| for every g; a monomial U U^dag is diag |phase|^2, and the
-    squares of :func:`_block_stacks` residuals add up."""
+def _identity_and_unitarity(n: int, form) -> tuple[float, float, float]:
+    """||mats[0] - I||, max_g ||U U^dag - I|| and tol = 1e-9 max(1, ||mats||_F) of a monomial
+    form (U(0) - I: phase - 1 on the diagonal, else phase and a -1) or stacks over n elements,
+    or ValidationError for a non-finite entry or a residual over tol."""
+    arrays = [form[1]] if isinstance(form, tuple) else [m for _, m in form]
+    if not all(np.isfinite(m).all() for m in arrays):
+        raise ValidationError("representation matrices have non-finite entries")
+    tol = scaled_tol([frob(m) for m in arrays])
+    if isinstance(form, tuple):
+        on = form[0][0] == np.arange(form[0].shape[1])
+        first = float(np.sqrt((abs(form[1][0] - on) ** 2 + ~on).sum()))
+    else:
+        first = float(np.sqrt(sum(frob(m[:, 0] - np.eye(m.shape[-1])) ** 2 for m in arrays)))
+    if not first <= tol:
+        raise ValidationError("representation invariant violated: mats[0] must be the identity")
+    worst = float(_unitarity_residuals(n, form).max())
+    if not worst <= tol:
+        raise ValidationError(
+            f"unitarity invariant violated: max ||U U^dag - I|| = {worst:.3e} > {tol:.3e}"
+        )
+    return first, worst, tol
+
+
+def _unitarity_residuals(n: int, form) -> np.ndarray:
+    """||U(g) U(g)^dag - I|| for each of n elements g; a monomial U U^dag is diag |phase|^2,
+    and the squares of the blocks' residuals add up."""
     if isinstance(form, tuple):
         return np.sqrt(((abs(form[1]) ** 2 - 1.0) ** 2).sum(axis=1))
-    sq = np.zeros(len(mats))
-    for stack in form:
-        for g in _chunk_slices(len(mats), stack[:, :, 0].nbytes):
-            u = stack[:, :, g].transpose(2, 0, 1, 3)
-            sq[g] += _frob_each(u @ _dagger(u) - np.eye(stack.shape[1])) ** 2
+    sq = np.zeros(n)
+    for _, m in form:
+        for g in _chunk_slices(n, m[:, 0].nbytes):
+            u = m[:, g].swapaxes(0, 1)  # [g, block, i, l]
+            sq[g] += _frob_each(u @ _dagger(u) - np.eye(m.shape[-1])) ** 2
     return np.sqrt(sq)
 
 
-def _homomorphism_residuals(mats: np.ndarray | None, mul: np.ndarray, form):
+def _homomorphism_residuals(mul: np.ndarray, form):
     """Yield ||U(a) U(b) - U(ab)|| over b for each a in turn, computed in chunks of a.
     Row i of a monomial U(a) U(b) holds phase[a, i] * phase[b, src[a, i]] at column
     src[b, src[a, i]]; a block U_j(a) multiplies every U_j(b) side by side."""
     n = len(mul)
     if not isinstance(form, tuple):
-        for rows in _chunk_slices(n, sum(stack.nbytes for stack in form)):
+        wide = [np.ascontiguousarray(m.transpose(0, 2, 1, 3)) for _, m in form]  # [j, i, g, l]
+        for rows in _chunk_slices(n, sum(st.nbytes for st in wide)):
             sq = np.zeros((len(mul[rows]), n))
-            for st in form:
+            for st in wide:
                 k, s = st.shape[:2]
                 prod = st[:, :, rows].transpose(0, 2, 1, 3) @ st.reshape(k, 1, s, n * s)
                 diff = prod.reshape(k, -1, s, n, s)  # [j, a, i, b, l]
@@ -251,32 +266,16 @@ def _homomorphism_residuals(mats: np.ndarray | None, mul: np.ndarray, form):
 def _certify_blocks(host: UnitaryRep, w: np.ndarray, stacks: list) -> tuple[float, float, float]:
     """||B(0) - I||, max_g ||B B^dag - I|| and a bound on every ||B(a) B(b) - B(ab)||_F for the
     rep B of blocks (cols, sub), or ValidationError if one exceeds 1e-9 max(1, ||B||_F).  The
-    first two are read off the blocks.  With (r, e, b) the :func:`_intertwiner_residual` of W
-    (L, d) against host, a 0/1 rep, and F = W U - B W: (B(a) B(b) - B(ab)) W = F(ab) - F(a) U(b)
-    - B(a) F(b), and X = X W W^dag (W W^dag)^-1, so the bound is (2 + sqrt b) r sqrt(1 + e) /
-    (1 - e), infinite if e >= 1."""
-    tol = scaled_tol(np.sqrt(sum(frob(m) ** 2 for _, m in stacks)))
-    first = float(np.sqrt(sum(frob(m[:, 0] - np.eye(m.shape[-1])) ** 2 for _, m in stacks)))
-    if not first <= tol:
-        raise ValidationError("representation invariant violated: mats[0] must be the identity")
-    sq = sum((abs(m @ _dagger(m) - np.eye(m.shape[-1])) ** 2).sum((0, 2, 3)) for _, m in stacks)
-    worst = float(np.sqrt(sq.max()))
-    if not worst <= tol:
-        raise ValidationError(
-            f"unitarity invariant violated: max ||U U^dag - I|| = {worst:.3e} > {tol:.3e}"
-        )
+    first two are :func:`_identity_and_unitarity`'s.  With (r, e, b) the
+    :func:`_intertwiner_residual` of W (L, d) against host, a 0/1 rep, and F = W U - B W:
+    (B(a) B(b) - B(ab)) W = F(ab) - F(a) U(b) - B(a) F(b), and X = X W W^dag (W W^dag)^-1, so
+    the bound is (2 + sqrt b) r sqrt(1 + e) / (1 - e), infinite if e >= 1."""
+    first, worst, tol = _identity_and_unitarity(host.group.order, stacks)
     r, e, b = _intertwiner_residual(host, w, [(None, c[:, :, None], m) for c, m in stacks])
     bound = float((2 + np.sqrt(b)) * r * np.sqrt(1 + e) / (1 - e)) if e < 1 else np.inf
     if not bound <= tol:
         raise ValidationError(f"homomorphism invariant violated: bound {bound:.3e} > {tol:.3e}")
     return first, worst, bound
-
-
-def _block_stacks(mats: np.ndarray, blocks: list[slice]) -> list[np.ndarray]:
-    """Per block size s, the (k, s, |G|, s) stack of its k blocks: [j, i, g, l] = U(g)_j[i, l]."""
-    g, spans = np.arange(len(mats))[:, None], [np.arange(b.start, b.stop) for b in blocks]
-    idx = [np.array([i for i in spans if len(i) == s]) for s in sorted({len(i) for i in spans})]
-    return [mats[g, i[:, :, None, None], i[:, None, None, :]] for i in idx]
 
 
 def _chunk_slices(n: int, bytes_each: int) -> list[slice]:
@@ -354,21 +353,20 @@ def _kron_rep(a: UnitaryRep, b: UnitaryRep, conj: bool = False) -> UnitaryRep | 
 
 def direct_sum_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
     """Block-diagonal sum g -> a(g) directsum b(g): two monomial forms concatenated, else the
-    dense stack and its form.  Not validated again on |G| >= 2: residuals of a block-diagonal
-    stack add in squares, a 0-dim summand has none, and a valid one of dim >= 1 has
-    ||M||_F > 1 (two near-unitary terms), so r^2 = r_a^2 + r_b^2 <= tol_a^2 + tol_b^2 = tol^2
-    for tol = 1e-9 ||M||_F."""
+    summands' blocks, cut anew.  Not validated again on
+    |G| >= 2: residuals of a block-diagonal stack add in squares, a 0-dim summand has none, and
+    a valid one of dim >= 1 has ||M||_F > 1 (two near-unitary terms), so r^2 = r_a^2 + r_b^2
+    <= tol_a^2 + tol_b^2 = tol^2 for tol = 1e-9 ||M||_F."""
     if not same_group(a.group, b.group):
         raise GroupMismatchError("direct_sum_rep requires both summands over the same group")
-    n, d = a.group.order, a.dim + b.dim
     if a._monomial is not None and b._monomial is not None:
         (src_a, ph_a), (src_b, ph_b) = a._monomial, b._monomial
         form = np.hstack([src_a, src_b + a.dim]), np.hstack([ph_a, ph_b])
-        return UnitaryRep(a.group, None, form) if n > 1 else _monomial_rep(a.group, *form)
-    mats = np.zeros((n, d, d), dtype=complex)
-    mats[:, : a.dim, : a.dim] = a.mats
-    mats[:, a.dim :, a.dim :] = b.mats
-    return UnitaryRep(a.group, mats, None if n == 1 else _sparsity_form(mats))
+    else:  # a monomial summand's mats as one block
+        st_a, st_b = (r._stacks if r._monomial is None else [(np.arange(r.dim)[None], r.mats[None])]
+                      for r in (a, b))
+        form = st_a + [(c + a.dim, m) for c, m in st_b]
+    return UnitaryRep(a.group, None, form) if a.group.order > 1 else _block_rep(a.group, form)
 
 
 def twirl_operator(r: UnitaryRep, x: np.ndarray) -> np.ndarray:

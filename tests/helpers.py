@@ -215,6 +215,22 @@ def dense_rep_residuals(mul: np.ndarray, mats: np.ndarray):
     return identity, unitarity, homomorphism
 
 
+def slice_stacks(mats: np.ndarray, blocks: list[slice]) -> list:
+    """The (cols, sub) stacks of mats' diagonal blocks at the given slices, one per block
+    size s in ascending order, sub (k, |G|, s, s): the form a rep of those blocks holds."""
+    spans = [np.arange(b.start, b.stop) for b in blocks]
+    out = []
+    for s in sorted({len(i) for i in spans}):
+        cols = np.array([i for i in spans if len(i) == s])
+        out.append((cols, mats[:, cols[:, :, None], cols[:, None, :]].transpose(1, 0, 2, 3)))
+    return out
+
+
+def stack_spans(r) -> list[tuple[int, int]]:
+    """The (start, stop) of every diagonal block a non-monomial rep holds, in start order."""
+    return sorted((int(c[0]), int(c[-1]) + 1) for cs, _ in r._stacks for c in cs)
+
+
 def perm_rep(group) -> ak.UnitaryRep:
     """Defining permutation rep of S_n, read off the element labels."""
     perms = [[int(c) for c in label] for label in group.labels]

@@ -9,18 +9,21 @@ from conftest import _build_groups
 from helpers import (
     MALFORMED,
     PAIR_KINDS,
+    blocked_rep,
+    dense_charfunc,
     malformed_payload,
     pair_payloads,
     perm_rep,
     reference_canonical_dumps,
     rejected_inputs,
+    stack_spans,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import asymkit as ak
-from asymkit import jsonio
+from asymkit import jsonio, reps
 from asymkit.linalg import haar_unitary
 
 
@@ -220,7 +223,10 @@ def test_rep_round_trip_bit_identical_in_its_form(request, name):
     assert form_of(obj) == [form]
     back = jsonio.rep_from_json(obj)
     assert back.mats.tobytes() == r.mats.tobytes()
-    assert (back._monomial is None, back._blocks) == (r._monomial is None, r._blocks)
+    assert (back._monomial is None) == (r._monomial is None)
+    if r._monomial is None:  # the same diagonal blocks, bit for bit
+        assert stack_spans(back) == stack_spans(r)
+        assert [m.tobytes() for _, m in back._stacks] == [m.tobytes() for _, m in r._stacks]
 
 
 @pytest.mark.parametrize("name", ["z16-number-x3", "regular-s4"])
@@ -230,6 +236,126 @@ def test_old_dense_file_of_monomial_rep_loads(request, name):
     back = jsonio.rep_from_json(json.loads(json.dumps(old)))
     assert back.mats.tobytes() == r.mats.tobytes()
     assert back._monomial is not None
+
+
+def block_file_reps() -> dict:
+    """Non-monomial reps with several diagonal blocks or one: a GNS rep of S4, the blocked
+    rep of Z4 (2 + 1) and the Haar-conjugated regular rep of S3 (one block)."""
+    rng = np.random.default_rng(5)
+    s3, s4 = ak.make_symmetric(3), ak.make_symmetric(4)
+    v = haar_unitary(6, rng)
+    chi = ak.charfunc(ak.random_pure_state(24, rng), ak.regular_rep(s4))
+    return {
+        "gns s4": ak.gns_construct(chi).rep,
+        "blocked z4": blocked_rep(ak.make_cyclic(4)),
+        "haar s3 regular": ak.UnitaryRep(s3, v @ ak.regular_rep(s3).mats @ v.conj().T),
+    }
+
+
+def block_and_mats_files(r, corrupt=None) -> tuple[dict, dict]:
+    """r's diagonal blocks, after corrupt edits the list of (start, (|G|, s, s)) in place, as
+    a `blocks` file and as a `mats` file of the same stack, each read back from JSON text."""
+    blocks = [(int(c[0]), m.copy()) for cs, ms in r._stacks for c, m in zip(cs, ms)]
+    blocks.sort(key=lambda blk: blk[0])
+    if corrupt is not None:
+        corrupt(blocks)
+    mats = np.zeros((r.group.order, r.dim, r.dim), dtype=complex)
+    for a, m in blocks:
+        mats[:, a : a + m.shape[1], a : a + m.shape[1]] = m
+    head = {"group": ak.group_to_json(r.group), "dim": r.dim}
+    by_blocks = {**head, "blocks": [{"start": a, "mats": jsonio.matrix_to_json(m)}
+                                    for a, m in blocks]}
+    by_mats = {**head, "mats": jsonio.matrix_to_json(mats)}
+    return json.loads(json.dumps(by_blocks)), json.loads(json.dumps(by_mats))
+
+
+def _swap_identity(blocks):
+    for _, m in blocks:
+        m[[0, 1]] = m[[1, 0]]
+
+
+def _scale_one(blocks):
+    blocks[-1][1][1] *= 1 + 1e-6
+
+
+def _swap_elements(blocks):
+    m = max(blocks, key=lambda blk: blk[1].shape[1])[1]
+    m[[1, 2]] = m[[2, 1]]
+
+
+def _nan_entry(blocks):
+    blocks[0][1][1, 0, 0] = np.nan
+
+
+BLOCK_CORRUPTIONS = {"identity slot moved": _swap_identity, "one block scaled": _scale_one,
+                     "two elements swapped": _swap_elements, "one NaN entry": _nan_entry}
+
+
+@pytest.mark.parametrize("name", list(block_file_reps()))
+def test_blocks_file_is_read_into_its_blocks(name, rng):
+    """A `blocks` file is read into the block form with no dense stack, which charfunc, the
+    character and the writer never build; its stacks, chi and file are the `mats` file's."""
+    r = block_file_reps()[name]
+    by_blocks, by_mats = block_and_mats_files(r)
+    back, dense = jsonio.rep_from_json(by_blocks), jsonio.rep_from_json(by_mats)
+    psi = ak.random_pure_state(r.dim, rng)
+    chi, trace, obj = ak.charfunc(psi, back).values, back.character(), jsonio.rep_to_json(back)
+    assert back._monomial is None and back._mats is None
+    assert stack_spans(back) == stack_spans(dense) == stack_spans(r)
+    assert [m.tobytes() for _, m in back._stacks] == [m.tobytes() for _, m in dense._stacks]
+    assert chi.tobytes() == ak.charfunc(psi, dense).values.tobytes()
+    assert np.abs(chi - dense_charfunc(psi, dense)).max() <= 1e-12
+    assert trace.tobytes() == dense.character().tobytes()
+    assert obj == jsonio.rep_to_json(dense) == jsonio.rep_to_json(r)
+    assert back.mats.tobytes() == dense.mats.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_CORRUPTIONS))
+@pytest.mark.parametrize("name", list(block_file_reps()))
+def test_malformed_blocks_file_fails_as_its_mats_file(name, kind):
+    by_blocks, by_mats = block_and_mats_files(block_file_reps()[name], BLOCK_CORRUPTIONS[kind])
+    with pytest.raises(ak.ValidationError) as from_blocks:
+        jsonio.rep_from_json(by_blocks)
+    with pytest.raises(ak.ValidationError) as from_mats:
+        jsonio.rep_from_json(by_mats)
+    assert type(from_blocks.value) is type(from_mats.value)
+    assert str(from_blocks.value) == str(from_mats.value)
+
+
+@pytest.mark.parametrize("name", ["regular s4", "z16 number"])
+def test_blocks_file_of_monomial_rep_loads_as_monomial(name):
+    """One block (the regular rep) or a 1x1 block per index (the number rep)."""
+    if name == "regular s4":
+        r = ak.regular_rep(ak.make_symmetric(4))
+        blocks = [{"start": 0, "mats": jsonio.matrix_to_json(r.mats)}]
+    else:
+        r = ak.number_rep(ak.make_cyclic(16), [0, 3, 3, 7, -5])
+        blocks = [{"start": i, "mats": jsonio.matrix_to_json(r.mats[:, i : i + 1, i : i + 1])}
+                  for i in range(r.dim)]
+    obj = {"group": ak.group_to_json(r.group), "dim": r.dim, "blocks": blocks}
+    back = jsonio.rep_from_json(json.loads(json.dumps(obj)))
+    assert back._monomial is not None and back._mats is None
+    assert all(np.array_equal(x, y) for x, y in zip(back._monomial, r._monomial))
+
+
+def test_blocks_file_builds_no_dense_stack(monkeypatch):
+    """Reading the `blocks` file of a GNS rep of D50 (L = 100) allocates well under its
+    (|G|, L, L) stack, with the pairwise check in small chunks, and builds no `mats`."""
+    group = ak.make_dihedral(50)
+    chi = ak.charfunc(ak.random_pure_state(100, np.random.default_rng(2)), ak.regular_rep(group))
+    r = ak.gns_construct(chi).rep
+    obj = json.loads(json.dumps(jsonio.rep_to_json(r)))
+    dense_bytes = group.order * r.dim**2 * 16
+    assert r.dim == 100 and len(obj["blocks"]) > 1
+    monkeypatch.setattr(reps, "_STACK_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        back = jsonio.rep_from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back._mats is None and stack_spans(back) == stack_spans(r)
+    assert peak < dense_bytes / 4
 
 
 READERS = {

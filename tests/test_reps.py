@@ -1,19 +1,24 @@
 """Representation construction, twirling, and irreducible decomposition."""
 
+import json
+
 import numpy as np
 import pytest
 
 import asymkit as ak
-from asymkit import reps
+from asymkit import jsonio, reps
 from asymkit.groups import group_from_json, group_to_json
 from asymkit.linalg import frob, haar_unitary, random_complex, random_hermitian, scaled_tol
 from helpers import (
     assert_matches_character_table,
     block_matrix,
+    dense_charfunc,
     dense_reconstruction_residual,
     dense_rep_residuals,
     per_isotype_decompose,
     perm_rep,
+    slice_stacks,
+    stack_spans,
 )
 
 
@@ -724,11 +729,12 @@ def malformed_monomial(kind):
 
 
 def residual_rows(group, mats, form):
-    """The library's unitarity and homomorphism rows, given a monomial form or block slices."""
+    """The library's unitarity and homomorphism rows, given a monomial form or block slices
+    (read as the stacks of mats' blocks at the slices)."""
     if not isinstance(form, tuple):
-        form = reps._block_stacks(mats, form)
-    rows = list(reps._homomorphism_residuals(mats, group.mul, form))
-    return reps._unitarity_residuals(mats, form), np.array(rows)
+        form = slice_stacks(mats, form)
+    rows = list(reps._homomorphism_residuals(group.mul, form))
+    return reps._unitarity_residuals(group.order, form), np.array(rows)
 
 
 class TestMonomialPath:
@@ -758,7 +764,7 @@ class TestMonomialPath:
         with pytest.raises(ak.ValidationError, match=fragment) as monomial:
             ak.UnitaryRep(group, mats)
         with pytest.raises(ak.ValidationError) as dense:  # one block: the dense case
-            reps._validate_rep(group, mats, scaled_tol(mats), [slice(0, mats.shape[1])])
+            reps._validate_rep(group, slice_stacks(mats, [slice(0, mats.shape[1])]))
         assert str(monomial.value) == str(dense.value)
         _, unitarity, homomorphism = dense_rep_residuals(group.mul, mats)
         got_unitarity, got_homomorphism = residual_rows(group, mats, form)
@@ -906,7 +912,7 @@ class TestBlockPath:
         with pytest.raises(ak.ValidationError, match=f"at element {first}: residual ") as blocks:
             ak.UnitaryRep(group, mats)
         with pytest.raises(ak.ValidationError) as dense:
-            reps._validate_rep(group, mats, tol, [slice(0, mats.shape[1])])
+            reps._validate_rep(group, slice_stacks(mats, [slice(0, mats.shape[1])]))
         assert str(blocks.value) == str(dense.value)
 
     @pytest.mark.parametrize("at", [(0, 8), (8, 0)], ids=["upper", "lower"])
@@ -927,6 +933,32 @@ class TestBlockPath:
         assert form == [slice(0, 9)]
         ak.UnitaryRep(group, mats)
         self.assert_rows_match_dense(group, mats, form)
+
+    @pytest.mark.parametrize("trusted", [False, True], ids=["validated", "trusted"])
+    def test_split_block_is_cut(self, block_reps, monkeypatch, trusted, rng):
+        """One block that splits 6 + 3, through _block_rep or the constructor GNS uses, is cut
+        once into stacks of sizes 3 and 6 at its dense stack's slices, and _block_rep checks
+        the cut stacks; its JSON is the two blocks, which read back to the same stacks."""
+        group, mats, blocks = block_reps["s3 dense 6 + dense 3"]
+        one, checks, real = [(np.arange(9)[None], mats[None])], [], reps._validate_rep
+        monkeypatch.setattr(reps, "_validate_rep", lambda *args: checks.append(args) or real(*args))
+        r = reps.UnitaryRep(group, None, one) if trusted else reps._block_rep(group, one)
+        monkeypatch.undo()
+        assert r._monomial is None and r._mats is None
+        assert [c.shape for c, _ in r._stacks] == [(1, 3), (1, 6)]
+        assert [args[1] is r._stacks for args in checks] == ([] if trusted else [True])
+        obj = json.loads(json.dumps(jsonio.rep_to_json(r)))
+        assert [blk["start"] for blk in obj["blocks"]] == [0, 6]
+        back = jsonio.rep_from_json(obj)
+        assert stack_spans(back) == stack_spans(r)
+        assert [m.tobytes() for _, m in back._stacks] == [m.tobytes() for _, m in r._stacks]
+        states = [ak.random_pure_state(9, rng), ak.random_mixed_state(9, rng, rank=2)]
+        chis = [ak.charfunc(s, r).values for s in states]
+        assert r._mats is None
+        for s, chi in zip(states, chis):
+            assert np.abs(chi - dense_charfunc(s, r)).max() <= 1e-12
+        assert r.mats.tobytes() == mats.tobytes()
+        assert stack_spans(r) == [(b.start, b.stop) for b in reps._sparsity_form(r.mats)] == blocks
 
     def test_zero_dimensional_rep(self, groups):
         mats = np.zeros((4, 0, 0), dtype=complex)
@@ -1061,9 +1093,10 @@ def corrupted(name, kind, rng):
 
 
 def validation_outcome(group, mats, form):
-    """None if _validate_rep accepts mats given form, else the message it raises."""
+    """None if _validate_rep accepts mats given its monomial form or block slices (read as the
+    stacks of mats' blocks at the slices), else the message it raises."""
     try:
-        reps._validate_rep(group, mats, scaled_tol(mats), form)
+        reps._validate_rep(group, form if isinstance(form, tuple) else slice_stacks(mats, form))
     except ak.ValidationError as exc:
         return str(exc)
     return None

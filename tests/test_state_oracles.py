@@ -100,7 +100,8 @@ class TestCharfuncGather:
             monkeypatch.setattr(np, "einsum", counting_einsum)
             chi = ak.charfunc(s, r).values
             monkeypatch.undo()
-            assert calls == ["ij,gji->g"]  # a pure state's psi psi^dag goes to the one einsum
+            # a pure state's psi psi^dag goes to one einsum per block size, on its blocks
+            assert calls == ["kij,kgji->g"] * len(r._stacks)
             assert np.array_equal(chi, np.einsum("ij,gji->g", s.density(), r.mats))
             assert np.abs(chi - want).max() <= TOL
 
