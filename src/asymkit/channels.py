@@ -118,8 +118,9 @@ def is_g_covariant(
 
     Measures max_g || Choi(U_out(g) o E o U_in(g)^dag) - Choi(E) ||_F, covariant iff
     <= tol * max(1, ||Choi(E)||_F) (tol >= 0).  With D = d_in d_out, each g costs O(D^2), J
-    conjugated by U_out kron conj U_in, if both reps are monomial, else O(D^2 r) from the
-    r <= D Kraus operators U_out(g) K U_in(g)^dag (thin QR first); g goes in budgeted chunks.
+    gathered by U_out kron conj U_in (no phase products if all are 1) if both reps are monomial,
+    else O(D^2 r) from the r <= D Kraus operators U_out(g) K U_in(g)^dag (thin QR first); g goes
+    in budgeted chunks, and J is taken off each chunk's fresh stack in place.
     """
     if not tol >= 0:
         raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
@@ -140,7 +141,7 @@ def is_g_covariant(
             a = r_out.mats[g, None] @ kraus @ _dagger(r_in.mats[g])[:, None]
             a = a.reshape(len(a), *flat.shape)
             choi_g = a.transpose(0, 2, 1) @ a.conj()
-        worst = max(worst, float(_frob_each(choi_g - j).max()))
+        worst = max(worst, float(_frob_each(np.subtract(choi_g, j, out=choi_g)).max()))
     return CovarianceCheck(covariant=bool(worst <= tol * max(1.0, frob(j))), residual=worst)
 
 
@@ -168,12 +169,11 @@ def twirl_channel(c: QuantumChannel, r: UnitaryRep) -> QuantumChannel:
 def uniform_twirl_over_subgroup(r: UnitaryRep, k: SubgroupRef | object) -> QuantumChannel:
     """rho -> (1/|K|) sum_{k in K} U(k) rho U(k)^dag for a subgroup K.
 
-    Covariant under the whole group whenever K is normal in it.
+    Covariant under the whole group whenever K is normal in it; scatters only |K| matrices.
     """
     if not isinstance(k, SubgroupRef):
         k = subgroup(r.group, k)
-    mats = r.mats[list(k.elements)] / np.sqrt(len(k))
-    return QuantumChannel(mats)
+    return QuantumChannel(r._scatter(list(k.elements)) / np.sqrt(len(k)))
 
 
 def embed_channel(c: QuantumChannel, r_in: UnitaryRep, r_out: UnitaryRep) -> QuantumChannel:

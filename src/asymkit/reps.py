@@ -78,15 +78,19 @@ class UnitaryRep:
         """The read-only (|G|, d, d) stack; scattered from the rep's form on first read and
         kept (published only once complete)."""
         if self._mats is None:
-            n, d = self.group.order, self.dim
-            mats, at = np.zeros((n, d, d), dtype=complex), np.arange(n)
-            if self._monomial is not None:
-                mats[at[:, None], np.arange(d), self._monomial[0]] = self._monomial[1]
-            for cols, sub in self._stacks or ():  # [block, g, row, column]
-                mats[at[:, None, None], cols[:, None, :, None], cols[:, None, None, :]] = sub
-            mats.setflags(write=False)
-            self._mats = mats
+            self._mats = self._scatter()
         return self._mats
+
+    def _scatter(self, g=slice(None)) -> np.ndarray:
+        """U(g) for a slice or index array g: the kept stack's rows, else scattered, read-only."""
+        if self._mats is not None:
+            return self._mats[g]
+        mats = np.zeros((np.arange(self.group.order)[g].size, self.dim, self.dim), dtype=complex)
+        if self._monomial is not None:  # U(g)[i, src[g, i]] = phase[g, i]
+            np.put_along_axis(mats, self._monomial[0][g, :, None], self._monomial[1][g, :, None], 2)
+        for cols, sub in self._stacks or ():  # [g, block, row, column]
+            mats[:, cols[:, :, None], cols[:, None, :]] = sub[:, g].swapaxes(0, 1)
+        return mats.setflags(write=False) or mats
 
     def character(self) -> np.ndarray:
         """Per-element trace vector tr U(g), in O(|G| d): diagonal phases, or block traces."""
@@ -108,13 +112,16 @@ class UnitaryRep:
                     for c, m in self._stacks), np.zeros(self.group.order, complex))
 
     def conjugate(self, x: np.ndarray, g=slice(None)) -> np.ndarray:
-        """U(g) x U(g)^dag stacked over g, a slice or index array; O(d^2) gathers if monomial."""
+        """U(g) x U(g)^dag stacked over g, a slice or index array, always a fresh array the caller
+        may overwrite; O(d^2) gathers if monomial, times the phases unless all are exactly 1."""
         if self._monomial is None:
             u = self.mats[g]
             return u @ x @ _dagger(u)
         src, ph = self._monomial[0][g], self._monomial[1][g]  # ph_i x[src_i, src_k] conj(ph_k)
         y = np.take(np.asarray(x, complex), src[:, :, None] * len(x) + src[:, None, :])
-        return np.multiply(np.multiply(ph[:, :, None], y, out=y), ph.conj()[:, None, :], out=y)
+        if not (ph == 1).all():  # a product by 1 + 0j would change at most the sign of a zero
+            np.multiply(np.multiply(ph[:, :, None], y, out=y), ph.conj()[:, None, :], out=y)
+        return y
 
     def __repr__(self):
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
@@ -535,9 +542,10 @@ class IrrepDecomposition:
 def _intertwiner_residual(rep: UnitaryRep, w: np.ndarray, shapes: list) -> tuple:
     """r = max_g ||W U(g) - B(g) W||_F, e = ||W W^dag - I||_F, b = 1 + max ||B_c B_c^dag - I||_F for
     W (L, d), B(g) = directsum_c B_c(g) (x) I_{n_c} per shape (_, rows (k, d_c, n_c) of W, B_c
-    (k, |G|, d_c, d_c)).  Per shape and chunk of g, rows of W U(g) are one gather (of W if monomial,
-    else of W U(g)), of B(g) W one product: O(|G| d sum d_c^2 n_c + L^2 d), or O(|G| L d^2)."""
-    w, d, n = np.ascontiguousarray(w), rep.dim, rep.group.order
+    (k, |G|, d_c, d_c)).  Per shape and chunk of g, rows of W U(g) are one gather (of W, times the
+    phases unless all are 1, if monomial, else of W U(g)), of B(g) W one product:
+    O(|G| d sum d_c^2 n_c + L^2 d), or O(|G| L d^2)."""
+    w, d, n, phase = np.ascontiguousarray(w), rep.dim, rep.group.order, None
     e, b, mono, r = frob(w @ _dagger(w) - np.eye(len(w))), 1.0, rep._monomial, 0.0
     parts = []  # per shape: flat index of row [j, m, a] in x, mats, W's rows [j, m, (a, col)]
     for _, rows, m in shapes:  # U U^dag summed over columns: no tiny matmuls
@@ -545,15 +553,15 @@ def _intertwiner_residual(rep: UnitaryRep, w: np.ndarray, shapes: list) -> tuple
         b = max(b, 1 + _frob_each((gram - np.eye(m.shape[-1])).reshape(len(m), -1)).max())
         parts.append((rows[:, None, :, :, None] * d, m, w[rows].reshape(*rows.shape[:2], -1)))
     if mono is not None:  # (W U(g))[:, col] = W[:, at[g, col]] phase[g, at[g, col]]
-        at = np.argsort(mono[0], axis=1)
-        phase = np.take_along_axis(mono[1], at, axis=1)[:, None, None]
+        at, unit = np.argsort(mono[0], axis=1), (mono[1] == 1).all()
+        phase = None if unit else np.take_along_axis(mono[1], at, axis=1)[:, None, None]
     for g in _chunk_slices(n, w.nbytes):  # cols: flat index of [row 0, col] in x, per g
         x = w if mono is not None else w @ rep.mats[g]
         cols = at[g] if mono is not None else np.arange(len(x))[:, None] * w.size + np.arange(d)
         sq = 0.0
         for at_row, m, wr in parts:  # diff[j, g, m, a, col], as B(g) W comes out
             diff = np.take(x, at_row + cols[:, None, None])
-            if mono is not None:
+            if phase is not None:
                 diff *= phase[g]
             k, d_mu = wr.shape[:2]  # B(g) W: outer products if d_mu = 1, else small products
             bw = m[:, g] * wr[:, None] if d_mu == 1 else m[:, g].reshape(k, -1, d_mu) @ wr
@@ -653,14 +661,16 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
 
 
 def _subreps(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
-    """q_j^dag U(g) q_j in chunks of g for a stack q (k, d, m); U(g) q_j is a gather if monomial."""
+    """q_j^dag U(g) q_j in chunks of g for a stack q (k, d, m); U(g) q_j is a gather if monomial,
+    times the phases unless all are exactly 1 (a 0/1 form, as GNS's regular host has)."""
     out, qh = np.empty((len(q), r.group.order, *q.shape[2:] * 2), complex), _dagger(q)[:, None]
+    unit = r._monomial is not None and (r._monomial[1] == 1).all()
     for g in _chunk_slices(r.group.order, q.nbytes):
         if r._monomial is None:
             out[:, g] = qh @ r.mats[g] @ q[:, None]
         else:  # a contiguous operand (np.take): numpy's matmul rounding turns on layout
             x = np.take(q, r._monomial[0][g], axis=1)
-            out[:, g] = qh @ np.multiply(r._monomial[1][g, :, None], x, out=x)
+            out[:, g] = qh @ (x if unit else np.multiply(r._monomial[1][g, :, None], x, out=x))
     return out
 
 

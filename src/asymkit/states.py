@@ -296,12 +296,12 @@ def symmetry_subgroup(s: QuantumState, r: UnitaryRep, tol: float = 1e-8) -> Subg
         raise DimensionMismatchError(
             f"state dimension {s.dim} does not match representation dimension {r.dim}"
         )
-    rho = s.density()
-    chunks = _chunk_slices(r.group.order, rho.nbytes)
-    moved = np.concatenate([_frob_each(r.conjugate(rho, g) - rho) for g in chunks])
-    members = np.flatnonzero(moved <= tol)
+    rho, moved = s.density(), np.empty(r.group.order)
+    for g in _chunk_slices(r.group.order, rho.nbytes):
+        y = r.conjugate(rho, g)  # a fresh stack: rho is taken off in place
+        moved[g] = _frob_each(np.subtract(y, rho, out=y))
     try:
-        return subgroup(r.group, members)
+        return subgroup(r.group, np.flatnonzero(moved <= tol))
     except InvalidSubgroupError as exc:
         raise ToleranceError(
             f"symmetry set is not a subgroup ({exc}); tolerance misconfigured"

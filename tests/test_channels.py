@@ -6,7 +6,7 @@ import pytest
 import asymkit as ak
 from asymkit import reps
 from asymkit.linalg import frob, haar_unitary
-from helpers import dense_covariance_residual, perm_rep
+from helpers import blocked_rep, dense_covariance_residual, perm_rep
 
 
 def plus_state(dim, a, b):
@@ -145,6 +145,28 @@ class TestSubgroupTwirl:
         with pytest.raises(ak.InvalidSubgroupError):
             ak.uniform_twirl_over_subgroup(regular_reps["s3"], [0, 3])
 
+    @pytest.mark.parametrize(
+        "name", ["d4 regular", "s4 perm x s4 perm", "z16 number", "blocked z4", "dense d4"]
+    )
+    def test_kraus_are_the_dense_rows(self, groups, name):
+        """The Kraus operators are bit for bit mats[K] / sqrt|K|, and only a rep that already
+        kept its dense stack has one after the call."""
+        perm, d4 = perm_rep(groups["s4"]), ak.regular_rep(groups["d4"])
+        dense = _conjugated(ak.regular_rep(groups["d4"]), np.random.default_rng(5))
+        a4 = [g for g in range(24) if np.linalg.det(perm.mats[g]).real > 0]
+        r, k = {
+            "d4 regular": (d4, range(4)),
+            "s4 perm x s4 perm": (ak.tensor_rep(perm, perm), a4),
+            "z16 number": (ak.number_rep(groups["z16"], [0, 1, 5, 9]), [0, 4, 8, 12]),
+            "blocked z4": (blocked_rep(groups["z4"]), [0, 2]),
+            "dense d4": (dense, range(4)),
+        }[name]
+        kept = r._mats is not None
+        c = ak.uniform_twirl_over_subgroup(r, k)
+        assert (r._mats is not None) == kept == (name == "dense d4")
+        want = r.mats[list(ak.subgroup(r.group, k).elements)] / np.sqrt(len(k))
+        assert c.kraus.shape == want.shape and c.kraus.tobytes() == want.tobytes()
+
 
 class TestEmbedding:
     def test_identity_embedding(self, groups):
@@ -238,6 +260,10 @@ def covariance_cases(groups):
     both = ak.direct_sum_rep(perm, perm)
     dense_embed_in = ak.twirl_channel(ak.random_channel(4, 1, rng), dense_perm)
     dense_both = ak.direct_sum_rep(dense_perm, dense_perm)
+    # regular Z4 (0/1) in, number Z4 out: U_out kron conj U_in has phases other than 1, and
+    # the Fourier matrix F[w, h] = i^(w h) / 2 intertwines the two, U_num(g) F = F U_reg(g)
+    z4_reg, z4_num = ak.regular_rep(groups["z4"]), ak.number_rep(groups["z4"], range(4))
+    fourier = np.exp(0.5j * np.pi * np.outer(range(4), range(4))) / 2
     cases = {
         "s3 regular, twirled": (ak.twirl_channel(ak.random_channel(6, 2, rng), s3), s3, s3, True),
         "s3 regular, raw": (ak.random_channel(6, 2, rng), s3, s3, False),
@@ -282,9 +308,13 @@ def covariance_cases(groups):
         "s4 perm, embedded raw": (
             ak.embed_channel(ak.random_channel(4, 2, rng), perm, perm), both, both, False
         ),
+        "z4 regular in, number out, Fourier": (_isometry_channel(fourier), z4_reg, z4_num, True),
+        "z4 regular in, number out, raw": (ak.random_channel(4, 2, rng), z4_reg, z4_num, False),
     }
     assert sorted(cases) == sorted(COVARIANCE_CASES)
     assert len(cases["s4 perm conjugated, twirled, r > d_in d_out"][0].kraus) > 16
+    mixed = reps._kron_rep(z4_num, z4_reg, conj=True)._monomial[1]
+    assert (z4_reg._monomial[1] == 1).all() and not (mixed == 1).all()
     return cases
 
 
@@ -311,6 +341,8 @@ COVARIANCE_CASES = [
     "s4 perm, embedded",
     "s4 perm conjugated, embedded",
     "s4 perm, embedded raw",
+    "z4 regular in, number out, Fourier",
+    "z4 regular in, number out, raw",
 ]
 
 

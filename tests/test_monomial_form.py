@@ -186,6 +186,36 @@ def test_conjugate_matches_the_dense_product(name):
             assert np.abs(got - want).max() <= 1e-13
 
 
+def signed_regular_s3():
+    """Regular S3 times the sign character: a signed permutation rep, phases exactly +-1."""
+    s3 = ak.make_symmetric(3)
+    sign = np.rint(np.linalg.det(perm_rep(s3).mats).real).astype(complex)[:, None]
+    r = ak.tensor_rep(ak.regular_rep(s3), reps._monomial_rep(s3, np.zeros((6, 1), int), sign))
+    assert set(r._monomial[1].ravel().tolist()) == {1, -1}
+    return r
+
+
+UNIT_PHASES = [name for name, (r, _) in built_reps().items() if (r._monomial[1] == 1).all()]
+
+
+@pytest.mark.parametrize("name", [*UNIT_PHASES, "signed s3 regular"])
+def test_conjugate_is_the_exact_dense_product(name, monkeypatch):
+    """A 0/1 form is gathered with no phase product, a signed one multiplies its phases; both
+    equal mats[g] x mats[g]^dag exactly, over the whole group and one element at a time."""
+    r = signed_regular_s3() if name == "signed s3 regular" else built_reps()[name][0]
+    rng, n, mats = np.random.default_rng(12), r.group.order, r.mats
+    x = rng.normal(size=(r.dim, r.dim)) + 1j * rng.normal(size=(r.dim, r.dim))
+    want = mats @ x @ mats.conj().transpose(0, 2, 1)
+    calls, multiply = [], np.multiply
+    monkeypatch.setattr(np, "multiply", lambda *a, **kw: calls.append(a) or multiply(*a, **kw))
+    whole = r.conjugate(x)
+    ones = [r.conjugate(x, g) for i in range(n) for g in (slice(i, i + 1), np.array([i]))]
+    monkeypatch.undo()
+    assert np.array_equal(whole, want)
+    assert all(np.array_equal(one, want[i // 2 : i // 2 + 1]) for i, one in enumerate(ones))
+    assert bool(calls) == (name == "signed s3 regular")
+
+
 def compact_corruptions():
     """Compact rep files each holding one defect, as name -> JSON object."""
     z4_number = pair_payloads()["rep-phase"][0]
