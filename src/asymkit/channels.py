@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidParameterError, ValidationError
 from .groups import SubgroupRef, subgroup
 from .linalg import frob, scaled_tol
-from .reps import UnitaryRep, _chunk_slices, _dagger, _frob_each, _kron_rep, direct_sum_rep
+from .reps import UnitaryRep, _chunk_slices, _dagger, _frob_each, _kron_rep, _unitarity_residuals
 from .states import QuantumState
 
 
@@ -138,7 +138,7 @@ def is_g_covariant(
         if prod is not None:
             choi_g = prod.conjugate(j, g)
         else:
-            a = r_out.mats[g, None] @ kraus @ _dagger(r_in.mats[g])[:, None]
+            a = r_out._scatter(g)[:, None] @ kraus @ _dagger(r_in._scatter(g))[:, None]
             a = a.reshape(len(a), *flat.shape)
             choi_g = a.transpose(0, 2, 1) @ a.conj()
         worst = max(worst, float(_frob_each(np.subtract(choi_g, j, out=choi_g)).max()))
@@ -182,12 +182,19 @@ def embed_channel(c: QuantumChannel, r_in: UnitaryRep, r_out: UnitaryRep) -> Qua
     On the input sector the embedded channel acts as E (output placed in the
     out sector); everything fed into the out sector is dumped to the
     maximally mixed state of the whole sum space.  Preserves covariance: if E
-    is covariant for (U_in, U_out), the embedding is covariant for
-    U_in directsum U_out, which is asserted in that case.
+    is covariant for (U_in, U_out), the embedding E' is covariant for
+    U = U_in directsum U_out, which is asserted in that case, at :func:`is_g_covariant`'s
+    tolerance, by a bound on the residual of J' = Choi(E') that is never below it in exact
+    arithmetic and is E's residual on exactly unitary reps.  With row-major vec, E's part of J'
+    has its input index in the in sector, the junk part (Choi I kron P_out / d) in the out
+    sector, so ||dJ'(g)||^2 = ||dJ_E||^2 + ||dJ_junk||^2 and ||J'||^2 = ||J_E||^2 + d_out / d;
+    with A = U U^dag - I and A'_out = 0 directsum A_out, d dJ_junk = A kron P_out + I kron conj
+    A'_out + A kron conj A'_out, of norm <= a sqrt d_out + sqrt d a_out + a a_out for a = ||A||_F,
+    a_out = ||A_out||_F.  Cost: E's check, then O(|G| d) on monomial reps, d = d_in + d_out.
     """
     if c.d_in != r_in.dim or c.d_out != r_out.dim:
         raise DimensionMismatchError("channel dimensions must match the representations")
-    was_covariant = bool(is_g_covariant(c, r_in, r_out))
+    check = is_g_covariant(c, r_in, r_out)
     d_in, d_out = c.d_in, c.d_out
     d = d_in + d_out
     r = len(c.kraus)
@@ -197,12 +204,19 @@ def embed_channel(c: QuantumChannel, r_in: UnitaryRep, r_out: UnitaryRep) -> Qua
     junk = np.arange(d_out * d)  # operator r + j d + i is |i><d_in + j| / sqrt(d)
     kraus[r + junk, junk % d, d_in + junk // d] = 1.0 / np.sqrt(d)
     embedded = QuantumChannel(kraus)
-    if was_covariant:
-        combined = direct_sum_rep(r_in, r_out)
-        check = is_g_covariant(embedded, combined, combined)
-        if not check:
+    if check and d:  # a 0-dim embedding has an empty Choi matrix
+        residual = _embedding_residual(check, r_in, r_out)
+        if not residual <= 1e-8 * max(1.0, np.sqrt(frob(c.choi()) ** 2 + d_out / d)):
             raise ValidationError(
-                f"embedding lost covariance (residual {check.residual:.3e}); "
+                f"embedding lost covariance (residual {residual:.3e}); "
                 "this indicates an inconsistent input"
             )
     return embedded
+
+
+def _embedding_residual(check: CovarianceCheck, r_in: UnitaryRep, r_out: UnitaryRep) -> float:
+    """:func:`embed_channel`'s bound, sqrt(E's residual^2 + max_g (||dJ_junk(g)|| bound)^2)."""
+    n, d_out, d = r_in.group.order, r_out.dim, r_in.dim + r_out.dim
+    a_in, a_out = (_unitarity_residuals(n, r._monomial or r._stacks) for r in (r_in, r_out))
+    junk = (np.hypot(a_in, a_out) * (np.sqrt(d_out) + a_out) + np.sqrt(d) * a_out) / d
+    return float(np.hypot(check.residual, junk.max(initial=0.0)))

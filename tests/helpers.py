@@ -256,6 +256,26 @@ def dense_covariance_residual(c, r_in, r_out) -> float:
     return worst
 
 
+def embedded_covariance_check(emb, r_in, r_out):
+    """is_g_covariant of an embedding over U_in directsum U_out, on its (d^2 x d^2) Choi matrix,
+    d = d_in + d_out: the second check ``embed_channel`` once made, which its certificate
+    now bounds from above."""
+    combined = ak.direct_sum_rep(r_in, r_out)
+    return ak.is_g_covariant(emb, combined, combined)
+
+
+def embedded_kraus(c) -> np.ndarray:
+    """The Kraus operators of ``embed_channel(c, ...)``, one assignment per entry: E's
+    operators in the (out, in) corner, then |i><d_in + j| / sqrt(d) ordered by j, then i."""
+    r, d = len(c.kraus), c.d_in + c.d_out
+    out = np.zeros((r + c.d_out * d, d, d), dtype=complex)
+    out[:r, c.d_in:, :c.d_in] = c.kraus
+    for j in range(c.d_out):
+        for i in range(d):
+            out[r + j * d + i, i, c.d_in + j] = 1.0 / np.sqrt(d)
+    return out
+
+
 def reference_canonical_dumps(obj: Any) -> str:
     """The report text as the encoder-based ``canonical_dumps`` wrote it.
 

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import asymkit as ak
-from asymkit import reps
+from asymkit import channels, reps
 from asymkit.linalg import frob, haar_unitary
-from helpers import blocked_rep, dense_covariance_residual, perm_rep
+from helpers import (
+    blocked_rep,
+    dense_covariance_residual,
+    embedded_covariance_check,
+    embedded_kraus,
+    perm_rep,
+)
 
 
 def plus_state(dim, a, b):
@@ -364,6 +370,129 @@ class TestCovarianceOracle:
         check = ak.is_g_covariant(c, r_in, r_out)
         assert check.covariant == (oracle <= 1e-8 * scale) == covariant
         assert abs(check.residual - oracle) <= 1e-12 * scale
+
+
+def _off_unitary(r, element, index, scale):
+    """A trusted, unvalidated copy of r whose matrix at one element has one part scaled: the
+    phase of row ``index`` if r is monomial, else the whole block holding column ``index``."""
+    if r._monomial is not None:
+        src, phase = r._monomial
+        phase = phase.copy()
+        phase[element, index] *= scale
+        return ak.UnitaryRep(r.group, None, (src, phase))
+    stacks = []
+    for cols, sub in r._stacks:
+        sub = sub.copy()
+        sub[(cols == index).any(axis=1), element] *= scale
+        stacks.append((cols, sub))
+    return ak.UnitaryRep(r.group, None, stacks)
+
+
+@pytest.fixture(scope="module")
+def off_unitary_cases(groups):
+    """name -> (channel, r_in, r_out, the sides bent, index bent): exactly covariant pairs whose
+    reps :func:`_off_unitary` bends at element 1.  Where E never outputs into the bent index,
+    E's own check cannot see the bend, and only the embedding's junk branch does."""
+    rng = np.random.default_rng(11)
+    z4 = groups["z4"]
+    pair_in, wide_out = ak.number_rep(z4, [0, 1]), ak.number_rep(z4, [0, 1, 3])
+    blocked = blocked_rep(z4)
+    turn = np.sqrt(0.5) * np.array([[1, -1], [1, 1]])
+    perm, d4 = perm_rep(groups["s4"]), _conjugated(ak.regular_rep(groups["d4"]), rng)
+    z16 = ak.number_rep(groups["z16"], range(16))
+    return {
+        "monomial out, unread index": (_isometry_channel(np.eye(3, 2)), pair_in, wide_out, "out", 2),
+        "blocks out, unread block": (
+            _isometry_channel(np.vstack([turn, np.zeros((1, 2))])), pair_in, blocked, "out", 2
+        ),
+        "s4 perm in, twirled": (
+            ak.twirl_channel(ak.random_channel(4, 2, rng), perm), perm, perm, "in", 0
+        ),
+        "dense d4 out, twirled": (ak.twirl_channel(ak.random_channel(8, 2, rng), d4), d4, d4, "out", 0),
+        "z16 number both, shift": (ak.shift_channel(16, 2), z16, z16, "both", 5),
+    }
+
+
+class TestEmbeddingCertificate:
+    """embed_channel asserts the embedding's covariance by a bound built from E's own check,
+    against the second is_g_covariant it once made on the (d^2 x d^2) Choi matrix."""
+
+    def test_bound_is_never_below_the_second_check(self, covariance_cases):
+        """On every covariant pairing the bound is at least the residual of the second check,
+        up to rounding, and the embedded Kraus operators are the entry-by-entry ones."""
+        checked = 0
+        for name, (c, r_in, r_out, covariant) in covariance_cases.items():
+            if not covariant:
+                continue
+            emb = ak.embed_channel(c, r_in, r_out)
+            assert emb.kraus.tobytes() == embedded_kraus(c).tobytes(), name
+            oracle = embedded_covariance_check(emb, r_in, r_out)
+            bound = channels._embedding_residual(ak.is_g_covariant(c, r_in, r_out), r_in, r_out)
+            slack = 64 * np.finfo(float).eps * max(1.0, frob(emb.choi()))
+            assert oracle.covariant and bound >= oracle.residual - slack, name
+            checked += 1
+        assert checked == sum(case[3] for case in covariance_cases.values()) >= 12
+
+    @pytest.mark.parametrize(
+        "name",
+        ["monomial out, unread index", "blocks out, unread block", "s4 perm in, twirled",
+         "dense d4 out, twirled", "z16 number both, shift"],
+    )
+    def test_raises_whenever_the_second_check_fails(self, off_unitary_cases, name):
+        """Reps off unitary by sizes on both sides of the tolerance: wherever E's own check
+        passes and the second check fails, embed_channel raises, and the bound is never below
+        the second check's residual."""
+        c, r_in, r_out, side, index = off_unitary_cases[name]
+        caught = []
+        for delta in (1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-4):
+            bent = _off_unitary(r_in if side == "in" else r_out, 1, index, 1 + delta)
+            a, b = (bent, r_out) if side == "in" else (r_in, bent) if side == "out" else (bent, bent)
+            first = ak.is_g_covariant(c, a, b)
+            if not first:
+                continue
+            emb = ak.QuantumChannel(embedded_kraus(c))
+            oracle = embedded_covariance_check(emb, a, b)
+            slack = 64 * np.finfo(float).eps * max(1.0, frob(emb.choi()))
+            assert channels._embedding_residual(first, a, b) >= oracle.residual - slack
+            if not oracle:
+                with pytest.raises(ak.ValidationError, match="embedding lost covariance"):
+                    ak.embed_channel(c, a, b)
+                caught.append(delta)
+        if "unread" in name:  # E's check passes at every size: the junk branch must fail
+            assert caught and min(caught) <= 3e-8
+
+    def test_one_covariance_check_and_no_direct_sum(self, covariance_cases, monkeypatch):
+        """E's check is the only is_g_covariant call, and no direct-sum rep is built."""
+        calls, real = [], channels.is_g_covariant
+        monkeypatch.setattr(channels, "is_g_covariant", lambda *a: calls.append(a) or real(*a))
+
+        def no_direct_sum(*args):
+            raise AssertionError("embed_channel built a direct-sum rep")
+
+        monkeypatch.setattr(reps, "direct_sum_rep", no_direct_sum)
+        monkeypatch.setattr(ak, "direct_sum_rep", no_direct_sum)
+        assert not hasattr(channels, "direct_sum_rep")
+        for name in ("s4 perm, twirled", "d4 regular conjugated, twirled", "d_in 2, d_out 3"):
+            c, r_in, r_out, _ = covariance_cases[name]
+            calls.clear()
+            ak.embed_channel(c, r_in, r_out)
+            assert len(calls) == 1 and calls[0][0] is c
+
+
+class TestKrausRoute:
+    @pytest.mark.parametrize("dense_side", ["in", "out"])
+    def test_monomial_partner_keeps_no_dense_stack(self, groups, monkeypatch, dense_side):
+        """With one rep not monomial, is_g_covariant scatters the monomial partner's matrices
+        one chunk at a time and keeps no dense stack; the residual is the dense oracle's."""
+        rng = np.random.default_rng(4)
+        mono, dense = ak.regular_rep(groups["d4"]), _conjugated(ak.regular_rep(groups["d4"]), rng)
+        r_in, r_out = (dense, mono) if dense_side == "in" else (mono, dense)
+        c = ak.random_channel(8, 2, rng)
+        monkeypatch.setattr(reps, "_STACK_BYTES", 3 * c.choi().nbytes)
+        assert len(reps._chunk_slices(8, c.choi().nbytes)) == 3
+        check = ak.is_g_covariant(c, r_in, r_out)
+        assert mono._mats is None
+        assert abs(check.residual - dense_covariance_residual(c, r_in, r_out)) <= 1e-12
 
 
 class TestMonotonicity:

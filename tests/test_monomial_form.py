@@ -140,6 +140,26 @@ def test_gns_leaves_the_stack_unbuilt():
     assert res.rep._monomial is None and res.rep._mats is None
 
 
+def test_gns_conjugate_scatters_only_its_chunk(monkeypatch):
+    """symmetry_subgroup and conjugate on a GNS rep scatter one chunk of g at a time and keep no
+    dense stack; each chunk's product is the dense stack's, bit for bit."""
+    group = ak.make_dihedral(15)
+    f = ak.charfunc(ak.random_pure_state(30, np.random.default_rng(0)), ak.regular_rep(group))
+    res = ak.gns_construct(f)
+    r, x = res.rep, ak.random_mixed_state(res.dim, np.random.default_rng(1)).rho
+    monkeypatch.setattr(reps, "_STACK_BYTES", 3 * x.nbytes)  # ten chunks of three elements
+    sym = ak.symmetry_subgroup(res.state, r)
+    assert len(ak.symmetry_subgroup(ak.QuantumState.mixed(np.eye(r.dim) / r.dim), r)) == 30
+    ak.twirl_operator(r, x)
+    chunks = [slice(3, 6), np.array([7, 0, 29])]
+    got = [r.conjugate(x, g) for g in chunks]
+    assert r._monomial is None and r._mats is None
+    for g, y in zip(chunks, got):
+        u = r.mats[g]
+        assert y.tobytes() == (u @ x @ u.conj().swapaxes(1, 2)).tobytes()
+    assert sym == ak.symmetry_subgroup(res.state, ak.UnitaryRep(group, r.mats))
+
+
 @pytest.mark.parametrize("name", list(gns_cases()))
 def test_gns_rep_reads_its_blocks_as_the_dense_stack(name):
     """chi, the character and the JSON file of a GNS rep, read off its blocks, are those of its
