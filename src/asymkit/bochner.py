@@ -105,12 +105,12 @@ def gns_construct(f: CharFunction) -> GnsResult:
     X with eigenvalues below 1e-10 * (largest eigenvalue) truncated.  The regular rep
     L(k) commutes with X, so U(k) = M^dag L(k) M, its subrep on each eigenvalue cluster's
     columns M (split at gaps over 1e-6 of the spread), exactly zero elsewhere: the rep holds
-    these blocks, with no dense stack, and is certified by the intertwiner residual of M^dag.
+    these blocks, with no dense stack, certified by the spectral gaps of X (:func:`_certify`).
 
     Raises InvalidCharacteristicFunctionError if f has a NaN or infinite value or
     is not normalized positive definite under the module's Gram rule,
     NumericalDegeneracyError if chi of (U, psi) misses f (a split eigenspace), and
-    ValidationError if U fails its certificate (``reps._certify_blocks``).
+    ValidationError if U fails the pairwise check that a failed certificate falls back on.
     """
     group = f.group
     residual, t = _gram_rule(f)
@@ -122,8 +122,8 @@ def gns_construct(f: CharFunction) -> GnsResult:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not normalized: f(e) = {f.values[0]:.6f}"
         )
-    x = f.values[group.mul[group.inv]]  # x[g,h] = f(g^-1 h)
-    vals, vecs = np.linalg.eigh(hermitian_part(x))
+    x = hermitian_part(f.values[group.mul[group.inv]])  # x[g,h] = f(g^-1 h)
+    vals, vecs = np.linalg.eigh(x)
     if not vals[0] >= -t:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not positive definite: Gram eigenvalue {vals[0]:.3e} < 0"
@@ -142,5 +142,32 @@ def gns_construct(f: CharFunction) -> GnsResult:
     err = float(np.abs(rep.trace_against(psi) - f.values).max())
     if not err <= t:
         raise NumericalDegeneracyError(f"GNS realization misses f by {err:.3e} > {t:.3e}")
-    reps._certify_blocks(regular, m.conj().T, stacks)
+    _certify(rep, x, vals, vecs, starts + vals.size - lam.size)
     return GnsResult(rep=rep, state=QuantumState.pure(psi), dim=lam.size)
+
+
+def _certify(rep: reps.UnitaryRep, x, vals, vecs, starts) -> np.ndarray:
+    """Bounds on ||U(e) - I||_F, every ||U U^dag - I||_F and every ||U(a) U(b) - U(ab)||_F of the
+    GNS rep of blocks B_c(g) = fl(Q_c^dag L(g) Q_c), Q_c the columns of V from starts[c] to the
+    next, from x V ~ V Lambda (x's eigh) alone; if one is over tol = 1e-9 max(1, ||blocks||_F),
+    ``reps._validate_rep`` on rep's form decides.  L(k) permutes x's entries, so commutes with x:
+    with R = x V - V Lambda, e = ||V^dag V - I||_F >= ||V||_2^2 - 1 and Q' V's other columns,
+    O = Q'^dag L(k) Q_c has Lambda' O - O Lambda_c = Q'^dag L(k) R_c - R'^dag L(k) Q_c, so ||O||_F
+    <= l_c = sqrt(1 + e) (||R_c|| + ||R||) / delta_c, delta_c = dist(Lambda_c, Lambda') (Davis &
+    Kahan, SIAM J. Numer. Anal. 7, 1970).  A = Q_c^dag L Q_c has A(a) A(b) - A(ab) = -O(a^-1)^dag
+    O(b) - Q_c^dag L(a) (I - V V^dag) L(b) Q_c, at most l_c^2 + (1 + e) e, and A A^dag - I adds
+    A(e) - I, at most e.  B is within eta_c = gamma_{|G|+2} ||Q_c||_F^2 of A (Higham, Accuracy and
+    Stability, 3.6), ||A||_2 <= 1 + e: that adds (2 + 2e) eta_c + eta_c^2, and eta_c more to the
+    homomorphism.  The truncated columns are in Q' and R'; the clusters add in squares."""
+    gamma, mono = (len(vals) + 2) * np.finfo(float).eps / 2, rep._monomial
+    e = frob(vecs.conj().T @ vecs - np.eye(len(vals)))
+    r2 = (abs(x @ vecs - vecs * vals) ** 2).sum(axis=0)  # ||R||_F^2 per column
+    gaps = np.r_[np.inf, np.diff(vals), np.inf]  # gaps[i] = vals[i] - vals[i - 1]
+    delta = np.minimum(gaps[starts], gaps[np.r_[starts[1:], len(vals)]])
+    ell = np.sqrt(1 + e) * (np.sqrt(np.add.reduceat(r2, starts)) + np.sqrt(r2.sum())) / delta
+    eta = gamma / (1 - gamma) * np.add.reduceat((abs(vecs) ** 2).sum(axis=0), starts)
+    hom = ell**2 + (1 + e) * e + (3 + 2 * e) * eta + eta**2
+    bounds, form = np.array([e + frob(eta), frob(e + hom - eta), frob(hom)]), rep._stacks or mono
+    if not bounds.max() <= scaled_tol([frob(m) for _, m in form] if mono is None else mono[1]):
+        reps._validate_rep(rep.group, form)
+    return bounds

@@ -38,8 +38,8 @@ class QuantumChannel:
         self.kraus = kraus
         self.d_out = int(kraus.shape[1])
         self.d_in = int(kraus.shape[2])
-        flat = kraus.reshape(len(kraus) * self.d_out, self.d_in)  # sum K^dag K as one product
-        total = flat.conj().T @ flat
+        flat = kraus.reshape(len(kraus) * self.d_out, self.d_in)  # sum K^dag K over row chunks
+        total = sum(flat[g].conj().T @ flat[g] for g in _chunk_slices(len(flat), 16 * self.d_in))
         residual = frob(total - np.eye(self.d_in))
         if not residual <= scaled_tol(kraus, base=1e-8):
             raise ValidationError(

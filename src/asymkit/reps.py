@@ -51,7 +51,8 @@ class UnitaryRep:
     phase arrays, validated in O(|G|^2 d), or in integers if its entries are 0 or 1.  Any
     other rep keeps its diagonal blocks' stacks, cut once by :func:`_cut` to its exact-zero
     pattern (a dense input is one block, a view unless it splits), and is validated block
-    by block, or certified by :func:`_certify_blocks` if GNS's.
+    by block, or, if GNS's, certified by the spectral gaps of its Gram matrix
+    (``bochner._certify``) and validated only if that certificate fails.
     """
 
     __slots__ = ("group", "dim", "_mats", "_monomial", "_stacks")
@@ -194,7 +195,22 @@ def _validate_rep(group: GroupTable, form) -> None:
     entries (monomial, every phase exactly 1) are 0 or >= sqrt 2, so such a rep passes iff
     src[ab] = src[b][src[a]] for all a and each greedy generator b (the b that pass are closed
     under products), in integers; if not, the float pass names the failing element."""
-    tol = _identity_and_unitarity(group.order, form)[2]
+    arrays = [form[1]] if isinstance(form, tuple) else [m for _, m in form]
+    if not all(np.isfinite(m).all() for m in arrays):
+        raise ValidationError("representation matrices have non-finite entries")
+    tol = scaled_tol([frob(m) for m in arrays])
+    if isinstance(form, tuple):  # U(0) - I: phase - 1 on the diagonal, else phase and a -1
+        on = form[0][0] == np.arange(form[0].shape[1])
+        first = float(np.sqrt((abs(form[1][0] - on) ** 2 + ~on).sum()))
+    else:
+        first = float(np.sqrt(sum(frob(m[:, 0] - np.eye(m.shape[-1])) ** 2 for m in arrays)))
+    if not first <= tol:
+        raise ValidationError("representation invariant violated: mats[0] must be the identity")
+    worst = float(_unitarity_residuals(group.order, form).max())
+    if not worst <= tol:
+        raise ValidationError(
+            f"unitarity invariant violated: max ||U U^dag - I|| = {worst:.3e} > {tol:.3e}"
+        )
     if isinstance(form, tuple) and (form[1] == 1).all():
         src = form[0]
         if all((src[group.mul[:, b]] == src[b][src]).all() for b in group._generators):
@@ -205,29 +221,6 @@ def _validate_rep(group: GroupTable, form) -> None:
             raise ValidationError(
                 f"homomorphism invariant violated at element {a}: residual {worst:.3e} > {tol:.3e}"
             )
-
-
-def _identity_and_unitarity(n: int, form, units=None) -> tuple[float, float, float]:
-    """||mats[0] - I||, max_g ||U U^dag - I|| (units if given) and tol = 1e-9 max(1, ||mats||_F) of
-    a monomial form (U(0) - I: phase - 1 on the diagonal, else phase and a -1) or stacks over n
-    elements, or ValidationError for a non-finite entry or a residual over tol."""
-    arrays = [form[1]] if isinstance(form, tuple) else [m for _, m in form]
-    if not all(np.isfinite(m).all() for m in arrays):
-        raise ValidationError("representation matrices have non-finite entries")
-    tol = scaled_tol([frob(m) for m in arrays])
-    if isinstance(form, tuple):
-        on = form[0][0] == np.arange(form[0].shape[1])
-        first = float(np.sqrt((abs(form[1][0] - on) ** 2 + ~on).sum()))
-    else:
-        first = float(np.sqrt(sum(frob(m[:, 0] - np.eye(m.shape[-1])) ** 2 for m in arrays)))
-    if not first <= tol:
-        raise ValidationError("representation invariant violated: mats[0] must be the identity")
-    worst = float((_unitarity_residuals(n, form) if units is None else units).max())
-    if not worst <= tol:
-        raise ValidationError(
-            f"unitarity invariant violated: max ||U U^dag - I|| = {worst:.3e} > {tol:.3e}"
-        )
-    return first, worst, tol
 
 
 def _unitarity_residuals(n: int, form) -> np.ndarray:
@@ -268,21 +261,6 @@ def _homomorphism_residuals(mul: np.ndarray, form):
         same = np.take(src, at) == src[mul[rows]]
         sq = np.where(same, abs(prod - want) ** 2, abs(prod) ** 2 + abs(want) ** 2)
         yield from np.sqrt(sq.sum(axis=2))
-
-
-def _certify_blocks(host: UnitaryRep, w: np.ndarray, stacks: list) -> tuple[float, float, float]:
-    """||B(0) - I||, max_g ||B B^dag - I|| and a bound on every ||B(a) B(b) - B(ab)||_F for the
-    rep B of blocks (cols, sub), or ValidationError if one exceeds 1e-9 max(1, ||B||_F).  The
-    first two are :func:`_identity_and_unitarity`'s.  With (r, e, b) the
-    :func:`_intertwiner_residual` of W (L, d) against host, a 0/1 rep, and F = W U - B W:
-    (B(a) B(b) - B(ab)) W = F(ab) - F(a) U(b) - B(a) F(b), and X = X W W^dag (W W^dag)^-1, so
-    the bound is (2 + sqrt b) r sqrt(1 + e) / (1 - e), infinite if e >= 1."""
-    r, e, b, units = _intertwiner_residual(host, w, [(None, c[:, :, None], m) for c, m in stacks])
-    first, worst, tol = _identity_and_unitarity(host.group.order, stacks, units)
-    bound = float((2 + np.sqrt(b)) * r * np.sqrt(1 + e) / (1 - e)) if e < 1 else np.inf
-    if not bound <= tol:
-        raise ValidationError(f"homomorphism invariant violated: bound {bound:.3e} > {tol:.3e}")
-    return first, worst, bound
 
 
 def _chunk_slices(n: int, bytes_each: int) -> list[slice]:
@@ -535,25 +513,24 @@ class IrrepDecomposition:
         """A bound on max_g ||W U(g) W^dag - B(g)||_F, B(g) = directsum_mu U_mu(g) (x) I_{n_mu},
         never below it: W U W^dag - B = (W U - B W) W^dag + B (W W^dag - I) gives r sqrt(1 + e)
         + sqrt(b) e for the :func:`_intertwiner_residual` (r, e, b) of W, as ||W||_2^2 <= 1 + e."""
-        r, e, b, _ = _intertwiner_residual(self.rep, self.basis, self._by_shape())
+        r, e, b = _intertwiner_residual(self.rep, self.basis, self._by_shape())
         return float(r * np.sqrt(1.0 + e) + np.sqrt(b) * e)
 
 
 def _intertwiner_residual(rep: UnitaryRep, w: np.ndarray, shapes: list) -> tuple:
-    """r = max_g ||W U(g) - B(g) W||_F, e = ||W W^dag - I||_F, b = 1 + max ||B_c B_c^dag - I||_F and
-    ||directsum_c B_c(g) B_c(g)^dag - I||_F per g, both from one B_c B_c^dag, for W (L, d), B(g) =
-    directsum_c B_c(g) (x) I_{n_c} per shape (_, rows (k, d_c, n_c) of W, B_c (k, |G|, d_c, d_c)).
+    """r = max_g ||W U(g) - B(g) W||_F, e = ||W W^dag - I||_F and b = 1 + max ||B_c B_c^dag - I||_F
+    for W (L, d), B(g) = directsum_c B_c(g) (x) I_{n_c} per shape (_, rows (k, d_c, n_c) of W,
+    B_c (k, |G|, d_c, d_c)), the residual of :meth:`IrrepDecomposition.reconstruction_residual`.
     Per shape and chunk of g, rows of W U(g) are one gather (of W, times the phases unless all are
     1, if monomial, else of W U(g)), of B(g) W one product: O(|G| d sum d_c^2 n_c + L^2 d), or
     O(|G| L d^2)."""
     w, d, n, phase = np.ascontiguousarray(w), rep.dim, rep.group.order, None
-    e, b, mono, r, units = frob(w @ _dagger(w) - np.eye(len(w))), 1.0, rep._monomial, 0.0, 0.0
+    e, b, mono, r = frob(w @ _dagger(w) - np.eye(len(w))), 1.0, rep._monomial, 0.0
     parts = []  # per shape: flat index of row [j, m, a] in x, mats, W's rows [j, m, (a, col)]
     for _, rows, m in shapes:  # U U^dag summed over columns: no tiny matmuls
         gram = sum(m[..., :, j, None] * m[..., None, :, j].conj() for j in range(m.shape[-1]))
         gram -= np.eye(m.shape[-1])
         b = max(b, 1 + _frob_each(gram.reshape(len(m), -1)).max())
-        units = units + (_frob_each(gram.reshape(len(m) * n, -1)) ** 2).reshape(len(m), n).sum(0)
         parts.append((rows[:, None, :, :, None] * d, m, w[rows].reshape(*rows.shape[:2], -1)))
     if mono is not None:  # (W U(g))[:, col] = W[:, at[g, col]] phase[g, at[g, col]]
         at, unit = np.argsort(mono[0], axis=1), (mono[1] == 1).all()
@@ -572,7 +549,7 @@ def _intertwiner_residual(rep: UnitaryRep, w: np.ndarray, shapes: list) -> tuple
             flat = diff.reshape(k, len(cols), -1).view(float)
             sq = sq + np.einsum("jgx,jgx->g", flat, flat)
         r = max(r, float(np.sqrt(np.max(sq, initial=0.0))))
-    return r, e, b, np.sqrt(units)
+    return r, e, b
 
 
 def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:

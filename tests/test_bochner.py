@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import asymkit as ak
-from asymkit import reps
-from asymkit.linalg import random_hermitian
+from asymkit import bochner, reps
 from helpers import dense_rep_residuals, gns_by_cluster_gather, gns_cases, perm_rep
 
 
@@ -324,64 +325,176 @@ def test_gns_stack_is_the_cluster_gather_bit_for_bit(name):
 
 
 def certified_gns(f, monkeypatch):
-    """gns_construct(f), with the arguments and the values of its one _certify_blocks call."""
-    calls, real = [], reps._certify_blocks
-    monkeypatch.setattr(reps, "_certify_blocks", lambda *args: calls.append((args, real(*args))))
+    """gns_construct(f), with the arguments and the bounds of its one bochner._certify call."""
+    calls, real = [], bochner._certify
+    monkeypatch.setattr(bochner, "_certify", lambda *args: calls.append((args, real(*args))))
     res = ak.gns_construct(f)
     monkeypatch.undo()
     assert len(calls) == 1
     return res, *calls[0]
 
 
+def dense_holds(f, res, bounds) -> bool:
+    """Each of the three bounds is at least its residual of the dense stack, pair by pair:
+    ||U(e) - I||, every ||U U^dag - I|| and every ||U(a) U(b) - U(ab)||."""
+    identity, units, pairs = dense_rep_residuals(f.group.mul, res.rep.mats)
+    return bounds[0] >= identity and bounds[1] >= units.max() and bounds[2] >= pairs.max()
+
+
 @pytest.mark.parametrize("name", GNS_CASES)
 def test_gns_certificate_is_never_below_the_dense_residuals(name, monkeypatch):
-    """The identity and unitarity residuals read off the blocks are the dense ones, computed
-    block by block (so equal up to rounding, and here rounding is all they hold), and the
-    intertwiner bound is at least the residual ||U(a) U(b) - U(ab)|| of every pair."""
+    """The certificate bounds every residual of the dense check from above, and clears the
+    tolerance of UnitaryRep, 1e-9 max(1, ||mats||_F)."""
     f = gns_cases()[name]
-    res, _, (first, unitarity, bound) = certified_gns(f, monkeypatch)
-    identity, units, pairs = dense_rep_residuals(f.group.mul, res.rep.mats)
-    slack = 64 * np.finfo(float).eps * res.dim
-    assert first >= identity - slack and unitarity >= units.max() - slack
-    assert bound >= pairs.max()
-    assert bound <= 1e-9 * max(1.0, np.linalg.norm(res.rep.mats))
+    res, _, bounds = certified_gns(f, monkeypatch)
+    assert dense_holds(f, res, bounds)
+    assert bounds.max() <= 1e-9 * max(1.0, np.linalg.norm(res.rep.mats))
 
 
-def bent_blocks(stacks, element: int, kind: str, rng):
-    """A copy of the GNS blocks with one block at one element moved by 1e-6: one entry, or
-    right-multiplied by a unitary exp(1e-6 i H), which keeps it unitary."""
-    bent = [(c, m.copy()) for c, m in stacks]
-    c, m = bent[int(rng.integers(len(bent)))]
-    j, s = int(rng.integers(len(c))), c.shape[1]
-    if kind == "entry":
-        m[j, element, s - 1, 0] += 1e-6
-    else:
-        vals, vecs = np.linalg.eigh(random_hermitian(s, rng) if s > 1 else np.ones((1, 1)))
-        m[j, element] = m[j, element] @ (vecs * np.exp(1e-6j * vals)) @ vecs.conj().T
-    return bent
+def rep_on_columns(group, v, starts) -> reps.UnitaryRep:
+    """The GNS rep on the clusters of v's columns from starts[0] on, cut at starts, built as
+    gns_construct builds it: one _subreps call per cluster size."""
+    m, starts = v[:, starts[0]:], starts - starts[0]
+    sizes, stacks = np.diff(np.r_[starts, m.shape[1]]), []
+    for s in sorted(set(sizes.tolist())):
+        cols = starts[sizes == s, None] + np.arange(s)
+        q = np.ascontiguousarray(m[:, cols].transpose(1, 0, 2))
+        stacks.append((cols, reps._subreps(ak.regular_rep(group), q)))
+    return reps.UnitaryRep(group, None, stacks)
+
+
+def verdict(check) -> str | None:
+    """None if check() passes, else the message of the ValidationError it raises."""
+    try:
+        check()
+    except ak.ValidationError as exc:
+        return str(exc)
+    return None
 
 
 @pytest.mark.parametrize("name", ["s4", "d12", "d20", "s3 perm", "s4 perm", "s4 irrep 4"])
 @pytest.mark.parametrize("kind", ["entry", "unitary"])
 def test_gns_certificate_fails_when_the_dense_check_does(name, kind, monkeypatch):
-    """Perturbed blocks fail the dense validation of their stack, and then the certificate."""
-    f, rng = gns_cases()[name], np.random.default_rng(7)
-    _, (host, w, stacks), _ = certified_gns(f, monkeypatch)
-    for element in (0, 1, f.group.order - 1):
-        bent = bent_blocks(stacks, element, kind, rng)
-        with pytest.raises(ak.ValidationError):
-            ak.UnitaryRep(f.group, reps.UnitaryRep(f.group, None, bent).mats)
-        # a unitary move off the identity breaks only the homomorphism, which the bound catches
-        only_homomorphism = kind == "unitary" and element != 0
-        with pytest.raises(ak.ValidationError, match="homomorphism" if only_homomorphism else None):
-            reps._certify_blocks(host, w, bent)
+    """Eigenvectors V bent by theta give the certificate the dense check's verdict and message.
+    An entry moved by theta takes V off an isometry; a rotation by theta of the top cluster's
+    first column into the column below it (another cluster's, or truncated) keeps V unitary but
+    its clusters no longer invariant.  Both fail at 1e-3; the rotation passes at 1e-6."""
+    f = gns_cases()[name]
+    _, (_, x, vals, vecs, starts), _ = certified_gns(f, monkeypatch)
+    i = starts[-1]
+    assert i > 0
+    for theta in (1e-3, 1e-6):
+        v = vecs.copy()
+        if kind == "entry":
+            v[0, i] += theta
+        else:
+            c, s = np.cos(theta), np.sin(theta)
+            v[:, [i, i - 1]] = v[:, [i, i - 1]] @ np.array([[c, -s], [s, c]])
+        bent = rep_on_columns(f.group, v, starts)
+        dense = verdict(lambda: ak.UnitaryRep(f.group, bent.mats))
+        assert verdict(lambda: bochner._certify(bent, x, vals, v, starts)) == dense
+        if theta == 1e-3:
+            assert dense is not None
+        elif kind == "unitary":
+            assert dense is None
+
+
+def spy(monkeypatch, *names) -> list:
+    """Record every call of the named reps functions, which still run."""
+    calls = []
+    for name in names:
+        real = getattr(reps, name)
+        monkeypatch.setattr(reps, name, lambda *a, n=name, f=real: calls.append((n, a)) or f(*a))
+    return calls
 
 
 def test_gns_certificate_needs_a_near_isometry(monkeypatch):
-    """Far from an isometry (e = ||W W^dag - I||_F >= 1) the bound is infinite and fails."""
-    _, (host, w, stacks), _ = certified_gns(gns_cases()["s4"], monkeypatch)
-    with pytest.raises(ak.ValidationError, match="bound inf"):
-        reps._certify_blocks(host, 2 * w, stacks)
+    """With 2 V, far from an isometry, the bound fails and the one pairwise check it falls back
+    on rejects the blocks of 2 V (their U(e) is 4 I)."""
+    f = gns_cases()["s4"]
+    _, (_, x, vals, vecs, starts), _ = certified_gns(f, monkeypatch)
+    bent = rep_on_columns(f.group, 2 * vecs, starts)
+    checks = spy(monkeypatch, "_validate_rep")
+    with pytest.raises(ak.ValidationError, match="must be the identity"):
+        bochner._certify(bent, x, vals, 2 * vecs, starts)
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("name", GNS_CASES)
+def test_gns_runs_no_pairwise_or_intertwiner_pass(name, monkeypatch):
+    """A valid GNS rep is certified with no pass over the group's elements."""
+    f = gns_cases()[name]
+    ak.regular_rep(f.group)  # the host's own check, once per group, is not GNS's
+    calls = spy(monkeypatch, "_validate_rep", "_intertwiner_residual", "_unitarity_residuals",
+                "_homomorphism_residuals")
+    ak.gns_construct(f)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["s4", "z32", "s4 delta", "s4 irrep 4"])
+def test_gns_bound_over_tol_runs_one_pairwise_pass(name, monkeypatch):
+    """With the certificate's tolerance forced to 0, its bounds are over it: the pairwise check
+    runs exactly once, on the rep's own form at that check's own tolerance, and decides: the
+    rep passes, bit for bit the rep of the certified route."""
+    f = gns_cases()[name]
+    want = ak.gns_construct(f)
+    checks = spy(monkeypatch, "_validate_rep")
+    monkeypatch.setattr(bochner, "scaled_tol", lambda *args, **kwargs: 0.0)
+    res = ak.gns_construct(f)
+    form = res.rep._stacks if res.rep._monomial is None else res.rep._monomial
+    assert len(checks) == 1 and checks[0][1][1] is form
+    assert res.rep.mats.tobytes() == want.rep.mats.tobytes()
+    assert res.state.vec.tobytes() == want.state.vec.tobytes()
+
+
+def coset_rep(group, h) -> ak.UnitaryRep:
+    """The permutation rep of group on the left cosets of its subgroup h, each coset named by
+    its least element."""
+    least = group.mul[:, h].min(axis=1)  # least[g] names the coset g h
+    names = np.unique(least)
+    mats = np.zeros((group.order, names.size, names.size), dtype=complex)
+    for g in range(group.order):
+        mats[g, np.searchsorted(names, least[group.mul[g, names]]), np.arange(names.size)] = 1
+    return ak.UnitaryRep(group, mats)
+
+
+GROUPS = {"s3": ak.make_symmetric(3), "d4": ak.make_dihedral(4), "z6": ak.make_cyclic(6),
+          "s4": ak.make_symmetric(4)}
+KINDS = {"s3": ["regular", "permutation"], "d4": ["regular", "permutation"],
+         "z6": ["regular", "number"], "s4": ["regular", "permutation"]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(GROUPS)), choice=st.integers(0, 1),
+       state=st.sampled_from(["random", "low-rank", "basis"]), seed=st.integers(0, 2**32 - 1))
+def test_gns_bounds_hold_on_random_charfuncs(name, choice, state, seed):
+    """chi of a random state, a state in a few isotypes (a low-rank Gram matrix) or the first
+    basis vector (delta_e on the regular rep), in a regular, permutation or number rep: each
+    bound of the certificate is at least its residual of the dense check."""
+    group, rng = GROUPS[name], np.random.default_rng(seed)
+    kind = KINDS[name][choice]
+    if kind == "regular":
+        r = ak.regular_rep(group)
+    elif kind == "number":
+        r = ak.number_rep(group, rng.integers(0, 6, size=int(rng.integers(1, 5))))
+    else:  # on the cosets of the stabilizer of a point, or of a reflection of the square
+        r = perm_rep(group) if name != "d4" else coset_rep(group, [0, 4])
+    psi = np.eye(r.dim)[0].astype(complex)
+    if state != "basis":
+        psi = ak.random_pure_state(r.dim, rng).vec
+    if state == "low-rank":  # the isotypic projection of psi onto a random set of irreps
+        chars = group._character_table()
+        pick = chars[rng.random(len(chars)) < 0.5]
+        psi = np.tensordot((pick[:, :1] * pick.conj()).sum(0) / group.order, r.mats, 1) @ psi
+        assume(np.linalg.norm(psi) > 1e-3)
+    f = ak.charfunc(ak.QuantumState.pure(psi / np.linalg.norm(psi)), r)
+    calls, real = [], bochner._certify
+    bochner._certify = lambda *args: calls.append(real(*args))
+    try:
+        res = ak.gns_construct(f)
+    finally:
+        bochner._certify = real
+    assert dense_holds(f, res, calls[0])
 
 
 class TestPerturbationRejection:
