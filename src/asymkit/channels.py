@@ -119,8 +119,8 @@ def is_g_covariant(
     Measures max_g || Choi(U_out(g) o E o U_in(g)^dag) - Choi(E) ||_F, covariant iff
     <= tol * max(1, ||Choi(E)||_F) (tol >= 0).  With D = d_in d_out, each g costs O(D^2), J
     gathered by U_out kron conj U_in (no phase products if all are 1) if both reps are monomial,
-    else O(D^2 r) from the r <= D Kraus operators U_out(g) K U_in(g)^dag (thin QR first); g goes
-    in budgeted chunks, and J is taken off each chunk's fresh stack in place.
+    else O(D^2 r) from the r <= D Kraus operators U_out(g) (U_in(g) K^dag)^dag by each rep's
+    ``_act`` (thin QR first); g in budgeted chunks, J taken off each chunk's fresh stack in place.
     """
     if not tol >= 0:
         raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
@@ -138,8 +138,8 @@ def is_g_covariant(
         if prod is not None:
             choi_g = prod.conjugate(j, g)
         else:
-            a = r_out._scatter(g)[:, None] @ kraus @ _dagger(r_in._scatter(g))[:, None]
-            a = a.reshape(len(a), *flat.shape)
+            a = r_out._act(_dagger(r_in._act(_dagger(kraus)[:, None], g)), g)  # [k, g]
+            a = a.swapaxes(0, 1).reshape(a.shape[1], *flat.shape)
             choi_g = a.transpose(0, 2, 1) @ a.conj()
         worst = max(worst, float(_frob_each(np.subtract(choi_g, j, out=choi_g)).max()))
     return CovarianceCheck(covariant=bool(worst <= tol * max(1.0, frob(j))), residual=worst)

@@ -33,7 +33,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import assert_psd, frob, polar_unitary, scaled_tol
-from .reps import IrrepDecomposition, UnitaryRep, _dagger, _frob_each, decompose, one_dim_reps
+from .reps import (IrrepDecomposition, UnitaryRep, _chunk_slices, _dagger, _frob_each, decompose,
+                   one_dim_reps)
 from .states import QuantumState, WeightState, charfunc
 
 #: Per-element absolute tolerance for characteristic-function equality.
@@ -225,7 +226,9 @@ def extend_isometry_to_ginv_unitary(
         raise NotInvariantIsometryError(
             "precondition violated: proj W^dag W proj = proj (W is not isometric on the support)"
         )
-    worst = float(_frob_each(wp @ r.mats - r.mats @ wp).max())
+    wh = _dagger(wp)[None]  # U W - W U in chunks of g, W U = (U^dag W^dag)^dag
+    worst = max(float(_frob_each(r._act(wp[None], g) - _dagger(r._act(wh, g, True))).max())
+                for g in _chunk_slices(r.group.order, wp.nbytes))
     if worst > max(1e-8, scaled_tol(wp)):
         raise NotInvariantIsometryError(
             f"precondition violated: [W proj, U(g)] = 0 fails with residual {worst:.3e}"

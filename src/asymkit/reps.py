@@ -52,7 +52,7 @@ class UnitaryRep:
     other rep keeps its diagonal blocks' stacks, cut once by :func:`_cut` to its exact-zero
     pattern (a dense input is one block, a view unless it splits), and is validated block
     by block, or, if GNS's, certified by the spectral gaps of its Gram matrix
-    (``bochner._certify``) and validated only if that certificate fails.
+    (``bochner._certify``), validated only if that certificate fails.  U(g) acts by :meth:`_act`.
     """
 
     __slots__ = ("group", "dim", "_mats", "_monomial", "_stacks")
@@ -112,12 +112,29 @@ class UnitaryRep:
         return sum((np.einsum("kij,kgji->g", x[c[..., None], c[:, None]], m)
                     for c, m in self._stacks), np.zeros(self.group.order, complex))
 
+    def _act(self, x: np.ndarray, g=slice(None), adjoint: bool = False) -> np.ndarray:
+        """U(g) x or U(g)^dag x, new, broadcast as matmul broadcasts the (|g|, d, d) stack against a
+        complex x (..., 1 or |g|, d, m): one product per block size, or if monomial a row gather (a
+        contiguous np.take: matmul's rounding turns on layout) times the phases unless all are 1."""
+        if self._monomial is not None:
+            src, ph = self._monomial[0][g], self._monomial[1][g]
+            if adjoint:  # U(g)^dag[src[g, i], i] = conj phase[g, i]: the inverse gather
+                src = np.argsort(src, axis=1)
+                ph = np.take_along_axis(ph, src, axis=1).conj()
+            at = src + np.arange(len(src))[:, None] * self.dim if x.shape[-3] > 1 else src
+            y = np.take(x.reshape(*x.shape[:-3], -1, x.shape[-1]), at, axis=-2)
+            return y if (ph == 1).all() else np.multiply(ph[..., None], y, out=y)
+        out = np.empty((*x.shape[:-3], len(np.arange(self.group.order)[g]), *x.shape[-2:]), complex)
+        for cols, sub in self._stacks:  # [..., block, g, row, column]
+            u = _dagger(sub[:, g]) if adjoint else sub[:, g]
+            out[..., cols, :] = (u @ np.take(x, cols, axis=-2).swapaxes(-3, -4)).swapaxes(-3, -4)
+        return out
+
     def conjugate(self, x: np.ndarray, g=slice(None)) -> np.ndarray:
         """U(g) x U(g)^dag stacked over g, a slice or index array, always a fresh array the caller
-        may overwrite: gathers if monomial (times phases unless all are 1), else U(g) of g only."""
+        may overwrite: gathers if monomial (times phases unless all are 1), else U (U x^dag)^dag."""
         if self._monomial is None:
-            u = self._scatter(g)
-            return u @ x @ _dagger(u)
+            return self._act(_dagger(self._act(_dagger(np.asarray(x, complex))[None], g)), g)
         src, ph = self._monomial[0][g], self._monomial[1][g]  # ph_i x[src_i, src_k] conj(ph_k)
         y = np.take(np.asarray(x, complex), src[:, :, None] * len(x) + src[:, None, :])
         if not (ph == 1).all():  # a product by 1 + 0j would change at most the sign of a zero
@@ -347,9 +364,9 @@ def direct_sum_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
     if a._monomial is not None and b._monomial is not None:
         (src_a, ph_a), (src_b, ph_b) = a._monomial, b._monomial
         form = np.hstack([src_a, src_b + a.dim]), np.hstack([ph_a, ph_b])
-    else:  # a monomial summand's mats as one block
-        st_a, st_b = (r._stacks if r._monomial is None else [(np.arange(r.dim)[None], r.mats[None])]
-                      for r in (a, b))
+    else:  # a monomial summand's matrices as one block, scattered, not kept on the summand
+        st_a, st_b = (r._stacks if r._monomial is None else
+                      [(np.arange(r.dim)[None], r._scatter()[None])] for r in (a, b))
         form = st_a + [(c + a.dim, m) for c, m in st_b]
     return UnitaryRep(a.group, None, form) if a.group.order > 1 else _block_rep(a.group, form)
 
@@ -360,7 +377,7 @@ def twirl_operator(r: UnitaryRep, x: np.ndarray) -> np.ndarray:
     The result commutes with every U(g); averaging a Hermitian input yields a
     Hermitian output with the same trace.  The terms come from
     :meth:`UnitaryRep.conjugate` in chunks of g under a fixed byte budget: O(|G| d^2)
-    on a monomial rep, O(|G| d^3) otherwise.
+    on a monomial rep, O(|G| d sum s^2) on one of diagonal blocks of sizes s.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (r.dim, r.dim):
@@ -522,8 +539,8 @@ def _intertwiner_residual(rep: UnitaryRep, w: np.ndarray, shapes: list) -> tuple
     for W (L, d), B(g) = directsum_c B_c(g) (x) I_{n_c} per shape (_, rows (k, d_c, n_c) of W,
     B_c (k, |G|, d_c, d_c)), the residual of :meth:`IrrepDecomposition.reconstruction_residual`.
     Per shape and chunk of g, rows of W U(g) are one gather (of W, times the phases unless all are
-    1, if monomial, else of W U(g)), of B(g) W one product: O(|G| d sum d_c^2 n_c + L^2 d), or
-    O(|G| L d^2)."""
+    1, if monomial, else of (U(g)^dag W^dag)^dag from :meth:`UnitaryRep._act`), of B(g) W one
+    product: O(|G| d sum d_c^2 n_c + L^2 d), plus O(|G| L sum s^2) for blocks of sizes s."""
     w, d, n, phase = np.ascontiguousarray(w), rep.dim, rep.group.order, None
     e, b, mono, r = frob(w @ _dagger(w) - np.eye(len(w))), 1.0, rep._monomial, 0.0
     parts = []  # per shape: flat index of row [j, m, a] in x, mats, W's rows [j, m, (a, col)]
@@ -536,7 +553,7 @@ def _intertwiner_residual(rep: UnitaryRep, w: np.ndarray, shapes: list) -> tuple
         at, unit = np.argsort(mono[0], axis=1), (mono[1] == 1).all()
         phase = None if unit else np.take_along_axis(mono[1], at, axis=1)[:, None, None]
     for g in _chunk_slices(n, w.nbytes):  # cols: flat index of [row 0, col] in x, per g
-        x = w if mono is not None else w @ rep.mats[g]
+        x = w if mono is not None else _dagger(rep._act(_dagger(w)[None], g, adjoint=True))
         cols = at[g] if mono is not None else np.arange(len(x))[:, None] * w.size + np.arange(d)
         sq = 0.0
         for at_row, m, wr in parts:  # diff[j, g, m, a, col], as B(g) W comes out
@@ -563,9 +580,10 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     is.  In any other, the lowest eigenvectors of a random Hermitian twirled
     inside it give one copy's matrices ref, and Serre's projection operators built
     from ref lay out every copy in ref's basis at once, one batched pass per isotype
-    shape (d_mu, n_mu).  P costs O(|G| d) on a monomial rep, O(|G| d^2) otherwise; the
-    final check (the residual bound, at most max(1e-8, 1e-9 ||mats||, 1e-10 d))
-    O(|G| d sum d_mu^2 n_mu + d^3), or O(|G| d^3) off monomial reps.  A 0-dim rep has no blocks.
+    shape (d_mu, n_mu).  P costs O(|G| d) on a monomial rep, O(|G| sum s^2) block by block
+    on one of diagonal blocks of sizes s; U(g) acts by :meth:`UnitaryRep._act`, and the final
+    check (the residual bound, at most max(1e-8, 1e-9 ||mats||, 1e-10 d)) costs
+    O(|G| d sum d_mu^2 n_mu + d^3), plus O(|G| d sum s^2) on blocks.  A 0-dim rep has no blocks.
 
     Deterministic for a fixed seed, which drives only the splitting twirls: it
     moves the basis inside such an isotype but never the blocks' order, labels,
@@ -604,10 +622,10 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     sizes = dims * copies
     # P = sum_mu c_mu P_mu with P_mu = (d_mu/|G|) sum_g conj chi_mu(g) U(g), labels c_mu = 0, 1, ...
     a = (np.arange(present.size) * dims) @ chars[present].conj() / n
-    if r._monomial is None:
-        p = np.tensordot(a, r.mats, axes=1)
-    else:  # U(g)[i, src[g, i]] = phase[g, i]
-        p = np.zeros((d, d), dtype=complex)
+    p = np.zeros((d, d), dtype=complex)
+    for cols, sub in r._stacks or ():  # per diagonal block
+        p[cols[:, :, None], cols[:, None, :]] = np.tensordot(a, sub, (0, 1))
+    if r._monomial is not None:  # U(g)[i, src[g, i]] = phase[g, i]
         np.add.at(p, (np.arange(d), r._monomial[0]), a[:, None] * r._monomial[1])
     evals, evecs = np.linalg.eigh(p)
     off = float(abs(evals - np.repeat(np.arange(present.size), sizes)).max())
@@ -632,7 +650,7 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
         m = mats.get(i, chars[mu].reshape(n, 1, 1))
         blocks.append(IrrepBlock(i, int(dims[i]), int(copies[i]), m, np.einsum("gii->g", m[reps_])))
     dec = IrrepDecomposition(r, basis.conj().T, blocks)
-    norm = r.mats if r._monomial is None else r._monomial[1]  # ||mats||_F = ||phase||_F
+    norm = [frob(m) for _, m in r._stacks] if r._monomial is None else r._monomial[1]  # ||mats||_F
     residual, tol = dec.reconstruction_residual(), max(scaled_tol(norm), 1e-10 * d, 1e-8)
     if residual > tol:
         raise NumericalDegeneracyError(f"decompose: residual {residual:.3e} > {tol:.3e}")
@@ -641,16 +659,10 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
 
 
 def _subreps(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
-    """q_j^dag U(g) q_j in chunks of g for a stack q (k, d, m); U(g) q_j is a gather if monomial,
-    times the phases unless all are exactly 1 (a 0/1 form, as GNS's regular host has)."""
+    """q_j^dag (U(g) q_j) for a stack q (k, d, m) in chunks of g, by :meth:`UnitaryRep._act`."""
     out, qh = np.empty((len(q), r.group.order, *q.shape[2:] * 2), complex), _dagger(q)[:, None]
-    unit = r._monomial is not None and (r._monomial[1] == 1).all()
     for g in _chunk_slices(r.group.order, q.nbytes):
-        if r._monomial is None:
-            out[:, g] = qh @ r.mats[g] @ q[:, None]
-        else:  # a contiguous operand (np.take): numpy's matmul rounding turns on layout
-            x = np.take(q, r._monomial[0][g], axis=1)
-            out[:, g] = qh @ (x if unit else np.multiply(r._monomial[1][g, :, None], x, out=x))
+        out[:, g] = qh @ r._act(q[:, None], g)
     return out
 
 

@@ -127,7 +127,7 @@ def per_isotype_decompose(r, seed: int = 0) -> ak.IrrepDecomposition:
             ref = chars[mu].reshape(n, 1, 1)
         else:
             if r._monomial is None:
-                ref = q.conj().T @ r.mats @ q
+                ref = q.conj().T @ (r.mats @ q)
             else:
                 ref = q.conj().T @ (r._monomial[1][..., None] * q[r._monomial[0]])
             if n_mu > 1:
