@@ -55,9 +55,9 @@ class BochnerReport:
 class GnsResult:
     """A representation and cyclic unit vector realizing a group function."""
 
-    rep: reps.UnitaryRep
-    state: QuantumState
     dim: int
+    state: QuantumState
+    rep: reps.UnitaryRep
 
 
 def is_positive_definite(

@@ -82,8 +82,7 @@ def shift_channel(dim: int, shift: int) -> QuantumChannel:
 
 def random_channel(dim: int, kraus_count: int, rng) -> QuantumChannel:
     """A Haar-flavoured random channel: Gaussian Kraus set, renormalized."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     ks = rng.normal(size=(kraus_count, dim, dim)) + 1j * rng.normal(size=(kraus_count, dim, dim))
     total = np.einsum("kij,kil->jl", ks.conj(), ks)
     vals, vecs = np.linalg.eigh(total)

@@ -166,14 +166,14 @@ def _cmd_uequiv(args):
     dec = decompose(rep, seed=args.seed)
     tol = 1e-8 if args.tol is None else args.tol
     verdict = decide_unitary_g_equivalence(psi, phi, dec, tol=tol)
-    return {"verdict": jsonio.verdict_to_json(verdict)}
+    return {"verdict": jsonio.report_to_json(verdict)}
 
 
 def _cmd_equiv(args):
     rep = _load_rep(args)
     psi, phi = _load_states(args, 2, jsonio.state_from_json)
     verdict = decide_g_equivalence(psi, phi, rep)
-    return {"verdict": jsonio.verdict_to_json(verdict)}
+    return {"verdict": jsonio.report_to_json(verdict)}
 
 
 def _cmd_u1shift(args):
@@ -187,7 +187,7 @@ def _cmd_overlap(args):
     psi, phi = _load_states(args, 2, jsonio.state_from_json)
     dec = decompose(rep, seed=args.seed)
     report = max_overlap(psi, phi, dec)
-    return {"overlap": jsonio.overlap_report_to_json(report)}
+    return {"overlap": jsonio.report_to_json(report)}
 
 
 def _cmd_bochner(args):
@@ -197,7 +197,7 @@ def _cmd_bochner(args):
     f = _load_file(args.func, jsonio.func_from_json, g)
     dec = decompose(regular_rep(g), seed=args.seed)
     report = is_positive_definite(f, dec, tol=args.tol)
-    return {"bochner": jsonio.bochner_report_to_json(report)}
+    return {"bochner": jsonio.report_to_json(report)}
 
 
 def _cmd_gns(args):
@@ -205,7 +205,7 @@ def _cmd_gns(args):
     if args.func is None:
         raise ValidationError("gns needs --func FILE")
     f = _load_file(args.func, jsonio.func_from_json, g)
-    return {"gns": jsonio.gns_result_to_json(gns_construct(f))}
+    return {"gns": jsonio.report_to_json(gns_construct(f))}
 
 
 def _cmd_covcheck(args):
@@ -213,7 +213,7 @@ def _cmd_covcheck(args):
     r_in = _load_rep(args)
     r_out = _load_file(args.rep_out, jsonio.rep_from_json, r_in.group) if args.rep_out else r_in
     check = is_g_covariant(c, r_in, r_out, tol=1e-8 if args.tol is None else args.tol)
-    return {"covariant": check.covariant, "residual": check.residual}
+    return jsonio.report_to_json(check)
 
 
 def _cmd_twirl(args):

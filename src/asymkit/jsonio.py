@@ -12,31 +12,30 @@ that fits what :class:`UnitaryRep` holds, each marked by its key:
 The reader takes all three, dense files of monomial reps included, with the full
 validation of :class:`UnitaryRep`.  A monomial file is checked and built on its
 (src, phase) form and a ``blocks`` file on its blocks, neither stacked densely; a ``mats``
-file is read into the dense stack.  Writers keep full float
-precision (a round trip is bit-identical); :func:`canonical_dumps` reports round to
-12 significant digits, in text byte for byte what ``json.dumps`` of the rounded
-payload gives.
+file is read into the dense stack.  Writers keep full float precision (a round trip is
+bit-identical).  Every CLI report is written by one rule, :func:`report_to_json` (a dataclass
+by its fields, arrays as pairs, an Enum by its value); :func:`canonical_dumps` rounds it to 12
+significant digits, in text byte for byte what ``json.dumps`` of the rounded payload gives.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import re
 from typing import Any
 
 import numpy as np
 
-from .approx import OverlapReport
-from .bochner import BochnerReport, GnsResult
 from .channels import QuantumChannel
-from .equivalence import EquivalenceVerdict
 from .errors import SizeLimitError, ValidationError
 from .groups import GroupTable, _whole, _whole_number, group_from_json, group_to_json
 from .reps import IrrepDecomposition, UnitaryRep, _block_rep, _monomial_rep
 from .states import CharFunction, IrrepReduction, QuantumState, WeightState
 
 
-def _from_pairs(obj, ndim: int) -> np.ndarray:
+def matrix_from_json(obj, ndim: int = 2) -> np.ndarray:
     """The complex array with ``ndim`` axes held in nested [re, im] pairs.
 
     Leaves are read as ``float()`` reads them.  A ragged nesting, a pair of the
@@ -56,27 +55,15 @@ def _has_null(obj) -> bool:
     return obj is None or isinstance(obj, (list, tuple)) and any(map(_has_null, obj))
 
 
-def vector_to_json(v: np.ndarray) -> list:
-    return matrix_to_json(np.ravel(v))
-
-
-def vector_from_json(obj) -> np.ndarray:
-    return _from_pairs(obj, 1)
-
-
 def matrix_to_json(m: np.ndarray) -> list:
     """Nested [re, im] lists of a complex array of any shape, in one ``tolist`` call."""
     m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    return _from_pairs(obj, 2)
-
-
 # -- representations ---------------------------------------------------------
 
-_REP_BYTES = 1 << 28  # largest dense stack |G| d^2 16 a rep file may claim
+_REP_BYTES = 1 << 28  # largest form a rep file may claim, in the bytes it is held in
 
 
 def rep_to_json(r: UnitaryRep, inline_group: bool = True) -> dict:
@@ -99,8 +86,9 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
     a monomial one on (src, phase), a ``blocks`` one on its blocks and a ``mats`` one on its
     dense stack, both cut to the diagonal blocks of their exact-zero pattern first.
 
-    A compact form must state ``dim``; a ``dim`` whose stack takes |G| dim^2 16 bytes
-    > 256 MiB raises SizeLimitError before any array is read.  Malformed indices or
+    A compact form must state ``dim``.  A form that holds over 256 MiB (|G| dim 24 bytes as
+    (src, phase), |G| sum s^2 16 as blocks of s rows read off the lists, |G| dim^2 16 as ``mats``
+    of a stated ``dim``) raises SizeLimitError before any array is read.  Malformed indices or
     blocks raise ValidationError; phases and block entries are left to UnitaryRep.
     """
     if group is None:
@@ -119,13 +107,17 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
         dim = _whole_number(dim, "representation JSON 'dim'")
         if dim < 0:
             raise ValidationError(f"representation JSON 'dim' must be nonnegative, got {dim}")
-        if n * dim * dim * 16 > _REP_BYTES:
-            raise SizeLimitError(
-                f"a {dim}-dim rep of a group of order {n} takes {n * dim * dim * 16} bytes,"
-                f" over the cap {_REP_BYTES}"
-            )
+    if form == ["blocks"]:
+        held = n * 16 * sum(_rows(blk) ** 2 for blk in obj["blocks"])
+    else:
+        held = n * (24 * dim if form == ["src", "phase"] else 16 * (dim or 0) ** 2)
+    if held > _REP_BYTES:
+        raise SizeLimitError(
+            f"a {dim}-dim rep of a group of order {n} takes {held} bytes in its {form[0]!r}"
+            f" form, over the cap {_REP_BYTES}"
+        )
     if form == ["src", "phase"]:
-        src, phase = _whole(obj["src"], "'src'"), _from_pairs(obj["phase"], 2)
+        src, phase = _whole(obj["src"], "'src'"), matrix_from_json(obj["phase"], 2)
         if src.shape != (n, dim) or phase.shape != (n, dim):
             raise ValidationError(
                 f"'src' {src.shape} and 'phase' {phase.shape} must both have shape {(n, dim)}"
@@ -135,10 +127,17 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
         return _monomial_rep(group, src, phase)
     if form == ["blocks"]:
         return _block_rep(group, _block_mats(obj["blocks"], n, dim))
-    rep = UnitaryRep(group, _from_pairs(obj["mats"], 3))
+    rep = UnitaryRep(group, matrix_from_json(obj["mats"], 3))
     if dim is not None and dim != rep.dim:
         raise ValidationError("representation JSON 'dim' does not match its matrices")
     return rep
+
+
+def _rows(blk) -> int:
+    """The rows of a block's first matrix, read off its nested lists; 0 where they are
+    malformed, which :func:`_block_mats` rejects."""
+    mats = blk.get("mats") if isinstance(blk, dict) else None
+    return len(mats[0]) if isinstance(mats, list) and mats and isinstance(mats[0], list) else 0
 
 
 def _block_mats(blocks: list, n: int, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -146,7 +145,7 @@ def _block_mats(blocks: list, n: int, dim: int) -> list[tuple[np.ndarray, np.nda
     matrices; the blocks must follow each other from 0 to dim, with no gap and no overlap."""
     stacks, at = [], 0
     for blk in blocks:
-        start, m = _whole_number(blk["start"], "block 'start'"), _from_pairs(blk["mats"], 3)
+        start, m = _whole_number(blk["start"], "block 'start'"), matrix_from_json(blk["mats"], 3)
         if start != at or m.shape[0] != n or m.shape[1] != m.shape[2] or at + m.shape[1] > dim:
             raise ValidationError(
                 f"block at {start} of shape {m.shape} does not tile (|G|, {dim}, {dim})"
@@ -164,16 +163,16 @@ def _block_mats(blocks: list, n: int, dim: int) -> list[tuple[np.ndarray, np.nda
 
 def state_to_json(s: QuantumState) -> dict:
     if s.is_pure:
-        return {"kind": "pure", "data": vector_to_json(s.vec)}
+        return {"kind": "pure", "data": matrix_to_json(s.vec)}
     return {"kind": "mixed", "data": matrix_to_json(s.rho)}
 
 
 def state_from_json(obj: dict) -> QuantumState:
     kind = obj.get("kind")
     if kind == "pure":
-        return QuantumState.pure(vector_from_json(obj["data"]))
+        return QuantumState.pure(matrix_from_json(obj["data"], 1))
     if kind == "mixed":
-        return QuantumState.mixed(matrix_from_json(obj["data"]))
+        return QuantumState.mixed(matrix_from_json(obj["data"], 2))
     raise ValidationError(f"state JSON kind must be 'pure' or 'mixed', got {kind!r}")
 
 
@@ -183,7 +182,7 @@ def weight_state_from_json(obj: dict) -> WeightState:
     weights = {int(k): float(v) for k, v in obj["weights"].items()}
     amps = obj.get("amplitudes")
     if amps is not None:
-        amps = {int(k): complex(_from_pairs(v, 0)) for k, v in amps.items()}
+        amps = {int(k): complex(matrix_from_json(v, 0)) for k, v in amps.items()}
     return WeightState(weights, amps)
 
 
@@ -195,12 +194,12 @@ def weight_state_to_json(w: WeightState) -> dict:
 
 
 def func_to_json(f: CharFunction) -> dict:
-    return {"values": vector_to_json(f.values), "labels": list(f.group.labels)}
+    return {"values": matrix_to_json(f.values), "labels": list(f.group.labels)}
 
 
 def func_from_json(obj, group: GroupTable) -> CharFunction:
     values = obj["values"] if isinstance(obj, dict) else obj
-    return CharFunction(group, vector_from_json(values))
+    return CharFunction(group, matrix_from_json(values, 1))
 
 
 # -- channels -----------------------------------------------------------------
@@ -211,7 +210,7 @@ def channel_to_json(c: QuantumChannel) -> dict:
 
 
 def channel_from_json(obj: dict) -> QuantumChannel:
-    c = QuantumChannel(_from_pairs(obj["kraus"], 3))
+    c = QuantumChannel(matrix_from_json(obj["kraus"], 3))
     if "d_in" in obj and _whole_number(obj["d_in"], "channel JSON 'd_in'") != c.d_in:
         raise ValidationError("channel JSON 'd_in' does not match its Kraus operators")
     if "d_out" in obj and _whole_number(obj["d_out"], "channel JSON 'd_out'") != c.d_out:
@@ -219,23 +218,37 @@ def channel_from_json(obj: dict) -> QuantumChannel:
     return c
 
 
-# -- composite reports --------------------------------------------------------
+# -- reports ----------------------------------------------------------------
+
+
+def report_to_json(obj: Any) -> Any:
+    """The JSON of a report, by one rule applied all the way down.
+
+    A dataclass becomes a dict of its fields by name, an array nested [re, im] pairs
+    (:func:`matrix_to_json`), an Enum its value and a dict the same dict with ``str`` keys.
+    A state is written as :func:`state_to_json` writes it and a rep as :func:`rep_to_json`
+    does, without its group.  Anything else (None, bool, int, float) is kept as it is.
+    """
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {str(k): report_to_json(v) for k, v in obj.items()}
+    if isinstance(obj, QuantumState):
+        return state_to_json(obj)
+    if isinstance(obj, UnitaryRep):
+        return rep_to_json(obj, inline_group=False)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: report_to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
 
 
 def decomposition_to_json(dec: IrrepDecomposition) -> dict:
     return {
         "basis": matrix_to_json(dec.basis),
         "offsets": list(dec.offsets),
-        "blocks": [
-            {
-                "label": blk.label,
-                "dim": blk.dim,
-                "mult": blk.mult,
-                "character": vector_to_json(blk.character),
-                "mats": matrix_to_json(blk.mats),
-            }
-            for blk in dec.blocks
-        ],
+        "blocks": [report_to_json(blk) for blk in dec.blocks],
     }
 
 
@@ -244,47 +257,6 @@ def reduction_to_json(red: IrrepReduction) -> dict:
         "labels": list(red.labels),
         "blocks": [matrix_to_json(b) for b in red.blocks],
         "traces": [float(t) for t in red.traces()],
-    }
-
-
-def verdict_to_json(v: EquivalenceVerdict) -> dict:
-    return {
-        "status": v.status.value,
-        "witness": None if v.witness is None else matrix_to_json(v.witness),
-        "one_dim_rep": None if v.one_dim_rep is None else vector_to_json(v.one_dim_rep),
-        "certificate": v.certificate,
-    }
-
-
-def overlap_report_to_json(rep: OverlapReport) -> dict:
-    return {
-        "optimal": float(rep.optimal),
-        "per_mu_fidelity": {str(k): float(v) for k, v in rep.per_mu_fidelity.items()},
-        "witness": matrix_to_json(rep.witness),
-        "bound_trace": float(rep.bound_trace),
-        "bound_charfunc_global": float(rep.bound_charfunc_global),
-        "bound_charfunc_per_mu": float(rep.bound_charfunc_per_mu),
-    }
-
-
-def bochner_report_to_json(rep: BochnerReport) -> dict:
-    return {
-        "positive_definite": rep.positive_definite,
-        "normalized": rep.normalized,
-        "min_eigenvalue": float(rep.min_eigenvalue),
-        "worst_block": rep.worst_block,
-        "block_min_eigenvalues": {
-            str(k): float(v) for k, v in rep.block_min_eigenvalues.items()
-        },
-        "hermiticity_residual": float(rep.hermiticity_residual),
-    }
-
-
-def gns_result_to_json(res: GnsResult) -> dict:
-    return {
-        "dim": res.dim,
-        "state": state_to_json(res.state),
-        "rep": rep_to_json(res.rep, inline_group=False),
     }
 
 

@@ -392,18 +392,18 @@ def twirl_operator(r: UnitaryRep, x: np.ndarray) -> np.ndarray:
 class IrrepBlock:
     """One inequivalent irreducible constituent of a decomposition.
 
+    ``character`` is the trace vector over conjugacy classes in canonical
+    class order.
     ``mats`` holds the d_mu x d_mu unitaries (one per group element) by which
     every copy in the sector acts: the decomposition's basis lays all copies out
     in the same irrep basis.
-    ``character`` is the trace vector over conjugacy classes in canonical
-    class order.
     """
 
     label: int
     dim: int
     mult: int
-    mats: np.ndarray
     character: np.ndarray
+    mats: np.ndarray
 
 
 class IrrepDecomposition:
@@ -648,7 +648,7 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     reps_, blocks = group.class_representatives(), []
     for i, mu in enumerate(present):  # a 1-dim isotype acts by its table row
         m = mats.get(i, chars[mu].reshape(n, 1, 1))
-        blocks.append(IrrepBlock(i, int(dims[i]), int(copies[i]), m, np.einsum("gii->g", m[reps_])))
+        blocks.append(IrrepBlock(i, int(dims[i]), int(copies[i]), np.einsum("gii->g", m[reps_]), m))
     dec = IrrepDecomposition(r, basis.conj().T, blocks)
     norm = [frob(m) for _, m in r._stacks] if r._monomial is None else r._monomial[1]  # ||mats||_F
     residual, tol = dec.reconstruction_residual(), max(scaled_tol(norm), 1e-10 * d, 1e-8)
@@ -728,7 +728,6 @@ def random_invariant_unitary(dec: IrrepDecomposition, rng) -> np.ndarray:
     Haar-random on each multiplicity space, identity across irrep rows: the
     generic element of the commutant's unitary group.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     vs = [haar_unitary(blk.mult, rng) for blk in dec.blocks]
     return dec.invariant_unitary(vs)

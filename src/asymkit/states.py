@@ -92,15 +92,13 @@ class QuantumState:
 
 
 def random_pure_state(dim: int, rng) -> QuantumState:
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return QuantumState.pure(v / np.linalg.norm(v))
 
 
 def random_mixed_state(dim: int, rng, rank: int | None = None) -> QuantumState:
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     rank = rank or dim
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = a @ a.conj().T

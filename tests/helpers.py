@@ -134,7 +134,7 @@ def per_isotype_decompose(r, seed: int = 0) -> ak.IrrepDecomposition:
                 q, ref = _split_isotype(q, ref, d_mu, rng)
         basis_cols.append(q)
         character = np.einsum("gii->g", ref[group.class_representatives()])
-        blocks.append(ak.IrrepBlock(label, d_mu, n_mu, ref, character))
+        blocks.append(ak.IrrepBlock(label, d_mu, n_mu, character, ref))
     return ak.IrrepDecomposition(r, np.hstack(basis_cols).conj().T, blocks)
 
 
@@ -483,6 +483,8 @@ def rejected_inputs():
         "blocks-not-square": _with(blocks, ("blocks", 0, "mats"), narrow),
         "blocks-short-of-dim": _with(blocks, ("dim",), 4),
         "blocks-past-dim": _with(blocks, ("dim",), 2),
+        "blocks-mats-empty": _with(blocks, ("blocks", 0, "mats"), []),
+        "blocks-mats-scalar": _with(blocks, ("blocks", 0, "mats"), 5),
         "mats-and-src": {**mono, "mats": dense["mats"]},
         "blocks-and-src": {**blocks, "src": mono["src"], "phase": mono["phase"]},
         "no-form": {k: v for k, v in dense.items() if k != "mats"},
@@ -494,4 +496,85 @@ def rejected_inputs():
         "order-fraction": ("group", {"mul": [[0, 1], [1, 0]], "order": 2.5}),
         "d-in-fraction": ("channel", _with(channel, ("d_in",), 2.5)),
         "d-out-fraction": ("channel", _with(channel, ("d_out",), 2.5)),
+    }
+
+
+# -- the hand-written report serializers that jsonio.report_to_json replaced, kept as its oracle
+
+
+def _verdict_to_json(v) -> dict:
+    return {
+        "status": v.status.value,
+        "witness": None if v.witness is None else jsonio.matrix_to_json(v.witness),
+        "one_dim_rep": (
+            None if v.one_dim_rep is None else jsonio.matrix_to_json(np.ravel(v.one_dim_rep))
+        ),
+        "certificate": v.certificate,
+    }
+
+
+def _overlap_report_to_json(rep) -> dict:
+    return {
+        "optimal": float(rep.optimal),
+        "per_mu_fidelity": {str(k): float(v) for k, v in rep.per_mu_fidelity.items()},
+        "witness": jsonio.matrix_to_json(rep.witness),
+        "bound_trace": float(rep.bound_trace),
+        "bound_charfunc_global": float(rep.bound_charfunc_global),
+        "bound_charfunc_per_mu": float(rep.bound_charfunc_per_mu),
+    }
+
+
+def _bochner_report_to_json(rep) -> dict:
+    return {
+        "positive_definite": rep.positive_definite,
+        "normalized": rep.normalized,
+        "min_eigenvalue": float(rep.min_eigenvalue),
+        "worst_block": rep.worst_block,
+        "block_min_eigenvalues": {
+            str(k): float(v) for k, v in rep.block_min_eigenvalues.items()
+        },
+        "hermiticity_residual": float(rep.hermiticity_residual),
+    }
+
+
+def _gns_result_to_json(res) -> dict:
+    return {
+        "dim": res.dim,
+        "state": jsonio.state_to_json(res.state),
+        "rep": jsonio.rep_to_json(res.rep, inline_group=False),
+    }
+
+
+def _covariance_check_to_json(check) -> dict:
+    return {"covariant": check.covariant, "residual": check.residual}
+
+
+REPORT_ORACLES = {
+    ak.EquivalenceVerdict: _verdict_to_json,
+    ak.OverlapReport: _overlap_report_to_json,
+    ak.BochnerReport: _bochner_report_to_json,
+    ak.GnsResult: _gns_result_to_json,
+    ak.CovarianceCheck: _covariance_check_to_json,
+}
+
+
+def report_oracle(report) -> dict:
+    """The dict the CLI wrote for a report before one rule wrote them all."""
+    return REPORT_ORACLES[type(report)](report)
+
+
+def decomposition_oracle(dec) -> dict:
+    return {
+        "basis": jsonio.matrix_to_json(dec.basis),
+        "offsets": list(dec.offsets),
+        "blocks": [
+            {
+                "label": blk.label,
+                "dim": blk.dim,
+                "mult": blk.mult,
+                "character": jsonio.matrix_to_json(np.ravel(blk.character)),
+                "mats": jsonio.matrix_to_json(blk.mats),
+            }
+            for blk in dec.blocks
+        ],
     }

@@ -564,7 +564,7 @@ def test_rejected_input_exit_2(tmp_path, capsys, name):
 
 def test_size_limit_exit_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"dim": 2000, "src": [[0]], "phase": [[[1.0, 0.0]]]}))
+    path.write_text(json.dumps({"dim": 20000, "src": [[0]], "phase": [[[1.0, 0.0]]]}))
     code = main(["decompose", "--make", "cyclic:720", "--rep", str(path)])
     captured = capsys.readouterr()
     assert code == 2

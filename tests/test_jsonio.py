@@ -1,5 +1,8 @@
 """Serialization round trips for every interchange format."""
 
+import contextlib
+import functools
+import io
 import json
 import tracemalloc
 
@@ -10,12 +13,14 @@ from helpers import (
     MALFORMED,
     PAIR_KINDS,
     blocked_rep,
+    decomposition_oracle,
     dense_charfunc,
     malformed_payload,
     pair_payloads,
     perm_rep,
     reference_canonical_dumps,
     rejected_inputs,
+    report_oracle,
     stack_spans,
 )
 from hypothesis import given, settings
@@ -23,7 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import asymkit as ak
-from asymkit import jsonio, reps
+from asymkit import cli, jsonio, reps
 from asymkit.linalg import haar_unitary
 
 
@@ -80,6 +85,8 @@ def test_decomposition_export_shape(decompositions):
     assert set(obj) == {"basis", "offsets", "blocks"}
     assert [b["dim"] for b in obj["blocks"]] == [1, 1, 2]
     assert obj["offsets"] == [0, 1, 2]
+    assert obj == decomposition_oracle(decompositions["s3"])
+    assert table_text(obj) == table_text(decomposition_oracle(decompositions["s3"]))
 
 
 def test_canonical_dumps_rounds_floats():
@@ -118,7 +125,7 @@ def test_malformed_pairs_rejected_by_reader(kind, case):
 def test_reader_takes_what_float_takes():
     obj = [["1.5", True], ["-2e0", False], [1, "nan"], [0, "-inf"]]
     expected = np.array([complex(float(re), float(im)) for re, im in obj])
-    got = jsonio.vector_from_json(obj)
+    got = jsonio.matrix_from_json(obj, 1)
     assert got.dtype == complex
     np.testing.assert_array_equal(got, expected)
     assert jsonio.weight_state_from_json(
@@ -129,12 +136,12 @@ def test_reader_takes_what_float_takes():
 @pytest.mark.parametrize("obj", [[["x", 0.0]], [[{}, 0.0]], [[10**400, 0.0]], 5, "ab", {"a": 1}])
 def test_reader_rejects_what_float_rejects(obj):
     with pytest.raises(ak.ValidationError):
-        jsonio.vector_from_json(obj)
+        jsonio.matrix_from_json(obj, 1)
 
 
 def test_signed_zero_and_subnormal_round_trip():
     v = np.array([complex(-0.0, -0.0), complex(5e-324, -1e308), complex(np.nan, np.inf)])
-    back = jsonio.vector_from_json(json.loads(json.dumps(jsonio.vector_to_json(v))))
+    back = jsonio.matrix_from_json(json.loads(json.dumps(jsonio.matrix_to_json(v))), 1)
     np.testing.assert_array_equal(back.view(float), v.view(float))
     assert np.signbit(back.view(float)[:2]).all()
 
@@ -381,22 +388,118 @@ def test_whole_numbers_are_read_as_integers():
     assert ak.group_from_json({"mul": [[0.0, 1.0], [1.0, 0.0]], "order": 2.0}).order == 2
 
 
-HUGE_CLAIMS = {
-    "monomial": {"dim": 2000, "src": [[0]], "phase": [[[1.0, 0.0]]]},
-    "blocks": {"dim": 2000, "blocks": [{"start": 0, "mats": [[[[1.0, 0.0]]]]}]},
-    "dense": {"dim": 2000, "mats": [[[[1.0, 0.0]]]]},
+HUGE_CLAIMS = {  # form -> (file, the bytes its form would hold on Z720)
+    "monomial": ({"dim": 20000, "src": [[0]], "phase": [[[1.0, 0.0]]]}, 345600000),
+    "blocks": (
+        {"dim": 2000, "blocks": [{"start": 0, "mats": [[[[1.0, 0.0]]] * 20000]}]},
+        4608000000000,
+    ),
+    "dense": ({"dim": 2000, "mats": [[[[1.0, 0.0]]]]}, 46080000000),
 }
 
 
 @pytest.mark.parametrize("form", sorted(HUGE_CLAIMS))
 def test_size_limit_before_allocating(form):
-    """dim 2000 on Z720 would expand to 720 * 2000^2 * 16 bytes, 46 GB."""
+    """Each file claims more than 256 MiB in its own form on Z720: dim 20000 as (src, phase),
+    720 * 20000 * 24 bytes; a first block of 20000 rows, 720 * 20000^2 * 16; dim 2000 as
+    ``mats``, 720 * 2000^2 * 16."""
     z720 = ak.make_cyclic(720)
+    obj, held = HUGE_CLAIMS[form]
     tracemalloc.start()
     try:
-        with pytest.raises(ak.SizeLimitError, match="46080000000 bytes"):
-            jsonio.rep_from_json(HUGE_CLAIMS[form], z720)
+        with pytest.raises(ak.SizeLimitError, match=f"{held} bytes"):
+            jsonio.rep_from_json(obj, z720)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def table_text(obj) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._render_table(obj)
+    return out.getvalue()
+
+
+def plus(dim: int, *levels: int) -> ak.QuantumState:
+    v = np.zeros(dim)
+    v[list(levels)] = 1.0
+    return ak.QuantumState.pure(v / np.linalg.norm(v))
+
+
+@functools.cache
+def reports() -> dict:
+    """One report of each kind the CLI prints, and each verdict status: name -> report."""
+    rng = np.random.default_rng(8)
+    s3 = ak.regular_rep(ak.make_symmetric(3))
+    dec = ak.decompose(s3, seed=0)
+    psi, other = ak.random_pure_state(6, rng), ak.random_pure_state(6, rng)
+    planted = ak.QuantumState.pure(ak.random_invariant_unitary(dec, rng) @ psi.vec)
+    z4 = ak.number_rep(ak.make_cyclic(4), range(4))
+    z16 = ak.number_rep(ak.make_cyclic(16), range(16))
+    not_pd = np.full(6, -0.9)
+    not_pd[0] = 1.0
+    z6, d20 = ak.regular_rep(ak.make_cyclic(6)), ak.regular_rep(ak.make_dihedral(10))
+    raw = ak.random_channel(6, 2, rng)
+    return {
+        "uequiv equivalent": ak.decide_unitary_g_equivalence(psi, planted, dec),
+        "uequiv not equivalent": ak.decide_unitary_g_equivalence(psi, other, dec),
+        "equiv inconclusive": ak.decide_g_equivalence(plus(4, 0, 1), plus(4, 0, 2), z4),
+        "equiv one-dim rep": ak.decide_g_equivalence(plus(16, 0, 1), plus(16, 2, 3), z16),
+        "overlap": ak.max_overlap(psi, other, dec),
+        "bochner valid": ak.is_positive_definite(ak.charfunc(psi, s3), dec),
+        "bochner invalid": ak.is_positive_definite(ak.CharFunction(s3.group, not_pd), dec),
+        "gns abelian": ak.gns_construct(ak.charfunc(ak.random_pure_state(6, rng), z6)),
+        "gns d20": ak.gns_construct(ak.charfunc(ak.random_pure_state(20, rng), d20)),
+        "covariant": ak.is_g_covariant(ak.twirl_channel(raw, s3), s3, s3),
+        "not covariant": ak.is_g_covariant(raw, s3, s3),
+    }
+
+
+def test_reports_cover_every_case():
+    r = reports()
+    status = {name: v.status for name, v in r.items() if isinstance(v, ak.EquivalenceVerdict)}
+    assert status == {
+        "uequiv equivalent": ak.EquivalenceStatus.EQUIVALENT,
+        "uequiv not equivalent": ak.EquivalenceStatus.NOT_EQUIVALENT,
+        "equiv inconclusive": ak.EquivalenceStatus.INCONCLUSIVE,
+        "equiv one-dim rep": ak.EquivalenceStatus.EQUIVALENT,
+    }
+    assert r["uequiv equivalent"].witness is not None
+    assert r["uequiv not equivalent"].certificate is not None
+    assert r["equiv one-dim rep"].one_dim_rep is not None
+    assert [bool(r[k]) for k in ("bochner valid", "bochner invalid")] == [True, False]
+    assert r["gns abelian"].rep._monomial is not None
+    assert "blocks" in jsonio.rep_to_json(r["gns d20"].rep)
+    assert [bool(r[k]) for k in ("covariant", "not covariant")] == [True, False]
+
+
+@pytest.mark.parametrize("name", list(reports()))
+def test_report_to_json_matches_the_serializer_it_replaced(name):
+    """Equal dicts, equal canonical text and equal tables, so key order holds too."""
+    report = reports()[name]
+    got, want = jsonio.report_to_json(report), report_oracle(report)
+    assert got == want
+    assert jsonio.canonical_dumps(got) == jsonio.canonical_dumps(want)
+    assert table_text(got) == table_text(want)
+
+
+@pytest.mark.parametrize("name", ["regular", "gns"])
+def test_d360_file_reads_back_in_its_form(name):
+    """The regular rep of D360 (make_dihedral(180)) as its 2.8 MB (src, phase) file, and the
+    GNS rep of a generic chi on it as its 12 MB ``blocks`` file: each dense stack would take
+    746 MB, over the 256 MiB cap, but neither form holds one."""
+    r = ak.regular_rep(ak.make_dihedral(180))
+    if name == "gns":
+        chi = ak.charfunc(ak.random_pure_state(r.dim, np.random.default_rng(0)), r)
+        r = ak.gns_construct(chi).rep
+    obj = json.loads(json.dumps(jsonio.rep_to_json(r)))
+    back = jsonio.rep_from_json(obj)
+    assert form_of(obj) == ["src" if name == "regular" else "blocks"]
+    assert back._mats is None
+    if name == "regular":
+        assert all(np.array_equal(x, y) for x, y in zip(back._monomial, r._monomial))
+    else:
+        assert stack_spans(back) == stack_spans(r)
+        assert [m.tobytes() for _, m in back._stacks] == [m.tobytes() for _, m in r._stacks]

@@ -49,7 +49,7 @@ def dense_sum(a, b):
 
 def dense_scatter(src, phase):
     """The stack the JSON reader used to build from a (src, phase) file."""
-    src, phase = np.asarray(src), jsonio._from_pairs(phase, 2)
+    src, phase = np.asarray(src), jsonio.matrix_from_json(phase, 2)
     n, d = src.shape
     mats = np.zeros((n, d, d), dtype=complex)
     mats[np.arange(n)[:, None], np.arange(d), src] = phase
