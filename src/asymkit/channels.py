@@ -82,6 +82,8 @@ def shift_channel(dim: int, shift: int) -> QuantumChannel:
 
 def random_channel(dim: int, kraus_count: int, rng) -> QuantumChannel:
     """A Haar-flavoured random channel: Gaussian Kraus set, renormalized."""
+    if kraus_count < 1:
+        raise InvalidParameterError(f"a channel needs kraus_count >= 1, got {kraus_count}")
     rng = np.random.default_rng(rng)
     ks = rng.normal(size=(kraus_count, dim, dim)) + 1j * rng.normal(size=(kraus_count, dim, dim))
     total = np.einsum("kij,kil->jl", ks.conj(), ks)

@@ -27,11 +27,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    GroupMismatchError,
     InvalidParameterError,
     NotInvariantIsometryError,
     PureStateRequiredError,
     ValidationError,
 )
+from .groups import same_group
 from .linalg import assert_psd, frob, polar_unitary, scaled_tol
 from .reps import (IrrepDecomposition, UnitaryRep, _chunk_slices, _dagger, _frob_each, decompose,
                    one_dim_reps)
@@ -82,8 +84,8 @@ def gram(states: list[QuantumState]) -> np.ndarray:
     """Gram matrix X[i,j] = <psi_i|psi_j> of a list of pure states."""
     _require_pure(*states)
     dims = {s.dim for s in states}
-    if len(dims) > 1:
-        raise DimensionMismatchError("all states in a Gram matrix must share a dimension")
+    if len(dims) != 1:  # no state fixes the dimension of an empty list
+        raise DimensionMismatchError("a Gram matrix needs states, all of one dimension")
     vecs = np.array([s.vec for s in states])
     x = vecs.conj() @ vecs.T
     assert_psd(x, scaled_tol(x), what="Gram matrix")
@@ -165,7 +167,8 @@ def decide_g_equivalence(
     omega matches and both characteristic functions vanish nowhere, the
     states are provably inequivalent; if either vanishes somewhere, the
     inequivalence argument does not apply and the verdict is Inconclusive.
-    The omegas come from dec_regular if given, else from the group's character table.
+    The omegas always come from the group's character table (:func:`one_dim_reps`); a
+    dec_regular given is only checked to be over r's group and to hold every irrep.
     """
     _require_pure(psi, phi)
     chi_psi = charfunc(psi, r).values
@@ -214,8 +217,13 @@ def extend_isometry_to_ginv_unitary(
     representation.  Both the projector and the partial isometry are then
     block-diagonal over the isotypic sectors, acting only on multiplicity
     spaces; each multiplicity-space piece is completed to a unitary there,
-    which assembles into an invariant unitary V with V proj = W proj.
+    which assembles into an invariant unitary V with V proj = W proj.  A dec given must be
+    of r's group (else GroupMismatchError) and dimension (else DimensionMismatchError).
     """
+    if dec is not None and not same_group(dec.rep.group, r.group):
+        raise GroupMismatchError("decomposition is over a different group")
+    if dec is not None and dec.rep.dim != r.dim:
+        raise DimensionMismatchError(f"decomposition of dim {dec.rep.dim}, rep of dim {r.dim}")
     w = np.asarray(w, dtype=complex)
     proj = np.asarray(proj, dtype=complex)
     d = r.dim

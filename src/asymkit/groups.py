@@ -4,9 +4,9 @@ Conventions shared by the whole package:
 
 * elements are integers 0..|G|-1 and index 0 is always the identity;
 * tables are immutable after construction; derived data is computed eagerly,
-  except the character table, the one-dimensional reps checked against it and
-  the regular rep's form, cached on first use (a race is harmless: all are
-  deterministic), so concurrent reads are safe;
+  except the character table and the one-dimensional reps checked against it,
+  cached on first use (a race is harmless: both are deterministic), so
+  concurrent reads are safe;
 * the desk-scale cap is |G| <= 720 so that |G|-indexed dense data and
   O(|G| d^3) averaging loops stay comfortable in memory and time.
 """
@@ -41,7 +41,7 @@ class GroupTable:
     """
 
     __slots__ = ("order", "mul", "inv", "labels", "_generators", "_classes", "_abelian",
-                 "_characters", "_one_dim", "_regular")
+                 "_characters", "_one_dim")
 
     def __init__(self, mul, labels=None):
         mul = _whole(mul, "multiplication table")
@@ -67,7 +67,7 @@ class GroupTable:
         self.labels = labels or [str(i) for i in range(n)]
         self._classes = _conjugacy_classes(mul, self.inv)
         self._abelian = bool(np.array_equal(mul, mul.T))
-        self._characters = self._one_dim = self._regular = None  # the last two cached by reps
+        self._characters = self._one_dim = None  # the latter cached by reps
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 
@@ -293,9 +293,15 @@ def subgroup(g: GroupTable, elements) -> SubgroupRef:
 
     The set must contain the identity and be closed under multiplication,
     which in a finite group implies closure under inversion; otherwise
-    InvalidSubgroupError is raised.
+    InvalidSubgroupError is raised, as for an element that is not a whole number.
     """
-    elems = sorted(set(int(x) for x in elements))
+    try:
+        elems = _whole(list(elements), "subgroup elements")
+    except ValidationError as exc:
+        raise InvalidSubgroupError(str(exc)) from None
+    if elems.ndim != 1:
+        raise InvalidSubgroupError("subgroup elements must be single element indices")
+    elems = np.unique(elems).tolist()
     if any(x < 0 or x >= g.order for x in elems):
         raise InvalidSubgroupError("subgroup elements must be valid element indices")
     if 0 not in elems:

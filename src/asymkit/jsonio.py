@@ -31,7 +31,7 @@ import numpy as np
 from .channels import QuantumChannel
 from .errors import SizeLimitError, ValidationError
 from .groups import GroupTable, _whole, _whole_number, group_from_json, group_to_json
-from .reps import IrrepDecomposition, UnitaryRep, _block_rep, _monomial_rep
+from .reps import IrrepDecomposition, UnitaryRep, _block_rep
 from .states import CharFunction, IrrepReduction, QuantumState, WeightState
 
 
@@ -124,7 +124,7 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
             )
         if not (np.sort(src, axis=1) == np.arange(dim)).all():
             raise ValidationError(f"each row of 'src' must hold every index 0..{dim - 1} once")
-        return _monomial_rep(group, src, phase)
+        return _block_rep(group, (src, phase))
     if form == ["blocks"]:
         return _block_rep(group, _block_mats(obj["blocks"], n, dim))
     rep = UnitaryRep(group, matrix_from_json(obj["mats"], 3))
@@ -179,11 +179,10 @@ def state_from_json(obj: dict) -> QuantumState:
 def weight_state_from_json(obj: dict) -> WeightState:
     if "weights" not in obj:
         raise ValidationError("weight-state JSON must contain a 'weights' map")
-    weights = {int(k): float(v) for k, v in obj["weights"].items()}
-    amps = obj.get("amplitudes")
+    amps = obj.get("amplitudes")  # WeightState reads the keys as whole numbers
     if amps is not None:
-        amps = {int(k): complex(matrix_from_json(v, 0)) for k, v in amps.items()}
-    return WeightState(weights, amps)
+        amps = {k: complex(matrix_from_json(v, 0)) for k, v in amps.items()}
+    return WeightState(obj["weights"], amps)
 
 
 def weight_state_to_json(w: WeightState) -> dict:

@@ -42,17 +42,17 @@ _CLUSTER_GAP = 1e-6
 class UnitaryRep:
     """Per-element unitary matrices forming a homomorphism of the group.
 
-    Construction rejects non-finite entries, then verifies mats[0] = I,
-    unitarity, and mats[a] @ mats[b] = mats[a*b] for all pairs, each within a
-    tolerance relative to the matrix norms.  Instances are immutable.  A rep is held in one
-    of two forms, validated on it, and ``mats`` is scattered from it on first read (a dense
-    input keeps its stack).  A monomial rep (one nonzero per row and column, exact zeros
-    elsewhere: permutation and number reps, their sums and products) is kept as index and
-    phase arrays, validated in O(|G|^2 d), or in integers if its entries are 0 or 1.  Any
-    other rep keeps its diagonal blocks' stacks, cut once by :func:`_cut` to its exact-zero
-    pattern (a dense input is one block, a view unless it splits), and is validated block
-    by block, or, if GNS's, certified by the spectral gaps of its Gram matrix
-    (``bochner._certify``), validated only if that certificate fails.  U(g) acts by :meth:`_act`.
+    Construction rejects non-finite entries, then verifies mats[0] = I, unitarity, and
+    mats[a] @ mats[b] = mats[a*b] for all pairs, each within a tolerance relative to the matrix
+    norms.  Instances are immutable.  A rep is held in one of two forms, and ``mats`` is
+    scattered from it on first read (a dense input keeps its stack).  A monomial rep (one
+    nonzero per row and column, exact zeros elsewhere: permutation and number reps, their sums
+    and products) is kept as index and phase arrays, validated in O(|G|^2 d), or in integers if
+    its entries are 0 or 1.  Any other rep keeps its diagonal blocks' stacks, cut once by
+    :func:`_cut` to its exact-zero pattern (a dense input is one block, a view unless it splits),
+    validated block by block.  Only :func:`_block_rep` validates a form, unless the constructor
+    proves it exact (:func:`regular_rep`, :func:`trivial_rep`) or certifies it
+    (:func:`direct_sum_rep`, GNS by ``bochner._certify``).  U(g) acts by :meth:`_act`.
     """
 
     __slots__ = ("group", "dim", "_mats", "_monomial", "_stacks")
@@ -190,17 +190,12 @@ def _cut(stacks: list) -> tuple[np.ndarray, np.ndarray] | list[tuple[np.ndarray,
     return out
 
 
-def _monomial_rep(group: GroupTable, src: np.ndarray, phase: np.ndarray) -> UnitaryRep:
-    """The rep with U(g)[i, src[g, i]] = phase[g, i], each row of src a permutation of
-    range(d), validated on (src, phase) by :func:`_block_rep`; d = 0 gives the 0-dim rep."""
-    return _block_rep(group, (src, phase) if src.shape[1] else [])
-
-
 def _block_rep(group: GroupTable, form) -> UnitaryRep:
-    """The rep of a monomial (src, phase), or of (cols, sub) stacks whose blocks tile range(d)
-    cut by :func:`_cut`, validated on its form with the checks, verdicts and messages of
-    :class:`UnitaryRep`, whose mats it never stacks; no stacks give the 0-dim rep."""
-    rep = UnitaryRep(group, None, form)
+    """The rep of a monomial (src, phase), U(g)[i, src[g, i]] = phase[g, i] with each row of src
+    a permutation of range(d), or of (cols, sub) stacks whose blocks tile range(d) cut by
+    :func:`_cut`, validated on its form with the checks, verdicts and messages of
+    :class:`UnitaryRep`, whose mats it never stacks; d = 0 or no stacks give the 0-dim rep."""
+    rep = UnitaryRep(group, None, form if isinstance(form, list) or form[0].shape[1] else [])
     _validate_rep(group, rep._stacks if rep._monomial is None else rep._monomial)
     return rep
 
@@ -304,17 +299,18 @@ def _frob_each(stack: np.ndarray) -> np.ndarray:
 
 
 def trivial_rep(group: GroupTable) -> UnitaryRep:
-    """The one-dimensional all-ones representation."""
-    return _monomial_rep(group, np.zeros((group.order, 1), int), np.ones((group.order, 1), complex))
+    """The one-dimensional all-ones representation, exact and so built unchecked: U(g) = 1."""
+    n = group.order
+    return UnitaryRep(group, None, (np.zeros((n, 1), int), np.ones((n, 1), complex)))
 
 
 def regular_rep(group: GroupTable) -> UnitaryRep:
     """Left-regular representation: permutation matrix of left multiplication.
-    U(g) e_h = e_gh, so row i reads column g^-1 i: src = mul[inv], unit phases."""
-    if group._regular is None:  # validated once, kept read-only on the group, wrapped anew
-        form = _monomial_rep(group, group.mul[group.inv], np.ones((group.order,) * 2, complex))
-        group._regular = tuple(a.setflags(write=False) or a for a in form._monomial)
-    return UnitaryRep(group, None, group._regular)
+    U(g) e_h = e_gh, so row i reads column g^-1 i: src = mul[inv], unit phases.  Exact, so built
+    unchecked from the group's exact checks: rows of mul are permutations, src[e] = mul[e] is
+    the identity, and src[ab][h] = (ab)^-1 h = b^-1 (a^-1 h) = src[b][src[a][h]] by
+    associativity, so U(e) = I, every U(g) is a permutation and U(a) U(b) = U(ab), all exactly."""
+    return UnitaryRep(group, None, (group.mul[group.inv], np.ones((group.order,) * 2, complex)))
 
 
 def number_rep(group: GroupTable, weights) -> UnitaryRep:
@@ -327,7 +323,7 @@ def number_rep(group: GroupTable, weights) -> UnitaryRep:
     n = group.order
     w = np.asarray(list(weights), dtype=float)
     phases = np.exp(2j * np.pi * np.outer(np.arange(n), w) / n)
-    return _monomial_rep(group, np.tile(np.arange(w.size), (n, 1)), phases)
+    return _block_rep(group, (np.tile(np.arange(w.size), (n, 1)), phases))
 
 
 def tensor_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
@@ -336,7 +332,7 @@ def tensor_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
         raise GroupMismatchError("tensor_rep requires both factors over the same group")
     prod = _kron_rep(a, b)
     if prod is not None:
-        return _monomial_rep(a.group, *prod._monomial)
+        return _block_rep(a.group, prod._monomial)
     n, d = a.group.order, a.dim * b.dim
     mats = np.einsum("gij,gkl->gikjl", a.mats, b.mats).reshape(n, d, d)
     return UnitaryRep(a.group, mats)
@@ -344,7 +340,9 @@ def tensor_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
 
 def _kron_rep(a: UnitaryRep, b: UnitaryRep, conj: bool = False) -> UnitaryRep | None:
     """g -> a(g) kron b(g), or a(g) kron conj b(g), unvalidated, if both reps are monomial,
-    else None: row (i, k) reads column (src_a, src_b) with phase phase_a phase_b."""
+    else None: row (i, k) reads column (src_a, src_b) with phase phase_a phase_b.  Its product is
+    validated by :func:`tensor_rep` through :func:`_block_rep`; ``is_g_covariant`` only gathers
+    conjugations with it and returns no rep."""
     if a._monomial is None or b._monomial is None:
         return None
     (src_a, ph_a), (src_b, ph_b) = a._monomial, b._monomial

@@ -29,7 +29,7 @@ from .errors import (
     ToleranceError,
     ValidationError,
 )
-from .groups import GroupTable, SubgroupRef, same_group, subgroup
+from .groups import GroupTable, SubgroupRef, _whole_number, same_group, subgroup
 from .linalg import assert_psd, min_eigenvalue, scaled_tol
 from .reps import IrrepDecomposition, UnitaryRep, _chunk_slices, _dagger, _frob_each
 
@@ -98,8 +98,10 @@ def random_pure_state(dim: int, rng) -> QuantumState:
 
 
 def random_mixed_state(dim: int, rng, rank: int | None = None) -> QuantumState:
+    rank = dim if rank is None else rank
+    if rank < 1:
+        raise InvalidParameterError(f"a mixed state needs rank >= 1, got {rank}")
     rng = np.random.default_rng(rng)
-    rank = rank or dim
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = a @ a.conj().T
     return QuantumState.mixed(rho / np.trace(rho).real)
@@ -318,7 +320,8 @@ def symmetry_subgroup(s: QuantumState, r: UnitaryRep, tol: float = 1e-8) -> Subg
 
 @dataclass(eq=False)
 class WeightState:
-    """Distribution over nonnegative integer weights, with optional amplitudes."""
+    """Distribution over nonnegative integer weights, with optional amplitudes.  A weight is
+    read as a whole number: 2.0 and "2" read as 2, 2.5 raises ValidationError."""
 
     weights: dict[int, float]
     amplitudes: dict[int, complex] | None = None
@@ -326,8 +329,7 @@ class WeightState:
     def __post_init__(self):
         clean = {}
         for n, p in self.weights.items():
-            n = int(n)
-            p = float(p)
+            n, p = _whole_number(n, "weight"), float(p)
             if n < 0:
                 raise InvalidParameterError("weights must be nonnegative integers")
             if p < -1e-12:
@@ -339,7 +341,7 @@ class WeightState:
             raise ValidationError(f"weight probabilities sum to {total:.12f}, must be 1")
         self.weights = dict(sorted(clean.items()))
         if self.amplitudes is not None:
-            amps = {int(n): complex(a) for n, a in self.amplitudes.items()}
+            amps = {_whole_number(n, "weight"): complex(a) for n, a in self.amplitudes.items()}
             for n, a in amps.items():
                 if abs(abs(a) ** 2 - self.weights.get(n, 0.0)) > 1e-9:
                     raise ValidationError(
@@ -349,8 +351,7 @@ class WeightState:
 
     @staticmethod
     def from_amplitudes(amplitudes: dict[int, complex]) -> "WeightState":
-        weights = {int(n): abs(complex(a)) ** 2 for n, a in amplitudes.items()}
-        return WeightState(weights, {int(n): complex(a) for n, a in amplitudes.items()})
+        return WeightState({n: abs(complex(a)) ** 2 for n, a in amplitudes.items()}, amplitudes)
 
     def max_weight(self) -> int:
         return max(self.weights) if self.weights else 0

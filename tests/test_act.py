@@ -31,7 +31,7 @@ def act_reps() -> dict:
         "blocked z4": (blocked_rep(z4), False),
         "json blocks": (jsonio.rep_from_json(jsonio.rep_to_json(gns_rep(s3, 2))), False),
         "single dense block": (ak.UnitaryRep(dense.group, turn @ dense.mats @ turn.conj().T), False),
-        "0-dim": (reps._monomial_rep(s3, np.zeros((6, 0), int), np.ones((6, 0))), False),
+        "0-dim": (reps._block_rep(s3, (np.zeros((6, 0), int), np.ones((6, 0)))), False),
     }
 
 

@@ -43,6 +43,12 @@ class TestChannelBasics:
         total = sum(k.conj().T @ k for k in c.kraus)
         assert frob(total - np.eye(4)) < 1e-10
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_random_channel_needs_a_kraus_operator(self, count, rng):
+        """No Kraus operators is a bad parameter, not a failed trace preservation."""
+        with pytest.raises(ak.InvalidParameterError, match="kraus_count"):
+            ak.random_channel(3, count, rng)
+
     def test_output_trace_one(self, rng):
         c = ak.random_channel(4, 3, rng)
         s = ak.random_pure_state(4, rng)

@@ -51,6 +51,13 @@ class TestGram:
         with pytest.raises(ak.PureStateRequiredError):
             ak.gram([ak.random_mixed_state(2, rng)])
 
+    def test_empty_list_rejected(self):
+        """No state fixes the dimension: an error of the package, not of numpy."""
+        with pytest.raises(ak.DimensionMismatchError):
+            ak.gram([])
+        with pytest.raises(ak.DimensionMismatchError):
+            ak.unitary_set_interconversion([], [])
+
 
 class TestSetInterconversion:
     def test_rotated_set_recovered(self, rng):
@@ -354,6 +361,17 @@ class TestIsometryExtension:
         w = np.array([[0, 1], [1, 0]], dtype=complex)  # swaps the sectors
         with pytest.raises(ak.NotInvariantIsometryError):
             ak.extend_isometry_to_ginv_unitary(w, np.diag([1.0, 0.0]), r)
+
+    def test_decomposition_of_another_group_or_dimension_rejected(self, groups, decompositions):
+        """dec is checked against r before any work: a valid isometry is not blamed."""
+        r = ak.number_rep(groups["z4"], [0, 1])
+        w = np.eye(2, dtype=complex)
+        other = ak.decompose(ak.number_rep(groups["z2"], [0, 1]))
+        with pytest.raises(ak.GroupMismatchError):
+            ak.extend_isometry_to_ginv_unitary(w, w, r, other)
+        with pytest.raises(ak.DimensionMismatchError):
+            ak.extend_isometry_to_ginv_unitary(w, w, r, decompositions["z4"])
+        assert frob(ak.extend_isometry_to_ginv_unitary(w, w, r, ak.decompose(r)) - w) < 1e-8
 
     def test_non_isometry_rejected(self, groups):
         z2 = groups["z2"]

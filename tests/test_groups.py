@@ -347,6 +347,21 @@ class TestSubgroups:
         with pytest.raises(ak.InvalidSubgroupError, match="product"):
             ak.subgroup(s3, [0, t1, t2])
 
+    def test_elements_are_read_as_whole_numbers(self):
+        """Any iterable of whole numbers names its elements (2.0 reads as 2); 2.5 is no element,
+        not element 2, for subgroup and for the callers that read a set through it."""
+        z6 = ak.make_cyclic(6)
+        for elements in ([0, 2, 4], (4.0, 2, 0), range(0, 6, 2), {0, 2.0, 4},
+                         np.array([4, 0, 2, 2]), np.array([0.0, 2.0, 4.0])):
+            assert ak.subgroup(z6, elements).elements == (0, 2, 4)
+        for bad in ([0, 2.5], (0, 3.5), [0, float("nan")], np.array([[0, 3]])):
+            with pytest.raises(ak.InvalidSubgroupError):
+                ak.subgroup(z6, bad)
+        with pytest.raises(ak.InvalidSubgroupError):
+            ak.is_normal(z6, [0, 3.5])
+        with pytest.raises(ak.InvalidSubgroupError):
+            ak.uniform_twirl_over_subgroup(ak.regular_rep(z6), [0, 3.5])
+
     def test_is_normal_matches_brute_force_on_s4(self, groups):
         s4 = groups["s4"]
 

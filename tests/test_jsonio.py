@@ -74,6 +74,17 @@ def test_weight_state_round_trip():
     assert abs(back.amplitudes[2] - 0.8j) < 1e-11
 
 
+def test_weight_keys_read_as_whole_numbers():
+    """A weight key reads as the JSON integer fields do: "1.0" as 1, "1.5" and "one" as a
+    validation error."""
+    w = jsonio.weight_state_from_json({"weights": {"1.0": 1.0}, "amplitudes": {"1.0": [0, 1]}})
+    assert w.weights == {1: 1.0} and w.amplitudes == {1: 1j}
+    for obj in ({"weights": {"1.5": 1.0}}, {"weights": {"1": 1.0}, "amplitudes": {"1.5": [1, 0]}},
+                {"weights": {"one": 1.0}}):
+        with pytest.raises(ak.ValidationError, match="whole"):
+            jsonio.weight_state_from_json(obj)
+
+
 def pytest_approx(x):
     import pytest
 

@@ -225,7 +225,7 @@ def signed_regular_s3():
     """Regular S3 times the sign character: a signed permutation rep, phases exactly +-1."""
     s3 = ak.make_symmetric(3)
     sign = np.rint(np.linalg.det(perm_rep(s3).mats).real).astype(complex)[:, None]
-    r = ak.tensor_rep(ak.regular_rep(s3), reps._monomial_rep(s3, np.zeros((6, 1), int), sign))
+    r = ak.tensor_rep(ak.regular_rep(s3), reps._block_rep(s3, (np.zeros((6, 1), int), sign)))
     assert set(r._monomial[1].ravel().tolist()) == {1, -1}
     return r
 
@@ -335,3 +335,50 @@ def test_direct_sum_over_the_trivial_group_is_checked(monkeypatch):
     assert ak.direct_sum_rep(one, one)._monomial is not None
     assert ak.direct_sum_rep(one, empty).dim == 1
     assert len(checks) == 2
+
+
+LARGE_GROUPS = {"s5": (ak.make_symmetric, 5), "d100": (ak.make_dihedral, 50),
+                "z120": (ak.make_cyclic, 120), "s6": (ak.make_symmetric, 6),
+                "d720": (ak.make_dihedral, 360), "z720": (ak.make_cyclic, 720)}
+
+
+def exact_reps(group, monkeypatch):
+    """regular_rep and trivial_rep of group, built while a spy on _validate_rep counts calls:
+    the table's exact checks prove both, so neither is checked again."""
+    checks = []
+    with monkeypatch.context() as m:
+        m.setattr(reps, "_validate_rep", lambda *args: checks.append(args))
+        built = ak.regular_rep(group), ak.trivial_rep(group)
+    assert checks == []
+    return built
+
+
+def assert_exact_forms(group, regular, trivial):
+    """Both forms are the ones the dense matrices show, dtype and bits: row g h of the regular
+    U(g) reads column h, so src[g] inverts the permutation mul[g]; and the pairwise check passes
+    on each when called directly."""
+    n = group.order
+    wants = [(np.argsort(group.mul, axis=1), np.ones((n, n), complex)),
+             (np.zeros((n, 1), np.int64), np.ones((n, 1), complex))]
+    for r, want in zip((regular, trivial), wants):
+        for got, w in zip(r._monomial, want):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+        reps._validate_rep(group, r._monomial)
+
+
+def test_regular_and_trivial_reps_of_the_fixture_groups_are_exact(groups, monkeypatch):
+    """Unchecked, and exact: the dense oracle reads 0.0 for every residual."""
+    for group in groups.values():
+        built = exact_reps(group, monkeypatch)
+        assert_exact_forms(group, *built)
+        for r in built:
+            identity, unitarity, homomorphism = dense_rep_residuals(group.mul, r.mats)
+            assert identity == 0.0 and unitarity.max() == 0.0 and homomorphism.max() == 0.0
+
+
+@pytest.mark.parametrize("name", LARGE_GROUPS)
+def test_regular_and_trivial_reps_up_to_the_cap_are_exact(name, monkeypatch):
+    """The same up to |G| = 720, where the dense oracle's |G|^2 products are kept off."""
+    make, k = LARGE_GROUPS[name]
+    group = make(k)
+    assert_exact_forms(group, *exact_reps(group, monkeypatch))

@@ -16,6 +16,16 @@ def plus_state(dim, a, b):
 
 
 class TestStateValidation:
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_mixed_state_rank_below_one_rejected(self, rank):
+        """No rank below 1 is read as full rank or left to numpy."""
+        with pytest.raises(ak.InvalidParameterError, match="rank"):
+            ak.random_mixed_state(3, np.random.default_rng(0), rank=rank)
+
+    def test_mixed_state_rank(self):
+        rho = ak.random_mixed_state(4, np.random.default_rng(0), rank=1).rho
+        assert np.linalg.matrix_rank(rho, tol=1e-10) == 1
+
     def test_pure_norm_enforced(self):
         with pytest.raises(ak.ValidationError):
             ak.QuantumState.pure([1.0, 1.0])
@@ -402,6 +412,18 @@ class TestWeightModel:
             ak.WeightState({0: 0.7, 1: 0.7})
         with pytest.raises(ak.InvalidParameterError):
             ak.WeightState({-1: 1.0})
+
+    def test_weights_are_read_as_whole_numbers(self):
+        """1.0 and "1" read as weight 1; 1.5 raises in the weights, the amplitudes and
+        from_amplitudes, and is never truncated to weight 1."""
+        one = ak.WeightState({1: 1.0})
+        for w in (ak.WeightState({1.0: 1.0}), ak.WeightState({"1": 1.0}, {1.0: 1}),
+                  ak.WeightState.from_amplitudes({np.float64(1.0): 1j})):
+            assert list(w.weights) == [1] and ak.u1_shift_equivalence(w, one) == 0
+        for make in (lambda: ak.WeightState({1.5: 1.0}), lambda: ak.WeightState({1: 1.0}, {1.5: 1}),
+                     lambda: ak.WeightState.from_amplitudes({0.5: 1})):
+            with pytest.raises(ak.ValidationError, match="whole"):
+                make()
 
     def test_vector_embedding_matches_charfunc(self, groups):
         w = ak.WeightState.from_amplitudes({0: 1 / np.sqrt(2), 1: 1j / np.sqrt(2)})
