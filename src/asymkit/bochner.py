@@ -1,12 +1,13 @@
 """Which functions on a group are characteristic functions of a state?
 
 Exactly the normalized positive definite ones: f(e) = 1 and the translated
-Gram matrix X[g,h] = f(g^-1 h) is Hermitian PSD.  One rule decides it, in the
-units of X (:func:`_gram_rule`), from either of two spectra of X: the Fourier
-blocks B_mu = d_mu * avg_g f(g^-1) U_mu(g) give gamma = (|G|/d_mu) lambda(Herm
-B_mu) per irrep (:func:`is_positive_definite`), and the ``eigh`` of X gives the
-eigenbasis in which :func:`gns_construct` rebuilds a block-diagonal rep and a
-cyclic unit vector realizing a valid f.
+Gram matrix X[g,h] = f(g^-1 h) is Hermitian PSD.  One spectrum of X, two
+readers: the Fourier blocks B_mu = d_mu * avg_g f(g^-1) U_mu(g) give its
+eigenvalues gamma = (|G|/d_mu) lambda(Herm B_mu), each d_mu times.
+:func:`is_positive_definite` decides on them with one rule in the units of X
+(:func:`_gram_rule`), and :func:`gns_construct` applies the same rule, then
+rebuilds from the blocks' eigenvectors a rep directsum_mu U_mu (x) I_(r_mu)
+and a cyclic unit vector realizing a valid f.
 """
 
 from __future__ import annotations
@@ -98,19 +99,20 @@ def is_positive_definite(
 def gns_construct(f: CharFunction) -> GnsResult:
     """Build a representation and cyclic vector whose chi equals f.
 
-    The translated Gram matrix X[g,h] = f(g^-1 h) embeds one vector per group
-    element, with v_e the cyclic unit vector; left translation of the labels
-    preserves the Gram form (X depends only on g^-1 h), so it extends to a
-    unitary representation on the span.  The carrier dimension is the rank of
-    X with eigenvalues below 1e-10 * (largest eigenvalue) truncated.  The regular rep
-    L(k) commutes with X, so U(k) = M^dag L(k) M, its subrep on each eigenvalue cluster's
-    columns M (split at gaps over 1e-6 of the spread), exactly zero elsewhere: the rep holds
-    these blocks, with no dense stack, certified by the spectral gaps of X (:func:`_certify`).
+    The Fourier blocks B_mu = d_mu avg_g f(g^-1) U_mu(g) of the irreps of
+    :func:`reps._regular_decomposition`, cached on the group, give f(g) = sum_mu tr(B_mu U_mu(g))
+    (Serre, Linear Representations of Finite Groups, 6.2) and the spectrum of X[g,h] = f(g^-1 h)
+    that the module's Gram rule reads.  One batched ``eigh`` per sector shape writes B_mu =
+    Y_mu Y_mu^dag, Y_mu = V_mu Lambda_mu^(1/2) cut to gamma > 1e-10 max gamma.  U = directsum_mu
+    U_mu (x) I_(r_mu), one block per column of Y_mu, and psi, those columns, give <psi|U(g)|psi> =
+    sum_mu tr(Y_mu^dag U_mu(g) Y_mu) = f(g) in dimension rank X; U is trusted by
+    :func:`_residual_bound`.  O(|G| sum_mu d_mu^3), after the group's first call has paid for
+    ``decompose(regular_rep(group))``.
 
     Raises InvalidCharacteristicFunctionError if f has a NaN or infinite value or
     is not normalized positive definite under the module's Gram rule,
-    NumericalDegeneracyError if chi of (U, psi) misses f (a split eigenspace), and
-    ValidationError if U fails the pairwise check that a failed certificate falls back on.
+    ValidationError if U fails the pairwise check that a failed bound falls back on, and
+    NumericalDegeneracyError if chi of (U, psi) misses f.
     """
     group = f.group
     residual, t = _gram_rule(f)
@@ -122,52 +124,44 @@ def gns_construct(f: CharFunction) -> GnsResult:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not normalized: f(e) = {f.values[0]:.6f}"
         )
-    x = hermitian_part(f.values[group.mul[group.inv]])  # x[g,h] = f(g^-1 h)
-    vals, vecs = np.linalg.eigh(x)
-    if not vals[0] >= -t:
+    dec, spectra = reps._regular_decomposition(group), []
+    for _, _, m in dec._by_shape():  # lam[j], v[j]: block j's eigenpairs, gamma in Gram units
+        lam, v = np.linalg.eigh(hermitian_part(_forward_block(f.values, group, m, m.shape[-1])))
+        spectra.append((m, lam, v, group.order / m.shape[-1] * lam))
+    low, top = min(g.min() for *_, g in spectra), max(g.max() for *_, g in spectra)
+    if not low >= -t:
         raise InvalidCharacteristicFunctionError(
-            f"candidate function is not positive definite: Gram eigenvalue {vals[0]:.3e} < 0"
+            f"candidate function is not positive definite: Gram eigenvalue {low:.3e} < 0"
         )
-    keep = vals > _RANK_TOL * vals[-1]
-    lam, m = vals[keep], vecs[:, keep]
-    psi = np.sqrt(lam) * m[0].conj()  # the embedded v_e
-    cuts = np.flatnonzero(np.diff(lam) > reps._CLUSTER_GAP * max(1.0, lam[-1] - lam[0])) + 1
-    starts, sizes = np.r_[0, cuts], np.diff(np.r_[0, cuts, lam.size])
-    regular, stacks = reps.regular_rep(group), []
-    for s in sorted(set(sizes.tolist())):  # the clusters of size s at once: cols[j] is cluster j
-        cols = starts[sizes == s, None] + np.arange(s)
-        q = np.ascontiguousarray(m[:, cols].transpose(1, 0, 2))
-        stacks.append((cols, reps._subreps(regular, q)))
-    rep = reps.UnitaryRep(group, None, stacks)  # certified below, once chi is checked
+    stacks, parts, at = [], [], 0
+    for m, lam, v, gamma in spectra:  # copy c of block j: column c of Y_j, acted on by m[j]
+        j, c = np.nonzero(gamma > _RANK_TOL * top)
+        if j.size:
+            stacks.append((at + np.arange(j.size * m.shape[-1]).reshape(j.size, -1), m[j]))
+            parts.append((v[j, :, c] * np.sqrt(lam[j, c])[:, None]).ravel())
+            at += j.size * m.shape[-1]
+    rep, psi = reps.UnitaryRep(group, None, stacks), np.concatenate(parts)
+    form = rep._stacks or rep._monomial
+    norm = [frob(m) for _, m in form] if rep._monomial is None else form[1]  # ||mats||_F
+    if not _residual_bound(dec._residual) <= scaled_tol(norm):
+        reps._validate_rep(group, form)
     err = float(np.abs(rep.trace_against(psi) - f.values).max())
     if not err <= t:
         raise NumericalDegeneracyError(f"GNS realization misses f by {err:.3e} > {t:.3e}")
-    _certify(rep, x, vals, vecs, starts + vals.size - lam.size)
-    return GnsResult(rep=rep, state=QuantumState.pure(psi), dim=lam.size)
+    return GnsResult(rep=rep, state=QuantumState.pure(psi), dim=rep.dim)
 
 
-def _certify(rep: reps.UnitaryRep, x, vals, vecs, starts) -> np.ndarray:
-    """Bounds on ||U(e) - I||_F, every ||U U^dag - I||_F and every ||U(a) U(b) - U(ab)||_F of the
-    GNS rep of blocks B_c(g) = fl(Q_c^dag L(g) Q_c), Q_c the columns of V from starts[c] to the
-    next, from x V ~ V Lambda (x's eigh) alone; if one is over tol = 1e-9 max(1, ||blocks||_F),
-    ``reps._validate_rep`` on rep's form decides.  L(k) permutes x's entries, so commutes with x:
-    with R = x V - V Lambda, e = ||V^dag V - I||_F >= ||V||_2^2 - 1 and Q' V's other columns,
-    O = Q'^dag L(k) Q_c has Lambda' O - O Lambda_c = Q'^dag L(k) R_c - R'^dag L(k) Q_c, so ||O||_F
-    <= l_c = sqrt(1 + e) (||R_c|| + ||R||) / delta_c, delta_c = dist(Lambda_c, Lambda') (Davis &
-    Kahan, SIAM J. Numer. Anal. 7, 1970).  A = Q_c^dag L Q_c has A(a) A(b) - A(ab) = -O(a^-1)^dag
-    O(b) - Q_c^dag L(a) (I - V V^dag) L(b) Q_c, at most l_c^2 + (1 + e) e, and A A^dag - I adds
-    A(e) - I, at most e.  B is within eta_c = gamma_{|G|+2} ||Q_c||_F^2 of A (Higham, Accuracy and
-    Stability, 3.6), ||A||_2 <= 1 + e: that adds (2 + 2e) eta_c + eta_c^2, and eta_c more to the
-    homomorphism.  The truncated columns are in Q' and R'; the clusters add in squares."""
-    gamma, mono = (len(vals) + 2) * np.finfo(float).eps / 2, rep._monomial
-    e = frob(vecs.conj().T @ vecs - np.eye(len(vals)))
-    r2 = (abs(x @ vecs - vecs * vals) ** 2).sum(axis=0)  # ||R||_F^2 per column
-    gaps = np.r_[np.inf, np.diff(vals), np.inf]  # gaps[i] = vals[i] - vals[i - 1]
-    delta = np.minimum(gaps[starts], gaps[np.r_[starts[1:], len(vals)]])
-    ell = np.sqrt(1 + e) * (np.sqrt(np.add.reduceat(r2, starts)) + np.sqrt(r2.sum())) / delta
-    eta = gamma / (1 - gamma) * np.add.reduceat((abs(vecs) ** 2).sum(axis=0), starts)
-    hom = ell**2 + (1 + e) * e + (3 + 2 * e) * eta + eta**2
-    bounds, form = np.array([e + frob(eta), frob(e + hom - eta), frob(hom)]), rep._stacks or mono
-    if not bounds.max() <= scaled_tol([frob(m) for _, m in form] if mono is None else mono[1]):
-        reps._validate_rep(rep.group, form)
-    return bounds
+def _residual_bound(rho: float) -> float:
+    """4 rho (1 + rho), at least ||U(e) - I||_F, every ||U U^dag - I||_F and every
+    ||U(a) U(b) - U(ab)||_F of U = directsum_mu U_mu (x) I_(r_mu), r_mu <= d_mu, cut from the
+    decomposition of the exact regular rep L with residual rho; over 1e-9 max(1, ||mats||_F),
+    ``reps._validate_rep`` decides.  With basis W, B(g) = directsum_mu U_mu(g) (x) I_(d_mu),
+    E = W L W^dag - B and e = ||W W^dag - I||_F: rho = r sqrt(1 + e) + sqrt(b) e is at least
+    max_g ||E(g)||_F and, as b >= 1, at least e; ||W||_2^2 <= 1 + e, and W^dag W - I has the
+    singular values of W W^dag - I.  As L(a) L(b) = L(ab) exactly, B(e) - I = (W W^dag - I) - E(e)
+    is at most e + rho; B(a) B(b) - B(ab) = W L(a) (W^dag W - I) L(b) W^dag - E(a) W L(b) W^dag
+    - W L(a) W^dag E(b) + E(a) E(b) + E(ab) at most (1 + e) e + 2 (1 + e) rho + rho^2 + rho; and
+    B(a) B(a)^dag - I, that sum with L(a)^dag, E(a)^dag for L(b), E(b) and W W^dag - I for E(ab),
+    at most the same with e for the last rho.  Each is at most 4 rho (1 + rho), and U's squared
+    residuals sum r_mu copies of each irrep's, B's d_mu copies."""
+    return 4 * rho * (1 + rho)

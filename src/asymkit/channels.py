@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, ValidationError
-from .groups import SubgroupRef, subgroup
+from .groups import SubgroupRef, _whole_number, subgroup
 from .linalg import frob, scaled_tol
 from .reps import UnitaryRep, _chunk_slices, _dagger, _frob_each, _kron_rep, _unitarity_residuals
 from .states import QuantumState
@@ -82,6 +82,7 @@ def shift_channel(dim: int, shift: int) -> QuantumChannel:
 
 def random_channel(dim: int, kraus_count: int, rng) -> QuantumChannel:
     """A Haar-flavoured random channel: Gaussian Kraus set, renormalized."""
+    dim, kraus_count = _whole_number(dim, "dim"), _whole_number(kraus_count, "kraus_count")
     if kraus_count < 1:
         raise InvalidParameterError(f"a channel needs kraus_count >= 1, got {kraus_count}")
     rng = np.random.default_rng(rng)

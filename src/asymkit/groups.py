@@ -4,9 +4,9 @@ Conventions shared by the whole package:
 
 * elements are integers 0..|G|-1 and index 0 is always the identity;
 * tables are immutable after construction; derived data is computed eagerly,
-  except the character table and the one-dimensional reps checked against it,
-  cached on first use (a race is harmless: both are deterministic), so
-  concurrent reads are safe;
+  except the character table, the 1-dim reps checked against it and the regular
+  rep's seed-0 decomposition (GNS sums its irreps), cached on first use (a race
+  is harmless: all three are deterministic), so concurrent reads are safe;
 * the desk-scale cap is |G| <= 720 so that |G|-indexed dense data and
   O(|G| d^3) averaging loops stay comfortable in memory and time.
 """
@@ -41,7 +41,7 @@ class GroupTable:
     """
 
     __slots__ = ("order", "mul", "inv", "labels", "_generators", "_classes", "_abelian",
-                 "_characters", "_one_dim")
+                 "_characters", "_one_dim", "_regular_dec")
 
     def __init__(self, mul, labels=None):
         mul = _whole(mul, "multiplication table")
@@ -67,7 +67,7 @@ class GroupTable:
         self.labels = labels or [str(i) for i in range(n)]
         self._classes = _conjugacy_classes(mul, self.inv)
         self._abelian = bool(np.array_equal(mul, mul.T))
-        self._characters = self._one_dim = None  # the latter cached by reps
+        self._characters = self._one_dim = self._regular_dec = None  # the last two cached by reps
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 

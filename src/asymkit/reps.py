@@ -52,7 +52,7 @@ class UnitaryRep:
     :func:`_cut` to its exact-zero pattern (a dense input is one block, a view unless it splits),
     validated block by block.  Only :func:`_block_rep` validates a form, unless the constructor
     proves it exact (:func:`regular_rep`, :func:`trivial_rep`) or certifies it
-    (:func:`direct_sum_rep`, GNS by ``bochner._certify``).  U(g) acts by :meth:`_act`.
+    (:func:`direct_sum_rep`, GNS by ``bochner._residual_bound``).  U(g) acts by :meth:`_act`.
     """
 
     __slots__ = ("group", "dim", "_mats", "_monomial", "_stacks")
@@ -667,12 +667,13 @@ def _subreps(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
 def _split(q: np.ndarray, sub: np.ndarray, h: np.ndarray, d_mu: int) -> tuple:
     """Split k isotypes of one shape (d_mu, n_mu > 1), with bases q (k, d, m), subreps sub and
     one random Hermitian each in h (k, 1, m, m): the bases in the layout m * n_mu + n (irrep
-    row m, copy n) and the first copies' matrices ref.  The twirl of h is I_{d_mu} (x) M; its
-    lowest d_mu eigenvectors span one copy, and a closed gap after them raises.  Serre's
-    p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) (Linear Representations of Finite
-    Groups, 2.7, Prop. 8) map a basis w of the range of p_0 onto row a of every copy."""
-    n_mu = q.shape[-1] // d_mu
-    evals, v = np.linalg.eigh((sub @ h @ _dagger(sub)).mean(axis=1))
+    row m, copy n) and the first copies' matrices ref.  The twirl of h, summed in chunks of g, is
+    I_{d_mu} (x) M; its lowest d_mu eigenvectors span one copy, and a closed gap after them
+    raises.  Serre's p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) (Linear Representations of
+    Finite Groups, 2.7, Prop. 8) map a basis w of the range of p_0 onto row a of every copy."""
+    n_mu, n = q.shape[-1] // d_mu, sub.shape[1]
+    terms = (s @ h @ _dagger(s) for s in (sub[:, g] for g in _chunk_slices(n, sub[:, 0].nbytes)))
+    evals, v = np.linalg.eigh(np.sum([t.sum(axis=1) for t in terms], axis=0) / n)
     gap = evals[:, d_mu] - evals[:, d_mu - 1]
     if not (gap > _CLUSTER_GAP * np.maximum(1.0, evals[:, -1] - evals[:, 0])).all():
         raise NumericalDegeneracyError(f"decompose: copies of a {d_mu}-dim irrep collide in "
@@ -718,6 +719,14 @@ def one_dim_reps(group: GroupTable, dec: IrrepDecomposition | None = None) -> np
         omegas.setflags(write=False)
         group._one_dim = omegas
     return group._one_dim
+
+
+def _regular_decomposition(group: GroupTable) -> IrrepDecomposition:
+    """decompose(regular_rep(group), seed=0), whose irreps GNS sums, kept on the group on first use:
+    deterministic, so a race only builds it twice, and no caller's seed reaches it."""
+    if group._regular_dec is None:
+        group._regular_dec = decompose(regular_rep(group), seed=0)
+    return group._regular_dec
 
 
 def random_invariant_unitary(dec: IrrepDecomposition, rng) -> np.ndarray:

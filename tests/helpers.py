@@ -151,35 +151,59 @@ def _split_isotype(q, sub, d_mu, rng):
     return (q @ (p @ w)).transpose(1, 0, 2).reshape(len(q), m), ref
 
 
-def gns_by_cluster_gather(f) -> tuple[np.ndarray, np.ndarray]:
-    """The GNS stack and cyclic vector of ``gns_construct``, built by its own gather of
-    M^dag L(k) M over the Gram eigenvalue clusters of each size, with (L(k) M)[h] = M[k^-1 h]
-    read through the table: the oracle, bit for bit, for its route through ``reps._subreps``."""
+def gns_by_irrep(f) -> tuple[np.ndarray, np.ndarray]:
+    """The GNS stack and unnormalized cyclic vector of ``gns_construct``, built one irrep at a
+    time from the group's cached regular decomposition: each block's Fourier block
+    d_mu avg_g f(g^-1) U_mu(g) by its own einsum and ``eigh``, then one dense copy of U_mu per
+    kept eigenvector, in the layout of ``gns_construct`` (by sector shape, then block, then
+    eigenvalue): the oracle, bit for bit, for its batched route."""
     group, n = f.group, f.group.order
-    left = group.mul[group.inv]  # left[g, h] = g^-1 h
-    x = f.values[left]
-    vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
-    keep = vals > bochner._RANK_TOL * vals[-1]
-    lam, m = vals[keep], vecs[:, keep]
-    mats = np.zeros((n, lam.size, lam.size), dtype=complex)
-    cuts = np.flatnonzero(np.diff(lam) > reps._CLUSTER_GAP * max(1.0, lam[-1] - lam[0])) + 1
-    starts, sizes = np.r_[0, cuts], np.diff(np.r_[0, cuts, lam.size])
-    for s in sorted(set(sizes.tolist())):
-        cols = starts[sizes == s, None] + np.arange(s)
-        mh = reps._dagger(np.ascontiguousarray(m[:, cols].transpose(1, 0, 2)))[:, None]
-        i, j = cols[:, None, :, None], cols[:, None, None, :]  # [cluster, k, row, column]
-        for ks in reps._chunk_slices(n, m[:, cols].nbytes):
-            mats[np.arange(n)[ks, None, None], i, j] = mh @ m[left[ks, :, None], j]
-    return mats, ak.QuantumState.pure(np.sqrt(lam) * m[0].conj()).vec
+    dec = reps._regular_decomposition(group)
+    spectra = []
+    for ix, _, _ in dec._by_shape():
+        for u in (dec.blocks[i].mats for i in ix):
+            b = u.shape[-1] * np.einsum("g,gij->ij", f.values[group.inv], u) / n
+            lam, v = np.linalg.eigh(0.5 * (b + b.conj().T))
+            spectra.append((u, lam, v, n / u.shape[-1] * lam))
+    top = max(gamma[-1] for *_, gamma in spectra)
+    copies = [(u, v[:, c] * np.sqrt(lam[c])) for u, lam, v, gamma in spectra
+              for c in np.flatnonzero(gamma > bochner._RANK_TOL * top)]
+    dim = sum(len(y) for _, y in copies)
+    mats, at = np.zeros((n, dim, dim), dtype=complex), 0
+    for u, y in copies:
+        mats[:, at : at + len(y), at : at + len(y)] = u
+        at += len(y)
+    return mats, np.concatenate([y for _, y in copies])
+
+
+def gram_rank(f) -> int:
+    """Rank of the translated Gram matrix f(g^-1 h) under the GNS truncation at 1e-10 of the
+    top eigenvalue, from its own ``eigvalsh``."""
+    spec = np.linalg.eigvalsh(f.values[f.group.mul[f.group.inv]])
+    return int(np.sum(spec > 1e-10 * spec[-1]))
+
+
+def check_gns(f, res) -> float:
+    """Assert that a GNS result realizes f within 1e-9, in dimension ``gram_rank(f)``, and that
+    the bound its rep was trusted on, from the residual of the group's regular decomposition, is
+    at least each residual of the dense check: ||U(e) - I||, every ||U U^dag - I|| and every
+    ||U(a) U(b) - U(ab)||.  Returns that bound."""
+    chi = np.einsum("i,gij,j->g", res.state.vec.conj(), res.rep.mats, res.state.vec)
+    assert np.abs(chi - f.values).max() <= 1e-9
+    assert res.dim == gram_rank(f)
+    bound = bochner._residual_bound(reps._regular_decomposition(f.group)._residual)
+    identity, units, pairs = dense_rep_residuals(f.group.mul, res.rep.mats)
+    assert bound >= max(identity, units.max(), pairs.max())
+    return bound
 
 
 def gns_cases() -> dict:
-    """Characteristic functions whose GNS reps take every form and cluster layout: chi of a
-    random state in the regular rep of each construct-validate and cli-roundtrip group (one
-    cluster size for Z32, a monomial rep, several for the others); low-rank chi of states in
-    the 3-dim permutation rep of S3, a 3-dim number rep of Z32 and the 4-dim permutation rep
-    of S4; delta_e on Z6 and S4 (one cluster, a monomial rep); and the normalized irreducible
-    characters of S4 (one cluster of d_mu^2 each)."""
+    """Characteristic functions whose GNS reps take every form and block layout: chi of a
+    random state in the regular rep of each construct-validate and cli-roundtrip group (1-dim
+    blocks for Z32, a monomial rep, several block sizes for the others); low-rank chi of states
+    in the 3-dim permutation rep of S3, a 3-dim number rep of Z32 and the 4-dim permutation rep
+    of S4; delta_e on Z6 (a monomial rep) and S4 (each irrep d_mu times); and the normalized
+    irreducible characters of S4 (one irrep, d_mu times each)."""
     rng = np.random.default_rng(17)
     s4 = ak.make_symmetric(4)
     cases = {}

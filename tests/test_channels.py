@@ -49,6 +49,14 @@ class TestChannelBasics:
         with pytest.raises(ak.InvalidParameterError, match="kraus_count"):
             ak.random_channel(3, count, rng)
 
+    def test_random_channel_counts_are_read_as_whole_numbers(self):
+        """kraus_count=2.0 and dim=3.0 read as 2 and 3, with the same draws; 2.5 raises."""
+        want = ak.random_channel(3, 2, np.random.default_rng(0)).kraus
+        got = ak.random_channel(3.0, 2.0, np.random.default_rng(0)).kraus
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        with pytest.raises(ak.ValidationError, match="kraus_count"):
+            ak.random_channel(3, 2.5, np.random.default_rng(0))
+
     def test_output_trace_one(self, rng):
         c = ak.random_channel(4, 3, rng)
         s = ak.random_pure_state(4, rng)

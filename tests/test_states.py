@@ -22,6 +22,22 @@ class TestStateValidation:
         with pytest.raises(ak.InvalidParameterError, match="rank"):
             ak.random_mixed_state(3, np.random.default_rng(0), rank=rank)
 
+    def test_pure_state_dim_is_read_as_a_whole_number(self):
+        """2.0 reads as 2, with the same draws; 2.5 and "two" raise a typed error, not numpy's."""
+        want = ak.random_pure_state(2, np.random.default_rng(0)).vec
+        assert ak.random_pure_state(2.0, np.random.default_rng(0)).vec.tobytes() == want.tobytes()
+        for bad in (2.5, "two"):
+            with pytest.raises(ak.ValidationError, match="dim"):
+                ak.random_pure_state(bad, np.random.default_rng(0))
+
+    def test_mixed_state_rank_is_read_as_a_whole_number(self):
+        """rank=2.0 and dim=3.0 read as 2 and 3, with the same draws; rank=1.5 raises."""
+        want = ak.random_mixed_state(3, np.random.default_rng(0), rank=2).rho
+        got = ak.random_mixed_state(3.0, np.random.default_rng(0), rank=2.0).rho
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ak.ValidationError, match="rank"):
+            ak.random_mixed_state(3, np.random.default_rng(0), rank=1.5)
+
     def test_mixed_state_rank(self):
         rho = ak.random_mixed_state(4, np.random.default_rng(0), rank=1).rho
         assert np.linalg.matrix_rank(rho, tol=1e-10) == 1
