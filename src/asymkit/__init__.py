@@ -9,8 +9,6 @@ and check covariance of quantum channels.
 
 from .approx import (
     OverlapReport,
-    bound_from_charfunc,
-    bound_from_trace_distance,
     fidelity,
     irrep_component,
     max_overlap,
@@ -22,7 +20,6 @@ from .channels import (
     apply,
     channel_from_unitary,
     embed_channel,
-    identity_channel,
     is_g_covariant,
     random_channel,
     shift_channel,

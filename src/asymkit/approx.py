@@ -11,10 +11,12 @@ and both the maximizer and the per-sector fidelities come from the shared
 sector-alignment primitive :meth:`IrrepDecomposition.align` (one batched SVD
 of the cross matrices of the two sector coefficient matrices per sector shape).
 
-Two cheaper lower bounds on the optimum are provided, one from the trace
-distance of the reductions and one from the distance of the characteristic
-functions (global and per-component variants).  Both start from the sector
-reductions, which the inverse Fourier transform turns into irrep components.
+Three cheaper lower bounds on the optimum are fields of the same report, one
+from the trace distance of the reductions and two from the distance of the
+characteristic functions (global and per component).  All three read the sector
+reductions and their gaps from :meth:`IrrepDecomposition._gap`, the pass that
+:func:`asymkit.decide_unitary_g_equivalence` decides on; the inverse Fourier
+transform turns the reductions into irrep components.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatchError, GroupMismatchError, PureStateRequiredError
 from .groups import same_group
 from .linalg import assert_psd, psd_sqrt, scaled_tol, trace_norm
-from .reps import IrrepDecomposition, _dagger
+from .reps import IrrepDecomposition
 from .states import CharFunction, QuantumState, _forward_block, _inverse_block
 
 #: Sectors with less weight than this in both states are left out of the
@@ -36,7 +38,15 @@ _SECTOR_WEIGHT_CUTOFF = 1e-12
 
 @dataclass(eq=False)
 class OverlapReport:
-    """Optimal overlap, its witness, and the cheaper lower bounds."""
+    """Optimal overlap, its witness, and three cheaper lower bounds on it:
+
+      bound_trace            1 - (1/2) sum_mu ||F1_mu - F2_mu||_1
+      bound_charfunc_global  1 - (1/2) (sum_mu d_mu^2) avg_g |chi1(g) - chi2(g)|
+      bound_charfunc_per_mu  1 - (1/2) sum_mu d_mu^2 avg_g |chi1_mu(g) - chi2_mu(g)|
+
+    The charfunc sums run over blocks where either state has weight over 1e-12; adding the
+    union's extra blocks only subtracts more, so the bounds stay valid.
+    """
 
     optimal: float
     per_mu_fidelity: dict[int, float]
@@ -58,26 +68,21 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return trace_norm(psd_sqrt(a, tol) @ psd_sqrt(b, tol))
 
 
-def _pair_coefficients(psi: QuantumState, phi: QuantumState, dec: IrrepDecomposition):
-    """Both states' coefficients W psi, W phi (:meth:`IrrepDecomposition._coefficients`)."""
-    if not (psi.is_pure and phi.is_pure):
-        raise PureStateRequiredError("approximate interconversion is defined for pure states")
-    if psi.dim != phi.dim or psi.dim != dec.rep.dim:
-        raise DimensionMismatchError("states and decomposition must share one dimension")
-    return dec._coefficients(psi.vec), dec._coefficients(phi.vec)
-
-
 def max_overlap(psi1: QuantumState, psi2: QuantumState, dec: IrrepDecomposition) -> OverlapReport:
     """Best overlap achievable by an invariant unitary, with its achiever.
 
     The witness and the per-sector fidelities both come from one
     :meth:`IrrepDecomposition.align` of psi1 onto psi2 (SVDs per sector shape); the optimum is
-    the sum of the sector fidelities.  W psi1 and W psi2 are shared with the bounds, which take
-    one call per step over all sectors, zero-padded: O(d^3 + |G| K D^2).
+    the sum of the sector fidelities.  W psi1 and W psi2 are shared with the bounds, which read
+    the reductions and gaps of :meth:`IrrepDecomposition._gap` (one call per step over all
+    sectors, zero-padded): O(d^3 + |G| K D^2).  A mixed state raises PureStateRequiredError, a
+    vector not of dec's dimension DimensionMismatchError.
     """
-    x, y = _pair_coefficients(psi1, psi2, dec)
+    if not (psi1.is_pure and psi2.is_pure):
+        raise PureStateRequiredError("approximate interconversion is defined for pure states")
+    x, y = dec._coefficients(psi1.vec), dec._coefficients(psi2.vec)
     v, shares = dec._align(x, y)
-    bound_trace, bound_global, bound_per_mu = _bounds(x, y, dec)
+    bound_trace, bound_global, bound_per_mu = _bounds(*dec._gap(x, y), dec)
     return OverlapReport(
         optimal=float(sum(shares)),
         per_mu_fidelity={blk.label: share for blk, share in zip(dec.blocks, shares)},
@@ -86,13 +91,6 @@ def max_overlap(psi1: QuantumState, psi2: QuantumState, dec: IrrepDecomposition)
         bound_charfunc_global=bound_global,
         bound_charfunc_per_mu=bound_per_mu,
     )
-
-
-def bound_from_trace_distance(
-    psi1: QuantumState, psi2: QuantumState, dec: IrrepDecomposition
-) -> float:
-    """Lower bound 1 - (1/2) sum_mu ||F1_mu - F2_mu||_1 on the optimal overlap."""
-    return _bounds(*_pair_coefficients(psi1, psi2, dec), dec)[0]
 
 
 def irrep_component(f: CharFunction, dec: IrrepDecomposition, index: int) -> CharFunction:
@@ -111,36 +109,16 @@ def irrep_component(f: CharFunction, dec: IrrepDecomposition, index: int) -> Cha
     return CharFunction(dec.rep.group, _inverse_block(forward, blk.mats))
 
 
-def bound_from_charfunc(
-    psi1: QuantumState, psi2: QuantumState, dec: IrrepDecomposition
-) -> tuple[float, float]:
-    """Characteristic-function lower bounds on the optimal overlap.
-
-    Returns (global, per_component):
-
-      global         1 - (1/2) (sum_mu d_mu^2) avg_g |chi1(g) - chi2(g)|
-      per_component  1 - (1/2) sum_mu d_mu^2 avg_g |chi1_mu(g) - chi2_mu(g)|
-
-    The sums run over blocks where either state has nonzero weight; adding
-    the union's extra blocks only subtracts more, so the bound stays valid.
-    chi1_mu - chi2_mu is the inverse row of F1_mu - F2_mu, and chi1 - chi2 the
-    sum of those rows: O(|G| sum_mu d_mu^2).
-    """
-    return _bounds(*_pair_coefficients(psi1, psi2, dec), dec)[1:]
-
-
-def _bounds(x: np.ndarray, y: np.ndarray, dec: IrrepDecomposition) -> tuple[float, float, float]:
-    """The trace-distance and both characteristic-function bounds from x = W psi1, y = W psi2 in
-    one call per step over the padded sectors: F1, F2, ||F1 - F2||_1 as sum |lambda| of one
-    eigvalsh (a zero border adds zeros), the inverse rows tr((F1_mu - F2_mu) U_mu(g))."""
-    rows, mats, dims = dec._padded()
-    f1, f2 = (z @ _dagger(z) for z in (x[rows], y[rows]))
-    gap = f1 - f2
-    dist = float(np.abs(np.linalg.eigvalsh(gap)).sum())
-    chi_rows = _inverse_block(gap, mats)
+def _bounds(f1: np.ndarray, f2: np.ndarray, dist: np.ndarray, dec: IrrepDecomposition
+            ) -> tuple[float, float, float]:
+    """The three lower bounds of :class:`OverlapReport` from the padded reductions F1, F2 and the
+    sector gaps ||F1_mu - F2_mu||_1 of :meth:`IrrepDecomposition._gap`; chi1_mu - chi2_mu is the
+    inverse row tr((F1_mu - F2_mu) U_mu(g)), and chi1 - chi2 the sum of those rows."""
+    _, mats, dims = dec._padded()
+    chi_rows = _inverse_block(f1 - f2, mats)
     weight = np.maximum(np.einsum("kii->k", f1).real, np.einsum("kii->k", f2).real)
     active = weight > _SECTOR_WEIGHT_CUTOFF
     dim2 = dims[active] ** 2
     bound_global = 1.0 - 0.5 * int(dim2.sum()) * float(np.mean(np.abs(chi_rows.sum(axis=0))))
     per_total = float(dim2 @ np.abs(chi_rows[active]).mean(axis=1))
-    return 1.0 - 0.5 * dist, bound_global, 1.0 - 0.5 * per_total
+    return 1.0 - 0.5 * float(dist.sum()), bound_global, 1.0 - 0.5 * per_total

@@ -100,7 +100,7 @@ def gns_construct(f: CharFunction) -> GnsResult:
     """Build a representation and cyclic vector whose chi equals f.
 
     The Fourier blocks B_mu = d_mu avg_g f(g^-1) U_mu(g) of the irreps of
-    :func:`reps._regular_decomposition`, cached on the group, give f(g) = sum_mu tr(B_mu U_mu(g))
+    :func:`reps._regular_irreps`, cached on the group, give f(g) = sum_mu tr(B_mu U_mu(g))
     (Serre, Linear Representations of Finite Groups, 6.2) and the spectrum of X[g,h] = f(g^-1 h)
     that the module's Gram rule reads.  One batched ``eigh`` per sector shape writes B_mu =
     Y_mu Y_mu^dag, Y_mu = V_mu Lambda_mu^(1/2) cut to gamma > 1e-10 max gamma.  U = directsum_mu
@@ -124,8 +124,8 @@ def gns_construct(f: CharFunction) -> GnsResult:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not normalized: f(e) = {f.values[0]:.6f}"
         )
-    dec, spectra = reps._regular_decomposition(group), []
-    for _, _, m in dec._by_shape():  # lam[j], v[j]: block j's eigenpairs, gamma in Gram units
+    (stacks, rho), spectra = reps._regular_irreps(group), []
+    for m in stacks:  # lam[j], v[j]: block j's eigenpairs, gamma in Gram units
         lam, v = np.linalg.eigh(hermitian_part(_forward_block(f.values, group, m, m.shape[-1])))
         spectra.append((m, lam, v, group.order / m.shape[-1] * lam))
     low, top = min(g.min() for *_, g in spectra), max(g.max() for *_, g in spectra)
@@ -143,7 +143,7 @@ def gns_construct(f: CharFunction) -> GnsResult:
     rep, psi = reps.UnitaryRep(group, None, stacks), np.concatenate(parts)
     form = rep._stacks or rep._monomial
     norm = [frob(m) for _, m in form] if rep._monomial is None else form[1]  # ||mats||_F
-    if not _residual_bound(dec._residual) <= scaled_tol(norm):
+    if not _residual_bound(rho) <= scaled_tol(norm):
         reps._validate_rep(group, form)
     err = float(np.abs(rep.trace_against(psi) - f.values).max())
     if not err <= t:

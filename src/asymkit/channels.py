@@ -64,17 +64,14 @@ class QuantumChannel:
         return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out}, kraus={self.kraus.shape[0]})"
 
 
-def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel(np.eye(dim, dtype=complex)[None, :, :])
-
-
 def channel_from_unitary(u: np.ndarray) -> QuantumChannel:
-    u = np.asarray(u, dtype=complex)
-    return QuantumChannel(u[None, :, :])
+    """Conjugation by u; a u that is not a matrix raises DimensionMismatchError."""
+    return QuantumChannel(np.asarray(u, dtype=complex)[None])
 
 
 def shift_channel(dim: int, shift: int) -> QuantumChannel:
-    """Conjugation by the cyclic basis shift |n> -> |n + shift mod dim>."""
+    """Conjugation by the cyclic basis shift |n> -> |n + shift mod dim>, dim >= 1."""
+    dim, shift = _whole_number(dim, "dim", 1), _whole_number(shift, "shift")
     perm = np.zeros((dim, dim), dtype=complex)
     perm[(np.arange(dim) + shift) % dim, np.arange(dim)] = 1.0
     return channel_from_unitary(perm)
@@ -82,9 +79,7 @@ def shift_channel(dim: int, shift: int) -> QuantumChannel:
 
 def random_channel(dim: int, kraus_count: int, rng) -> QuantumChannel:
     """A Haar-flavoured random channel: Gaussian Kraus set, renormalized."""
-    dim, kraus_count = _whole_number(dim, "dim"), _whole_number(kraus_count, "kraus_count")
-    if kraus_count < 1:
-        raise InvalidParameterError(f"a channel needs kraus_count >= 1, got {kraus_count}")
+    dim, kraus_count = _whole_number(dim, "dim", 1), _whole_number(kraus_count, "kraus_count", 1)
     rng = np.random.default_rng(rng)
     ks = rng.normal(size=(kraus_count, dim, dim)) + 1j * rng.normal(size=(kraus_count, dim, dim))
     total = np.einsum("kij,kil->jl", ks.conj(), ks)

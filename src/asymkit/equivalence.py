@@ -35,8 +35,8 @@ from .errors import (
 )
 from .groups import same_group
 from .linalg import assert_psd, frob, polar_unitary, scaled_tol
-from .reps import (IrrepDecomposition, UnitaryRep, _chunk_slices, _dagger, _frob_each, decompose,
-                   one_dim_reps)
+from .reps import (IrrepDecomposition, UnitaryRep, _chunk_slices, _dagger, _frob_each,
+                   _require_every_irrep, decompose, one_dim_reps)
 from .states import QuantumState, WeightState, charfunc
 
 #: Per-element absolute tolerance for characteristic-function equality.
@@ -124,21 +124,19 @@ def decide_unitary_g_equivalence(
 ) -> EquivalenceVerdict:
     """Decide whether an invariant unitary maps psi to phi, and build one.
 
-    Equivalent iff every sector satisfies ||F_psi_mu - F_phi_mu||_1 <= tol.
+    Equivalent iff every sector satisfies ||F_psi_mu - F_phi_mu||_1 <= tol, read from
+    :meth:`IrrepDecomposition._gap`, which :func:`asymkit.max_overlap`'s bounds read too.
     On success the witness is :meth:`IrrepDecomposition.align` of psi onto
     phi: with equal reductions every sector's alignment saturates the
     Cauchy-Schwarz bound, which forces V psi = phi with no phase left over.
-    A negative tol raises InvalidParameterError.
+    A negative tol raises InvalidParameterError, a vector not of dec's dimension
+    DimensionMismatchError.
     """
     if not tol >= 0:
         raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
     _require_pure(psi, phi)
-    if psi.dim != phi.dim or psi.dim != dec.rep.dim:
-        raise DimensionMismatchError("states and decomposition must share one dimension")
     x, y = dec._coefficients(psi.vec), dec._coefficients(phi.vec)
-    # one sector shape at a time, not padded: all() stops at the first unequal one
-    gaps = (x[r] @ _dagger(x[r]) - y[r] @ _dagger(y[r]) for _, r, _ in dec._by_shape())
-    if not all((np.linalg.svd(g, compute_uv=False).sum(axis=1) <= tol).all() for g in gaps):
+    if not (dec._gap(x, y)[2] <= tol).all():
         # A |chi| gap below CHI_MATCH_TOL is rounding, whatever the sector tol.
         cert = _modulus_certificate(
             charfunc(psi, dec.rep).values, charfunc(phi, dec.rep).values, max(tol, CHI_MATCH_TOL)
@@ -168,12 +166,15 @@ def decide_g_equivalence(
     states are provably inequivalent; if either vanishes somewhere, the
     inequivalence argument does not apply and the verdict is Inconclusive.
     The omegas always come from the group's character table (:func:`one_dim_reps`); a
-    dec_regular given is only checked to be over r's group and to hold every irrep.
+    dec_regular given is only checked to hold every irrep (else InvalidParameterError) of r's
+    group (else GroupMismatchError).
     """
+    if dec_regular is not None:
+        _require_every_irrep(r.group, dec_regular)
     _require_pure(psi, phi)
     chi_psi = charfunc(psi, r).values
     chi_phi = charfunc(phi, r).values
-    omegas = one_dim_reps(r.group, dec_regular)
+    omegas = one_dim_reps(r.group)
     big = np.abs(chi_psi) > CHI_ZERO_THRESHOLD
     misses = (np.abs(chi_phi[big] - omegas[:, big] * chi_psi[big]) > CHI_MATCH_TOL).any(axis=1)
     # where chi_psi vanishes chi_phi must vanish too, whatever omega; the first match wins

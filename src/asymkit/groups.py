@@ -41,7 +41,7 @@ class GroupTable:
     """
 
     __slots__ = ("order", "mul", "inv", "labels", "_generators", "_classes", "_abelian",
-                 "_characters", "_one_dim", "_regular_dec")
+                 "_characters", "_one_dim", "_irreps")
 
     def __init__(self, mul, labels=None):
         mul = _whole(mul, "multiplication table")
@@ -67,7 +67,7 @@ class GroupTable:
         self.labels = labels or [str(i) for i in range(n)]
         self._classes = _conjugacy_classes(mul, self.inv)
         self._abelian = bool(np.array_equal(mul, mul.T))
-        self._characters = self._one_dim = self._regular_dec = None  # the last two cached by reps
+        self._characters = self._one_dim = self._irreps = None  # the last two cached by reps
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 
@@ -149,11 +149,13 @@ def _whole(obj, what: str) -> np.ndarray:
     return x.astype(np.int64)
 
 
-def _whole_number(obj, what: str) -> int:
-    """One whole number, as :func:`_whole` reads it."""
+def _whole_number(obj, what: str, low: int | None = None) -> int:
+    """One whole number, as :func:`_whole` reads it; InvalidParameterError if below low."""
     a = _whole(obj, what)
     if a.ndim:
         raise ValidationError(f"{what} must be one whole number, got an array of shape {a.shape}")
+    if low is not None and a < low:
+        raise InvalidParameterError(f"{what} must be >= {low}, got {int(a)}")
     return int(a)
 
 
@@ -219,8 +221,7 @@ def _conjugacy_classes(mul: np.ndarray, inv: np.ndarray) -> list[tuple[int, ...]
 
 def make_cyclic(n: int) -> GroupTable:
     """Cyclic group Z_n with mul[a][b] = (a+b) mod n."""
-    if n < 1:
-        raise InvalidParameterError(f"cyclic group order must be >= 1, got {n}")
+    n = _whole_number(n, "cyclic group order", 1)
     if n > GROUP_ORDER_CAP:
         raise SizeLimitError(f"cyclic group order {n} exceeds cap {GROUP_ORDER_CAP}")
     idx = np.arange(n)
@@ -235,8 +236,7 @@ def make_dihedral(n: int) -> GroupTable:
     multiplied with the relation r s = s r^-1.  Identity (e=0, k=0) sits at
     index 0.
     """
-    if n < 2:
-        raise InvalidParameterError(f"dihedral parameter must be >= 2, got {n}")
+    n = _whole_number(n, "dihedral parameter", 2)
     if 2 * n > GROUP_ORDER_CAP:
         raise SizeLimitError(f"dihedral order {2 * n} exceeds cap {GROUP_ORDER_CAP}")
     e1, k1, e2, k2 = np.ix_((0, 1), range(n), (0, 1), range(n))
@@ -252,8 +252,7 @@ def make_symmetric(n: int) -> GroupTable:
     Permutations are enumerated in lexicographic order, so the identity is
     element 0.  Composition convention: (p*q)(x) = p(q(x)).
     """
-    if n < 1:
-        raise InvalidParameterError(f"symmetric group parameter must be >= 1, got {n}")
+    n = _whole_number(n, "symmetric group parameter", 1)
     if n > 6:
         raise SizeLimitError(
             f"symmetric group S_{n} has order {n}! > {GROUP_ORDER_CAP}; cap is n <= 6"

@@ -469,10 +469,22 @@ class IrrepDecomposition:
         return self._pad
 
     def _coefficients(self, vec: np.ndarray) -> np.ndarray:
-        """W vec with a zero appended, which the padding of :meth:`_padded` reads."""
+        """W vec with a zero appended, which the padding of :meth:`_padded` reads; a vec not of
+        shape (d,) raises DimensionMismatchError."""
+        vec = np.asarray(vec, dtype=complex)
+        if vec.shape != (self.rep.dim,):
+            raise DimensionMismatchError(f"vector of shape {vec.shape} for dim {self.rep.dim}")
         x = np.zeros(self.rep.dim + 1, dtype=complex)
-        np.matmul(self.basis, np.asarray(vec, dtype=complex), out=x[:-1])
+        np.matmul(self.basis, vec, out=x[:-1])
         return x
+
+    def _gap(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """From the :meth:`_coefficients` x, y of two vectors: their padded reductions F_x = X X^dag
+        and F_y (K, D, D), and each sector's ||F_x - F_y||_1 as sum |lambda| of one eigvalsh (a zero
+        border adds only zero eigenvalues)."""
+        rows = self._padded()[0]
+        fx, fy = (z @ _dagger(z) for z in (x[rows], y[rows]))
+        return fx, fy, np.abs(np.linalg.eigvalsh(fx - fy)).sum(axis=1)
 
     def vector_sectors(self, vec: np.ndarray) -> list[np.ndarray]:
         """Coefficient matrix (d_mu x n_mu) of a vector in each sector."""
@@ -697,17 +709,14 @@ def _require_every_irrep(group: GroupTable, dec: IrrepDecomposition) -> None:
         )
 
 
-def one_dim_reps(group: GroupTable, dec: IrrepDecomposition | None = None) -> np.ndarray:
+def one_dim_reps(group: GroupTable) -> np.ndarray:
     """All one-dimensional representations, as unit-modulus vectors over G.
 
     Row k of the result is one homomorphism omega: G -> U(1) with omega(e)=1:
     a degree-1 row of the group's character table (the 1-dim blocks of :func:`decompose`),
-    checked exactly on the integer exponents of its |G|-th roots of unity.  A dec given must
-    hold every irrep (else InvalidParameterError) of this group (else GroupMismatchError).
+    checked exactly on the integer exponents of its |G|-th roots of unity.
     The list always includes the all-ones (trivial) row.
     """
-    if dec is not None:
-        _require_every_irrep(group, dec)
     if group._one_dim is None:  # checked once, then kept read-only on the group
         chars, n = group._character_table(), group.order
         omegas = chars[chars[:, 0] == 1]
@@ -721,12 +730,15 @@ def one_dim_reps(group: GroupTable, dec: IrrepDecomposition | None = None) -> np
     return group._one_dim
 
 
-def _regular_decomposition(group: GroupTable) -> IrrepDecomposition:
-    """decompose(regular_rep(group), seed=0), whose irreps GNS sums, kept on the group on first use:
-    deterministic, so a race only builds it twice, and no caller's seed reaches it."""
-    if group._regular_dec is None:
-        group._regular_dec = decompose(regular_rep(group), seed=0)
-    return group._regular_dec
+def _regular_irreps(group: GroupTable) -> tuple[list[np.ndarray], float]:
+    """What GNS reads of decompose(regular_rep(group), seed=0): the irrep stacks of each sector
+    shape (:meth:`IrrepDecomposition._by_shape`) and the residual.  Kept on the group on first use:
+    deterministic, so a race only builds them twice, and no caller's seed reaches them.  No
+    decomposition is kept, as its regular rep would point back at the group."""
+    if group._irreps is None:
+        dec = decompose(regular_rep(group), seed=0)
+        group._irreps = [m for _, _, m in dec._by_shape()], dec._residual
+    return group._irreps
 
 
 def random_invariant_unitary(dec: IrrepDecomposition, rng) -> np.ndarray:

@@ -92,16 +92,14 @@ class QuantumState:
 
 
 def random_pure_state(dim: int, rng) -> QuantumState:
-    dim, rng = _whole_number(dim, "dim"), np.random.default_rng(rng)
+    dim, rng = _whole_number(dim, "dim", 1), np.random.default_rng(rng)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return QuantumState.pure(v / np.linalg.norm(v))
 
 
 def random_mixed_state(dim: int, rng, rank: int | None = None) -> QuantumState:
-    dim = _whole_number(dim, "dim")
-    rank = dim if rank is None else _whole_number(rank, "rank")
-    if rank < 1:
-        raise InvalidParameterError(f"a mixed state needs rank >= 1, got {rank}")
+    dim = _whole_number(dim, "dim", 1)
+    rank = dim if rank is None else _whole_number(rank, "rank", 1)
     rng = np.random.default_rng(rng)
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = a @ a.conj().T

@@ -34,7 +34,7 @@ def trace_distance_fidelity_check(a: np.ndarray, b: np.ndarray) -> bool:
 def charfunc_bound_by_convolution(psi1, psi2, dec) -> tuple[float, float]:
     """The characteristic-function overlap bounds from charfunc and convolve.
 
-    Same formulas as :func:`asymkit.bound_from_charfunc`, but each state's
+    Same formulas as the charfunc bounds of :class:`asymkit.OverlapReport`, but each state's
     irrep component is d_mu * (character conv chi), built from the
     characteristic functions themselves rather than from the sector
     reductions: an oracle that shares no Fourier code with the library.
@@ -138,6 +138,19 @@ def per_isotype_decompose(r, seed: int = 0) -> ak.IrrepDecomposition:
     return ak.IrrepDecomposition(r, np.hstack(basis_cols).conj().T, blocks)
 
 
+def sector_gaps_by_shape(dec, a, b) -> np.ndarray:
+    """Each sector's ||F_a_mu - F_b_mu||_1, in block order, as the sum of the singular values of
+    one SVD per sector shape of the unpadded reductions: an oracle that shares neither the padding
+    nor the eigvalsh of IrrepDecomposition._gap, for the verdict of
+    decide_unitary_g_equivalence, (gaps <= tol).all()."""
+    x, y = dec.basis @ a, dec.basis @ b
+    gaps = np.zeros(len(dec.blocks))
+    for ix, rows, _ in dec._by_shape():
+        f = [z[rows] @ z[rows].conj().transpose(0, 2, 1) for z in (x, y)]
+        gaps[ix] = np.linalg.svd(f[0] - f[1], compute_uv=False).sum(axis=1)
+    return gaps
+
+
 def _split_isotype(q, sub, d_mu, rng):
     """One isotype's split as :func:`per_isotype_decompose` makes it."""
     m, n_mu = sub.shape[1], sub.shape[1] // d_mu
@@ -153,15 +166,14 @@ def _split_isotype(q, sub, d_mu, rng):
 
 def gns_by_irrep(f) -> tuple[np.ndarray, np.ndarray]:
     """The GNS stack and unnormalized cyclic vector of ``gns_construct``, built one irrep at a
-    time from the group's cached regular decomposition: each block's Fourier block
+    time from the irreps the group caches of its regular decomposition: each block's Fourier block
     d_mu avg_g f(g^-1) U_mu(g) by its own einsum and ``eigh``, then one dense copy of U_mu per
     kept eigenvector, in the layout of ``gns_construct`` (by sector shape, then block, then
     eigenvalue): the oracle, bit for bit, for its batched route."""
     group, n = f.group, f.group.order
-    dec = reps._regular_decomposition(group)
     spectra = []
-    for ix, _, _ in dec._by_shape():
-        for u in (dec.blocks[i].mats for i in ix):
+    for stack in reps._regular_irreps(group)[0]:
+        for u in stack:
             b = u.shape[-1] * np.einsum("g,gij->ij", f.values[group.inv], u) / n
             lam, v = np.linalg.eigh(0.5 * (b + b.conj().T))
             spectra.append((u, lam, v, n / u.shape[-1] * lam))
@@ -191,7 +203,7 @@ def check_gns(f, res) -> float:
     chi = np.einsum("i,gij,j->g", res.state.vec.conj(), res.rep.mats, res.state.vec)
     assert np.abs(chi - f.values).max() <= 1e-9
     assert res.dim == gram_rank(f)
-    bound = bochner._residual_bound(reps._regular_decomposition(f.group)._residual)
+    bound = bochner._residual_bound(reps._regular_irreps(f.group)[1])
     identity, units, pairs = dense_rep_residuals(f.group.mul, res.rep.mats)
     assert bound >= max(identity, units.max(), pairs.max())
     return bound

@@ -85,7 +85,7 @@ def test_block_rep_passes_keep_no_dense_stack(name):
         ak.twirl_operator(r, x)
         ak.symmetry_subgroup(ak.random_pure_state(r.dim, rng), r)
         assert r._mats is None
-        assert ak.is_g_covariant(ak.identity_channel(r.dim), r, r)  # the Kraus route
+        assert ak.is_g_covariant(ak.channel_from_unitary(np.eye(r.dim)), r, r)  # the Kraus route
         assert not ak.is_g_covariant(ak.random_channel(r.dim, 2, rng), r, r)
         assert r._mats is None
     v = ak.random_invariant_unitary(dec, rng)

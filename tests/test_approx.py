@@ -121,8 +121,9 @@ class TestBounds:
     def test_identical_states_saturate(self, decompositions, rng):
         dec = decompositions["s3"]
         psi = ak.random_pure_state(6, rng)
-        assert abs(ak.bound_from_trace_distance(psi, psi, dec) - 1.0) < 1e-10
-        bg, bpm = ak.bound_from_charfunc(psi, psi, dec)
+        report = ak.max_overlap(psi, psi, dec)
+        assert abs(report.bound_trace - 1.0) < 1e-10
+        bg, bpm = report.bound_charfunc_global, report.bound_charfunc_per_mu
         assert abs(bg - 1.0) < 1e-10 and abs(bpm - 1.0) < 1e-10
 
     def test_disjoint_sectors_vacuous(self, z16_number_dec):
@@ -130,9 +131,9 @@ class TestBounds:
         v1[0] = 1.0
         v2 = np.zeros(16)
         v2[5] = 1.0
-        bound = ak.bound_from_trace_distance(
+        bound = ak.max_overlap(
             ak.QuantumState.pure(v1), ak.QuantumState.pure(v2), z16_number_dec
-        )
+        ).bound_trace
         assert bound <= 1e-12
 
     def test_bounds_never_exceed_optimal(self, decompositions, rng):
@@ -210,7 +211,8 @@ class TestComponentsAgainstConvolution:
         both = [ak.QuantumState.pure(dec.basis.conj().T @ x / np.linalg.norm(x)) for x in coords]
         pairs += [tuple(both), (both[0], ak.random_pure_state(d, rng))]
         for psi, phi in pairs:
-            got = ak.bound_from_charfunc(psi, phi, dec)
+            report = ak.max_overlap(psi, phi, dec)
+            got = (report.bound_charfunc_global, report.bound_charfunc_per_mu)
             expected = charfunc_bound_by_convolution(psi, phi, dec)
             assert np.max(np.abs(np.subtract(got, expected))) < 1e-10
 

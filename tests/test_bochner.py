@@ -1,5 +1,7 @@
 """Positive-definiteness test and the constructive inverse (GNS)."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -178,8 +180,8 @@ class TestOneRule:
 
 
 class TestGns:
-    def test_one_dim_rep_recovered(self, groups, decompositions):
-        om = ak.one_dim_reps(groups["z6"], decompositions["z6"])[2]
+    def test_one_dim_rep_recovered(self, groups):
+        om = ak.one_dim_reps(groups["z6"])[2]
         res = ak.gns_construct(ak.CharFunction(groups["z6"], om))
         assert res.dim == 1
         assert np.max(np.abs(res.rep.mats[:, 0, 0] - om)) < 1e-9
@@ -303,26 +305,27 @@ class TestGnsLadder:
         # d_mu/|G| I and moves chi(g) by 2 d_mu |chi_mu(g)| / |G|: that must raise, not
         # realize chi != f.
         f = ak.CharFunction(ak.GroupTable(groups[name].mul), np.eye(groups[name].order)[0])
-        dec = reps._regular_decomposition(f.group)
+        dec = ak.decompose(ak.regular_rep(f.group), seed=0)  # the one GNS caches
         for i in (i for i, b in enumerate(dec.blocks) if b.dim > 1):
             g = int(np.argmax(abs(np.einsum("gii->g", dec.blocks[i].mats[1:])))) + 1
-            f.group._regular_dec = with_blocks(dec, lambda m, b: -m if b == i else m,
-                                               dec._residual, at=g)
+            f.group._irreps = with_blocks(dec, lambda m, b: -m if b == i else m,
+                                          dec._residual, at=g)
             with pytest.raises(ak.NumericalDegeneracyError, match="misses f"):
                 ak.gns_construct(f)
 
 
 def with_blocks(dec, edit, residual=None, at=slice(None)):
-    """dec with edit(mats, index) in place of each block's mats at the elements ``at``, and
-    the residual given, or else recomputed for the new blocks."""
+    """The GNS cache (``reps._regular_irreps``) of dec with edit(mats, index) in place of each
+    block's mats at the elements ``at``, and the residual given, or else recomputed for the new
+    blocks."""
     blocks = []
     for i, b in enumerate(dec.blocks):
         m = b.mats.copy()
         m[at] = edit(m[at], i)
         blocks.append(ak.IrrepBlock(b.label, b.dim, b.mult, b.character, m))
     out = ak.IrrepDecomposition(dec.rep, dec.basis, blocks)
-    out._residual = out.reconstruction_residual() if residual is None else residual
-    return out
+    rho = out.reconstruction_residual() if residual is None else residual
+    return [m for _, _, m in out._by_shape()], rho
 
 
 GNS_CASES = list(gns_cases())
@@ -386,12 +389,12 @@ def test_gns_certificate_fails_when_the_dense_check_does(name, kind, monkeypatch
     puts the bound over tolerance either way, so the pairwise check runs once and decides: the
     moved entry fails, the rotation passes, at 1e-3 and at 1e-6."""
     f = gns_cases()[name]
-    dec = reps._regular_decomposition(f.group)
+    dec = ak.decompose(ak.regular_rep(f.group), seed=0)
     for theta in (1e-3, 1e-6):
         if kind == "entry":
-            f.group._regular_dec = with_blocks(dec, lambda m, _: m + theta, at=(0, 0, 0))
+            f.group._irreps = with_blocks(dec, lambda m, _: m + theta, at=(0, 0, 0))
         else:
-            f.group._regular_dec = with_blocks(dec, lambda m, _: rotated(m, theta))
+            f.group._irreps = with_blocks(dec, lambda m, _: rotated(m, theta))
         dense = verdict(lambda: ak.UnitaryRep(f.group, gns_by_irrep(f)[0]))
         checks = spy(monkeypatch, "_validate_rep")
         assert verdict(lambda: ak.gns_construct(f)) == dense
@@ -404,7 +407,8 @@ def test_gns_certificate_needs_a_near_isometry(monkeypatch):
     """With blocks 2 U_mu, far from a rep, the bound fails and the one pairwise check it falls
     back on rejects the GNS rep of their copies (its U(e) is 2 I)."""
     f = gns_cases()["s4"]
-    f.group._regular_dec = with_blocks(reps._regular_decomposition(f.group), lambda m, _: 2 * m)
+    dec = ak.decompose(ak.regular_rep(f.group), seed=0)
+    f.group._irreps = with_blocks(dec, lambda m, _: 2 * m)
     checks = spy(monkeypatch, "_validate_rep")
     with pytest.raises(ak.ValidationError, match="must be the identity"):
         ak.gns_construct(f)
@@ -415,7 +419,7 @@ def test_gns_certificate_needs_a_near_isometry(monkeypatch):
 def test_gns_runs_no_pairwise_or_intertwiner_pass(name, monkeypatch):
     """A valid GNS rep is trusted with no pass over the group's elements."""
     f = gns_cases()[name]
-    reps._regular_decomposition(f.group)  # decompose's own check, once per group, is not GNS's
+    reps._regular_irreps(f.group)  # decompose's own check, once per group, is not GNS's
     calls = spy(monkeypatch, "_validate_rep", "_intertwiner_residual", "_unitarity_residuals",
                 "_homomorphism_residuals")
     ak.gns_construct(f)
@@ -460,7 +464,22 @@ def test_gns_bytes_ignore_the_callers_seed():
         res = ak.gns_construct(f)
         made.append((res.rep.mats.tobytes(), res.state.vec.tobytes()))
     assert made[0] == made[1] == made[2]
-    assert dec.basis.tobytes() != group._regular_dec.basis.tobytes()
+    seeded = [m.tobytes() for _, _, m in dec._by_shape()]
+    assert seeded != [m.tobytes() for m in group._irreps[0]]
+
+
+def test_gns_cache_leaves_no_cycle():
+    """A group on which GNS ran is freed by reference counts alone: its cache holds the irrep
+    stacks and the residual, not a decomposition whose regular rep points back at the group."""
+    gc.collect()
+    gc.disable()
+    try:
+        group = ak.make_dihedral(30)
+        ak.gns_construct(ak.CharFunction(group, np.eye(group.order)[0]))
+        del group
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def polygon_rep(group, speeds) -> ak.UnitaryRep:
@@ -485,7 +504,7 @@ class TestGnsD360:
 
     def test_delta_is_regular(self, monkeypatch):
         group = ak.make_dihedral(180)
-        reps._regular_decomposition(group)
+        reps._regular_irreps(group)
         checks = spy(monkeypatch, "_validate_rep")
         f = ak.CharFunction(group, np.eye(group.order)[0])
         res = ak.gns_construct(f)

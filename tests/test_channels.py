@@ -35,7 +35,7 @@ class TestChannelBasics:
 
     def test_identity_channel(self, rng):
         s = ak.random_mixed_state(3, rng)
-        out = ak.apply(ak.identity_channel(3), s)
+        out = ak.apply(ak.channel_from_unitary(np.eye(3)), s)
         assert frob(out.rho - s.rho) < 1e-12
 
     def test_random_channel_is_tp(self, rng):
@@ -57,6 +57,24 @@ class TestChannelBasics:
         with pytest.raises(ak.ValidationError, match="kraus_count"):
             ak.random_channel(3, 2.5, np.random.default_rng(0))
 
+    def test_random_channel_dim_below_one_rejected(self):
+        with pytest.raises(ak.InvalidParameterError, match="dim"):
+            ak.random_channel(-1, 2, np.random.default_rng(0))
+
+    def test_shift_channel_reads_whole_numbers(self):
+        """dim=4.0 and shift=1.0 read as 4 and 1; shift 1.5 and dim -1 raise typed errors."""
+        want = ak.shift_channel(4, 1).kraus
+        assert np.array_equal(ak.shift_channel(4.0, 1.0).kraus, want)
+        with pytest.raises(ak.ValidationError, match="shift"):
+            ak.shift_channel(3, 1.5)
+        with pytest.raises(ak.InvalidParameterError, match="dim"):
+            ak.shift_channel(-1, 1)
+
+    @pytest.mark.parametrize("u", [np.ones(3), 1.0, np.ones((2, 2, 2))])
+    def test_channel_from_a_non_matrix_rejected(self, u):
+        with pytest.raises(ak.DimensionMismatchError):
+            ak.channel_from_unitary(u)
+
     def test_output_trace_one(self, rng):
         c = ak.random_channel(4, 3, rng)
         s = ak.random_pure_state(4, rng)
@@ -64,7 +82,7 @@ class TestChannelBasics:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ak.DimensionMismatchError):
-            ak.apply(ak.identity_channel(3), ak.random_pure_state(4, rng))
+            ak.apply(ak.channel_from_unitary(np.eye(3)), ak.random_pure_state(4, rng))
 
     def test_full_twirl_over_irreducible_rep_depolarizes(self, decompositions, rng):
         blk = next(b for b in decompositions["s3"].blocks if b.dim == 2)
@@ -97,7 +115,8 @@ class TestCovariance:
 
     def test_negative_tol_rejected(self, z16_number_rep):
         with pytest.raises(ak.InvalidParameterError):
-            ak.is_g_covariant(ak.identity_channel(16), z16_number_rep, z16_number_rep, tol=-1.0)
+            ak.is_g_covariant(ak.channel_from_unitary(np.eye(16)), z16_number_rep,
+                              z16_number_rep, tol=-1.0)
 
     def test_twirl_outputs_always_pass(self, regular_reps, rng):
         for name in ("z3", "s3"):
@@ -111,8 +130,8 @@ class TestCovariance:
 class TestTwirl:
     def test_identity_channel_fixed(self, regular_reps):
         r = regular_reps["z3"]
-        out = ak.twirl_channel(ak.identity_channel(3), r)
-        assert frob(out.choi() - ak.identity_channel(3).choi()) < 1e-12
+        out = ak.twirl_channel(ak.channel_from_unitary(np.eye(3)), r)
+        assert frob(out.choi() - ak.channel_from_unitary(np.eye(3)).choi()) < 1e-12
 
     def test_covariant_input_unchanged(self, regular_reps, rng):
         r = regular_reps["z3"]
@@ -138,7 +157,7 @@ class TestSubgroupTwirl:
     def test_trivial_subgroup_is_identity(self, regular_reps):
         r = regular_reps["s3"]
         c = ak.uniform_twirl_over_subgroup(r, [0])
-        assert frob(c.choi() - ak.identity_channel(6).choi()) < 1e-12
+        assert frob(c.choi() - ak.channel_from_unitary(np.eye(6)).choi()) < 1e-12
 
     def test_whole_group_covariant(self, regular_reps):
         r = regular_reps["s3"]
@@ -192,7 +211,7 @@ class TestEmbedding:
     def test_identity_embedding(self, groups):
         z16 = groups["z16"]
         r_in = ak.number_rep(z16, [0, 1])
-        c = ak.embed_channel(ak.identity_channel(2), r_in, r_in)
+        c = ak.embed_channel(ak.channel_from_unitary(np.eye(2)), r_in, r_in)
         combined = ak.direct_sum_rep(r_in, r_in)
         assert ak.is_g_covariant(c, combined, combined).covariant
         rho = np.zeros((4, 4), dtype=complex)
@@ -204,7 +223,7 @@ class TestEmbedding:
         z16 = groups["z16"]
         r_in = ak.number_rep(z16, [0, 1])
         r_out = ak.number_rep(z16, [2, 3])
-        c = ak.identity_channel(2)  # |0>,|1> carried onto |2>,|3>
+        c = ak.channel_from_unitary(np.eye(2))  # |0>,|1> carried onto |2>,|3>
         assert ak.is_g_covariant(c, r_in, r_out).covariant
         emb = ak.embed_channel(c, r_in, r_out)
         combined = ak.direct_sum_rep(r_in, r_out)
@@ -215,7 +234,7 @@ class TestEmbedding:
         z16 = groups["z16"]
         r_in = ak.number_rep(z16, [0, 1])
         r_out = ak.number_rep(z16, [2, 3])
-        c = ak.identity_channel(2)
+        c = ak.channel_from_unitary(np.eye(2))
         emb = ak.embed_channel(c, r_in, r_out)
         for _ in range(5):
             s = ak.random_mixed_state(2, rng)
@@ -230,7 +249,7 @@ class TestEmbedding:
         z16 = groups["z16"]
         r_in = ak.number_rep(z16, [0, 1])
         r_out = ak.number_rep(z16, [2, 3])
-        emb = ak.embed_channel(ak.identity_channel(2), r_in, r_out)
+        emb = ak.embed_channel(ak.channel_from_unitary(np.eye(2)), r_in, r_out)
         rho = np.zeros((4, 4), dtype=complex)
         rho[2, 2] = 1.0  # fully in the out sector
         out = emb.apply_to_density(rho)

@@ -175,7 +175,7 @@ class TestGEquivalence:
     def test_not_equivalent_when_nonvanishing(self, regular_reps, decompositions, rng):
         r = regular_reps["s3"]
         dec = decompositions["s3"]
-        omegas = ak.one_dim_reps(r.group, dec)
+        omegas = ak.one_dim_reps(r.group)
         found = 0
         while found < 5:
             psi = ak.random_pure_state(6, rng)
@@ -311,8 +311,8 @@ class TestCovariantFromPlain:
 
     def test_identity_fixed(self, regular_reps):
         r = regular_reps["z2"]
-        out = ak.twirl_channel(ak.identity_channel(2), r)
-        assert frob(out.choi() - ak.identity_channel(2).choi()) < 1e-12
+        out = ak.twirl_channel(ak.channel_from_unitary(np.eye(2)), r)
+        assert frob(out.choi() - ak.channel_from_unitary(np.eye(2)).choi()) < 1e-12
 
     def test_twirl_of_conjugation_is_covariant(self, groups, rng):
         z2 = groups["z2"]

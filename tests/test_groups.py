@@ -176,6 +176,18 @@ class TestCyclic:
         assert g.conjugacy_classes() == [[a] for a in range(n)]
 
 
+@pytest.mark.parametrize("make", [ak.make_cyclic, ak.make_dihedral, ak.make_symmetric])
+def test_maker_sizes_are_read_as_whole_numbers(make):
+    """3.0 and '3' read as 3, as every whole number the package takes does; 2.5 raises a typed
+    error, not a bare TypeError."""
+    want = make(3)
+    for n in (3.0, "3", np.int64(3)):
+        got = make(n)
+        assert np.array_equal(got.mul, want.mul) and got.labels == want.labels
+    with pytest.raises(ak.ValidationError, match="whole"):
+        make(2.5)
+
+
 class TestDihedral:
     def test_d3_is_s3(self):
         assert brute_force_isomorphic(ak.make_dihedral(3), ak.make_symmetric(3))

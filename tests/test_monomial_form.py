@@ -115,7 +115,7 @@ def test_decompose_leaves_the_stack_unbuilt():
     ak.twirl_operator(r, np.eye(r.dim))
     assert ak.symmetry_subgroup(psi, r).elements == (0,)
     assert len(ak.symmetry_subgroup(ak.QuantumState.mixed(np.eye(r.dim) / r.dim), r)) == 30
-    assert ak.is_g_covariant(ak.identity_channel(r.dim), r, r)
+    assert ak.is_g_covariant(ak.channel_from_unitary(np.eye(r.dim)), r, r)
     assert r._mats is None
     assert dec.reconstruction_residual() <= 1e-12
 

@@ -248,7 +248,7 @@ class TestOneDimReps:
             cold = group_from_json(group_to_json(groups[name]))  # no table built yet
             blocks = np.array([blk.mats[:, 0, 0] for blk in dec.blocks if blk.dim == 1])
             assert np.array_equal(ak.one_dim_reps(cold), blocks)
-            assert ak.one_dim_reps(groups[name], dec) is ak.one_dim_reps(groups[name])
+            assert ak.one_dim_reps(groups[name]) is ak.one_dim_reps(groups[name])
 
     def test_non_homomorphism_in_table_rejected(self):
         z6 = ak.make_cyclic(6)
@@ -258,9 +258,9 @@ class TestOneDimReps:
         with pytest.raises(ak.NumericalDegeneracyError, match="not a homomorphism"):
             ak.one_dim_reps(z6)
 
-    def test_cyclic_characters(self, groups, decompositions):
+    def test_cyclic_characters(self, groups):
         n = 6
-        om = ak.one_dim_reps(groups["z6"], decompositions["z6"])
+        om = ak.one_dim_reps(groups["z6"])
         assert om.shape == (6, 6)
         expected = {
             tuple(np.round(np.exp(2j * np.pi * k * np.arange(n) / n), 9)) for k in range(n)
@@ -268,13 +268,13 @@ class TestOneDimReps:
         got = {tuple(np.round(row, 9)) for row in om}
         assert got == expected
 
-    def test_s3_has_two(self, groups, decompositions):
-        om = ak.one_dim_reps(groups["s3"], decompositions["s3"])
+    def test_s3_has_two(self, groups):
+        om = ak.one_dim_reps(groups["s3"])
         assert om.shape[0] == 2
 
-    def test_contains_trivial(self, groups, decompositions):
+    def test_contains_trivial(self, groups):
         for name in ("z2", "s3", "d4", "klein"):
-            om = ak.one_dim_reps(groups[name], decompositions[name])
+            om = ak.one_dim_reps(groups[name])
             assert any(np.allclose(row, 1.0) for row in om)
 
 

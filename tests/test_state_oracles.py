@@ -407,11 +407,11 @@ class TestToleranceRule:
 # -- the omega scan: the per-omega loop as an oracle ---------------------------------
 
 
-def ref_decide_g(psi, phi, r, dec_regular=None):
+def ref_decide_g(psi, phi, r):
     """The loop decide_g_equivalence replaced: the first omega in one_dim_reps order with
     chi_phi = omega chi_psi where chi_psi does not vanish, and chi_phi vanishing where it does."""
     chi_psi, chi_phi = ak.charfunc(psi, r).values, ak.charfunc(phi, r).values
-    for om in one_dim_reps(r.group, dec_regular):
+    for om in one_dim_reps(r.group):
         big = np.abs(chi_psi) > CHI_ZERO_THRESHOLD
         if np.any(np.abs(chi_phi[big] - om[big] * chi_psi[big]) > CHI_MATCH_TOL):
             continue
@@ -426,7 +426,7 @@ def ref_decide_g(psi, phi, r, dec_regular=None):
 
 def assert_same_verdict(psi, phi, r, dec_regular=None):
     v = ak.decide_g_equivalence(psi, phi, r, dec_regular)
-    status, om, cert = ref_decide_g(psi, phi, r, dec_regular)
+    status, om, cert = ref_decide_g(psi, phi, r)
     assert v.status is status
     assert v.certificate == cert
     if om is None:
@@ -444,7 +444,7 @@ class TestOmegaScan:
     @pytest.mark.parametrize("name", ["z6", "klein", "s4", "d4", "s3"])
     def test_random_and_twisted_pairs(self, name, regular_reps, decompositions, rng):
         r, dec = regular_reps[name], decompositions[name]
-        omegas = one_dim_reps(r.group, dec)
+        omegas = one_dim_reps(r.group)
         n = r.group.order
         for k in range(len(omegas)):
             psi = ak.random_pure_state(n, rng)
@@ -462,7 +462,7 @@ class TestOmegaScan:
         n = r.group.order
         v = assert_same_verdict(basis_state(n, 0), basis_state(n, n - 1), r, dec)
         assert v.status is ak.EquivalenceStatus.EQUIVALENT
-        assert np.array_equal(v.one_dim_rep, one_dim_reps(r.group, dec)[0])
+        assert np.array_equal(v.one_dim_rep, one_dim_reps(r.group)[0])
         # chi_psi vanishing where chi_phi does not: no omega, and inconclusive
         plus = ak.QuantumState.pure(np.r_[1.0, 1.0, np.zeros(n - 2)] / np.sqrt(2))
         v = assert_same_verdict(basis_state(n, 0), plus, r, dec)

@@ -30,6 +30,12 @@ class TestStateValidation:
             with pytest.raises(ak.ValidationError, match="dim"):
                 ak.random_pure_state(bad, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_pure_state_dim_below_one_rejected(self, dim):
+        """A dim below 1 is a bad parameter, not numpy's negative-dimensions error."""
+        with pytest.raises(ak.InvalidParameterError, match="dim"):
+            ak.random_pure_state(dim, np.random.default_rng(0))
+
     def test_mixed_state_rank_is_read_as_a_whole_number(self):
         """rank=2.0 and dim=3.0 read as 2 and 3, with the same draws; rank=1.5 raises."""
         want = ak.random_mixed_state(3, np.random.default_rng(0), rank=2).rho
