@@ -109,6 +109,15 @@ def gns_construct(f: CharFunction) -> GnsResult:
     :func:`_residual_bound`.  O(|G| sum_mu d_mu^3), after the group's first call has paid for
     ``decompose(regular_rep(group))``.
 
+    U is handed over in the form ``reps._cut`` gives its copies' (cols, U_mu copies) stacks,
+    assembled from what the group caches of its irreps (:func:`reps._monomial_irreps`), so a
+    warm call makes no pass over exact-zero masks.  ``_sparsity_form`` of stacks is monomial iff
+    each stack is, each stack's (src, phase) its own shifted to its columns: (src, phase) when
+    every kept irrep is monomial (always if all are 1-dim: src the identity, phase their values).
+    Otherwise it takes each block's slices on its own, and an irrep's exact zeros never cut it (a
+    cut would make its first slice an invariant subspace): one slice per copy, the stacks of one
+    size each, ascending, which ``_cut`` keeps as they are.
+
     Raises InvalidCharacteristicFunctionError if f has a NaN or infinite value or
     is not normalized positive definite under the module's Gram rule,
     ValidationError if U fails the pairwise check that a failed bound falls back on, and
@@ -124,7 +133,7 @@ def gns_construct(f: CharFunction) -> GnsResult:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not normalized: f(e) = {f.values[0]:.6f}"
         )
-    (stacks, rho), spectra = reps._regular_irreps(group), []
+    (stacks, rho, monomial), spectra = reps._regular_irreps(group), []
     for m in stacks:  # lam[j], v[j]: block j's eigenpairs, gamma in Gram units
         lam, v = np.linalg.eigh(hermitian_part(_forward_block(f.values, group, m, m.shape[-1])))
         spectra.append((m, lam, v, group.order / m.shape[-1] * lam))
@@ -133,15 +142,22 @@ def gns_construct(f: CharFunction) -> GnsResult:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not positive definite: Gram eigenvalue {low:.3e} < 0"
         )
-    stacks, parts, at = [], [], 0
-    for m, lam, v, gamma in spectra:  # copy c of block j: column c of Y_j, acted on by m[j]
-        j, c = np.nonzero(gamma > _RANK_TOL * top)
+    kept, parts, at = [], [], 0
+    for (m, lam, v, gamma), (mono, src, ph) in zip(spectra, monomial):  # copy c of block j:
+        j, c = np.nonzero(gamma > _RANK_TOL * top)  # column c of Y_j, acted on by m[j]
         if j.size:
-            stacks.append((at + np.arange(j.size * m.shape[-1]).reshape(j.size, -1), m[j]))
+            cols = at + np.arange(j.size * m.shape[-1]).reshape(j.size, -1)
+            kept.append((j, cols, m, mono, src, ph))
             parts.append((v[j, :, c] * np.sqrt(lam[j, c])[:, None]).ravel())
             at += j.size * m.shape[-1]
-    rep, psi = reps.UnitaryRep(group, None, stacks), np.concatenate(parts)
-    form = rep._stacks or rep._monomial
+    if all(mono[j].all() for j, _, _, mono, _, _ in kept):  # [g, column], copy by copy
+        n = group.order
+        form = (np.hstack([(src[j] + c[:, :1, None]).transpose(1, 0, 2).reshape(n, -1)
+                           for j, c, _, _, src, _ in kept]),
+                np.hstack([ph[j].transpose(1, 0, 2).reshape(n, -1) for j, *_, ph in kept]))
+    else:
+        form = [(c, m[j]) for j, c, m, *_ in kept]
+    rep, psi = reps.UnitaryRep(group, None, form), np.concatenate(parts)
     norm = [frob(m) for _, m in form] if rep._monomial is None else form[1]  # ||mats||_F
     if not _residual_bound(rho) <= scaled_tol(norm):
         reps._validate_rep(group, form)

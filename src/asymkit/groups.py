@@ -134,12 +134,14 @@ class SubgroupRef:
 
 def _whole(obj, what: str) -> np.ndarray:
     """obj as an int64 array, or ValidationError naming ``what`` unless every entry is a
-    whole number of magnitude at most 2^53 (2 and 2.0 pass, 2.5 does not).  An integer
+    whole number of magnitude at most 2^53 (2 and 2.0 pass, 2.5 and 2+0j do not).  An integer
     array is only cast, so the tables the makers build pay no extra pass."""
     try:
         a = np.asarray(obj)
         if a.dtype.kind in "iu":
             return a.astype(np.int64, copy=False)
+        if a.dtype.kind == "c":
+            raise ValidationError(f"{what}: expected whole numbers, got complex values")
         x = a.astype(float)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what}: expected whole numbers") from None

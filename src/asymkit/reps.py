@@ -31,7 +31,7 @@ from .errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
-from .groups import _STACK_BYTES, GroupTable, same_group
+from .groups import _STACK_BYTES, GroupTable, _whole, same_group
 from .linalg import frob, haar_unitary, random_hermitian, scaled_tol
 
 # Loose threshold used while carving out candidate invariant subspaces; the
@@ -49,16 +49,18 @@ class UnitaryRep:
     nonzero per row and column, exact zeros elsewhere: permutation and number reps, their sums
     and products) is kept as index and phase arrays, validated in O(|G|^2 d), or in integers if
     its entries are 0 or 1.  Any other rep keeps its diagonal blocks' stacks, cut once by
-    :func:`_cut` to its exact-zero pattern (a dense input is one block, a view unless it splits),
-    validated block by block.  Only :func:`_block_rep` validates a form, unless the constructor
-    proves it exact (:func:`regular_rep`, :func:`trivial_rep`) or certifies it
-    (:func:`direct_sum_rep`, GNS by ``bochner._residual_bound``).  U(g) acts by :meth:`_act`.
+    :func:`_cut` to its exact-zero pattern where they come from elsewhere (a dense input is one
+    block, a view unless it splits; :func:`_block_rep`, :func:`direct_sum_rep`), validated block
+    by block; a trusted form, as GNS hands over, is held as given.  Only :func:`_block_rep`
+    validates a form, unless the constructor proves it exact (:func:`regular_rep`,
+    :func:`trivial_rep`) or certifies it (:func:`direct_sum_rep`, GNS by
+    ``bochner._residual_bound``).  U(g) acts by :meth:`_act`.
     """
 
     __slots__ = ("group", "dim", "_mats", "_monomial", "_stacks")
 
     def __init__(self, group: GroupTable, mats, _form=None):
-        if _form is None:  # else trusted: (src, phase), or (cols, sub) stacks to cut
+        if _form is None:  # else trusted: (src, phase), or (cols, sub) stacks as _cut gives them
             mats = np.asarray(mats, dtype=complex)
             if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
                 raise DimensionMismatchError(
@@ -67,8 +69,6 @@ class UnitaryRep:
             _form = _cut([(np.arange(mats.shape[1])[None], mats[None])])
             _validate_rep(group, _form)
             mats.setflags(write=False)
-        elif isinstance(_form, list):
-            _form = _cut(_form)
         monomial = isinstance(_form, tuple)
         self.group, self._mats = group, mats
         self._monomial, self._stacks = (_form, None) if monomial else (None, _form)
@@ -103,10 +103,13 @@ class UnitaryRep:
     def trace_against(self, x: np.ndarray) -> np.ndarray:
         """tr(x U(g)) for every g, a vector x standing for x x^dag; on a monomial rep the gather
         sum_i phase[g, i] x[src[g, i], i] in O(|G| d) (x[src[g, i]] conj x[i] of a vector: no d x d
-        array, the same products); else one einsum per block size, on x's blocks."""
-        if x.ndim == 1 and self._monomial is not None:
-            return (self._monomial[1] * (x[self._monomial[0]] * x.conj())).sum(axis=1)
-        x = np.outer(x, x.conj()) if x.ndim == 1 else x
+        array, the same products); else one einsum per block size, on x's blocks, or of a vector
+        on conj(y_i) y_j for y = x[cols]: y^dag U y with no d x d array."""
+        if x.ndim == 1:
+            if self._monomial is not None:
+                return (self._monomial[1] * (x[self._monomial[0]] * x.conj())).sum(axis=1)
+            return sum((np.einsum("kij,kgij->g", x[c].conj()[..., None] * x[c][:, None], m)
+                        for c, m in self._stacks), np.zeros(self.group.order, complex))
         if self._monomial is not None:
             return (self._monomial[1] * x[self._monomial[0], np.arange(self.dim)]).sum(axis=1)
         return sum((np.einsum("kij,kgji->g", x[c[..., None], c[:, None]], m)
@@ -195,7 +198,8 @@ def _block_rep(group: GroupTable, form) -> UnitaryRep:
     a permutation of range(d), or of (cols, sub) stacks whose blocks tile range(d) cut by
     :func:`_cut`, validated on its form with the checks, verdicts and messages of
     :class:`UnitaryRep`, whose mats it never stacks; d = 0 or no stacks give the 0-dim rep."""
-    rep = UnitaryRep(group, None, form if isinstance(form, list) or form[0].shape[1] else [])
+    form = _cut(form) if isinstance(form, list) else form if form[0].shape[1] else []
+    rep = UnitaryRep(group, None, form)
     _validate_rep(group, rep._stacks if rep._monomial is None else rep._monomial)
     return rep
 
@@ -318,10 +322,11 @@ def number_rep(group: GroupTable, weights) -> UnitaryRep:
 
     Basis state j carries weight w_j, so element g acts as the phase
     exp(2 pi i g w_j / N).  This is the finite sampling of a U(1) phase
-    rotation generated by a number operator with spectrum ``weights``.
+    rotation generated by a number operator with spectrum ``weights``, whole numbers (a
+    fractional weight gives no rep of Z_N); else ValidationError.
     """
     n = group.order
-    w = np.asarray(list(weights), dtype=float)
+    w = _whole(list(weights), "number_rep weights").astype(float)
     phases = np.exp(2j * np.pi * np.outer(np.arange(n), w) / n)
     return _block_rep(group, (np.tile(np.arange(w.size), (n, 1)), phases))
 
@@ -365,7 +370,7 @@ def direct_sum_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
     else:  # a monomial summand's matrices as one block, scattered, not kept on the summand
         st_a, st_b = (r._stacks if r._monomial is None else
                       [(np.arange(r.dim)[None], r._scatter()[None])] for r in (a, b))
-        form = st_a + [(c + a.dim, m) for c, m in st_b]
+        form = _cut(st_a + [(c + a.dim, m) for c, m in st_b])
     return UnitaryRep(a.group, None, form) if a.group.order > 1 else _block_rep(a.group, form)
 
 
@@ -730,15 +735,32 @@ def one_dim_reps(group: GroupTable) -> np.ndarray:
     return group._one_dim
 
 
-def _regular_irreps(group: GroupTable) -> tuple[list[np.ndarray], float]:
+def _regular_irreps(group: GroupTable) -> tuple[list[np.ndarray], float, list[tuple]]:
     """What GNS reads of decompose(regular_rep(group), seed=0): the irrep stacks of each sector
-    shape (:meth:`IrrepDecomposition._by_shape`) and the residual.  Kept on the group on first use:
-    deterministic, so a race only builds them twice, and no caller's seed reaches them.  No
-    decomposition is kept, as its regular rep would point back at the group."""
+    shape (:meth:`IrrepDecomposition._by_shape`), the residual and the stacks'
+    :func:`_monomial_irreps`.  Kept on the group on first use: deterministic, so a race only
+    builds them twice, and no caller's seed reaches them.  No decomposition is kept, as its
+    regular rep would point back at the group."""
     if group._irreps is None:
         dec = decompose(regular_rep(group), seed=0)
-        group._irreps = [m for _, _, m in dec._by_shape()], dec._residual
+        stacks = [m for _, _, m in dec._by_shape()]
+        group._irreps = stacks, dec._residual, _monomial_irreps(stacks)
     return group._irreps
+
+
+def _monomial_irreps(stacks: list[np.ndarray]) -> list[tuple]:
+    """Per irrep stack m (k, |G|, s, s), what each irrep's own :func:`_sparsity_form` reads off
+    its exact zeros, by the same rule and arrays: a flag (k,) for the monomial irreps, one nonzero
+    in each row and column of every matrix, and if any is, (src, phase) (k, |G|, s), each row's
+    nonzero column and value (read on every irrep, used on those)."""
+    out = []
+    for m in stacks:
+        z = m != 0
+        mono = (z.sum(2) == 1).all((1, 2)) & (z.sum(3) == 1).all((1, 2))
+        at = z.argmax(3) if mono.any() else None
+        phase = None if at is None else np.take_along_axis(m, at[..., None], 3)[..., 0]
+        out.append((mono, at, phase))
+    return out
 
 
 def random_invariant_unitary(dec: IrrepDecomposition, rng) -> np.ndarray:

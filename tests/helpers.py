@@ -164,12 +164,11 @@ def _split_isotype(q, sub, d_mu, rng):
     return (q @ (p @ w)).transpose(1, 0, 2).reshape(len(q), m), ref
 
 
-def gns_by_irrep(f) -> tuple[np.ndarray, np.ndarray]:
-    """The GNS stack and unnormalized cyclic vector of ``gns_construct``, built one irrep at a
-    time from the irreps the group caches of its regular decomposition: each block's Fourier block
-    d_mu avg_g f(g^-1) U_mu(g) by its own einsum and ``eigh``, then one dense copy of U_mu per
-    kept eigenvector, in the layout of ``gns_construct`` (by sector shape, then block, then
-    eigenvalue): the oracle, bit for bit, for its batched route."""
+def gns_copies(f) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The copies ``gns_construct`` keeps, in its layout (by sector shape, then block, then
+    eigenvalue), each built one irrep at a time from the irreps the group caches of its regular
+    decomposition: each block's Fourier block d_mu avg_g f(g^-1) U_mu(g) by its own einsum and
+    ``eigh``, then per kept eigenvector the irrep's stack U_mu and that column y of Y_mu."""
     group, n = f.group, f.group.order
     spectra = []
     for stack in reps._regular_irreps(group)[0]:
@@ -178,14 +177,30 @@ def gns_by_irrep(f) -> tuple[np.ndarray, np.ndarray]:
             lam, v = np.linalg.eigh(0.5 * (b + b.conj().T))
             spectra.append((u, lam, v, n / u.shape[-1] * lam))
     top = max(gamma[-1] for *_, gamma in spectra)
-    copies = [(u, v[:, c] * np.sqrt(lam[c])) for u, lam, v, gamma in spectra
-              for c in np.flatnonzero(gamma > bochner._RANK_TOL * top)]
+    return [(u, v[:, c] * np.sqrt(lam[c])) for u, lam, v, gamma in spectra
+            for c in np.flatnonzero(gamma > bochner._RANK_TOL * top)]
+
+
+def gns_by_irrep(f) -> tuple[np.ndarray, np.ndarray]:
+    """The GNS stack and unnormalized cyclic vector of ``gns_construct``, one dense copy of U_mu
+    per copy of :func:`gns_copies`: the oracle, bit for bit, for its batched route."""
+    copies, n = gns_copies(f), f.group.order
     dim = sum(len(y) for _, y in copies)
     mats, at = np.zeros((n, dim, dim), dtype=complex), 0
     for u, y in copies:
         mats[:, at : at + len(y), at : at + len(y)] = u
         at += len(y)
     return mats, np.concatenate([y for _, y in copies])
+
+
+def gns_copy_stacks(f) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (cols, sub) stack of each copy of :func:`gns_copies` on its own, in order: what
+    ``reps._cut`` cuts into the form the GNS rep must hold."""
+    stacks, at = [], 0
+    for u, y in gns_copies(f):
+        stacks.append((np.arange(at, at + len(y))[None], u[None]))
+        at += len(y)
+    return stacks
 
 
 def gram_rank(f) -> int:

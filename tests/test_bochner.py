@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import asymkit as ak
 from asymkit import bochner, reps
-from helpers import check_gns, gns_by_irrep, gns_cases, gram_rank, perm_rep
+from helpers import check_gns, gns_by_irrep, gns_cases, gns_copy_stacks, gram_rank, perm_rep
 
 
 def translation_gram(f: ak.CharFunction) -> np.ndarray:
@@ -316,8 +316,8 @@ class TestGnsLadder:
 
 def with_blocks(dec, edit, residual=None, at=slice(None)):
     """The GNS cache (``reps._regular_irreps``) of dec with edit(mats, index) in place of each
-    block's mats at the elements ``at``, and the residual given, or else recomputed for the new
-    blocks."""
+    block's mats at the elements ``at``, the residual given, or else recomputed for the new
+    blocks, and the new stacks' ``reps._monomial_irreps``."""
     blocks = []
     for i, b in enumerate(dec.blocks):
         m = b.mats.copy()
@@ -325,7 +325,8 @@ def with_blocks(dec, edit, residual=None, at=slice(None)):
         blocks.append(ak.IrrepBlock(b.label, b.dim, b.mult, b.character, m))
     out = ak.IrrepDecomposition(dec.rep, dec.basis, blocks)
     rho = out.reconstruction_residual() if residual is None else residual
-    return [m for _, _, m in out._by_shape()], rho
+    stacks = [m for _, _, m in out._by_shape()]
+    return stacks, rho, reps._monomial_irreps(stacks)
 
 
 GNS_CASES = list(gns_cases())
@@ -417,13 +418,55 @@ def test_gns_certificate_needs_a_near_isometry(monkeypatch):
 
 @pytest.mark.parametrize("name", GNS_CASES)
 def test_gns_runs_no_pairwise_or_intertwiner_pass(name, monkeypatch):
-    """A valid GNS rep is trusted with no pass over the group's elements."""
+    """A valid GNS rep is trusted with no pass over the group's elements, and a warm call hands
+    its rep the form it assembled, with no pass over exact-zero masks to cut it."""
     f = gns_cases()[name]
     reps._regular_irreps(f.group)  # decompose's own check, once per group, is not GNS's
     calls = spy(monkeypatch, "_validate_rep", "_intertwiner_residual", "_unitarity_residuals",
-                "_homomorphism_residuals")
+                "_homomorphism_residuals", "_sparsity_form", "_cut")
     ak.gns_construct(f)
     assert calls == []
+
+
+def same_form(rep, want) -> bool:
+    """Whether rep holds the form want, a ``reps._cut`` result, array for array by bytes."""
+    if isinstance(want, tuple):
+        return rep._stacks is None and all(
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(rep._monomial, want))
+    return rep._monomial is None and len(rep._stacks) == len(want) and all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for got, st in zip(rep._stacks, want) for a, b in zip(got, st))
+
+
+@pytest.mark.parametrize("name", GNS_CASES)
+def test_gns_form_is_the_cut_of_its_copies(name):
+    """The form GNS assembles is what ``reps._cut`` makes of its copies' stacks, one per copy:
+    (src, phase) for the all-1-dim cases, the per-size stacks for the others."""
+    f = gns_cases()[name]
+    want = reps._cut(gns_copy_stacks(f))
+    assert same_form(ak.gns_construct(f).rep, want)
+
+
+def test_gns_form_of_a_monomial_2_dim_irrep():
+    """A cache whose 2-dim irrep of D4 is in its standard basis, r a quarter turn and s a
+    mirror (entries 0 and +-1 only), is monomial with its 1-dim irreps: GNS of chi on both returns
+    the (src, phase) form ``reps._cut`` gives its copies, and realizes chi."""
+    group = ak.make_dihedral(4)
+    turn, mirror = np.array([[0, -1], [1, 0]]), np.diag([1, -1])
+    std = np.array([np.linalg.matrix_power(mirror, g // 4) @ np.linalg.matrix_power(turn, g % 4)
+                    for g in range(8)], dtype=complex)
+    ak.UnitaryRep(group, std)  # a rep, checked pairwise
+    dec = ak.decompose(ak.regular_rep(group), seed=0)
+    group._irreps = with_blocks(dec, lambda m, b: std if dec.blocks[b].dim == 2 else m)
+    sign = np.einsum("gii->g", dec.blocks[1].mats)  # a 1-dim irrep that is not trivial
+    assert dec.blocks[1].dim == 1 and not np.allclose(sign, 1)
+    f = ak.CharFunction(group, 0.5 * np.einsum("gii->g", std) / 2 + 0.5 * sign)
+    res = ak.gns_construct(f)
+    want = reps._cut(gns_copy_stacks(f))
+    assert isinstance(want, tuple) and same_form(res.rep, want)
+    assert res.dim == 5
+    assert np.abs(ak.charfunc(res.state, res.rep).values - f.values).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["s4", "z32", "s4 delta", "s4 irrep 4"])

@@ -188,6 +188,17 @@ def test_maker_sizes_are_read_as_whole_numbers(make):
         make(2.5)
 
 
+def test_complex_sizes_and_tables_are_rejected():
+    """A complex value is no whole number, even with a zero imaginary part: numpy's cast to
+    float would drop the imaginary part with only a ComplexWarning."""
+    for n in (3 + 1j, 3 + 0j, np.complex128(3)):
+        with pytest.raises(ak.ValidationError, match="cyclic group order: expected whole"):
+            ak.make_cyclic(n)
+    table = ak.make_cyclic(3).mul.astype(complex)
+    with pytest.raises(ak.ValidationError, match="multiplication table: expected whole"):
+        ak.GroupTable(table)
+
+
 class TestDihedral:
     def test_d3_is_s3(self):
         assert brute_force_isomorphic(ak.make_dihedral(3), ak.make_symmetric(3))
@@ -373,6 +384,12 @@ class TestSubgroups:
             ak.is_normal(z6, [0, 3.5])
         with pytest.raises(ak.InvalidSubgroupError):
             ak.uniform_twirl_over_subgroup(ak.regular_rep(z6), [0, 3.5])
+
+    def test_complex_elements_are_no_elements(self):
+        z6 = ak.make_cyclic(6)
+        for bad in ([0, 2 + 1j], np.array([0, 2, 4], dtype=complex)):
+            with pytest.raises(ak.InvalidSubgroupError, match="subgroup elements"):
+                ak.subgroup(z6, bad)
 
     def test_is_normal_matches_brute_force_on_s4(self, groups):
         s4 = groups["s4"]

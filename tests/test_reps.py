@@ -292,6 +292,18 @@ class TestInvariantUnitary:
 
 
 class TestRepValidation:
+    def test_number_rep_weights_are_whole_numbers(self, groups):
+        """Whole weights, ints or floats, give the same phases bit for bit; a complex or
+        fractional weight raises ValidationError naming the weights, not numpy's TypeError or a
+        homomorphism check (a weight of 0.5 makes no rep of Z_N)."""
+        z4 = groups["z4"]
+        want = ak.number_rep(z4, [0, 1, 3])._monomial
+        got = ak.number_rep(z4, [0.0, 1.0, 3.0])._monomial
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        for bad in ([1 + 1j], [0, 0.5]):
+            with pytest.raises(ak.ValidationError, match="number_rep weights: expected whole"):
+                ak.number_rep(z4, bad)
+
     def test_non_unitary_rejected(self, groups):
         mats = np.array([np.eye(2), 2.0 * np.eye(2)])
         with pytest.raises(ak.ValidationError):
@@ -936,13 +948,13 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("trusted", [False, True], ids=["validated", "trusted"])
     def test_split_block_is_cut(self, block_reps, monkeypatch, trusted, rng):
-        """One block that splits 6 + 3, through _block_rep or the constructor GNS uses, is cut
-        once into stacks of sizes 3 and 6 at its dense stack's slices, and _block_rep checks
+        """One block that splits 6 + 3, through _block_rep or _cut and the trusted constructor, is
+        cut once into stacks of sizes 3 and 6 at its dense stack's slices, and _block_rep checks
         the cut stacks; its JSON is the two blocks, which read back to the same stacks."""
         group, mats, blocks = block_reps["s3 dense 6 + dense 3"]
         one, checks, real = [(np.arange(9)[None], mats[None])], [], reps._validate_rep
         monkeypatch.setattr(reps, "_validate_rep", lambda *args: checks.append(args) or real(*args))
-        r = reps.UnitaryRep(group, None, one) if trusted else reps._block_rep(group, one)
+        r = reps.UnitaryRep(group, None, reps._cut(one)) if trusted else reps._block_rep(group, one)
         monkeypatch.undo()
         assert r._monomial is None and r._mats is None
         assert [c.shape for c, _ in r._stacks] == [(1, 3), (1, 6)]

@@ -2,7 +2,8 @@
 
 * ``charfunc`` on a monomial rep is a gather, sum_i phase[g, i] rho[src[g, i], i];
   :func:`helpers.dense_charfunc`, one einsum over every dense matrix, is its oracle
-  and is still the route on any other rep.
+  and on any other rep, where chi is one einsum per block size on the blocks of rho,
+  or of a pure state on conj(psi_i) psi_j formed block by block, with no d x d array.
 * Reductions are checked in one pass over all blocks, zero-padded to one size.  The
   per-block rule (``assert_psd`` on every block in block order, then the trace sum) must
   raise the same class with the same message, so the same block is named.
@@ -25,9 +26,11 @@ from asymkit.reps import one_dim_reps
 from helpers import (
     blocked_rep,
     dense_charfunc,
+    gns_cases,
     per_shape_bounds,
     per_shape_fourier,
     per_shape_reduction,
+    perm_rep,
 )
 
 TOL = 1e-12
@@ -100,9 +103,15 @@ class TestCharfuncGather:
             monkeypatch.setattr(np, "einsum", counting_einsum)
             chi = ak.charfunc(s, r).values
             monkeypatch.undo()
-            # a pure state's psi psi^dag goes to one einsum per block size, on its blocks
-            assert calls == ["kij,kgji->g"] * len(r._stacks)
-            assert np.array_equal(chi, np.einsum("ij,gji->g", s.density(), r.mats))
+            # one einsum per block size, on the blocks of rho, or of a pure state on
+            # conj(psi_i) psi_j formed block by block: the dense einsum's sums, bit for bit
+            if s.is_pure:
+                assert calls == ["kij,kgij->g"] * len(r._stacks)
+                dense = np.einsum("ij,gij->g", np.outer(s.vec.conj(), s.vec), r.mats)
+            else:
+                assert calls == ["kij,kgji->g"] * len(r._stacks)
+                dense = np.einsum("ij,gji->g", s.density(), r.mats)
+            assert np.array_equal(chi, dense)
             assert np.abs(chi - want).max() <= TOL
 
     @given(
@@ -374,6 +383,26 @@ class TestPaddedLayout:
                     m.setattr(np, "outer", lambda *a, **k: formed.append(a))
                     chi = ak.charfunc(psi, r).values
                 assert np.array_equal(chi, want)
+        assert formed == []
+
+    def test_pure_chi_on_block_reps_is_one_einsum_per_size(self, groups, regular_reps, rng,
+                                                           monkeypatch):
+        v4, v6 = haar_unitary(4, rng), haar_unitary(6, rng)
+        perm = ak.UnitaryRep(groups["s4"], v4 @ perm_rep(groups["s4"]).mats @ v4.conj().T)
+        reps = [ak.gns_construct(gns_cases()[name]).rep for name in ("s4", "d20")]
+        reps += [ak.direct_sum_rep(perm, regular_reps["s4"]),
+                 ak.UnitaryRep(groups["s3"], v6 @ regular_reps["s3"].mats @ v6.conj().T)]
+        formed = []
+        for r in reps:
+            assert r._monomial is None
+            for _ in range(5):
+                psi = ak.random_pure_state(r.dim, rng)
+                with monkeypatch.context() as m:
+                    m.setattr(ak.QuantumState, "density", lambda self: formed.append(self))
+                    m.setattr(np, "outer", lambda *a, **k: formed.append(a))
+                    chi = ak.charfunc(psi, r).values
+                assert np.abs(chi - dense_charfunc(psi, r)).max() <= 1e-13
+        assert [len(r._stacks) for r in reps] == [3, 2, 2, 1]
         assert formed == []
 
     def test_decompose_leaves_the_layout_unbuilt(self, regular_reps, s3_square, z16_number_rep, rng):

@@ -30,6 +30,11 @@ class TestStateValidation:
             with pytest.raises(ak.ValidationError, match="dim"):
                 ak.random_pure_state(bad, np.random.default_rng(0))
 
+    def test_pure_state_dim_is_not_complex(self):
+        """2 + 0.5j is no dim: its imaginary part is not dropped to give a 2-dim state."""
+        with pytest.raises(ak.ValidationError, match="dim: expected whole"):
+            ak.random_pure_state(2 + 0.5j, np.random.default_rng(0))
+
     @pytest.mark.parametrize("dim", [0, -1])
     def test_pure_state_dim_below_one_rejected(self, dim):
         """A dim below 1 is a bad parameter, not numpy's negative-dimensions error."""
