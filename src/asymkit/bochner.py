@@ -116,7 +116,8 @@ def gns_construct(f: CharFunction) -> GnsResult:
     every kept irrep is monomial (always if all are 1-dim: src the identity, phase their values).
     Otherwise it takes each block's slices on its own, and an irrep's exact zeros never cut it (a
     cut would make its first slice an invariant subspace): one slice per copy, the stacks of one
-    size each, ascending, which ``_cut`` keeps as they are.
+    size each, ascending, which ``_cut`` keeps as they are.  ||mats||_F, which scales the trust
+    gate, is read off the norms the group caches too: sqrt(sum over copies ||U_mu||_F^2).
 
     Raises InvalidCharacteristicFunctionError if f has a NaN or infinite value or
     is not normalized positive definite under the module's Gram rule,
@@ -133,7 +134,7 @@ def gns_construct(f: CharFunction) -> GnsResult:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not normalized: f(e) = {f.values[0]:.6f}"
         )
-    (stacks, rho, monomial), spectra = reps._regular_irreps(group), []
+    (stacks, rho, monomial, norms), spectra = reps._regular_irreps(group), []
     for m in stacks:  # lam[j], v[j]: block j's eigenpairs, gamma in Gram units
         lam, v = np.linalg.eigh(hermitian_part(_forward_block(f.values, group, m, m.shape[-1])))
         spectra.append((m, lam, v, group.order / m.shape[-1] * lam))
@@ -142,14 +143,14 @@ def gns_construct(f: CharFunction) -> GnsResult:
         raise InvalidCharacteristicFunctionError(
             f"candidate function is not positive definite: Gram eigenvalue {low:.3e} < 0"
         )
-    kept, parts, at = [], [], 0
-    for (m, lam, v, gamma), (mono, src, ph) in zip(spectra, monomial):  # copy c of block j:
-        j, c = np.nonzero(gamma > _RANK_TOL * top)  # column c of Y_j, acted on by m[j]
-        if j.size:
+    kept, parts, at, sq = [], [], 0, 0.0
+    for (m, lam, v, gamma), (mono, src, ph), m2 in zip(spectra, monomial, norms):
+        j, c = np.nonzero(gamma > _RANK_TOL * top)  # copy c of block j: column c of Y_j, acted
+        if j.size:  # on by m[j], whose ||m[j]||_F^2 is m2[j]
             cols = at + np.arange(j.size * m.shape[-1]).reshape(j.size, -1)
             kept.append((j, cols, m, mono, src, ph))
             parts.append((v[j, :, c] * np.sqrt(lam[j, c])[:, None]).ravel())
-            at += j.size * m.shape[-1]
+            at, sq = at + j.size * m.shape[-1], sq + m2[j].sum()
     if all(mono[j].all() for j, _, _, mono, _, _ in kept):  # [g, column], copy by copy
         n = group.order
         form = (np.hstack([(src[j] + c[:, :1, None]).transpose(1, 0, 2).reshape(n, -1)
@@ -158,8 +159,7 @@ def gns_construct(f: CharFunction) -> GnsResult:
     else:
         form = [(c, m[j]) for j, c, m, *_ in kept]
     rep, psi = reps.UnitaryRep(group, None, form), np.concatenate(parts)
-    norm = [frob(m) for _, m in form] if rep._monomial is None else form[1]  # ||mats||_F
-    if not _residual_bound(rho) <= scaled_tol(norm):
+    if not _residual_bound(rho) <= scaled_tol(np.sqrt(sq)):  # ||mats||_F, copy by copy
         reps._validate_rep(group, form)
     err = float(np.abs(rep.trace_against(psi) - f.values).max())
     if not err <= t:

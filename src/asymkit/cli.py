@@ -139,7 +139,7 @@ def _cmd_decompose(args):
 def _cmd_charfunc(args):
     rep = _load_rep(args)
     (state,) = _load_states(args, 1, jsonio.state_from_json)
-    return {"charfunc": jsonio.func_to_json(charfunc(state, rep))}
+    return {"charfunc": jsonio.report_to_json(charfunc(state, rep))}
 
 
 def _cmd_reduce(args):
@@ -226,7 +226,7 @@ def _cmd_twirl(args):
         out = uniform_twirl_over_subgroup(rep, elements)
     else:
         out = twirl_channel(_load_channel(args), rep)
-    return {"channel": jsonio.channel_to_json(out)}
+    return {"channel": jsonio.report_to_json(out)}
 
 
 def _cmd_embed(args):
@@ -236,7 +236,7 @@ def _cmd_embed(args):
         raise ValidationError("embed needs --rep-out FILE for the output-space action")
     r_out = _load_file(args.rep_out, jsonio.rep_from_json, r_in.group)
     out = embed_channel(c, r_in, r_out)
-    return {"channel": jsonio.channel_to_json(out)}
+    return {"channel": jsonio.report_to_json(out)}
 
 
 _HANDLERS = {
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
         return 3
     report = {"command": args.command, "seed": args.seed, "result": result}
     if args.format == "table":
-        _render_table(report)
+        _render_table(jsonio.listed(report))
     else:
         print(jsonio.canonical_dumps(report))
     return 0

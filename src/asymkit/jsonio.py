@@ -13,9 +13,12 @@ The reader takes all three, dense files of monomial reps included, with the full
 validation of :class:`UnitaryRep`.  A monomial file is checked and built on its
 (src, phase) form and a ``blocks`` file on its blocks, neither stacked densely; a ``mats``
 file is read into the dense stack.  Writers keep full float precision (a round trip is
-bit-identical).  Every CLI report is written by one rule, :func:`report_to_json` (a dataclass
-by its fields, arrays as pairs, an Enum by its value); :func:`canonical_dumps` rounds it to 12
-significant digits, in text byte for byte what ``json.dumps`` of the rounded payload gives.
+bit-identical).  Every CLI report is built by one rule, :func:`report_to_json` (a dataclass
+by its fields, an Enum by its value, a state, rep, channel or function as its file lays it
+out), which keeps each array an array; the file writers are :func:`listed` layouts of the same
+rule.  :func:`canonical_dumps` writes a report with floats rounded to 12 significant digits,
+each array by one ``format`` call on its flat list of numbers (a complex one as [re, im]
+pairs), in text byte for byte what ``json.dumps`` of the rounded, listed payload gives.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import dataclasses
 import enum
 import json
 import re
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -67,17 +71,23 @@ _REP_BYTES = 1 << 28  # largest form a rep file may claim, in the bytes it is he
 
 
 def rep_to_json(r: UnitaryRep, inline_group: bool = True) -> dict:
-    """The rep in the first form that fits it: monomial, diagonal blocks unless there is
-    just one (a 0-dim rep has none), or dense."""
-    out: dict[str, Any] = {"dim": r.dim}
-    if r._monomial is not None:
-        out["src"], out["phase"] = r._monomial[0].tolist(), matrix_to_json(r._monomial[1])
-    else:  # each diagonal block of the rep's stacks, in start order; one block is `mats`
-        starts = sorted((int(c[0]), m) for cs, ms in r._stacks for c, m in zip(cs, ms))
-        blocks = [{"start": a, "mats": matrix_to_json(m)} for a, m in starts]
-        out.update({"blocks": blocks} if len(blocks) != 1 else {"mats": blocks[0]["mats"]})
+    """The rep in the first form that fits it (:func:`report_to_json`), listed."""
+    out = listed(report_to_json(r))
     if inline_group:
         out["group"] = group_to_json(r.group)
+    return out
+
+
+def _rep_form(r: UnitaryRep) -> dict:
+    """The rep in the first form that fits it: monomial, diagonal blocks unless there is
+    just one (a 0-dim rep has none), or dense; ``src`` an integer array, the rest complex."""
+    out: dict[str, Any] = {"dim": r.dim}
+    if r._monomial is not None:
+        out["src"], out["phase"] = r._monomial[0], report_to_json(r._monomial[1])
+    else:  # each diagonal block of the rep's stacks, in start order; one block is `mats`
+        starts = sorted((int(c[0]), m) for cs, ms in r._stacks for c, m in zip(cs, ms))
+        blocks = [{"start": a, "mats": report_to_json(m)} for a, m in starts]
+        out.update({"blocks": blocks} if len(blocks) != 1 else {"mats": blocks[0]["mats"]})
     return out
 
 
@@ -162,9 +172,7 @@ def _block_mats(blocks: list, n: int, dim: int) -> list[tuple[np.ndarray, np.nda
 
 
 def state_to_json(s: QuantumState) -> dict:
-    if s.is_pure:
-        return {"kind": "pure", "data": matrix_to_json(s.vec)}
-    return {"kind": "mixed", "data": matrix_to_json(s.rho)}
+    return listed(report_to_json(s))
 
 
 def state_from_json(obj: dict) -> QuantumState:
@@ -193,7 +201,7 @@ def weight_state_to_json(w: WeightState) -> dict:
 
 
 def func_to_json(f: CharFunction) -> dict:
-    return {"values": matrix_to_json(f.values), "labels": list(f.group.labels)}
+    return listed(report_to_json(f))
 
 
 def func_from_json(obj, group: GroupTable) -> CharFunction:
@@ -205,7 +213,7 @@ def func_from_json(obj, group: GroupTable) -> CharFunction:
 
 
 def channel_to_json(c: QuantumChannel) -> dict:
-    return {"d_in": c.d_in, "d_out": c.d_out, "kraus": matrix_to_json(c.kraus)}
+    return listed(report_to_json(c))
 
 
 def channel_from_json(obj: dict) -> QuantumChannel:
@@ -221,31 +229,50 @@ def channel_from_json(obj: dict) -> QuantumChannel:
 
 
 def report_to_json(obj: Any) -> Any:
-    """The JSON of a report, by one rule applied all the way down.
+    """The JSON of a report, by one rule applied all the way down, its arrays kept as arrays.
 
-    A dataclass becomes a dict of its fields by name, an array nested [re, im] pairs
-    (:func:`matrix_to_json`), an Enum its value and a dict the same dict with ``str`` keys.
-    A state is written as :func:`state_to_json` writes it and a rep as :func:`rep_to_json`
-    does, without its group.  Anything else (None, bool, int, float) is kept as it is.
+    A dataclass becomes a dict of its fields by name, an array a complex array (written as
+    nested [re, im] pairs), an Enum its value and a dict the same dict with ``str`` keys.  A
+    state, rep (without its group), channel or characteristic function is laid out as its file
+    is: :func:`state_to_json` and the other file writers list this layout.  Anything else (None,
+    bool, int, float) is kept as it is.
     """
     if isinstance(obj, np.ndarray):
-        return matrix_to_json(obj)
+        return np.asarray(obj, dtype=complex)
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, dict):
         return {str(k): report_to_json(v) for k, v in obj.items()}
     if isinstance(obj, QuantumState):
-        return state_to_json(obj)
+        if obj.is_pure:
+            return {"kind": "pure", "data": obj.vec}
+        return {"kind": "mixed", "data": obj.rho}
     if isinstance(obj, UnitaryRep):
-        return rep_to_json(obj, inline_group=False)
+        return _rep_form(obj)
+    if isinstance(obj, QuantumChannel):
+        return {"d_in": obj.d_in, "d_out": obj.d_out, "kraus": obj.kraus}
+    if isinstance(obj, CharFunction):
+        return {"values": obj.values, "labels": list(obj.group.labels)}
     if dataclasses.is_dataclass(obj):
         return {f.name: report_to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
+def listed(obj: Any) -> Any:
+    """obj with each array leaf in dicts and lists as the nested lists JSON holds: a complex
+    array as :func:`matrix_to_json` writes it, any other by ``tolist``."""
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj) if obj.dtype.kind == "c" else obj.tolist()
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [listed(v) for v in obj]
+    return obj
+
+
 def decomposition_to_json(dec: IrrepDecomposition) -> dict:
     return {
-        "basis": matrix_to_json(dec.basis),
+        "basis": report_to_json(dec.basis),
         "offsets": list(dec.offsets),
         "blocks": [report_to_json(blk) for blk in dec.blocks],
     }
@@ -254,7 +281,7 @@ def decomposition_to_json(dec: IrrepDecomposition) -> dict:
 def reduction_to_json(red: IrrepReduction) -> dict:
     return {
         "labels": list(red.labels),
-        "blocks": [matrix_to_json(b) for b in red.blocks],
+        "blocks": [report_to_json(b) for b in red.blocks],
         "traces": [float(t) for t in red.traces()],
     }
 
@@ -262,41 +289,53 @@ def reduction_to_json(red: IrrepReduction) -> dict:
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, floats rounded to 12 significant digits.
 
-    The text of ``json.dumps(..., sort_keys=True, separators=(",", ": "), indent=1)``,
-    with each rectangular nested list of floats, or of ints, printed by one ``format`` call.
+    The text of ``json.dumps(..., sort_keys=True, separators=(",", ": "), indent=1)`` of obj
+    with its arrays listed (:func:`listed`), each array, and each rectangular nested list of
+    floats or of ints, printed by one ``format`` call.
     """
-    return "".join(_chunks(obj, 0))
+    out: list[str] = []
+    _write(obj, 0, out)
+    return "".join(out)
 
 
-def _chunks(obj: Any, level: int):
+def _write(obj: Any, level: int, out: list[str]) -> None:
     pad = "\n" + " " * (level + 1)
-    if isinstance(obj, dict) and obj:
-        for i, (k, v) in enumerate(sorted(obj.items())):
-            # json.dumps of a one-key dict converts the key as json does
-            yield ("," if i else "{") + pad + json.dumps({k: 0})[1:-4] + ": "
-            yield from _chunks(v, level + 1)
-        yield pad[:-1] + "}"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "c":  # each complex128 as its (re, im) pair of float64
+            obj = np.ascontiguousarray(obj, complex).view(float).reshape(obj.shape + (2,))
+        if obj.size:
+            out.append(_format(obj.shape, obj.ravel().tolist(), obj.dtype.kind in "iu", level))
+        else:  # no leaf to format: json's own layout of empty lists
+            _write(obj.tolist(), level, out)
+    elif isinstance(obj, dict) and obj:
+        sep = "{"
+        for k, v in sorted(obj.items()):
+            # json.dumps of a one-key dict converts a key that is no str as json does
+            key = encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4]
+            out.append(sep + pad + key + ": ")
+            _write(v, level + 1, out)
+            sep = ","
+        out.append(pad[:-1] + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         text = _number_array(obj, level)
-        if text is not None:
-            yield text
-            return
-        for i, v in enumerate(obj):
-            yield ("," if i else "[") + pad
-            yield from _chunks(v, level + 1)
-        yield pad[:-1] + "]"
+        if text is None:
+            sep = "["
+            for v in obj:
+                out.append(sep + pad)
+                _write(v, level + 1, out)
+                sep = ","
+            text = pad[:-1] + "]"
+        out.append(text)
+    elif type(obj) is int:
+        out.append(str(obj))
     elif isinstance(obj, (float, np.floating)):
-        yield json.dumps(float(f"{float(obj):.12g}"))
+        out.append(json.dumps(float(f"{float(obj):.12g}")))
     else:
-        yield json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+        out.append(json.dumps(int(obj) if isinstance(obj, np.integer) else obj))
 
 
 def _number_array(obj: list, level: int) -> str | None:
-    """The text of a rectangular nested list of floats or of ints; None for any other list.
-
-    ``{:.12}`` prints a double as ``repr`` prints it rounded to 12 digits, except for
-    exponents 11 to 15 and subnormals; those arrays are rounded and ``repr``-printed.
-    """
+    """The text of a rectangular nested list of floats or of ints; None for any other list."""
     shape, flat = [len(obj)], obj
     while (kinds := set(map(type, flat))) not in ({float}, {int}):
         lengths = set(map(len, flat)) if kinds <= {list, tuple} else ()
@@ -304,11 +343,20 @@ def _number_array(obj: list, level: int) -> str | None:
             return None
         shape.append(lengths.pop())
         flat = [x for row in flat for x in row]
-    template = "{}" if kinds == {int} else "{:.12}"  # json's indent=1 layout, one per leaf
+    return _format(shape, flat, kinds == {int}, level)
+
+
+def _format(shape, flat: list, ints: bool, level: int) -> str:
+    """The leaves flat, of the given shape, in json's indent=1 layout by one ``format`` call.
+
+    ``{:.12}`` prints a double as ``repr`` prints it rounded to 12 digits, except for
+    exponents 11 to 15 and subnormals; those arrays are rounded and ``repr``-printed.
+    """
+    template = "{}" if ints else "{:.12}"  # one per leaf
     for depth in reversed(range(len(shape))):
         pad = "\n" + " " * (level + depth + 1)
         template = "[" + pad + ("," + pad).join([template] * shape[depth]) + pad[:-1] + "]"
     text = template.format(*flat)
     if re.search(r"e\+1[1-5]\b|e-30[89]|e-3[12]\d", text):
         text = template.replace("{:.12}", "{!r}").format(*[float(f"{x:.12g}") for x in flat])
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text

@@ -735,17 +735,22 @@ def one_dim_reps(group: GroupTable) -> np.ndarray:
     return group._one_dim
 
 
-def _regular_irreps(group: GroupTable) -> tuple[list[np.ndarray], float, list[tuple]]:
+def _regular_irreps(group: GroupTable) -> tuple[list[np.ndarray], float, list[tuple], list]:
     """What GNS reads of decompose(regular_rep(group), seed=0): the irrep stacks of each sector
-    shape (:meth:`IrrepDecomposition._by_shape`), the residual and the stacks'
-    :func:`_monomial_irreps`.  Kept on the group on first use: deterministic, so a race only
-    builds them twice, and no caller's seed reaches them.  No decomposition is kept, as its
-    regular rep would point back at the group."""
+    shape (:meth:`IrrepDecomposition._by_shape`), the residual, the stacks'
+    :func:`_monomial_irreps` and their :func:`_squared_norms`.  Kept on the group on first use:
+    deterministic, so a race only builds them twice, and no caller's seed reaches them.  No
+    decomposition is kept, as its regular rep would point back at the group."""
     if group._irreps is None:
         dec = decompose(regular_rep(group), seed=0)
         stacks = [m for _, _, m in dec._by_shape()]
-        group._irreps = stacks, dec._residual, _monomial_irreps(stacks)
+        group._irreps = stacks, dec._residual, _monomial_irreps(stacks), _squared_norms(stacks)
     return group._irreps
+
+
+def _squared_norms(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Per irrep stack m (k, |G|, s, s), each irrep's ||U_mu||_F^2 over the group, (k,)."""
+    return [np.einsum("kgij,kgij->k", m.conj(), m).real for m in stacks]
 
 
 def _monomial_irreps(stacks: list[np.ndarray]) -> list[tuple]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
+import io
 import json
 import operator
 from typing import Any
@@ -11,7 +13,7 @@ from typing import Any
 import numpy as np
 
 import asymkit as ak
-from asymkit import bochner, jsonio, reps
+from asymkit import bochner, cli, jsonio, reps
 from asymkit.linalg import assert_psd, frob, scaled_tol, trace_norm
 
 
@@ -334,6 +336,27 @@ def reference_canonical_dumps(obj: Any) -> str:
     print the payload: the oracle for the library's whole-array emitter.
     """
     return json.dumps(_round_floats(obj), sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def listed(obj: Any) -> Any:
+    """obj with each numpy array leaf in its dicts, lists and tuples listed as JSON files hold
+    it: a complex array by ``matrix_to_json``, any other by ``tolist``.  What the oracles above
+    read of a report whose arrays the library keeps as arrays."""
+    if isinstance(obj, np.ndarray):
+        return jsonio.matrix_to_json(obj) if np.iscomplexobj(obj) else obj.tolist()
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(listed(v) for v in obj)
+    return obj
+
+
+def table_text(obj) -> str:
+    """What ``--format table`` prints of a payload."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._render_table(obj)
+    return out.getvalue()
 
 
 def _round12(x: float) -> float:

@@ -317,7 +317,7 @@ class TestGnsLadder:
 def with_blocks(dec, edit, residual=None, at=slice(None)):
     """The GNS cache (``reps._regular_irreps``) of dec with edit(mats, index) in place of each
     block's mats at the elements ``at``, the residual given, or else recomputed for the new
-    blocks, and the new stacks' ``reps._monomial_irreps``."""
+    blocks, and the new stacks' ``reps._monomial_irreps`` and ``reps._squared_norms``."""
     blocks = []
     for i, b in enumerate(dec.blocks):
         m = b.mats.copy()
@@ -326,7 +326,7 @@ def with_blocks(dec, edit, residual=None, at=slice(None)):
     out = ak.IrrepDecomposition(dec.rep, dec.basis, blocks)
     rho = out.reconstruction_residual() if residual is None else residual
     stacks = [m for _, _, m in out._by_shape()]
-    return stacks, rho, reps._monomial_irreps(stacks)
+    return stacks, rho, reps._monomial_irreps(stacks), reps._squared_norms(stacks)
 
 
 GNS_CASES = list(gns_cases())
@@ -483,6 +483,18 @@ def test_gns_bound_over_tol_runs_one_pairwise_pass(name, monkeypatch):
     assert len(checks) == 1 and checks[0][1][1] is form
     assert res.rep.mats.tobytes() == want.rep.mats.tobytes()
     assert res.state.vec.tobytes() == want.state.vec.tobytes()
+
+
+@pytest.mark.parametrize("name", GNS_CASES)
+def test_gns_gate_scales_with_the_norm_of_its_mats(name, monkeypatch):
+    """The norm GNS scales its trust gate by, read off the per-irrep norms the group caches, is
+    ||mats||_F of the rep it returns."""
+    f = gns_cases()[name]
+    norms, real = [], bochner.scaled_tol
+    monkeypatch.setattr(bochner, "scaled_tol", lambda *a, **k: norms.extend(a) or real(*a, **k))
+    res = ak.gns_construct(f)
+    (norm,) = norms
+    assert abs(norm - np.linalg.norm(res.rep.mats)) <= 1e-12 * norm
 
 
 def test_second_gns_on_a_group_decomposes_no_more(monkeypatch):

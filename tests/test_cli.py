@@ -9,11 +9,13 @@ from helpers import (
     PAIR_KINDS,
     dense_covariance_residual,
     edited_payload,
+    listed,
     malformed_payload,
     pair_payloads,
     perm_rep,
     reference_canonical_dumps,
     rejected_inputs,
+    table_text,
 )
 
 import asymkit as ak
@@ -542,7 +544,22 @@ def test_report_text_matches_encoder(small_files, capsys, monkeypatch, command):
     assert code == 0
     (report,) = reports
     assert report["command"] == command
-    assert out == reference_canonical_dumps(report) + "\n"
+    assert out == reference_canonical_dumps(listed(report)) + "\n"
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_ARGVS))
+def test_table_text_is_the_listed_report(small_files, capsys, monkeypatch, command):
+    """``--format table`` prints what ``_render_table`` prints of the JSON report's payload with
+    its arrays listed."""
+    reports = []
+    real = jsonio.canonical_dumps
+    monkeypatch.setattr(jsonio, "canonical_dumps", lambda obj: reports.append(obj) or real(obj))
+    argv = [str(small_files / a) if a.endswith(".json") else a for a in REPORT_ARGVS[command]]
+    assert run_cli(capsys, command, *argv)[0] == 0
+    code, out = run_cli(capsys, command, *argv, "--format", "table")
+    assert code == 0
+    (report,) = reports
+    assert out == table_text(listed(report))
 
 
 @pytest.mark.parametrize("name", sorted(rejected_inputs()))

@@ -1,8 +1,6 @@
 """Serialization round trips for every interchange format."""
 
-import contextlib
 import functools
-import io
 import json
 import tracemalloc
 
@@ -15,6 +13,7 @@ from helpers import (
     blocked_rep,
     decomposition_oracle,
     dense_charfunc,
+    listed,
     malformed_payload,
     pair_payloads,
     perm_rep,
@@ -22,13 +21,14 @@ from helpers import (
     rejected_inputs,
     report_oracle,
     stack_spans,
+    table_text,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import asymkit as ak
-from asymkit import cli, jsonio, reps
+from asymkit import jsonio, reps
 from asymkit.linalg import haar_unitary
 
 
@@ -92,7 +92,7 @@ def pytest_approx(x):
 
 
 def test_decomposition_export_shape(decompositions):
-    obj = jsonio.decomposition_to_json(decompositions["s3"])
+    obj = listed(jsonio.decomposition_to_json(decompositions["s3"]))
     assert set(obj) == {"basis", "offsets", "blocks"}
     assert [b["dim"] for b in obj["blocks"]] == [1, 1, 2]
     assert obj["offsets"] == [0, 1, 2]
@@ -201,6 +201,30 @@ def test_canonical_dumps_matches_encoder_on_large_arrays():
         "table": rng.integers(-(2**62), 2**62, (7, 9)).tolist(),
     }
     assert jsonio.canonical_dumps(payload) == reference_canonical_dumps(payload)
+
+
+wide = st.floats(min_value=1e11, max_value=1e17) | st.floats(min_value=-1e17, max_value=-1e11)
+parts = st.one_of(floats, wide)  # exponents 11 to 16 and SPECIAL_FLOATS among the rest
+leaf_shapes = array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)
+complex_arrays = leaf_shapes.flatmap(
+    lambda shape: arrays(np.float64, shape + (2,), elements=parts)
+).map(lambda pairs: pairs.view(complex)[..., 0])
+array_leaves = st.one_of(complex_arrays, arrays(np.int64, leaf_shapes))
+
+
+def nested(leaf, depth: int):
+    """Leaves at exactly ``depth`` levels of dicts and lists."""
+    for _ in range(depth):
+        leaf = st.lists(leaf, max_size=3) | st.dictionaries(st.text(max_size=5), leaf, max_size=3)
+    return leaf
+
+
+@given(st.integers(0, 3).flatmap(lambda depth: nested(array_leaves | scalars, depth)))
+@settings(max_examples=300, deadline=None)
+def test_canonical_dumps_of_array_leaves_matches_encoder(payload):
+    """An array leaf is written as the encoder writes it listed: a complex array as its [re, im]
+    pairs, an integer one by ``tolist``, zero-length axes and 0-dim arrays included."""
+    assert jsonio.canonical_dumps(payload) == reference_canonical_dumps(listed(payload))
 
 
 def form_of(obj) -> list[str]:
@@ -426,13 +450,6 @@ def test_size_limit_before_allocating(form):
     assert peak < 1 << 16
 
 
-def table_text(obj) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._render_table(obj)
-    return out.getvalue()
-
-
 def plus(dim: int, *levels: int) -> ak.QuantumState:
     v = np.zeros(dim)
     v[list(levels)] = 1.0
@@ -490,7 +507,7 @@ def test_reports_cover_every_case():
 def test_report_to_json_matches_the_serializer_it_replaced(name):
     """Equal dicts, equal canonical text and equal tables, so key order holds too."""
     report = reports()[name]
-    got, want = jsonio.report_to_json(report), report_oracle(report)
+    got, want = listed(jsonio.report_to_json(report)), report_oracle(report)
     assert got == want
     assert jsonio.canonical_dumps(got) == jsonio.canonical_dumps(want)
     assert table_text(got) == table_text(want)
