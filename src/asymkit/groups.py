@@ -14,6 +14,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,15 @@ class GroupTable:
     ``mul[a, b]`` is the index of the product a*b.  Inverses are recomputed
     from the table, never trusted from input.  All construction invariants
     (identity row/column, Latin-square rows and columns, associativity) are
-    verified eagerly; a table that fails any of them raises ValidationError.
+    verified eagerly; a table that fails any of them raises ValidationError.  The makers
+    below build groups by construction and skip those checks, handing over the greedy
+    generators they know; each docstring gives the proof.
     """
 
     __slots__ = ("order", "mul", "inv", "labels", "_generators", "_classes", "_abelian",
                  "_characters", "_one_dim", "_irreps")
 
-    def __init__(self, mul, labels=None):
+    def __init__(self, mul, labels=None, _generators=None):
         mul = _whole(mul, "multiplication table")
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValidationError("multiplication table must be square")
@@ -58,7 +61,8 @@ class GroupTable:
             raise ValidationError("table entries must be element indices 0..order-1")
         self.order = n
         self.mul = mul
-        self._generators = _validate_table(mul)
+        # a maker's greedy generators are trusted, and its table is not checked again
+        self._generators = _validate_table(mul) if _generators is None else _generators
         self.inv = _compute_inverses(mul)
         if labels is not None:
             labels = list(map(str, labels))
@@ -222,13 +226,18 @@ def _conjugacy_classes(mul: np.ndarray, inv: np.ndarray) -> list[tuple[int, ...]
 
 
 def make_cyclic(n: int) -> GroupTable:
-    """Cyclic group Z_n with mul[a][b] = (a+b) mod n."""
+    """Cyclic group Z_n with mul[a][b] = (a+b) mod n.
+
+    A group by construction, so built with no table check: addition mod n is associative,
+    0 is its identity and n - a inverts a.  Its greedy generators are 1, which reaches every
+    k = 1 + ... + 1, or none for n = 1.
+    """
     n = _whole_number(n, "cyclic group order", 1)
     if n > GROUP_ORDER_CAP:
         raise SizeLimitError(f"cyclic group order {n} exceeds cap {GROUP_ORDER_CAP}")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return GroupTable(mul, labels=[str(i) for i in range(n)])
+    return GroupTable(mul, [str(i) for i in range(n)], (1,) if n > 1 else ())
 
 
 def make_dihedral(n: int) -> GroupTable:
@@ -237,6 +246,12 @@ def make_dihedral(n: int) -> GroupTable:
     Element e*n + k stands for s^e r^k (rotation r of order n, reflection s),
     multiplied with the relation r s = s r^-1.  Identity (e=0, k=0) sits at
     index 0.
+
+    A group by construction, so built with no table check: the product (e1, k1)(e2, k2) =
+    (e1 + e2, k2 + (-1)^e2 k1) is associative, as both bracketings expand to (e1 + e2 + e3,
+    k3 + (-1)^e3 k2 + (-1)^(e2 + e3) k1); (0, 0) is its identity, (0, -k) inverts (0, k) and
+    (1, k) inverts itself.  Its greedy generators are r = 1, which reaches the rotations
+    0..n-1, then s = n.
     """
     n = _whole_number(n, "dihedral parameter", 2)
     if 2 * n > GROUP_ORDER_CAP:
@@ -245,7 +260,7 @@ def make_dihedral(n: int) -> GroupTable:
     # s^e1 r^k1 s^e2 r^k2 = s^(e1+e2) r^(k2 +- k1), over all pairs at once
     mul = (e1 + e2) % 2 * n + np.where(e2, k2 - k1, k1 + k2) % n
     labels = [f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)]
-    return GroupTable(mul.reshape(2 * n, 2 * n), labels=labels)
+    return GroupTable(mul.reshape(2 * n, 2 * n), labels, (1, n))
 
 
 def make_symmetric(n: int) -> GroupTable:
@@ -253,6 +268,13 @@ def make_symmetric(n: int) -> GroupTable:
 
     Permutations are enumerated in lexicographic order, so the identity is
     element 0.  Composition convention: (p*q)(x) = p(q(x)).
+
+    A group by construction, so built with no table check: composition of permutations is
+    associative, the identity permutation is its identity and p^-1 inverts p; the ranks are
+    exact, as base-n codes of distinct permutations differ.  The first k! permutations are the
+    ones that fix 0..n-k-1, the symmetric group of the last k points, and the next, at k!, swaps
+    points n-k-1 and n-k; so the greedy generators are these adjacent transpositions at k! for
+    k = 1..n-1, which generate S_n.
     """
     n = _whole_number(n, "symmetric group parameter", 1)
     if n > 6:
@@ -264,11 +286,17 @@ def make_symmetric(n: int) -> GroupTable:
     code = n ** np.arange(n - 1, -1, -1)
     mul = np.searchsorted(perms @ code, perms[:, perms] @ code)
     labels = ["".join(map(str, p)) for p in perms]
-    return GroupTable(mul, labels=labels)
+    return GroupTable(mul, labels, tuple(itertools.accumulate(range(1, n), operator.mul)))
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
-    """Direct product with element index i_a * |b| + i_b."""
+    """Direct product with element index i_a * |b| + i_b.
+
+    A group by construction, as a and b are, so built with no table check: the product is
+    taken in each factor.  The indices below |b| are e x b, so the greedy generators are b's,
+    which reach e x b; then, with H x b reached, the least element outside it is (s, e), at
+    |b| s, for s the least element of a outside H: a's greedy generators, in turn.
+    """
     order = a.order * b.order
     if order > GROUP_ORDER_CAP:
         raise SizeLimitError(f"product order {order} exceeds cap {GROUP_ORDER_CAP}")
@@ -281,7 +309,7 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
         mul_a[:, None, :, None] * b.order + mul_b[None, :, None, :]
     ).reshape(order, order)
     labels = [f"{la},{lb}" for la in a.labels for lb in b.labels]
-    return GroupTable(mul, labels=labels)
+    return GroupTable(mul, labels, b._generators + tuple(b.order * s for s in a._generators))
 
 
 def same_group(a: GroupTable, b: GroupTable) -> bool:

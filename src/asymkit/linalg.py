@@ -80,11 +80,6 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return hermitian_part(a)
-
-
 def random_complex(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 

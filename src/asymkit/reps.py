@@ -13,7 +13,7 @@ Block order is the character table's: ascending d_mu, ties broken on the
 character vector over the canonical conjugacy-class order, the same across runs
 and seeds.  The irrep basis inside a block is fixed only up to a simultaneous
 unitary conjugation, which a seed moves only in isotypes of several copies of an
-irrep of dimension > 1: there a twirled random Hermitian picks one copy, and
+irrep of dimension > 1: there the twirl of one random vector picks one copy, and
 Serre's projection operators carry its irrep basis to every other copy.
 """
 
@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import _STACK_BYTES, GroupTable, _whole, same_group
-from .linalg import frob, haar_unitary, random_hermitian, scaled_tol
+from .linalg import frob, haar_unitary, random_complex, scaled_tol
 
 # Loose threshold used while carving out candidate invariant subspaces; the
 # final decomposition is always re-verified at the strict tolerance.
@@ -324,11 +324,23 @@ def number_rep(group: GroupTable, weights) -> UnitaryRep:
     exp(2 pi i g w_j / N).  This is the finite sampling of a U(1) phase
     rotation generated by a number operator with spectrum ``weights``, whole numbers (a
     fractional weight gives no rep of Z_N); else ValidationError.
+
+    Each phase is read from one table of N-th roots of unity at the exponent
+    (g (w_j mod N)) mod N, in integers, so a weight of any size gives the rep of w_j mod N.
+    If g -> g mod N is a homomorphism of the group into Z_N, checked in integers on its greedy
+    generators as :func:`one_dim_reps` checks (the b with m(ab) = m(a) + m(b) for all a are
+    closed under products), the rep is exact up to the rounding of the roots and built
+    unchecked: U(e) = 1 exactly, and each phase is within a few ulps of unit modulus and of
+    the product of the two it must equal, far below tol = 1e-9 max(1, ||mats||_F).  Otherwise
+    it is validated as any other rep, which names the element where it fails.
     """
-    n = group.order
-    w = _whole(list(weights), "number_rep weights").astype(float)
-    phases = np.exp(2j * np.pi * np.outer(np.arange(n), w) / n)
-    return _block_rep(group, (np.tile(np.arange(w.size), (n, 1)), phases))
+    n, idx = group.order, np.arange(group.order)
+    w = _whole(list(weights), "number_rep weights")
+    phase = np.exp(2j * np.pi * idx / n)[idx[:, None] * (w % n) % n]  # a table of roots, read
+    form = np.tile(np.arange(w.size), (n, 1)), phase
+    if w.size and all(((group.mul[:, s] - idx - s) % n == 0).all() for s in group._generators):
+        return UnitaryRep(group, None, form)
+    return _block_rep(group, form)
 
 
 def tensor_rep(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
@@ -429,7 +441,7 @@ class IrrepDecomposition:
                 "decomposition invariant violated: sum of d_mu * n_mu must equal dim"
             )
         self.offsets = offsets
-        self._shapes = None  # the index of _by_shape, built on first use (decompose's check)
+        self._shapes = None  # the index of _by_shape: decompose's own, else built on first use
         self._pad = None  # the layout of _padded, built by the first state query
         self._residual = None  # decompose's final reconstruction residual
 
@@ -443,8 +455,9 @@ class IrrepDecomposition:
         return slice(start, start + blk.dim * blk.mult)
 
     def _by_shape(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The sectors grouped by shape (d_mu, n_mu), built on first use.  Per shape, in
-        order of first block: the block indices ix, rows of shape (k, d_mu, n_mu) with
+        """The sectors grouped by shape (d_mu, n_mu): as :func:`decompose` hands them over, whose
+        blocks' mats are views into its stacks, else built on first use.  Per shape, in order of
+        first block: the block indices ix, rows of shape (k, d_mu, n_mu) with
         rows[j, m, a] = offsets[ix[j]] + m * n_mu + a, and the stack of the blocks' mats."""
         if self._shapes is None:
             shapes: dict[tuple[int, int], list[int]] = {}
@@ -591,23 +604,24 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     group's character table gives each multiplicity n_mu = <chi_mu, chi_r>, and
     one ``eigh`` of P = sum_mu c_mu P_mu, the isotypic projectors weighted by
     labels c_mu = 0, 1, 2, ... in the table's canonical order, splits the space
-    into isotypes.  An isotype of a 1-dim irrep, or of one copy, is a block as it
-    is.  In any other, the lowest eigenvectors of a random Hermitian twirled
-    inside it give one copy's matrices ref, and Serre's projection operators built
-    from ref lay out every copy in ref's basis at once, one batched pass per isotype
-    shape (d_mu, n_mu).  P costs O(|G| d) on a monomial rep, O(|G| sum s^2) block by block
+    into isotypes.  An isotype of a 1-dim irrep acts by its table row, and one of one
+    copy is a block as it is.  In any other, the top eigenvectors of the twirl of z z^dag,
+    for one random vector z, give one copy's matrices ref, and Serre's projection operators
+    built from ref lay out every copy in ref's basis at once (:func:`_split`), one batched
+    pass per isotype shape (d_mu, n_mu), whose stacks the blocks' mats are views into.
+    P costs O(|G| d) on a monomial rep, O(|G| sum s^2) block by block
     on one of diagonal blocks of sizes s; U(g) acts by :meth:`UnitaryRep._act`, and the final
     check (the residual bound, at most max(1e-8, 1e-9 ||mats||, 1e-10 d)) costs
     O(|G| d sum d_mu^2 n_mu + d^3), plus O(|G| d sum s^2) on blocks.  A 0-dim rep has no blocks.
 
     Deterministic for a fixed seed, which drives only the splitting twirls: it
     moves the basis inside such an isotype but never the blocks' order, labels,
-    dimensions or multiplicities.  Each split isotype draws exactly one random Hermitian,
-    in label order, before any twirl is diagonalized.  NumericalDegeneracyError is raised
-    at once for multiplicities that are not whole, P's eigenvalues off their labels, a
-    failed final check, or a twirl whose lowest d_mu eigenvalues collide with the next
-    one: no rep forces that, as the twirl's spectrum is a GUE matrix's, whose gaps repel,
-    and another seed draws another twirl.
+    dimensions or multiplicities.  Each split isotype draws exactly one complex Gaussian
+    vector, in label order, before any twirl is diagonalized.  NumericalDegeneracyError is
+    raised at once for multiplicities that are not whole, P's eigenvalues off their labels, a
+    failed final check, or a twirl whose top d_mu eigenvalues collide with the next one: no
+    rep forces that, as the twirl is I_{d_mu} (x) M with M a complex Wishart matrix, whose
+    top gap repels, and another seed draws another twirl.
 
     Parameters
     ----------
@@ -647,24 +661,29 @@ def decompose(r: UnitaryRep, seed: int = 0) -> IrrepDecomposition:
     if off > _CLUSTER_GAP:
         raise NumericalDegeneracyError(f"decompose: projector eigenvalues {off:.3e} off labels")
 
-    hs = {i: random_hermitian(sizes[i], rng) for i in np.flatnonzero((dims > 1) & (copies > 1))}
-    shapes: dict[tuple[int, int], list[int]] = {}  # the labels of the isotypes of d_mu > 1
-    for i in np.flatnonzero(dims > 1):
+    zs = {i: random_complex((sizes[i],), rng) for i in np.flatnonzero((dims > 1) & (copies > 1))}
+    shapes: dict[tuple[int, int], list[int]] = {}  # the labels of each shape, in label order
+    for i in range(present.size):
         shapes.setdefault((int(dims[i]), int(copies[i])), []).append(i)
-    cuts, basis, mats = np.r_[0, np.cumsum(sizes)], evecs.copy(), {}
-    for (d_mu, n_mu), ix in shapes.items():
+    cuts, basis, index = np.r_[0, np.cumsum(sizes)], evecs.copy(), []
+    reps_, blocks = group.class_representatives(), [None] * present.size
+    for (d_mu, n_mu), ix in shapes.items():  # the index of IrrepDecomposition._by_shape
         cols = cuts[ix, None] + np.arange(d_mu * n_mu)  # [j, column]
-        q = np.ascontiguousarray(evecs[:, cols].transpose(1, 0, 2))
-        sub = _subreps(r, q)
-        if n_mu > 1:
-            q, sub = _split(q, sub, np.stack([hs[i] for i in ix])[:, None], d_mu)
-        basis[:, cols] = q.transpose(1, 0, 2)
-        mats.update(zip(ix, sub))
-    reps_, blocks = group.class_representatives(), []
-    for i, mu in enumerate(present):  # a 1-dim isotype acts by its table row
-        m = mats.get(i, chars[mu].reshape(n, 1, 1))
-        blocks.append(IrrepBlock(i, int(dims[i]), int(copies[i]), np.einsum("gii->g", m[reps_]), m))
+        if d_mu == 1:  # a 1-dim isotype acts by its table row
+            mats = chars[present[ix]].reshape(len(ix), n, 1, 1)
+            character = mats[:, reps_, 0, 0]
+        else:
+            q = np.ascontiguousarray(evecs[:, cols].transpose(1, 0, 2))
+            mats = _subreps(r, q)
+            if n_mu > 1:
+                q, mats = _split(q, mats, np.stack([zs[i] for i in ix]), d_mu)
+            basis[:, cols] = q.transpose(1, 0, 2)
+            character = np.einsum("kgii->kg", mats[:, reps_])
+        index.append((np.array(ix), cols.reshape(-1, d_mu, n_mu), mats))
+        for j, i in enumerate(ix):
+            blocks[i] = IrrepBlock(i, d_mu, n_mu, character[j], mats[j])
     dec = IrrepDecomposition(r, basis.conj().T, blocks)
+    dec._shapes = index
     norm = [frob(m) for _, m in r._stacks] if r._monomial is None else r._monomial[1]  # ||mats||_F
     residual, tol = dec.reconstruction_residual(), max(scaled_tol(norm), 1e-10 * d, 1e-8)
     if residual > tol:
@@ -681,25 +700,36 @@ def _subreps(r: UnitaryRep, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split(q: np.ndarray, sub: np.ndarray, h: np.ndarray, d_mu: int) -> tuple:
-    """Split k isotypes of one shape (d_mu, n_mu > 1), with bases q (k, d, m), subreps sub and
-    one random Hermitian each in h (k, 1, m, m): the bases in the layout m * n_mu + n (irrep
-    row m, copy n) and the first copies' matrices ref.  The twirl of h, summed in chunks of g, is
-    I_{d_mu} (x) M; its lowest d_mu eigenvectors span one copy, and a closed gap after them
-    raises.  Serre's p_a = (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) (Linear Representations of
-    Finite Groups, 2.7, Prop. 8) map a basis w of the range of p_0 onto row a of every copy."""
-    n_mu, n = q.shape[-1] // d_mu, sub.shape[1]
-    terms = (s @ h @ _dagger(s) for s in (sub[:, g] for g in _chunk_slices(n, sub[:, 0].nbytes)))
-    evals, v = np.linalg.eigh(np.sum([t.sum(axis=1) for t in terms], axis=0) / n)
-    gap = evals[:, d_mu] - evals[:, d_mu - 1]
-    if not (gap > _CLUSTER_GAP * np.maximum(1.0, evals[:, -1] - evals[:, 0])).all():
-        raise NumericalDegeneracyError(f"decompose: copies of a {d_mu}-dim irrep collide in "
-                                       "the isotypic twirl; another seed draws another twirl")
-    v = np.ascontiguousarray(v[..., :d_mu])[:, None]
-    ref = _dagger(v) @ sub @ v
-    p = np.einsum("kga,kgij->kaij", ref[..., 0].conj(), sub) * (d_mu / sub.shape[1])
-    w = np.linalg.eigh(p[:, 0])[1][:, None, :, -n_mu:]
-    return (q[:, None] @ (p @ w)).transpose(0, 2, 1, 3).reshape(q.shape), ref
+def _split(q: np.ndarray, sub: np.ndarray, z: np.ndarray, d_mu: int) -> tuple:
+    """Split k isotypes of one shape (d_mu, n_mu > 1), with bases q (k, d, m), subreps sub
+    (k, |G|, m, m) and one complex Gaussian vector each in z (k, m): the bases in the layout
+    m * n_mu + n (irrep row m, copy n) and the first copies' matrices ref.  The twirl of z z^dag,
+    A A^dag / |G| with A = [sub(g) z]_g, is I_{d_mu} (x) M with M of rank <= d_mu; its top d_mu
+    eigenvectors v span one copy, and a closed gap below them raises.  Serre's p_a =
+    (d_mu/|G|) sum_g conj(ref(g)[a, 0]) sub(g) (Linear Representations of Finite Groups, 2.7,
+    Prop. 8) map a basis w of the range of p_0 onto row a of every copy.  A, ref = v^dag sub v
+    and the p_a are each one product per isotype, the group axis folded into it, in chunks of
+    isotypes under a fixed byte budget, so that no bit depends on the budget."""
+    k, n, m = sub.shape[:3]
+    n_mu = m // d_mu
+    basis, ref = np.empty_like(q), np.empty((k, n, d_mu, d_mu), complex)
+    for c in _chunk_slices(k, sub[0].nbytes):
+        rows = sub[c].reshape(-1, n * m, m)  # [j, (g, i), l]
+        a = (rows @ z[c, :, None]).reshape(-1, n, m)  # [j, g, i] = (sub(g) z)_i
+        evals, v = np.linalg.eigh(a.swapaxes(1, 2) @ a.conj() / n)
+        gap = evals[:, -d_mu] - evals[:, -d_mu - 1]
+        if not (gap > _CLUSTER_GAP * np.maximum(1.0, evals[:, -1] - evals[:, 0])).all():
+            raise NumericalDegeneracyError(f"decompose: copies of a {d_mu}-dim irrep collide in "
+                                           "the isotypic twirl; another seed draws another twirl")
+        v = v[..., -d_mu:]
+        sv = (rows @ v).reshape(-1, n, m, d_mu).transpose(0, 2, 1, 3).reshape(-1, m, n * d_mu)
+        ref[c] = (_dagger(v) @ sv).reshape(-1, d_mu, n, d_mu).transpose(0, 2, 1, 3)
+        p = (ref[c, :, :, 0].conj().swapaxes(1, 2) @ sub[c].reshape(-1, n, m * m)) * (d_mu / n)
+        p = p.reshape(-1, d_mu * m, m)  # [j, (a, i), l] = p_a[i, l]
+        w = np.linalg.eigh(p[:, :m])[1][..., -n_mu:]  # a basis of the range of p_0
+        x = (p @ w).reshape(-1, d_mu, m, n_mu).transpose(0, 2, 1, 3)
+        basis[c] = q[c] @ x.reshape(-1, m, d_mu * n_mu)
+    return basis, ref
 
 
 def _require_every_irrep(group: GroupTable, dec: IrrepDecomposition) -> None:

@@ -159,7 +159,7 @@ class IrrepReduction:
         total = float(np.einsum("kii->", padded).real)
         if abs(total - 1.0) > tol:
             raise ValidationError(
-                f"reduction invariant violated: sum of traces = {total:.12f}, must be 1"
+                f"reduction invariant violated: sum of traces = {total:.12g}, must be 1"
             )
         return self
 

@@ -103,11 +103,19 @@ def dense_reconstruction_residual(dec) -> float:
     )
 
 
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The Hermitian part of a complex Gaussian (dim, dim) matrix."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (a + a.conj().T)
+
+
 def per_isotype_decompose(r, seed: int = 0) -> ak.IrrepDecomposition:
     """``decompose`` with one Python iteration per isotype, unchecked: each isotype's
     subrep, twirl (one draw, which raises if its copies collide), ``eigh`` and Serre
     projection on its own.  The oracle for the batched split, which must give the same
-    bits; it draws through ``reps.random_hermitian``, as decompose does."""
+    bits; it draws through ``reps.random_complex``, as decompose does, one vector per
+    split isotype in label order, and folds the group axis into each product in the same
+    order."""
     rng = np.random.default_rng((seed, 0))
     group, d, n = r.group, r.dim, r.group.order
     chars = group._character_table()
@@ -127,6 +135,7 @@ def per_isotype_decompose(r, seed: int = 0) -> ak.IrrepDecomposition:
         d_mu, n_mu = int(degs[mu]), int(counts[mu])
         if d_mu == 1:
             ref = chars[mu].reshape(n, 1, 1)
+            character = chars[mu][group.class_representatives()]
         else:
             if r._monomial is None:
                 ref = q.conj().T @ (r.mats @ q)
@@ -134,8 +143,8 @@ def per_isotype_decompose(r, seed: int = 0) -> ak.IrrepDecomposition:
                 ref = q.conj().T @ (r._monomial[1][..., None] * q[r._monomial[0]])
             if n_mu > 1:
                 q, ref = _split_isotype(q, ref, d_mu, rng)
+            character = np.einsum("gii->g", ref[group.class_representatives()])
         basis_cols.append(q)
-        character = np.einsum("gii->g", ref[group.class_representatives()])
         blocks.append(ak.IrrepBlock(label, d_mu, n_mu, character, ref))
     return ak.IrrepDecomposition(r, np.hstack(basis_cols).conj().T, blocks)
 
@@ -154,16 +163,25 @@ def sector_gaps_by_shape(dec, a, b) -> np.ndarray:
 
 
 def _split_isotype(q, sub, d_mu, rng):
-    """One isotype's split as :func:`per_isotype_decompose` makes it."""
-    m, n_mu = sub.shape[1], sub.shape[1] // d_mu
-    h = reps.random_hermitian(m, rng)
-    evals, v = np.linalg.eigh((sub @ h @ reps._dagger(sub)).mean(axis=0))
-    if evals[d_mu] - evals[d_mu - 1] <= reps._CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0])):
+    """One isotype's split as :func:`per_isotype_decompose` makes it: the twirl of z z^dag as
+    A A^dag / |G|, A = [sub(g) z]_g, its top d_mu eigenvectors v, then ref(g) = v^dag sub(g) v
+    and Serre's p_a, each one product over the whole group axis."""
+    n, m = sub.shape[:2]
+    n_mu = m // d_mu
+    z = reps.random_complex((m,), rng)
+    rows = sub.reshape(n * m, m)  # [(g, i), l]
+    a = (rows @ z[:, None]).reshape(n, m)  # [g, i] = (sub(g) z)_i
+    evals, v = np.linalg.eigh(a.T @ a.conj() / n)
+    if evals[-d_mu] - evals[-d_mu - 1] <= reps._CLUSTER_GAP * max(1.0, float(evals[-1] - evals[0])):
         raise ak.NumericalDegeneracyError("copies collide")
-    ref = reps._dagger(v[:, :d_mu]) @ sub @ v[:, :d_mu]
-    p = np.einsum("ga,gij->aij", ref[:, :, 0].conj(), sub) * (d_mu / len(sub))
-    w = np.linalg.eigh(p[0])[1][:, -n_mu:]
-    return (q @ (p @ w)).transpose(1, 0, 2).reshape(len(q), m), ref
+    v = v[:, -d_mu:]
+    sv = (rows @ v).reshape(n, m, d_mu).transpose(1, 0, 2).reshape(m, n * d_mu)
+    ref = (v.conj().T @ sv).reshape(d_mu, n, d_mu).transpose(1, 0, 2)
+    p = (ref[:, :, 0].conj().T @ sub.reshape(n, m * m)) * (d_mu / n)
+    p = p.reshape(d_mu * m, m)  # [(a, i), l] = p_a[i, l]
+    w = np.linalg.eigh(p[:m])[1][:, -n_mu:]
+    x = (p @ w).reshape(d_mu, m, n_mu).transpose(1, 0, 2)
+    return q @ x.reshape(m, m), ref
 
 
 def gns_copies(f) -> list[tuple[np.ndarray, np.ndarray]]:

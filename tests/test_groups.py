@@ -1,5 +1,6 @@
 """Group construction, validation, and structural queries."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -337,6 +338,35 @@ class TestCachedGenerators:
         assert ak.one_dim_reps(g) is first and not first.flags.writeable
         table = g._character_table()
         assert np.array_equal(first, table[table[:, 0] == 1])
+
+
+def maker_ladder() -> dict:
+    """Each maker over a ladder of sizes: Z1 to Z720 sampled, D2 to D360 sampled, S1 to S6,
+    and direct products, a cyclic factor on either side."""
+    out = {f"z{n}": functools.partial(ak.make_cyclic, n)
+           for n in [*range(1, 13), 16, 31, 64, 120, 360, 719, 720]}
+    out |= {f"d{n}": functools.partial(ak.make_dihedral, n) for n in [*range(2, 9), 17, 100, 360]}
+    out |= {f"s{n}": functools.partial(ak.make_symmetric, n) for n in range(1, 7)}
+    for a, b in [("z1", "s3"), ("s3", "z1"), ("z2", "z2"), ("z2", "z3"), ("z3", "z2"),
+                 ("s3", "d4"), ("d4", "s3"), ("s4", "z6"), ("z5", "s4"), ("z8", "d8")]:
+        out[f"{a} x {b}"] = lambda a=a, b=b: ak.direct_product(out[a](), out[b]())
+    return out
+
+
+MAKER_LADDER = maker_ladder()
+
+
+@pytest.mark.parametrize("name", list(MAKER_LADDER))
+def test_trusted_tables_match_validation(name):
+    """The makers build their tables with no Latin-square or associativity pass and hand over
+    their greedy generators: the full validation passes on each table and finds the same
+    generators, inverses, classes and abelianness."""
+    g = MAKER_LADDER[name]()
+    checked = ak.GroupTable(np.array(g.mul), labels=g.labels)  # runs _validate_table
+    assert checked._generators == g._generators
+    assert np.array_equal(checked.inv, g.inv)
+    assert checked._classes == g._classes
+    assert checked._abelian == g._abelian
 
 
 class TestSubgroups:

@@ -28,10 +28,12 @@ def dense_regular(group):
 
 
 def dense_number(group, weights):
-    n, w = group.order, np.asarray(weights, dtype=float)
+    """Each phase read from the table of N-th roots of unity at (g (w mod N)) mod N."""
+    n, w = group.order, np.asarray(weights, dtype=np.int64)
     mats = np.zeros((n, w.size, w.size), dtype=complex)
     diagonal = np.arange(w.size)
-    mats[:, diagonal, diagonal] = np.exp(2j * np.pi * np.outer(np.arange(n), w) / n)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    mats[:, diagonal, diagonal] = roots[np.outer(np.arange(n), w % n) % n]
     return mats
 
 

@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymkit as ak
 from asymkit import jsonio, reps
 from asymkit.groups import group_from_json, group_to_json
-from asymkit.linalg import frob, haar_unitary, random_complex, random_hermitian, scaled_tol
+from asymkit.linalg import frob, haar_unitary, random_complex, scaled_tol
 from helpers import (
     assert_matches_character_table,
     block_matrix,
@@ -17,22 +19,23 @@ from helpers import (
     dense_rep_residuals,
     per_isotype_decompose,
     perm_rep,
+    random_hermitian,
     slice_stacks,
     stack_spans,
 )
 
 
-def count_draws(monkeypatch, identity_at=()) -> list:
-    """Record the size of every random Hermitian decompose draws for a splitting twirl in
-    the list returned.  Draws numbered (from 1) in identity_at are the identity instead,
-    whose twirl has one eigenvalue, so that every copy collides."""
-    draws, real_draw = [], reps.random_hermitian
+def count_draws(monkeypatch, zero_at=()) -> list:
+    """Record the size of every random vector decompose draws for a splitting twirl in the
+    list returned.  Draws numbered (from 1) in zero_at are the zero vector instead, whose
+    twirl is 0 with one eigenvalue, so that every copy collides."""
+    draws, real_draw = [], reps.random_complex
 
-    def draw(m, rng):
-        draws.append(m)
-        return np.eye(m) if len(draws) in identity_at else real_draw(m, rng)
+    def draw(shape, rng):
+        draws.append(shape[0])
+        return np.zeros(shape, complex) if len(draws) in zero_at else real_draw(shape, rng)
 
-    monkeypatch.setattr(reps, "random_hermitian", draw)
+    monkeypatch.setattr(reps, "random_complex", draw)
     return draws
 
 
@@ -304,6 +307,35 @@ class TestRepValidation:
             with pytest.raises(ak.ValidationError, match="number_rep weights: expected whole"):
                 ak.number_rep(z4, bad)
 
+    @pytest.mark.parametrize("w", [2**40 + 3, 2**50 + 1, 2**52 + 1, 2**53, -(2**53)])
+    def test_large_whole_weights_give_the_rep_of_their_residue(self, groups, w):
+        """Regression: exp(2 pi i g w / N) in floats lost the phase from about 2^40 up, and
+        these weights raised a homomorphism error on Z16.  The exponents are whole numbers."""
+        got = ak.number_rep(groups["z16"], [w, 1])._monomial
+        want = ak.number_rep(groups["z16"], [w % 16, 1])._monomial
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("name, weights, message", [
+        ("klein", [1], "element 1: residual 2.000e+00 > 2.000e-09"),
+        ("s3", [1, 2], "element 1: residual 2.449e+00 > 3.464e-09"),
+        ("d4", [0, 3], "element 1: residual 2.000e+00 > 4.000e-09"),
+        ("z2 x z3", [1], "element 1: residual 2.000e+00 > 2.449e-09"),
+    ])
+    def test_number_rep_on_a_non_cyclic_table_raises(self, groups, name, weights, message):
+        """A table that is not Z_N in the order g -> g mod N fails the integer check on its
+        generators, and the full validation names where the phases fail, as it always did."""
+        group = ak.direct_product(groups["z2"], groups["z3"]) if name == "z2 x z3" else groups[name]
+        with pytest.raises(ak.ValidationError) as err:
+            ak.number_rep(group, weights)
+        assert str(err.value) == f"homomorphism invariant violated at {message}"
+
+    @given(st.integers(1, 720), st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_trusted_number_reps_pass_validation(self, n, weights):
+        """number_rep builds its phases unchecked on Z_N; the float pass accepts them."""
+        group = ak.make_cyclic(n)
+        reps._validate_rep(group, ak.number_rep(group, weights)._monomial)
+
     def test_non_unitary_rejected(self, groups):
         mats = np.array([np.eye(2), 2.0 * np.eye(2)])
         with pytest.raises(ak.ValidationError):
@@ -349,7 +381,7 @@ class TestDegeneracyPath:
     def test_twirl_collision_raises_after_one_draw_each(
         self, regular_reps, monkeypatch, name, at, d_mu
     ):
-        """An identity draw twirls to one eigenvalue, so its isotype's copies collide.  On
+        """A zero draw twirls to one eigenvalue, so its isotype's copies collide.  On
         regular S4, draw 1 splits the 2-dim irrep's isotype and draws 2 and 3 the 3-dim
         ones.  decompose raises at once, having drawn once per split isotype and no more."""
         splits = split_isotypes(ak.decompose(regular_reps[name], seed=0))
@@ -360,17 +392,18 @@ class TestDegeneracyPath:
         assert len(draws) == splits
 
     def test_twirl_gaps_clear_their_threshold(self, split_inputs, monkeypatch):
-        """The twirl is I_{d_mu} (x) M with M a GUE matrix, whose eigenvalues repel
-        (P(gap < eps) = O(eps^3)), so a collision cannot be forced by the choice of rep.
-        Over seeds 0-29 on the split fixtures, the smallest gap after the lowest d_mu
-        eigenvalues is at least 1e3 times the threshold decompose checks it against."""
+        """The twirl of z z^dag is I_{d_mu} (x) M with M a complex Wishart matrix, whose
+        eigenvalues repel, so a collision cannot be forced by the choice of rep.  Over seeds
+        0-29 on the split fixtures, the smallest gap below the top d_mu eigenvalues is at
+        least 1e3 times the threshold decompose checks it against."""
         ratios, real_split = [], reps._split
 
-        def split(q, sub, h, d_mu):
-            evals = np.linalg.eigvalsh((sub @ h @ reps._dagger(sub)).mean(axis=1))
+        def split(q, sub, z, d_mu):
+            a = sub @ z[:, None, :, None]  # [j, g, i, 0] = (sub(g) z)_i
+            evals = np.linalg.eigvalsh((a @ reps._dagger(a)).mean(axis=1))
             threshold = reps._CLUSTER_GAP * np.maximum(1.0, evals[:, -1] - evals[:, 0])
-            ratios.extend((evals[:, d_mu] - evals[:, d_mu - 1]) / threshold)
-            return real_split(q, sub, h, d_mu)
+            ratios.extend((evals[:, -d_mu] - evals[:, -d_mu - 1]) / threshold)
+            return real_split(q, sub, z, d_mu)
 
         monkeypatch.setattr(reps, "_split", split)
         decs = [ak.decompose(r, seed=seed) for r in split_inputs.values() for seed in range(30)]
