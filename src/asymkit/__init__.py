@@ -56,8 +56,6 @@ from .groups import (
     GroupTable,
     SubgroupRef,
     direct_product,
-    group_from_json,
-    group_to_json,
     is_normal,
     make_cyclic,
     make_dihedral,
@@ -65,6 +63,7 @@ from .groups import (
     same_group,
     subgroup,
 )
+from .jsonio import group_from_json, group_to_json
 from .reps import (
     IrrepBlock,
     IrrepDecomposition,

@@ -30,8 +30,6 @@ from .equivalence import (
 from .errors import NumericalDegeneracyError, ValidationError
 from .groups import (
     direct_product,
-    group_from_json,
-    group_to_json,
     make_cyclic,
     make_dihedral,
     make_symmetric,
@@ -67,13 +65,12 @@ def _load_group(args) -> "GroupTable":
         return _make_group(args.make)
     if args.group is None:
         raise ValidationError("this command needs --group FILE (or --make NAME:N)")
-    return _load_file(args.group, group_from_json)
+    return _load_file(args.group, jsonio.group_from_json)
 
 
 def _make_group(spec: str):
     if spec == "klein":
-        z2 = make_cyclic(2)
-        return direct_product(z2, make_cyclic(2))
+        return direct_product(make_cyclic(2), make_cyclic(2))
     name, _, arg = spec.partition(":")
     if name not in _MAKERS or not arg:
         raise ValidationError(
@@ -113,16 +110,16 @@ def _load_channel(args):
     return _load_file(args.channel, jsonio.channel_from_json)
 
 
-# -- command handlers: each returns the result payload ------------------------
+# -- command handlers: each returns the result payload of library objects ------
 
 
 def _cmd_group(args):
     g = _load_group(args)
     return {
-        "group": group_to_json(g),
+        "group": g,
         "abelian": g.is_abelian,
         "conjugacy_classes": g.conjugacy_classes(),
-        "inverses": g.inv.tolist(),
+        "inverses": g.inv,
     }
 
 
@@ -131,7 +128,7 @@ def _cmd_decompose(args):
     dec = decompose(rep, seed=args.seed)
     return {
         "summary": [{"label": b.label, "dim": b.dim, "mult": b.mult} for b in dec.blocks],
-        "decomposition": jsonio.decomposition_to_json(dec),
+        "decomposition": dec,
         "residual": dec._residual,
     }
 
@@ -139,15 +136,14 @@ def _cmd_decompose(args):
 def _cmd_charfunc(args):
     rep = _load_rep(args)
     (state,) = _load_states(args, 1, jsonio.state_from_json)
-    return {"charfunc": jsonio.report_to_json(charfunc(state, rep))}
+    return {"charfunc": charfunc(state, rep)}
 
 
 def _cmd_reduce(args):
     rep = _load_rep(args)
     (state,) = _load_states(args, 1, jsonio.state_from_json)
     dec = decompose(rep, seed=args.seed)
-    red = reduction_onto_irreps(state, dec)
-    return {"reduction": jsonio.reduction_to_json(red)}
+    return {"reduction": reduction_onto_irreps(state, dec)}
 
 
 def _cmd_fourier(args):
@@ -156,8 +152,7 @@ def _cmd_fourier(args):
         raise ValidationError("fourier needs --func FILE")
     dec = decompose(rep, seed=args.seed)
     f = _load_file(args.func, jsonio.func_from_json, rep.group)
-    red = fourier_inverse(f, dec)
-    return {"reduction": jsonio.reduction_to_json(red)}
+    return {"reduction": fourier_inverse(f, dec)}
 
 
 def _cmd_uequiv(args):
@@ -165,15 +160,13 @@ def _cmd_uequiv(args):
     psi, phi = _load_states(args, 2, jsonio.state_from_json)
     dec = decompose(rep, seed=args.seed)
     tol = 1e-8 if args.tol is None else args.tol
-    verdict = decide_unitary_g_equivalence(psi, phi, dec, tol=tol)
-    return {"verdict": jsonio.report_to_json(verdict)}
+    return {"verdict": decide_unitary_g_equivalence(psi, phi, dec, tol=tol)}
 
 
 def _cmd_equiv(args):
     rep = _load_rep(args)
     psi, phi = _load_states(args, 2, jsonio.state_from_json)
-    verdict = decide_g_equivalence(psi, phi, rep)
-    return {"verdict": jsonio.report_to_json(verdict)}
+    return {"verdict": decide_g_equivalence(psi, phi, rep)}
 
 
 def _cmd_u1shift(args):
@@ -186,8 +179,7 @@ def _cmd_overlap(args):
     rep = _load_rep(args)
     psi, phi = _load_states(args, 2, jsonio.state_from_json)
     dec = decompose(rep, seed=args.seed)
-    report = max_overlap(psi, phi, dec)
-    return {"overlap": jsonio.report_to_json(report)}
+    return {"overlap": max_overlap(psi, phi, dec)}
 
 
 def _cmd_bochner(args):
@@ -196,8 +188,7 @@ def _cmd_bochner(args):
         raise ValidationError("bochner needs --func FILE")
     f = _load_file(args.func, jsonio.func_from_json, g)
     dec = decompose(regular_rep(g), seed=args.seed)
-    report = is_positive_definite(f, dec, tol=args.tol)
-    return {"bochner": jsonio.report_to_json(report)}
+    return {"bochner": is_positive_definite(f, dec, tol=args.tol)}
 
 
 def _cmd_gns(args):
@@ -205,15 +196,14 @@ def _cmd_gns(args):
     if args.func is None:
         raise ValidationError("gns needs --func FILE")
     f = _load_file(args.func, jsonio.func_from_json, g)
-    return {"gns": jsonio.report_to_json(gns_construct(f))}
+    return {"gns": gns_construct(f)}
 
 
 def _cmd_covcheck(args):
     c = _load_channel(args)
     r_in = _load_rep(args)
     r_out = _load_file(args.rep_out, jsonio.rep_from_json, r_in.group) if args.rep_out else r_in
-    check = is_g_covariant(c, r_in, r_out, tol=1e-8 if args.tol is None else args.tol)
-    return jsonio.report_to_json(check)
+    return is_g_covariant(c, r_in, r_out, tol=1e-8 if args.tol is None else args.tol)
 
 
 def _cmd_twirl(args):
@@ -226,7 +216,7 @@ def _cmd_twirl(args):
         out = uniform_twirl_over_subgroup(rep, elements)
     else:
         out = twirl_channel(_load_channel(args), rep)
-    return {"channel": jsonio.report_to_json(out)}
+    return {"channel": out}
 
 
 def _cmd_embed(args):
@@ -235,8 +225,7 @@ def _cmd_embed(args):
     if args.rep_out is None:
         raise ValidationError("embed needs --rep-out FILE for the output-space action")
     r_out = _load_file(args.rep_out, jsonio.rep_from_json, r_in.group)
-    out = embed_channel(c, r_in, r_out)
-    return {"channel": jsonio.report_to_json(out)}
+    return {"channel": embed_channel(c, r_in, r_out)}
 
 
 _HANDLERS = {
@@ -324,7 +313,7 @@ def main(argv=None) -> int:
     except NumericalDegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return 3
-    report = {"command": args.command, "seed": args.seed, "result": result}
+    report = jsonio.report_to_json({"command": args.command, "seed": args.seed, "result": result})
     if args.format == "table":
         _render_table(jsonio.listed(report))
     else:

@@ -300,14 +300,8 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     order = a.order * b.order
     if order > GROUP_ORDER_CAP:
         raise SizeLimitError(f"product order {order} exceeds cap {GROUP_ORDER_CAP}")
-    ia = np.arange(a.order)
-    ib = np.arange(b.order)
     # mul[(x1,y1),(x2,y2)] = (x1*x2, y1*y2), flattened row-major
-    mul_a = a.mul[ia[:, None], ia[None, :]]
-    mul_b = b.mul[ib[:, None], ib[None, :]]
-    mul = (
-        mul_a[:, None, :, None] * b.order + mul_b[None, :, None, :]
-    ).reshape(order, order)
+    mul = (a.mul[:, None, :, None] * b.order + b.mul[None, :, None, :]).reshape(order, order)
     labels = [f"{la},{lb}" for la in a.labels for lb in b.labels]
     return GroupTable(mul, labels, b._generators + tuple(b.order * s for s in a._generators))
 
@@ -357,21 +351,3 @@ def is_normal(g: GroupTable, k: SubgroupRef | object) -> bool:
     # conj[x, j] = x k_j x^-1
     return bool(member[g.mul[g.mul[:, elems], g.inv[:, None]]].all())
 
-
-def group_to_json(g: GroupTable) -> dict:
-    """JSON form: order, full table, labels.  Inverses are never serialized."""
-    return {
-        "order": g.order,
-        "mul": g.mul.tolist(),
-        "labels": list(g.labels),
-    }
-
-
-def group_from_json(obj: dict) -> GroupTable:
-    """Rebuild and fully re-validate a group from its JSON form."""
-    if "mul" not in obj:
-        raise ValidationError("group JSON must contain a 'mul' table")
-    table = GroupTable(obj["mul"], labels=obj.get("labels"))
-    if "order" in obj and _whole_number(obj["order"], "group JSON 'order'") != table.order:
-        raise ValidationError("group JSON 'order' does not match table size")
-    return table

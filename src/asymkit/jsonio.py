@@ -13,12 +13,12 @@ The reader takes all three, dense files of monomial reps included, with the full
 validation of :class:`UnitaryRep`.  A monomial file is checked and built on its
 (src, phase) form and a ``blocks`` file on its blocks, neither stacked densely; a ``mats``
 file is read into the dense stack.  Writers keep full float precision (a round trip is
-bit-identical).  Every CLI report is built by one rule, :func:`report_to_json` (a dataclass
-by its fields, an Enum by its value, a state, rep, channel or function as its file lays it
-out), which keeps each array an array; the file writers are :func:`listed` layouts of the same
-rule.  :func:`canonical_dumps` writes a report with floats rounded to 12 significant digits,
-each array by one ``format`` call on its flat list of numbers (a complex one as [re, im]
-pairs), in text byte for byte what ``json.dumps`` of the rounded, listed payload gives.
+bit-identical).  The CLI lays out each report once by one rule, :func:`report_to_json` (a
+dataclass by its fields, an Enum by its value, a group, state, rep, channel or function as its
+file lays it out, an array as the array it is); the file writers list the same layout.
+:func:`canonical_dumps` writes a report with floats rounded to 12 significant digits, each
+array by one ``format`` call on its flat list of numbers (a complex one as [re, im] pairs), in
+text byte for byte what ``json.dumps`` of the rounded, listed payload gives.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .channels import QuantumChannel
 from .errors import SizeLimitError, ValidationError
-from .groups import GroupTable, _whole, _whole_number, group_from_json, group_to_json
+from .groups import GroupTable, _whole, _whole_number
 from .reps import IrrepDecomposition, UnitaryRep, _block_rep
 from .states import CharFunction, IrrepReduction, QuantumState, WeightState
 
@@ -65,17 +65,32 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+# -- groups -------------------------------------------------------------------
+
+
+def group_to_json(g: GroupTable) -> dict:
+    """JSON form: order, full table, labels.  Inverses are never serialized."""
+    return listed(report_to_json(g))
+
+
+def group_from_json(obj: dict) -> GroupTable:
+    """Rebuild and fully re-validate a group from its JSON form."""
+    if "mul" not in obj:
+        raise ValidationError("group JSON must contain a 'mul' table")
+    table = GroupTable(obj["mul"], labels=obj.get("labels"))
+    if "order" in obj and _whole_number(obj["order"], "group JSON 'order'") != table.order:
+        raise ValidationError("group JSON 'order' does not match table size")
+    return table
+
+
 # -- representations ---------------------------------------------------------
 
 _REP_BYTES = 1 << 28  # largest form a rep file may claim, in the bytes it is held in
 
 
-def rep_to_json(r: UnitaryRep, inline_group: bool = True) -> dict:
-    """The rep in the first form that fits it (:func:`report_to_json`), listed."""
-    out = listed(report_to_json(r))
-    if inline_group:
-        out["group"] = group_to_json(r.group)
-    return out
+def rep_to_json(r: UnitaryRep) -> dict:
+    """The rep in the first form that fits it (:func:`report_to_json`), listed, with its group."""
+    return {**listed(report_to_json(r)), "group": group_to_json(r.group)}
 
 
 def _rep_form(r: UnitaryRep) -> dict:
@@ -83,10 +98,10 @@ def _rep_form(r: UnitaryRep) -> dict:
     just one (a 0-dim rep has none), or dense; ``src`` an integer array, the rest complex."""
     out: dict[str, Any] = {"dim": r.dim}
     if r._monomial is not None:
-        out["src"], out["phase"] = r._monomial[0], report_to_json(r._monomial[1])
+        out["src"], out["phase"] = r._monomial
     else:  # each diagonal block of the rep's stacks, in start order; one block is `mats`
         starts = sorted((int(c[0]), m) for cs, ms in r._stacks for c, m in zip(cs, ms))
-        blocks = [{"start": a, "mats": report_to_json(m)} for a, m in starts]
+        blocks = [{"start": a, "mats": m} for a, m in starts]
         out.update({"blocks": blocks} if len(blocks) != 1 else {"mats": blocks[0]["mats"]})
     return out
 
@@ -118,7 +133,7 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
         if dim < 0:
             raise ValidationError(f"representation JSON 'dim' must be nonnegative, got {dim}")
     if form == ["blocks"]:
-        held = n * 16 * sum(_rows(blk) ** 2 for blk in obj["blocks"])
+        held = n * 16 * sum(s * s for s in _rows(obj["blocks"]))
     else:
         held = n * (24 * dim if form == ["src", "phase"] else 16 * (dim or 0) ** 2)
     if held > _REP_BYTES:
@@ -143,11 +158,15 @@ def rep_from_json(obj: dict, group: GroupTable | None = None) -> UnitaryRep:
     return rep
 
 
-def _rows(blk) -> int:
-    """The rows of a block's first matrix, read off its nested lists; 0 where they are
-    malformed, which :func:`_block_mats` rejects."""
-    mats = blk.get("mats") if isinstance(blk, dict) else None
-    return len(mats[0]) if isinstance(mats, list) and mats and isinstance(mats[0], list) else 0
+def _rows(blocks) -> list[int]:
+    """The rows of each block's first matrix, read off its nested lists (0 where malformed, which
+    :func:`_block_mats` rejects); ValidationError unless each block is a {start, mats} dict."""
+    if not isinstance(blocks, list) or not all(
+        isinstance(blk, dict) and "start" in blk and "mats" in blk for blk in blocks
+    ):
+        raise ValidationError("representation JSON 'blocks' must be a list of {start, mats}")
+    mats = [blk["mats"] for blk in blocks]
+    return [len(m[0]) if isinstance(m, list) and m and isinstance(m[0], list) else 0 for m in mats]
 
 
 def _block_mats(blocks: list, n: int, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -231,14 +250,16 @@ def channel_from_json(obj: dict) -> QuantumChannel:
 def report_to_json(obj: Any) -> Any:
     """The JSON of a report, by one rule applied all the way down, its arrays kept as arrays.
 
-    A dataclass becomes a dict of its fields by name, an array a complex array (written as
-    nested [re, im] pairs), an Enum its value and a dict the same dict with ``str`` keys.  A
-    state, rep (without its group), channel or characteristic function is laid out as its file
-    is: :func:`state_to_json` and the other file writers list this layout.  Anything else (None,
-    bool, int, float) is kept as it is.
+    A dataclass becomes a dict of its fields by name, an array stays the array it is (a complex
+    one written as nested [re, im] pairs), an Enum its value and a dict the same dict with
+    ``str`` keys.  A group, state, rep (without its group), channel or characteristic function
+    is laid out as its file is: :func:`group_to_json` and the other file writers list this
+    layout.  A decomposition is its ``basis``, ``offsets`` and ``blocks``, a reduction its
+    ``labels``, ``blocks`` and ``traces``.  Anything else (None, bool, int, float, and a list,
+    which is not entered) is kept as it is.
     """
     if isinstance(obj, np.ndarray):
-        return np.asarray(obj, dtype=complex)
+        return obj
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, dict):
@@ -253,6 +274,14 @@ def report_to_json(obj: Any) -> Any:
         return {"d_in": obj.d_in, "d_out": obj.d_out, "kraus": obj.kraus}
     if isinstance(obj, CharFunction):
         return {"values": obj.values, "labels": list(obj.group.labels)}
+    if isinstance(obj, GroupTable):
+        return {"order": obj.order, "mul": obj.mul, "labels": list(obj.labels)}
+    if isinstance(obj, IrrepDecomposition):
+        blocks = [report_to_json(blk) for blk in obj.blocks]
+        return {"basis": obj.basis, "offsets": np.array(obj.offsets, int), "blocks": blocks}
+    if isinstance(obj, IrrepReduction):
+        labels = np.array(obj.labels, int)
+        return {"labels": labels, "blocks": list(obj.blocks), "traces": obj.traces()}
     if dataclasses.is_dataclass(obj):
         return {f.name: report_to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
@@ -270,28 +299,12 @@ def listed(obj: Any) -> Any:
     return obj
 
 
-def decomposition_to_json(dec: IrrepDecomposition) -> dict:
-    return {
-        "basis": report_to_json(dec.basis),
-        "offsets": list(dec.offsets),
-        "blocks": [report_to_json(blk) for blk in dec.blocks],
-    }
-
-
-def reduction_to_json(red: IrrepReduction) -> dict:
-    return {
-        "labels": list(red.labels),
-        "blocks": [report_to_json(b) for b in red.blocks],
-        "traces": [float(t) for t in red.traces()],
-    }
-
-
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, floats rounded to 12 significant digits.
 
     The text of ``json.dumps(..., sort_keys=True, separators=(",", ": "), indent=1)`` of obj
-    with its arrays listed (:func:`listed`), each array, and each rectangular nested list of
-    floats or of ints, printed by one ``format`` call.
+    with its arrays listed (:func:`listed`), each array of numbers printed by one ``format``
+    call and every other leaf by ``json.dumps``.
     """
     out: list[str] = []
     _write(obj, 0, out)
@@ -303,9 +316,9 @@ def _write(obj: Any, level: int, out: list[str]) -> None:
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "c":  # each complex128 as its (re, im) pair of float64
             obj = np.ascontiguousarray(obj, complex).view(float).reshape(obj.shape + (2,))
-        if obj.size:
+        if obj.size and obj.dtype.kind in "iuf":
             out.append(_format(obj.shape, obj.ravel().tolist(), obj.dtype.kind in "iu", level))
-        else:  # no leaf to format: json's own layout of empty lists
+        else:  # no number leaf to format: json's own layout of the listed array
             _write(obj.tolist(), level, out)
     elif isinstance(obj, dict) and obj:
         sep = "{"
@@ -317,33 +330,18 @@ def _write(obj: Any, level: int, out: list[str]) -> None:
             sep = ","
         out.append(pad[:-1] + "}")
     elif isinstance(obj, (list, tuple)) and obj:
-        text = _number_array(obj, level)
-        if text is None:
-            sep = "["
-            for v in obj:
-                out.append(sep + pad)
-                _write(v, level + 1, out)
-                sep = ","
-            text = pad[:-1] + "]"
-        out.append(text)
+        sep = "["
+        for v in obj:
+            out.append(sep + pad)
+            _write(v, level + 1, out)
+            sep = ","
+        out.append(pad[:-1] + "]")
     elif type(obj) is int:
         out.append(str(obj))
     elif isinstance(obj, (float, np.floating)):
         out.append(json.dumps(float(f"{float(obj):.12g}")))
     else:
         out.append(json.dumps(int(obj) if isinstance(obj, np.integer) else obj))
-
-
-def _number_array(obj: list, level: int) -> str | None:
-    """The text of a rectangular nested list of floats or of ints; None for any other list."""
-    shape, flat = [len(obj)], obj
-    while (kinds := set(map(type, flat))) not in ({float}, {int}):
-        lengths = set(map(len, flat)) if kinds <= {list, tuple} else ()
-        if len(lengths) != 1:  # ragged rows, or mixed leaves
-            return None
-        shape.append(lengths.pop())
-        flat = [x for row in flat for x in row]
-    return _format(shape, flat, kinds == {int}, level)
 
 
 def _format(shape, flat: list, ints: bool, level: int) -> str:

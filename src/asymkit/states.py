@@ -142,11 +142,15 @@ class IrrepReduction:
         return np.array([np.trace(b).real for b in self.blocks])
 
     def validate(self, tol: float = 1e-8) -> "IrrepReduction":
-        """Raise unless every block is Hermitian PSD within tol (>= 0), naming the first that
-        is not, and the traces sum to one: one pass over the blocks zero-padded (:meth:`_check`)."""
+        """Raise unless every block is square and Hermitian PSD within tol (>= 0), naming the first
+        that is not, and the traces sum to one: one pass over the blocks zero-padded
+        (:meth:`_check`)."""
         if not tol >= 0:
             raise InvalidParameterError(f"tol must be nonnegative, got {tol}")
-        size = max((max(b.shape) for b in self.blocks), default=1)
+        for label, b in zip(self.labels, self.blocks):
+            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+                raise DimensionMismatchError(f"reduction block {label} is not square: {b.shape}")
+        size = max((len(b) for b in self.blocks), default=1)
         return self._check(_pad(self.blocks, size), tol)
 
     def _check(self, padded: np.ndarray, tol: float) -> "IrrepReduction":
@@ -331,8 +335,8 @@ class WeightState:
             n, p = _whole_number(n, "weight"), float(p)
             if n < 0:
                 raise InvalidParameterError("weights must be nonnegative integers")
-            if p < -1e-12:
-                raise ValidationError(f"weight probability p({n}) = {p} is negative")
+            if not -1e-12 <= p < np.inf:  # NaN fails too
+                raise ValidationError(f"weight probability p({n}) = {p} is negative or not finite")
             if p > 1e-15:
                 clean[n] = p
         total = sum(clean.values())
@@ -342,9 +346,9 @@ class WeightState:
         if self.amplitudes is not None:
             amps = {_whole_number(n, "weight"): complex(a) for n, a in self.amplitudes.items()}
             for n, a in amps.items():
-                if abs(abs(a) ** 2 - self.weights.get(n, 0.0)) > 1e-9:
+                if not abs(abs(a) ** 2 - self.weights.get(n, 0.0)) <= 1e-9:  # NaN fails too
                     raise ValidationError(
-                        f"amplitude at weight {n} inconsistent with its probability"
+                        f"amplitude {a} at weight {n} inconsistent with its probability"
                     )
             self.amplitudes = amps
 

@@ -553,7 +553,7 @@ def malformed_payload(kind, case):
 
 def rejected_inputs():
     """Input files each reader must reject with ValidationError: id -> (kind, payload), kind
-    "rep", "group" or "channel".  The reps edit the payloads of :func:`pair_payloads`."""
+    "rep", "group", "channel" or "weights".  The reps edit the payloads of :func:`pair_payloads`."""
     payloads = pair_payloads()
     dense, mono, blocks = (payloads[k][0] for k in ("rep", "rep-phase", "rep-block"))
     narrow = [[row[:1] for row in m] for m in blocks["blocks"][0]["mats"]]
@@ -577,6 +577,9 @@ def rejected_inputs():
         "blocks-past-dim": _with(blocks, ("dim",), 2),
         "blocks-mats-empty": _with(blocks, ("blocks", 0, "mats"), []),
         "blocks-mats-scalar": _with(blocks, ("blocks", 0, "mats"), 5),
+        "blocks-block-without-start": _with(blocks, ("blocks", 1), {"mats": narrow}),
+        "blocks-block-a-list": _with(blocks, ("blocks", 1), [2, narrow]),
+        "blocks-not-a-list": _with(blocks, ("blocks",), blocks["blocks"][0]),
         "mats-and-src": {**mono, "mats": dense["mats"]},
         "blocks-and-src": {**blocks, "src": mono["src"], "phase": mono["phase"]},
         "no-form": {k: v for k, v in dense.items() if k != "mats"},
@@ -588,6 +591,11 @@ def rejected_inputs():
         "order-fraction": ("group", {"mul": [[0, 1], [1, 0]], "order": 2.5}),
         "d-in-fraction": ("channel", _with(channel, ("d_in",), 2.5)),
         "d-out-fraction": ("channel", _with(channel, ("d_out",), 2.5)),
+        "weights-missing": ("weights", {"amplitudes": {}}),
+        "weight-nan": ("weights", {"weights": {"0": 1.0, "1": float("nan")}}),
+        "weight-amplitude-nan": (
+            "weights", {"weights": {"0": 1.0}, "amplitudes": {"0": [float("nan"), 0.0]}}
+        ),
     }
 
 
@@ -633,7 +641,7 @@ def _gns_result_to_json(res) -> dict:
     return {
         "dim": res.dim,
         "state": jsonio.state_to_json(res.state),
-        "rep": jsonio.rep_to_json(res.rep, inline_group=False),
+        "rep": {k: v for k, v in jsonio.rep_to_json(res.rep).items() if k != "group"},
     }
 
 
@@ -670,3 +678,16 @@ def decomposition_oracle(dec) -> dict:
             for blk in dec.blocks
         ],
     }
+
+
+# -- raise sites: each test module holds one table of calls, their error types and messages
+
+
+def assert_raises_exactly(call, error: type, message: str) -> None:
+    """``call()`` raises an error of exactly the type ``error``, with exactly ``message``."""
+    try:
+        call()
+    except ak.AsymkitError as exc:
+        assert (type(exc), str(exc)) == (error, message)
+    else:
+        raise AssertionError(f"no {error.__name__} raised")

@@ -5,7 +5,11 @@ import pytest
 
 import asymkit as ak
 from asymkit.linalg import frob
-from helpers import charfunc_bound_by_convolution, trace_distance_fidelity_check
+from helpers import (
+    assert_raises_exactly,
+    charfunc_bound_by_convolution,
+    trace_distance_fidelity_check,
+)
 
 
 def random_psd(dim, rng, rank=None):
@@ -231,3 +235,26 @@ class TestTraceDistanceFidelityInequality:
             a = random_psd(d, rng, rank=int(rng.integers(1, d + 1)))
             b = random_psd(d, rng, rank=int(rng.integers(1, d + 1)))
             assert trace_distance_fidelity_check(a, b)
+
+
+RAISE_SITES = {  # name -> (call, error type, message)
+    "fidelity of matrices of two sizes": (
+        lambda: ak.fidelity(np.eye(2), np.eye(3)),
+        ak.DimensionMismatchError,
+        "fidelity requires equally sized matrices",
+    ),
+    "irrep component over another group": (
+        lambda: ak.irrep_component(
+            ak.CharFunction(ak.make_cyclic(3), [1.0, 0.0, 0.0]),
+            ak.decompose(ak.regular_rep(ak.make_cyclic(2))),
+            0,
+        ),
+        ak.GroupMismatchError,
+        "function and decomposition must share the group",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISE_SITES))
+def test_raise_site(name):
+    assert_raises_exactly(*RAISE_SITES[name])

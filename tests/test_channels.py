@@ -7,6 +7,7 @@ import asymkit as ak
 from asymkit import channels, reps
 from asymkit.linalg import frob, haar_unitary
 from helpers import (
+    assert_raises_exactly,
     blocked_rep,
     dense_covariance_residual,
     embedded_covariance_check,
@@ -547,3 +548,37 @@ class TestChannelJson:
         c = ak.random_channel(3, 2, rng)
         back = channel_from_json(channel_to_json(c))
         assert frob(back.choi() - c.choi()) < 1e-9
+
+
+RAISE_SITES = {  # name -> (call, error type, message)
+    "covariance check against a rep of another dim": (
+        lambda: ak.is_g_covariant(
+            ak.random_channel(3, 1, np.random.default_rng(0)),
+            ak.regular_rep(ak.make_cyclic(2)),
+            ak.regular_rep(ak.make_cyclic(2)),
+        ),
+        ak.DimensionMismatchError,
+        "channel dimensions must match the representations",
+    ),
+    "twirl against a rep of another dim": (
+        lambda: ak.twirl_channel(
+            ak.random_channel(3, 1, np.random.default_rng(0)), ak.regular_rep(ak.make_cyclic(2))
+        ),
+        ak.DimensionMismatchError,
+        "channel and representation dimensions differ",
+    ),
+    "embedding against a rep of another dim": (
+        lambda: ak.embed_channel(
+            ak.random_channel(3, 1, np.random.default_rng(0)),
+            ak.regular_rep(ak.make_cyclic(2)),
+            ak.regular_rep(ak.make_cyclic(2)),
+        ),
+        ak.DimensionMismatchError,
+        "channel dimensions must match the representations",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISE_SITES))
+def test_raise_site(name):
+    assert_raises_exactly(*RAISE_SITES[name])

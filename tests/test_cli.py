@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from helpers import (
+    assert_raises_exactly,
     MALFORMED,
     PAIR_KINDS,
     dense_covariance_residual,
@@ -571,6 +572,7 @@ def test_rejected_input_exit_2(tmp_path, capsys, name):
         "rep": ["decompose", "--rep", str(path)],
         "group": ["group", "--group", str(path)],
         "channel": ["covcheck", "--channel", str(path), "--make", "cyclic:2"],
+        "weights": ["u1shift", "--state", str(path), "--state", str(path)],
     }[kind]
     code = main(argv)
     captured = capsys.readouterr()
@@ -624,3 +626,28 @@ def test_dense_and_compact_files_report_alike(tmp_path, capsys, rng, command, ma
         for form in ("dense", "compact")
     ]
     assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+MISSING_INPUTS = {  # argv -> the message main prints, with exit code 2
+    "group": "this command needs --group FILE (or --make NAME:N)",
+    "decompose": "this command needs --rep FILE, or --group FILE for the regular action",
+    "covcheck --make cyclic:2": "this command needs --channel FILE",
+    "fourier --make cyclic:2": "fourier needs --func FILE",
+    "bochner --make cyclic:2": "bochner needs --func FILE",
+    "gns --make cyclic:2": "gns needs --func FILE",
+    "charfunc --make cyclic:2": "this command needs exactly 1 --state file(s)",
+    "embed --make cyclic:2 --channel chan.json": (
+        "embed needs --rep-out FILE for the output-space action"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(MISSING_INPUTS))
+def test_missing_input_exit_2(tmp_path, capsys, argv):
+    channel = ak.QuantumChannel(np.eye(2)[None])
+    (tmp_path / "chan.json").write_text(json.dumps(jsonio.channel_to_json(channel)))
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in argv.split()]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"validation error: {MISSING_INPUTS[argv]}\n"

@@ -5,6 +5,7 @@ import pytest
 
 import asymkit as ak
 from asymkit.linalg import frob, haar_unitary
+from helpers import assert_raises_exactly
 
 
 def plus_state(dim, a, b):
@@ -381,6 +382,21 @@ class TestIsometryExtension:
             ak.extend_isometry_to_ginv_unitary(w, np.diag([1.0, 0.0]), r)
 
 
+    @pytest.mark.parametrize("name", ["regular s3", "z2 number"])
+    def test_no_decomposition_given_decomposes_with_seed_0(self, decompositions, rng, name):
+        """dec=None decomposes r with seed 0: the same bits as handing over that decomposition,
+        on regular S3, whose split 2-dim isotype the seed drives, and on a partial isometry."""
+        if name == "regular s3":
+            r = decompositions["s3"].rep
+            w, proj = ak.random_invariant_unitary(ak.decompose(r, seed=3), rng), np.eye(6)
+        else:
+            r = ak.number_rep(ak.make_cyclic(2), [0, 0, 1])
+            w, proj = np.eye(3)[[1, 0, 2]], np.diag([1.0, 0.0, 0.0])
+        got = ak.extend_isometry_to_ginv_unitary(w, proj, r)
+        want = ak.extend_isometry_to_ginv_unitary(w, proj, r, ak.decompose(r, seed=0))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSymmetryMonotonicity:
     def test_covariant_channels_never_lose_symmetries(self, regular_reps, rng):
         r = regular_reps["s3"]
@@ -444,3 +460,27 @@ class TestOrbitPerspective:
         assert ak.decide_unitary_g_equivalence(psi, phi, dec).status is (
             ak.EquivalenceStatus.NOT_EQUIVALENT
         )
+
+
+RAISE_SITES = {  # name -> (call, error type, message)
+    "interconversion of sets of two sizes": (
+        lambda: ak.unitary_set_interconversion(
+            [ak.QuantumState.pure([1.0, 0.0])],
+            [ak.QuantumState.pure([1.0, 0.0]), ak.QuantumState.pure([0.0, 1.0])],
+        ),
+        ak.DimensionMismatchError,
+        "both sets must contain the same number of states",
+    ),
+    "isometry of another dim": (
+        lambda: ak.extend_isometry_to_ginv_unitary(
+            np.eye(3), np.eye(3), ak.regular_rep(ak.make_cyclic(2))
+        ),
+        ak.DimensionMismatchError,
+        "isometry and projector must be d x d for the rep",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISE_SITES))
+def test_raise_site(name):
+    assert_raises_exactly(*RAISE_SITES[name])

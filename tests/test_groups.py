@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import asymkit as ak
 from asymkit import groups as groups_module
-from asymkit.groups import _greedy_generators, group_from_json, group_to_json
+from asymkit.groups import _greedy_generators
+from asymkit.jsonio import group_from_json, group_to_json
+from helpers import assert_raises_exactly
 
 
 def brute_force_isomorphic(a: ak.GroupTable, b: ak.GroupTable) -> bool:
@@ -511,3 +513,68 @@ class TestJson:
     def test_missing_table_rejected(self):
         with pytest.raises(ak.ValidationError):
             group_from_json({"order": 2})
+
+
+RAISE_SITES = {  # name -> (call, error type, message)
+    "table not square": (
+        lambda: ak.GroupTable([[0, 1]]), ak.ValidationError, "multiplication table must be square"
+    ),
+    "order 0": (
+        lambda: ak.GroupTable(np.zeros((0, 0), int)),
+        ak.InvalidParameterError,
+        "group order must be positive",
+    ),
+    "order over the cap": (
+        lambda: ak.GroupTable(np.zeros((721, 721), int)),
+        ak.SizeLimitError,
+        "group order 721 exceeds the desk-scale cap 720",
+    ),
+    "entry out of range": (
+        lambda: ak.GroupTable([[0, 1], [1, 2]]),
+        ak.ValidationError,
+        "table entries must be element indices 0..order-1",
+    ),
+    "labels of the wrong length": (
+        lambda: ak.GroupTable([[0, 1], [1, 0]], labels=["e"]),
+        ak.ValidationError,
+        "labels must have one entry per element",
+    ),
+    "identity row": (
+        lambda: ak.GroupTable([[1, 0], [0, 1]]),
+        ak.ValidationError,
+        "identity invariant violated: mul[0][g] = g must hold",
+    ),
+    "identity column": (
+        lambda: ak.GroupTable([[0, 1], [0, 1]]),
+        ak.ValidationError,
+        "identity invariant violated: mul[g][0] = g must hold",
+    ),
+    "column not a permutation": (  # every row is one, and row and column 0 are the identity's
+        lambda: ak.GroupTable([[0, 1, 2], [1, 2, 0], [2, 1, 0]]),
+        ak.ValidationError,
+        "column permutation invariant violated",
+    ),
+    "dihedral over the cap": (
+        lambda: ak.make_dihedral(361), ak.SizeLimitError, "dihedral order 722 exceeds cap 720"
+    ),
+    "direct product over the cap": (
+        lambda: ak.direct_product(ak.make_cyclic(30), ak.make_cyclic(30)),
+        ak.SizeLimitError,
+        "product order 900 exceeds cap 720",
+    ),
+    "subgroup index out of range": (
+        lambda: ak.subgroup(ak.make_cyclic(4), [0, 4]),
+        ak.InvalidSubgroupError,
+        "subgroup elements must be valid element indices",
+    ),
+    "whole number of an array": (
+        lambda: ak.make_cyclic([2, 3]),
+        ak.ValidationError,
+        "cyclic group order must be one whole number, got an array of shape (2,)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISE_SITES))
+def test_raise_site(name):
+    assert_raises_exactly(*RAISE_SITES[name])

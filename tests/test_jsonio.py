@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import _build_groups
 from helpers import (
+    assert_raises_exactly,
     MALFORMED,
     PAIR_KINDS,
     blocked_rep,
@@ -92,7 +93,7 @@ def pytest_approx(x):
 
 
 def test_decomposition_export_shape(decompositions):
-    obj = listed(jsonio.decomposition_to_json(decompositions["s3"]))
+    obj = listed(jsonio.report_to_json(decompositions["s3"]))
     assert set(obj) == {"basis", "offsets", "blocks"}
     assert [b["dim"] for b in obj["blocks"]] == [1, 1, 2]
     assert obj["offsets"] == [0, 1, 2]
@@ -209,7 +210,12 @@ leaf_shapes = array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)
 complex_arrays = leaf_shapes.flatmap(
     lambda shape: arrays(np.float64, shape + (2,), elements=parts)
 ).map(lambda pairs: pairs.view(complex)[..., 0])
-array_leaves = st.one_of(complex_arrays, arrays(np.int64, leaf_shapes))
+array_leaves = st.one_of(
+    complex_arrays,
+    arrays(np.int64, leaf_shapes),
+    arrays(np.float64, leaf_shapes, elements=parts),
+    arrays(np.bool_, leaf_shapes),
+)
 
 
 def nested(leaf, depth: int):
@@ -223,7 +229,8 @@ def nested(leaf, depth: int):
 @settings(max_examples=300, deadline=None)
 def test_canonical_dumps_of_array_leaves_matches_encoder(payload):
     """An array leaf is written as the encoder writes it listed: a complex array as its [re, im]
-    pairs, an integer one by ``tolist``, zero-length axes and 0-dim arrays included."""
+    pairs, an integer, float or bool one by ``tolist``, zero-length axes and 0-dim arrays
+    included."""
     assert jsonio.canonical_dumps(payload) == reference_canonical_dumps(listed(payload))
 
 
@@ -404,6 +411,7 @@ READERS = {
     "rep": jsonio.rep_from_json,
     "group": ak.group_from_json,
     "channel": jsonio.channel_from_json,
+    "weights": jsonio.weight_state_from_json,
 }
 
 
@@ -531,3 +539,80 @@ def test_d360_file_reads_back_in_its_form(name):
     else:
         assert stack_spans(back) == stack_spans(r)
         assert [m.tobytes() for _, m in back._stacks] == [m.tobytes() for _, m in r._stacks]
+
+
+def _z2_rep_file(**edits) -> dict:
+    """The regular rep of Z2 as its dense ``mats`` file, with the given keys set (None drops)."""
+    r = ak.regular_rep(ak.make_cyclic(2))
+    obj = {"group": ak.group_to_json(r.group), "dim": 2, "mats": jsonio.matrix_to_json(r.mats)}
+    return {k: v for k, v in {**obj, **edits}.items() if v is not None}
+
+
+def _channel_file(**edits) -> dict:
+    return {**jsonio.channel_to_json(ak.random_channel(2, 1, np.random.default_rng(0))), **edits}
+
+
+BLOCK = {"start": 0, "mats": [[[[1.0, 0.0]]]] * 2}
+RAISE_SITES = {  # name -> (call, error type, message)
+    "rep without a group": (
+        lambda: jsonio.rep_from_json(_z2_rep_file(group=None)),
+        ak.ValidationError,
+        "representation JSON carries no group; pass one explicitly",
+    ),
+    "negative dim": (
+        lambda: jsonio.rep_from_json(_z2_rep_file(dim=-1)),
+        ak.ValidationError,
+        "representation JSON 'dim' must be nonnegative, got -1",
+    ),
+    "dim against mats": (
+        lambda: jsonio.rep_from_json(_z2_rep_file(dim=3)),
+        ak.ValidationError,
+        "representation JSON 'dim' does not match its matrices",
+    ),
+    "block without a start": (
+        lambda: jsonio.rep_from_json(_z2_rep_file(mats=None, dim=1, blocks=[{"mats": []}])),
+        ak.ValidationError,
+        "representation JSON 'blocks' must be a list of {start, mats}",
+    ),
+    "block that is a list": (
+        lambda: jsonio.rep_from_json(_z2_rep_file(mats=None, dim=1, blocks=[[0, []]])),
+        ak.ValidationError,
+        "representation JSON 'blocks' must be a list of {start, mats}",
+    ),
+    "blocks that are not a list": (
+        lambda: jsonio.rep_from_json(_z2_rep_file(mats=None, dim=1, blocks=BLOCK)),
+        ak.ValidationError,
+        "representation JSON 'blocks' must be a list of {start, mats}",
+    ),
+    "state of another kind": (
+        lambda: jsonio.state_from_json({"kind": "thermal", "data": [[1.0, 0.0]]}),
+        ak.ValidationError,
+        "state JSON kind must be 'pure' or 'mixed', got 'thermal'",
+    ),
+    "weight state without weights": (
+        lambda: jsonio.weight_state_from_json({"amplitudes": {"0": [1.0, 0.0]}}),
+        ak.ValidationError,
+        "weight-state JSON must contain a 'weights' map",
+    ),
+    "d_in against the Kraus operators": (
+        lambda: jsonio.channel_from_json(_channel_file(d_in=3)),
+        ak.ValidationError,
+        "channel JSON 'd_in' does not match its Kraus operators",
+    ),
+    "d_out against the Kraus operators": (
+        lambda: jsonio.channel_from_json(_channel_file(d_out=3)),
+        ak.ValidationError,
+        "channel JSON 'd_out' does not match its Kraus operators",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISE_SITES))
+def test_raise_site(name):
+    assert_raises_exactly(*RAISE_SITES[name])
+
+
+def test_one_block_file_reads():
+    """The block the blocks rows above wrap reads as the trivial rep of Z2."""
+    r = jsonio.rep_from_json(_z2_rep_file(mats=None, dim=1, blocks=[BLOCK]))
+    assert r.dim == 1 and np.array_equal(r.mats, np.ones((2, 1, 1)))

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import asymkit as ak
 from asymkit import jsonio, reps
-from asymkit.groups import group_from_json, group_to_json
+from asymkit.jsonio import group_from_json, group_to_json
 from asymkit.linalg import frob, haar_unitary, random_complex, scaled_tol
 from helpers import (
+    assert_raises_exactly,
     assert_matches_character_table,
     block_matrix,
     dense_charfunc,
@@ -1196,3 +1197,32 @@ class TestExactRoute:
             assert float_passes == ([] if got is None or "identity" in got else [1])
             assert got == validation_outcome(group, mats, [slice(0, mats.shape[1])])
             assert got is not None or kind == "src"
+
+
+def _decomposition_short_of_dim():
+    dec = ak.decompose(ak.regular_rep(ak.make_cyclic(2)), seed=0)
+    return ak.IrrepDecomposition(dec.rep, dec.basis, dec.blocks[:1])
+
+
+RAISE_SITES = {  # name -> (call, error type, message)
+    "mats of the wrong shape": (
+        lambda: ak.UnitaryRep(ak.make_cyclic(2), np.zeros((3, 2, 2))),
+        ak.DimensionMismatchError,
+        "mats must have shape (|G|, d, d) matching the group order",
+    ),
+    "direct sum over two groups": (
+        lambda: ak.direct_sum_rep(ak.trivial_rep(ak.make_cyclic(2)), ak.trivial_rep(ak.make_cyclic(3))),
+        ak.GroupMismatchError,
+        "direct_sum_rep requires both summands over the same group",
+    ),
+    "blocks short of dim": (
+        _decomposition_short_of_dim,
+        ak.ValidationError,
+        "decomposition invariant violated: sum of d_mu * n_mu must equal dim",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISE_SITES))
+def test_raise_site(name):
+    assert_raises_exactly(*RAISE_SITES[name])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import asymkit as ak
 from asymkit.linalg import frob
+from helpers import assert_raises_exactly
 
 
 def plus_state(dim, a, b):
@@ -478,3 +479,113 @@ class TestCharfuncPropertyBased:
         # the translated Gram matrix of any state function is PSD
         x = chi.values[g.mul[g.inv]]
         assert np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0] >= -1e-9
+
+
+def _z2_decomposition():
+    return ak.decompose(ak.regular_rep(ak.make_cyclic(2)), seed=0)
+
+
+def _z3_function():
+    return ak.CharFunction(ak.make_cyclic(3), [1.0, 0.0, 0.0])
+
+
+def _charfunc_of_2x2_blocks_on_1x1_irreps():
+    dec = _z2_decomposition()
+    red = ak.IrrepReduction([b.label for b in dec.blocks], [np.eye(2) / 4] * 2)
+    return ak.charfunc_from_reduction(red, dec)
+
+
+RAISE_SITES = {  # name -> (call, error type, message)
+    "pure state of a matrix": (
+        lambda: ak.QuantumState("pure", np.eye(2)),
+        ak.ValidationError,
+        "pure state data must be a vector",
+    ),
+    "mixed state of a vector": (
+        lambda: ak.QuantumState("mixed", [1.0, 0.0]),
+        ak.ValidationError,
+        "mixed state data must be a square matrix",
+    ),
+    "state of another kind": (
+        lambda: ak.QuantumState("thermal", [1.0]),
+        ak.InvalidParameterError,
+        "state kind must be 'pure' or 'mixed', got 'thermal'",
+    ),
+    "function of the wrong length": (
+        lambda: ak.CharFunction(ak.make_cyclic(3), [1.0, 0.0]),
+        ak.DimensionMismatchError,
+        "characteristic function needs one value per group element",
+    ),
+    "reduction with a label short": (
+        lambda: ak.IrrepReduction([0], [np.eye(1), np.eye(1)]),
+        ak.ValidationError,
+        "reduction needs one label per block",
+    ),
+    "reduction block of shape 2 x 3": (
+        lambda: ak.IrrepReduction([0, 1], [np.eye(1), np.zeros((2, 3))]).validate(),
+        ak.DimensionMismatchError,
+        "reduction block 1 is not square: (2, 3)",
+    ),
+    "reduction block of one axis": (
+        lambda: ak.IrrepReduction([4], [np.ones(1)]).validate(),
+        ak.DimensionMismatchError,
+        "reduction block 4 is not square: (1,)",
+    ),
+    "reduction of a state of another dim": (
+        lambda: ak.reduction_onto_irreps(ak.QuantumState.pure(np.eye(3)[0]), _z2_decomposition()),
+        ak.DimensionMismatchError,
+        "state dimension 3 does not match decomposition dimension 2",
+    ),
+    "charfunc of reduction blocks of another shape": (
+        _charfunc_of_2x2_blocks_on_1x1_irreps,
+        ak.DimensionMismatchError,
+        "reduction blocks do not match the decomposition blocks",
+    ),
+    "fourier inverse over another group": (
+        lambda: ak.fourier_inverse(_z3_function(), _z2_decomposition()),
+        ak.GroupMismatchError,
+        "function and decomposition must share the group",
+    ),
+    "symmetry subgroup of a state of another dim": (
+        lambda: ak.symmetry_subgroup(
+            ak.QuantumState.pure(np.eye(3)[0]), ak.regular_rep(ak.make_cyclic(2))
+        ),
+        ak.DimensionMismatchError,
+        "state dimension 3 does not match representation dimension 2",
+    ),
+    "weight amplitude against its probability": (
+        lambda: ak.WeightState({0: 1.0}, {0: 0.5}),
+        ak.ValidationError,
+        "amplitude (0.5+0j) at weight 0 inconsistent with its probability",
+    ),
+    "weight probability NaN": (
+        lambda: ak.WeightState({0: 1.0, 1: np.nan}),
+        ak.ValidationError,
+        "weight probability p(1) = nan is negative or not finite",
+    ),
+    "weight probability infinite": (
+        lambda: ak.WeightState({0: np.inf}),
+        ak.ValidationError,
+        "weight probability p(0) = inf is negative or not finite",
+    ),
+    "weight amplitude NaN": (
+        lambda: ak.WeightState({0: 1.0}, {0: complex(np.nan, 0.0)}),
+        ak.ValidationError,
+        "amplitude (nan+0j) at weight 0 inconsistent with its probability",
+    ),
+    "weight vector of too small a dim": (
+        lambda: ak.WeightState({0: 0.5, 2: 0.5}).vector(2),
+        ak.DimensionMismatchError,
+        "dim too small for the occupied weights",
+    ),
+    "negative moment order": (
+        lambda: ak.u1_moments(ak.WeightState({0: 1.0}), -1),
+        ak.InvalidParameterError,
+        "moment order must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISE_SITES))
+def test_raise_site(name):
+    assert_raises_exactly(*RAISE_SITES[name])
