@@ -109,15 +109,15 @@ def gns_construct(f: CharFunction) -> GnsResult:
     :func:`_residual_bound`.  O(|G| sum_mu d_mu^3), after the group's first call has paid for
     ``decompose(regular_rep(group))``.
 
-    U is handed over in the form ``reps._cut`` gives its copies' (cols, U_mu copies) stacks,
-    assembled from what the group caches of its irreps (:func:`reps._monomial_irreps`), so a
-    warm call makes no pass over exact-zero masks.  ``_sparsity_form`` of stacks is monomial iff
-    each stack is, each stack's (src, phase) its own shifted to its columns: (src, phase) when
-    every kept irrep is monomial (always if all are 1-dim: src the identity, phase their values).
-    Otherwise it takes each block's slices on its own, and an irrep's exact zeros never cut it (a
-    cut would make its first slice an invariant subspace): one slice per copy, the stacks of one
-    size each, ascending, which ``_cut`` keeps as they are.  ||mats||_F, which scales the trust
-    gate, is read off the norms the group caches too: sqrt(sum over copies ||U_mu||_F^2).
+    U is handed over in the form ``reps._cut`` gives its copies' (cols, U_mu copies) stacks, from
+    what the group caches of its irreps' exact zeros (``reps._exact_zeros``), so a warm call makes
+    no pass over exact-zero masks.  When every kept irrep is monomial (always if all are 1-dim:
+    src the identity, phase their values), (src, phase) is ``reps._src_phase`` of their rows, as
+    ``_cut`` builds it: the same by construction.  Otherwise ``_cut`` cuts each block on its own,
+    and an irrep's exact zeros never cut it (a cut would make its first piece an invariant
+    subspace): one piece per copy, the stacks of one size each, ascending, which ``_cut`` keeps as
+    they are.  ||mats||_F, which scales the trust gate, is read off the norms the group caches
+    too: sqrt(sum over copies ||U_mu||_F^2).
 
     Raises InvalidCharacteristicFunctionError if f has a NaN or infinite value or
     is not normalized positive definite under the module's Gram rule,
@@ -151,11 +151,8 @@ def gns_construct(f: CharFunction) -> GnsResult:
             kept.append((j, cols, m, mono, src, ph))
             parts.append((v[j, :, c] * np.sqrt(lam[j, c])[:, None]).ravel())
             at, sq = at + j.size * m.shape[-1], sq + m2[j].sum()
-    if all(mono[j].all() for j, _, _, mono, _, _ in kept):  # [g, column], copy by copy
-        n = group.order
-        form = (np.hstack([(src[j] + c[:, :1, None]).transpose(1, 0, 2).reshape(n, -1)
-                           for j, c, _, _, src, _ in kept]),
-                np.hstack([ph[j].transpose(1, 0, 2).reshape(n, -1) for j, *_, ph in kept]))
+    if all(mono[j].all() for j, _, _, mono, _, _ in kept):  # copy by copy, columns in order
+        form = reps._src_phase([(c, src[j], ph[j]) for j, c, _, _, src, ph in kept])
     else:
         form = [(c, m[j]) for j, c, m, *_ in kept]
     rep, psi = reps.UnitaryRep(group, None, form), np.concatenate(parts)

@@ -213,10 +213,7 @@ def weight_state_from_json(obj: dict) -> WeightState:
 
 
 def weight_state_to_json(w: WeightState) -> dict:
-    out: dict[str, Any] = {"weights": {str(n): float(p) for n, p in w.weights.items()}}
-    if w.amplitudes is not None:
-        out["amplitudes"] = {str(n): matrix_to_json(a) for n, a in w.amplitudes.items()}
-    return out
+    return listed(report_to_json(w))
 
 
 def func_to_json(f: CharFunction) -> dict:
@@ -252,11 +249,11 @@ def report_to_json(obj: Any) -> Any:
 
     A dataclass becomes a dict of its fields by name, an array stays the array it is (a complex
     one written as nested [re, im] pairs), an Enum its value and a dict the same dict with
-    ``str`` keys.  A group, state, rep (without its group), channel or characteristic function
-    is laid out as its file is: :func:`group_to_json` and the other file writers list this
-    layout.  A decomposition is its ``basis``, ``offsets`` and ``blocks``, a reduction its
-    ``labels``, ``blocks`` and ``traces``.  Anything else (None, bool, int, float, and a list,
-    which is not entered) is kept as it is.
+    ``str`` keys.  A group, state, weight state, rep (without its group), channel or
+    characteristic function is laid out as its file is: :func:`group_to_json` and the other
+    file writers list this layout.  A decomposition is its ``basis``, ``offsets`` and
+    ``blocks``, a reduction its ``labels``, ``blocks`` and ``traces``.  Anything else (None,
+    bool, int, float, and a list, which is not entered) is kept as it is.
     """
     if isinstance(obj, np.ndarray):
         return obj
@@ -272,6 +269,10 @@ def report_to_json(obj: Any) -> Any:
         return _rep_form(obj)
     if isinstance(obj, QuantumChannel):
         return {"d_in": obj.d_in, "d_out": obj.d_out, "kraus": obj.kraus}
+    if isinstance(obj, WeightState):  # each amplitude a 0-dim complex array; None, no key
+        out = {"weights": {str(n): float(p) for n, p in obj.weights.items()}}
+        amps = {str(n): np.array(a, complex) for n, a in (obj.amplitudes or {}).items()}
+        return out if obj.amplitudes is None else {**out, "amplitudes": amps}
     if isinstance(obj, CharFunction):
         return {"values": obj.values, "labels": list(obj.group.labels)}
     if isinstance(obj, GroupTable):

@@ -53,14 +53,12 @@ def assert_psd(a: np.ndarray, tol: float, what: str = "matrix") -> None:
         )
 
 
-def psd_sqrt(a: np.ndarray, tol: float | None = None) -> np.ndarray:
+def psd_sqrt(a: np.ndarray, tol: float) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
     Eigenvalues in [-tol, 0) are treated as exact zeros; anything below -tol
     raises.  This absorbs the negative drift PSD matrices pick up numerically.
     """
-    if tol is None:
-        tol = scaled_tol(a)
     vals, vecs = np.linalg.eigh(hermitian_part(a))
     if vals[0] < -tol:
         raise NotPositiveSemidefiniteError(

@@ -148,48 +148,53 @@ class UnitaryRep:
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
 
 
-def _sparsity_form(mats) -> tuple[np.ndarray, np.ndarray] | list[slice]:
-    """Of a (|G|, d, d) stack, or of the block rep of (cols, sub) stacks (a dense stack being one
-    block): monomial (src, phase), shape (|G|, d), with mats[g, i, src[g, i]] = phase[g, i] the
-    only nonzero of each row and column of every matrix; otherwise, or if d = 0, the slices of
-    the contiguous diagonal blocks, each block's refined, outside which every entry is exactly
-    zero.  One pass per block size."""
-    stacks = mats if isinstance(mats, list) else [(np.arange(mats.shape[1])[None], mats[None])]
-    nonzero, n = [m != 0 for _, m in stacks], stacks[0][1].shape[1]
-    d = sum(c.size for c, _ in stacks)
-    if d and all((z.sum(2) == 1).all() and (z.sum(3) == 1).all() for z in nonzero):
-        src, phase = np.empty((n, d), int), np.empty((n, d), stacks[0][1].dtype)
-        for (c, m), z in zip(stacks, nonzero):  # [block, g, row]: column in the block, then in all
-            at = z.argmax(3)
-            src[:, c] = c[np.arange(len(c))[:, None, None], at].transpose(1, 0, 2)
-            phase[:, c] = np.take_along_axis(m, at[..., None], 3)[..., 0].transpose(1, 0, 2)
-        return src, phase
-    ends = []
-    for (c, _), z in zip(stacks, nonzero):  # each block's ends, where no entry reaches past
-        union, cols = z.any(1), np.arange(c.shape[1])
-        reach = np.where(union | union.transpose(0, 2, 1), cols, -1).max(2, initial=-1)
-        ends.append(c[np.maximum.accumulate(np.maximum(cols, reach), axis=1) == cols] + 1)
-    ends = np.sort(np.concatenate(ends))
-    return [slice(int(a), int(b)) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+def _exact_zeros(m: np.ndarray) -> tuple:
+    """Of a stack m (k, |G|, s, s): the flags (k,) of its monomial blocks, one nonzero in each row
+    and column of every matrix; if any is, each row's nonzero column at (k, |G|, s) and value (read
+    on every block, used on those), else None, None; and the mask m != 0."""
+    z = m != 0
+    mono = (z.sum(2) == 1).all((1, 2))  # one nonzero per column, s in all: one per row iff no
+    if mono.any():  # row is empty; a dense stack pays for one count only
+        mono &= z.any(3).all((1, 2))
+    at = z.argmax(3) if mono.any() else None
+    return mono, at, None if at is None else m[(*np.indices(at.shape, sparse=True), at)], z
+
+
+def _src_phase(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (src, phase) (|G|, d) of monomial blocks from per-stack (cols (k, s), at, value) as
+    :func:`_exact_zeros` reads them, cols tiling range(d): src = at + the block's first column,
+    the stacks side by side, [g, column], their columns put in order only if they are not."""
+    src, phase = (np.concatenate([x.transpose(1, 0, 2).reshape(x.shape[1], -1) for x in xs], 1)
+                  for xs in ([at + c[:, :1, None] for c, at, _ in parts], [v for *_, v in parts]))
+    cols = np.concatenate([c.ravel() for c, _, _ in parts])
+    if (cols[1:] < cols[:-1]).any():  # a take, C-contiguous as the in-order stacks are
+        src, phase = (x.take(np.argsort(cols), 1) for x in (src, phase))
+    return src, phase
 
 
 def _cut(stacks: list) -> tuple[np.ndarray, np.ndarray] | list[tuple[np.ndarray, np.ndarray]]:
-    """The :func:`_sparsity_form` of the block rep of (cols, sub) stacks tiling range(d): monomial
-    (src, phase), or per slice size s ascending one (cols (k, s), sub (k, |G|, s, s)), the slices
-    in start order, each cut from its block; a stack the slices leave whole is kept as it is."""
-    form = _sparsity_form(stacks) if stacks else []
-    if isinstance(form, tuple) or not form:
-        return form
-    at, sizes = {int(c[0]): m for cs, ms in stacks for c, m in zip(cs, ms)}, {}
-    for b in form:  # the slices refine the blocks: a block's start is a slice's
-        a, m = (b.start, at[b.start]) if b.start in at else (a, m)
-        cut = slice(b.start - a, b.stop - a)
-        sizes.setdefault(cut.stop - cut.start, []).append((range(b.start, b.stop), m[:, cut, cut]))
+    """The form of the block rep of (cols, sub) stacks tiling range(d) (a dense stack is one
+    block), read by :func:`_exact_zeros`: monomial (src, phase) (|G|, d) if d > 0 and every block
+    is; else each block cut where no entry reaches past, per piece size s ascending one (cols
+    (k, s), sub (k, |G|, s, s)), pieces in start order, stacked anew; a stack left whole kept."""
+    if not sum(c.size for c, _ in stacks):
+        return []
+    read = [_exact_zeros(m) for _, m in stacks]
+    if all(mono.all() for mono, *_ in read):
+        return _src_phase([(c, at, v) for (c, _), (_, at, v, _) in zip(stacks, read)])
+    sizes = {}
+    for (c, m), (*_, z) in zip(stacks, read):  # [block, row]: a piece ends at a row that no
+        union, cols = z.any(1), np.arange(c.shape[1])  # entry reaches past, as each block's last
+        reach = np.where(union | union.transpose(0, 2, 1), cols, -1).max(2, initial=-1)
+        block, end = np.nonzero(np.maximum.accumulate(np.maximum(cols, reach), axis=1) == cols)
+        start = np.concatenate([[0], end[:-1] + 1]) % len(cols)  # after an end, 0 after a last
+        for j, a, b, at in zip(*(x.tolist() for x in (block, start, end + 1, c[block, start]))):
+            sizes.setdefault(b - a, {})[at] = m[j, :, a:b, a:b]
     out = []
-    for pieces in (sizes[s] for s in sorted(sizes)):
-        cols = np.array([c for c, _ in pieces])
+    for s, pieces in sorted(sizes.items()):
+        cols = np.array(sorted(pieces))[:, None] + np.arange(s)
         whole = [st for st in stacks if np.array_equal(st[0], cols)]
-        out.append(whole[0] if whole else (cols, np.stack([m for _, m in pieces])))
+        out.append(whole[0] if whole else (cols, np.stack([pieces[a] for a in sorted(pieces)])))
     return out
 
 
@@ -767,35 +772,21 @@ def one_dim_reps(group: GroupTable) -> np.ndarray:
 
 def _regular_irreps(group: GroupTable) -> tuple[list[np.ndarray], float, list[tuple], list]:
     """What GNS reads of decompose(regular_rep(group), seed=0): the irrep stacks of each sector
-    shape (:meth:`IrrepDecomposition._by_shape`), the residual, the stacks'
-    :func:`_monomial_irreps` and their :func:`_squared_norms`.  Kept on the group on first use:
-    deterministic, so a race only builds them twice, and no caller's seed reaches them.  No
-    decomposition is kept, as its regular rep would point back at the group."""
+    shape (:meth:`IrrepDecomposition._by_shape`), the residual, each stack's monomial flags and
+    rows as :func:`_exact_zeros` reads them, and their :func:`_squared_norms`.  Kept on the group
+    on first use: deterministic, so a race only builds them twice, and no caller's seed reaches
+    them.  No decomposition is kept, as its regular rep would point back at the group."""
     if group._irreps is None:
         dec = decompose(regular_rep(group), seed=0)
         stacks = [m for _, _, m in dec._by_shape()]
-        group._irreps = stacks, dec._residual, _monomial_irreps(stacks), _squared_norms(stacks)
+        monomial = [_exact_zeros(m)[:3] for m in stacks]
+        group._irreps = stacks, dec._residual, monomial, _squared_norms(stacks)
     return group._irreps
 
 
 def _squared_norms(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """Per irrep stack m (k, |G|, s, s), each irrep's ||U_mu||_F^2 over the group, (k,)."""
     return [np.einsum("kgij,kgij->k", m.conj(), m).real for m in stacks]
-
-
-def _monomial_irreps(stacks: list[np.ndarray]) -> list[tuple]:
-    """Per irrep stack m (k, |G|, s, s), what each irrep's own :func:`_sparsity_form` reads off
-    its exact zeros, by the same rule and arrays: a flag (k,) for the monomial irreps, one nonzero
-    in each row and column of every matrix, and if any is, (src, phase) (k, |G|, s), each row's
-    nonzero column and value (read on every irrep, used on those)."""
-    out = []
-    for m in stacks:
-        z = m != 0
-        mono = (z.sum(2) == 1).all((1, 2)) & (z.sum(3) == 1).all((1, 2))
-        at = z.argmax(3) if mono.any() else None
-        phase = None if at is None else np.take_along_axis(m, at[..., None], 3)[..., 0]
-        out.append((mono, at, phase))
-    return out
 
 
 def random_invariant_unitary(dec: IrrepDecomposition, rng) -> np.ndarray:

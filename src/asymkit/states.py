@@ -186,13 +186,13 @@ def _padded_reduction(padded: np.ndarray, dec: IrrepDecomposition, tol: float) -
     return IrrepReduction([b.label for b in dec.blocks], _cut(padded, dec))._check(padded, tol)
 
 
-def _state_chi_check(values: np.ndarray, tol: float = 1e-8) -> None:
-    if not abs(values[0] - 1.0) <= tol:
+def _state_chi_check(values: np.ndarray) -> None:
+    if not abs(values[0] - 1.0) <= 1e-8:
         raise ValidationError(
             f"characteristic function invariant violated: chi(e) = {values[0]:.6f}, must be 1"
         )
     worst = float(np.abs(values).max())
-    if not worst <= 1.0 + tol:
+    if not worst <= 1.0 + 1e-8:
         raise ValidationError(
             f"characteristic function invariant violated: max |chi| = {worst:.12f} > 1"
         )
@@ -350,6 +350,9 @@ class WeightState:
                     raise ValidationError(
                         f"amplitude {a} at weight {n} inconsistent with its probability"
                     )
+            for n in self.weights if amps else ():  # an empty map means no amplitudes
+                if n not in amps:
+                    raise ValidationError(f"no amplitude at occupied weight {n}")
             self.amplitudes = amps
 
     @staticmethod

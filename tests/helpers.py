@@ -297,6 +297,16 @@ def slice_stacks(mats: np.ndarray, blocks: list[slice]) -> list:
     return out
 
 
+def cut_form(mats: np.ndarray):
+    """``reps._cut`` of a dense (|G|, d, d) stack, one block: monomial (src, phase), else the
+    slices of the pieces its stacks hold, in start order ([] if d = 0)."""
+    form = reps._cut([(np.arange(mats.shape[1])[None], mats[None])])
+    if isinstance(form, tuple):
+        return form
+    spans = sorted((int(c[0]), int(c[-1]) + 1) for cs, _ in form for c in cs)
+    return [slice(a, b) for a, b in spans]
+
+
 def stack_spans(r) -> list[tuple[int, int]]:
     """The (start, stop) of every diagonal block a non-monomial rep holds, in start order."""
     return sorted((int(c[0]), int(c[-1]) + 1) for cs, _ in r._stacks for c in cs)
@@ -595,6 +605,9 @@ def rejected_inputs():
         "weight-nan": ("weights", {"weights": {"0": 1.0, "1": float("nan")}}),
         "weight-amplitude-nan": (
             "weights", {"weights": {"0": 1.0}, "amplitudes": {"0": [float("nan"), 0.0]}}
+        ),
+        "weight-amplitude-missing": (
+            "weights", {"weights": {"0": 0.5, "1": 0.5}, "amplitudes": {"0": [0.5**0.5, 0.0]}}
         ),
     }
 

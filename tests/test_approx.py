@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import asymkit as ak
-from asymkit.linalg import frob
+from asymkit.linalg import frob, psd_sqrt
 from helpers import (
     assert_raises_exactly,
     charfunc_bound_by_convolution,
@@ -251,6 +251,11 @@ RAISE_SITES = {  # name -> (call, error type, message)
         ),
         ak.GroupMismatchError,
         "function and decomposition must share the group",
+    ),
+    "square root of a matrix below -tol": (
+        lambda: psd_sqrt(-np.eye(2), 1e-9),
+        ak.NotPositiveSemidefiniteError,
+        "cannot take PSD square root: min eigenvalue -1.000e+00 < -1.000e-09",
     ),
 }
 

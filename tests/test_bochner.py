@@ -317,7 +317,7 @@ class TestGnsLadder:
 def with_blocks(dec, edit, residual=None, at=slice(None)):
     """The GNS cache (``reps._regular_irreps``) of dec with edit(mats, index) in place of each
     block's mats at the elements ``at``, the residual given, or else recomputed for the new
-    blocks, and the new stacks' ``reps._monomial_irreps`` and ``reps._squared_norms``."""
+    blocks, and the new stacks' ``reps._exact_zeros`` rows and ``reps._squared_norms``."""
     blocks = []
     for i, b in enumerate(dec.blocks):
         m = b.mats.copy()
@@ -326,7 +326,7 @@ def with_blocks(dec, edit, residual=None, at=slice(None)):
     out = ak.IrrepDecomposition(dec.rep, dec.basis, blocks)
     rho = out.reconstruction_residual() if residual is None else residual
     stacks = [m for _, _, m in out._by_shape()]
-    return stacks, rho, reps._monomial_irreps(stacks), reps._squared_norms(stacks)
+    return stacks, rho, [reps._exact_zeros(m)[:3] for m in stacks], reps._squared_norms(stacks)
 
 
 GNS_CASES = list(gns_cases())
@@ -423,7 +423,7 @@ def test_gns_runs_no_pairwise_or_intertwiner_pass(name, monkeypatch):
     f = gns_cases()[name]
     reps._regular_irreps(f.group)  # decompose's own check, once per group, is not GNS's
     calls = spy(monkeypatch, "_validate_rep", "_intertwiner_residual", "_unitarity_residuals",
-                "_homomorphism_residuals", "_sparsity_form", "_cut")
+                "_homomorphism_residuals", "_exact_zeros", "_cut")
     ak.gns_construct(f)
     assert calls == []
 

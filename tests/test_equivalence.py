@@ -1,9 +1,12 @@
 """Equivalence deciders, Gram machinery, and invariant-unitary witnesses."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import asymkit as ak
+from asymkit import equivalence
 from asymkit.linalg import frob, haar_unitary
 from helpers import assert_raises_exactly
 
@@ -462,6 +465,25 @@ class TestOrbitPerspective:
         )
 
 
+def _completion_in_the_wrong_basis():
+    """An invariant unitary of regular S3 completed in the sectors of a Haar-conjugated regular
+    S3: the same group and dim, but the wrong basis."""
+    rng = np.random.default_rng(0)
+    r = ak.regular_rep(ak.make_symmetric(3))
+    w = ak.random_invariant_unitary(ak.decompose(r), rng)
+    v = haar_unitary(r.dim, rng)
+    dec = ak.decompose(ak.UnitaryRep(r.group, v @ r.mats @ v.conj().T))
+    return ak.extend_isometry_to_ginv_unitary(w, np.eye(r.dim), r, dec)
+
+
+def _interconversion_with_identity_polar():
+    """The witness of e_0 -> e_1 with the polar factor taken as I: it misses by sqrt 2."""
+    with mock.patch.object(equivalence, "polar_unitary", lambda m: np.eye(len(m))):
+        return ak.unitary_set_interconversion(
+            [ak.QuantumState.pure([1.0, 0.0])], [ak.QuantumState.pure([0.0, 1.0])]
+        )
+
+
 RAISE_SITES = {  # name -> (call, error type, message)
     "interconversion of sets of two sizes": (
         lambda: ak.unitary_set_interconversion(
@@ -477,6 +499,16 @@ RAISE_SITES = {  # name -> (call, error type, message)
         ),
         ak.DimensionMismatchError,
         "isometry and projector must be d x d for the rep",
+    ),
+    "completion in another basis": (
+        _completion_in_the_wrong_basis,
+        ak.NotInvariantIsometryError,
+        "sector 0: completion failed; input is not an invariant isometry",
+    ),
+    "interconversion witness off its bound": (
+        _interconversion_with_identity_polar,
+        ak.ValidationError,
+        "interconversion witness failed its mapping bound: residual 1.414e+00",
     ),
 }
 

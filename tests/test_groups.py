@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -515,6 +516,15 @@ class TestJson:
             group_from_json({"order": 2})
 
 
+def _character_table_of_bad_eigenvectors():
+    """A fresh S3 table's characters, with every eigensolve giving the same all-nonzero vectors
+    (no division by zero), so that every seed fails the degree and orthogonality checks."""
+    table = ak.GroupTable(ak.make_symmetric(3).mul)
+    vectors = np.ones((3, 3)) + np.eye(3)  # one per class of S3
+    with mock.patch("numpy.linalg.eig", return_value=(np.ones(3), vectors)):
+        return table._character_table()
+
+
 RAISE_SITES = {  # name -> (call, error type, message)
     "table not square": (
         lambda: ak.GroupTable([[0, 1]]), ak.ValidationError, "multiplication table must be square"
@@ -571,6 +581,11 @@ RAISE_SITES = {  # name -> (call, error type, message)
         lambda: ak.make_cyclic([2, 3]),
         ak.ValidationError,
         "cyclic group order must be one whole number, got an array of shape (2,)",
+    ),
+    "character table with no whole degrees": (
+        _character_table_of_bad_eigenvectors,
+        ak.NumericalDegeneracyError,
+        "character table: degrees or orthogonality failed",
     ),
 }
 

@@ -75,6 +75,22 @@ def test_weight_state_round_trip():
     assert abs(back.amplitudes[2] - 0.8j) < 1e-11
 
 
+@pytest.mark.parametrize("amplitudes", [{0: 0.6, 2: 0.8j}, None], ids=["amplitudes", "none"])
+def test_weight_state_report_is_its_file(amplitudes):
+    """A weight state's report is laid out as its file, each amplitude a 0-dim complex array:
+    canonical_dumps prints it as json.dumps prints it listed, and the file is the listed report,
+    the weights and [re, im] pairs of each amplitude, with no amplitudes key when there are none."""
+    w = ak.WeightState.from_amplitudes(amplitudes) if amplitudes else ak.WeightState({1: 1.0})
+    report = jsonio.report_to_json(w)
+    assert jsonio.canonical_dumps(report) == reference_canonical_dumps(listed(report))
+    want = {"weights": {str(n): float(p) for n, p in w.weights.items()}}
+    if amplitudes:
+        want["amplitudes"] = {str(n): [a.real, a.imag] for n, a in w.amplitudes.items()}
+    obj = jsonio.weight_state_to_json(w)
+    assert obj == listed(report) == want
+    assert json.dumps(obj) == json.dumps(want)  # key order too: the file's bytes
+
+
 def test_weight_keys_read_as_whole_numbers():
     """A weight key reads as the JSON integer fields do: "1.0" as 1, "1.5" and "one" as a
     validation error."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import (
     blocked_rep,
+    cut_form,
     dense_charfunc,
     dense_rep_residuals,
     gns_cases,
@@ -190,7 +191,7 @@ def test_gns_rep_reads_its_blocks_as_the_dense_stack(name):
     assert np.abs(chi - dense_charfunc(res.state, dense)).max() <= 1e-12
     assert np.abs(trace - np.einsum("gii->g", dense.mats)).max() <= 1e-12
     assert obj == jsonio.rep_to_json(dense)
-    form = reps._sparsity_form(r.mats)
+    form = cut_form(r.mats)
     if isinstance(form, tuple):
         assert all(np.array_equal(x, y) for x, y in zip(r._monomial, form))
     else:
@@ -321,7 +322,7 @@ def test_direct_sum_passes_the_dense_oracle_unchecked(at, monkeypatch):
     identity, unitarity, homomorphism = dense_rep_residuals(s.group.mul, s.mats)
     tol = scaled_tol(s.mats)
     assert identity <= tol and unitarity.max(initial=0) <= tol and homomorphism.max() <= tol
-    form = reps._sparsity_form(s.mats)
+    form = cut_form(s.mats)
     if isinstance(form, tuple):
         assert all(np.array_equal(x, y) for x, y in zip(s._monomial, form))
     else:

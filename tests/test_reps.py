@@ -15,6 +15,7 @@ from helpers import (
     assert_raises_exactly,
     assert_matches_character_table,
     block_matrix,
+    cut_form,
     dense_charfunc,
     dense_reconstruction_residual,
     dense_rep_residuals,
@@ -794,7 +795,7 @@ class TestMonomialPath:
         if conjugate:
             v = haar_unitary(r.dim, rng)
             mats = v @ mats @ v.conj().T
-        form = reps._sparsity_form(mats)
+        form = cut_form(mats)
         assert isinstance(form, list) == conjugate
         _, unitarity, homomorphism = dense_rep_residuals(r.group.mul, mats)
         got_unitarity, got_homomorphism = residual_rows(r.group, mats, form)
@@ -805,7 +806,7 @@ class TestMonomialPath:
     @pytest.mark.parametrize("kind", ["identity-slot", "phase-modulus", "swapped", "half-weight"])
     def test_malformed_rejected_alike(self, kind):
         group, mats, fragment = malformed_monomial(kind)
-        form = reps._sparsity_form(mats)
+        form = cut_form(mats)
         assert isinstance(form, tuple)
         with pytest.raises(ak.ValidationError, match=fragment) as monomial:
             ak.UnitaryRep(group, mats)
@@ -826,12 +827,12 @@ class TestMonomialPath:
         s4 = ak.make_symmetric(4)
         mats = ak.regular_rep(s4).mats.copy()
         mats[7] *= -1
-        assert isinstance(reps._sparsity_form(mats), tuple)
+        assert isinstance(cut_form(mats), tuple)
         if rows_per_chunk is not None:
             monkeypatch.setattr(reps, "_STACK_BYTES", rows_per_chunk * 24 * 24 * 16)
             assert len(reps._chunk_slices(24, 24 * 24 * 16)) == -(-24 // rows_per_chunk)
         _, _, homomorphism = dense_rep_residuals(s4.mul, mats)
-        _, got = residual_rows(s4, mats, reps._sparsity_form(mats))
+        _, got = residual_rows(s4, mats, cut_form(mats))
         assert np.max(np.abs(got - homomorphism)) <= 1e-12
         first = int(np.flatnonzero(homomorphism.max(axis=1) > scaled_tol(mats))[0])
         assert first == 1
@@ -868,12 +869,31 @@ class TestMonomialPath:
 
     @pytest.mark.parametrize(
         "m",
-        [[[1, 0], [1, 0]], [[0, 0, 0], [0, 1, 1], [0, 0, 1]], [[1, 1e-300], [0, 1]]],
-        ids=["two-in-one-column", "empty-row", "tiny-off-diagonal"],
+        [
+            [[1, 0], [1, 0]],
+            [[0, 0, 0], [0, 1, 1], [0, 0, 1]],
+            [[1, 1e-300], [0, 1]],
+            [[1, 1], [0, 0]],
+        ],
+        ids=["two-in-one-column", "empty-row", "tiny-off-diagonal", "one-per-column-empty-row"],
     )
     def test_detection_rejects(self, m):
-        form = reps._sparsity_form(np.array([np.eye(len(m)), m], dtype=complex))
+        form = cut_form(np.array([np.eye(len(m)), m], dtype=complex))
         assert not isinstance(form, tuple)
+
+    def test_interleaved_monomial_stacks_give_the_dense_form(self):
+        """Stacks whose columns interleave, [[2]] then [[0, 1], [3, 4]], all monomial: _cut puts
+        their (src, phase) columns in order, the dense stack's own, bytes and dtype."""
+        z2 = ak.make_cyclic(2)
+        reg = ak.regular_rep(z2)
+        mats = ak.direct_sum_rep(ak.direct_sum_rep(reg, ak.number_rep(z2, [1])), reg).mats
+        stacks = slice_stacks(mats, [slice(0, 2), slice(2, 3), slice(3, 5)])
+        assert [c.tolist() for c, _ in stacks] == [[[2]], [[0, 1], [3, 4]]]
+        got, want = reps._cut(stacks), cut_form(mats)
+        assert isinstance(got, tuple) and isinstance(want, tuple)
+        assert not (want[1] == 1).all()  # U(1) = swap + (-1) + swap
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def conjugated(r, rng):
@@ -919,7 +939,7 @@ class TestBlockPath:
     @pytest.mark.parametrize("name", BLOCK_REPS)
     def test_residuals_match_dense_reference(self, block_reps, name):
         group, mats, blocks = block_reps[name]
-        form = reps._sparsity_form(mats)
+        form = cut_form(mats)
         assert isinstance(form, list)
         spans = [(sl.start, sl.stop) for sl in form]
         if blocks is None:  # a GNS rep: one block per Gram eigenvalue cluster
@@ -933,7 +953,7 @@ class TestBlockPath:
         # its 1x1 blocks through the block path give the same rows
         r = regular_reps["z6"]
         mats = ak.gns_construct(ak.charfunc(ak.random_mixed_state(6, rng), r)).rep.mats
-        assert isinstance(reps._sparsity_form(mats), tuple)
+        assert isinstance(cut_form(mats), tuple)
         assert np.count_nonzero(mats - np.einsum("gii->gi", mats)[:, :, None] * np.eye(6)) == 0
         self.assert_rows_match_dense(r.group, mats, [slice(i, i + 1) for i in range(6)])
 
@@ -943,14 +963,14 @@ class TestBlockPath:
             monkeypatch.setattr(reps, "_STACK_BYTES", stack_bytes)
         for name in ("s4 gns", "s3 dense 6 + dense 3"):
             group, mats, _ = block_reps[name]
-            self.assert_rows_match_dense(group, mats, reps._sparsity_form(mats))
+            self.assert_rows_match_dense(group, mats, cut_form(mats))
 
     def test_corrupted_block_named(self, block_reps):
         # flip the sign of the last block of U(7): still unitary, and the first
         # failing row is the dense oracle's, with the one-block (dense) message
         group, mats, _ = block_reps["s4 gns"]
         mats = mats.copy()
-        last = reps._sparsity_form(mats)[-1]
+        last = cut_form(mats)[-1]
         mats[7, last, last] *= -1
         _, _, homomorphism = dense_rep_residuals(group.mul, mats)
         tol = scaled_tol(mats)
@@ -966,7 +986,7 @@ class TestBlockPath:
         group, mats, _ = block_reps["s3 dense 6 + dense 3"]
         mats = mats.copy()
         mats[(1, *at)] = 1e-300
-        form = reps._sparsity_form(mats)
+        form = cut_form(mats)
         assert form == [slice(0, 9)]
         ak.UnitaryRep(group, mats)
         self.assert_rows_match_dense(group, mats, form)
@@ -975,7 +995,7 @@ class TestBlockPath:
         group, mats, _ = block_reps["s3 dense 6 + dense 3"]
         order = [0, 6, 1, 7, 2, 8, 3, 4, 5]
         mats = mats[:, order][:, :, order]
-        form = reps._sparsity_form(mats)
+        form = cut_form(mats)
         assert form == [slice(0, 9)]
         ak.UnitaryRep(group, mats)
         self.assert_rows_match_dense(group, mats, form)
@@ -1004,11 +1024,11 @@ class TestBlockPath:
         for s, chi in zip(states, chis):
             assert np.abs(chi - dense_charfunc(s, r)).max() <= 1e-12
         assert r.mats.tobytes() == mats.tobytes()
-        assert stack_spans(r) == [(b.start, b.stop) for b in reps._sparsity_form(r.mats)] == blocks
+        assert stack_spans(r) == [(b.start, b.stop) for b in cut_form(r.mats)] == blocks
 
     def test_zero_dimensional_rep(self, groups):
         mats = np.zeros((4, 0, 0), dtype=complex)
-        assert reps._sparsity_form(mats) == []
+        assert cut_form(mats) == []
         unitarity, homomorphism = residual_rows(groups["z4"], mats, [])
         assert unitarity.shape == (4,) and homomorphism.shape == (4, 4)
         assert not unitarity.any() and not homomorphism.any()
@@ -1166,7 +1186,7 @@ class TestExactRoute:
     @pytest.mark.parametrize("name", list(ZERO_ONE))
     def test_valid_reps_pass_without_float_pass(self, float_passes, name):
         group, mats = ZERO_ONE[name]
-        form = reps._sparsity_form(mats)
+        form = cut_form(mats)
         assert isinstance(form, tuple) and (form[1] == 1).all()
         ak.UnitaryRep(group, mats)
         assert float_passes == []
@@ -1180,7 +1200,7 @@ class TestExactRoute:
         x, y = np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]]
         mats = np.array([np.eye(3), x, y, y @ x], dtype=complex)
         assert all(np.array_equal(mats[klein.mul[a, 1]], mats[a] @ x) for a in range(4))
-        got = validation_outcome(klein, mats, reps._sparsity_form(mats))
+        got = validation_outcome(klein, mats, cut_form(mats))
         assert got is not None and float_passes == [1]
         assert got == validation_outcome(klein, mats, [slice(0, 3)])
 
@@ -1189,7 +1209,7 @@ class TestExactRoute:
         rng = np.random.default_rng(len(name))
         for _ in range(8):
             group, mats = corrupted(name, kind, rng)
-            form = reps._sparsity_form(mats)
+            form = cut_form(mats)
             assert isinstance(form, tuple)
             assert (form[1] == 1).all() == (kind != "phase")
             float_passes.clear()

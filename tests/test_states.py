@@ -573,6 +573,11 @@ RAISE_SITES = {  # name -> (call, error type, message)
         ak.ValidationError,
         "amplitude (nan+0j) at weight 0 inconsistent with its probability",
     ),
+    "weight amplitudes missing an occupied weight": (
+        lambda: ak.WeightState({0: 0.5, 1: 0.5}, {0: 0.5**0.5}),
+        ak.ValidationError,
+        "no amplitude at occupied weight 1",
+    ),
     "weight vector of too small a dim": (
         lambda: ak.WeightState({0: 0.5, 2: 0.5}).vector(2),
         ak.DimensionMismatchError,
